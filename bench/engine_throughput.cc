@@ -12,6 +12,11 @@
 //   ycsb_migration  YCSB-B with a Rocksteady migration of half the table
 //                   mid-run — the acceptance scenario for engine PRs.
 //
+// The *_lanes scenarios run the sharded engine (LaneSet) at lanes {1, 2, 4},
+// threaded, and report each run's measured wall time; the binary exits 1 if
+// their trace hashes differ. Threaded timings only mean something next to
+// the host's CPU count, which tools/bench_baseline.py stamps on each entry.
+//
 // Output is one JSON object per line, parsed by tools/bench_baseline.py into
 // BENCH_engine.json. Each line carries the run's trace_hash so that engine
 // optimizations can be checked for bit-identical schedules against the
@@ -44,12 +49,8 @@ struct ScenarioResult {
   uint64_t trace_hash = 0;
   uint64_t allocs = 0;
   uint64_t fn_fallbacks = 0;  // InlineFunction closures that heap-boxed.
-  // Lane scenarios only: the critical-path model from an unthreaded 4-lane
-  // run (this container has one CPU, so threaded wall-clock measures
-  // scheduler contention, not parallel speedup — see EXPERIMENTS.md).
-  int lanes = 0;
-  double model_parallel_wall_s = 0;  // Sum over windows of (max lane busy + merge).
-  double model_speedup = 0;          // Single-lane wall / model_parallel_wall_s.
+  int lanes = 0;              // Lane scenarios only; lanes > 1 run threaded.
+  uint64_t windows = 0;
 };
 
 void Report(const char* scenario, uint64_t seed, const ScenarioResult& r) {
@@ -64,48 +65,12 @@ void Report(const char* scenario, uint64_t seed, const ScenarioResult& r) {
       static_cast<double>(r.sim_ns) / 1e9, r.trace_hash, r.allocs, allocs_per_event,
       r.fn_fallbacks);
   if (r.lanes > 0) {
-    std::printf(",\"lanes\":%d,\"model_parallel_wall_s\":%.6f,\"model_events_per_s\":%.0f,"
-                "\"model_speedup\":%.2f",
-                r.lanes, r.model_parallel_wall_s,
-                r.model_parallel_wall_s > 0
-                    ? static_cast<double>(r.events) / r.model_parallel_wall_s
-                    : 0,
-                r.model_speedup);
+    std::printf(",\"lanes\":%d,\"lane_threads\":%s,\"windows\":%" PRIu64, r.lanes,
+                r.lanes > 1 ? "true" : "false", r.windows);
   }
   std::printf("}\n");
   std::fflush(stdout);
 }
-
-// Critical-path accumulator for unthreaded lane runs: with LaneSet's
-// PhaseHooks it times each lane's window slice and the sequential merge,
-// and models a perfectly parallel execution as sum over windows of
-// (max lane busy + merge) — the schedule's actual critical path, free of
-// this container's single-CPU thread contention.
-class CriticalPathModel {
- public:
-  void Install(LaneSet* lanes) {
-    LaneSet::PhaseHooks hooks;
-    hooks.lane_begin = [this](int) { mark_ = std::chrono::steady_clock::now(); };
-    hooks.lane_end = [this](int) { window_max_s_ = std::max(window_max_s_, Lap()); };
-    hooks.merge_begin = [this]() { mark_ = std::chrono::steady_clock::now(); };
-    hooks.merge_end = [this]() {
-      critical_s_ += window_max_s_ + Lap();
-      window_max_s_ = 0;
-    };
-    lanes->set_phase_hooks(std::move(hooks));
-  }
-
-  double critical_s() const { return critical_s_; }
-
- private:
-  double Lap() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - mark_).count();
-  }
-
-  std::chrono::steady_clock::time_point mark_;
-  double window_max_s_ = 0;
-  double critical_s_ = 0;
-};
 
 // Times `run` (the event loop only — setup is excluded) and snapshots the
 // global allocation counter around it.
@@ -127,8 +92,10 @@ class Chain {
  public:
   Chain(Simulator* sim, Tick period, Tick stop) : sim_(sim), period_(period), stop_(stop) {}
 
-  void Start(Tick at) {
-    sim_->At(at, [this] { Step(); });
+  // Starts the chain at `at` on `node` (lane mode; legacy ignores it). Each
+  // step reschedules on the node it runs on.
+  void Start(Tick at, NodeId node = 0) {
+    sim_->At(at, node, [this] { Step(); });
   }
 
  private:
@@ -163,33 +130,34 @@ ScenarioResult RunDispatch(uint64_t seed, bool smoke) {
   return result;
 }
 
-// --- dispatch_lanes: the dispatch load sharded across event lanes. ---
+// --- dispatch_lanes: the dispatch load sharded across event lanes, one
+// chain per node. ---
 
-ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes, bool threads,
-                                CriticalPathModel* model = nullptr) {
+ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes) {
   constexpr int kChains = 32;
   constexpr Tick kPeriod = 100;
   const Tick stop = smoke ? kMillisecond : 10 * kMillisecond;
 
   LaneSet::Config lane_config;
   lane_config.lanes = lanes;
-  lane_config.threads = threads;
+  lane_config.threads = lanes > 1;
   lane_config.lookahead = 1'150;  // The cluster's cross-lane horizon.
   lane_config.seed = seed;
   LaneSet set(lane_config);
-  if (model != nullptr) {
-    model->Install(&set);
-  }
   std::vector<std::unique_ptr<Chain>> chains;
   for (int i = 0; i < kChains; i++) {
-    chains.push_back(std::make_unique<Chain>(&set.lane_sim(i % lanes), kPeriod, stop));
-    chains.back()->Start(static_cast<Tick>(i));  // Staggered starts.
+    const auto node = static_cast<NodeId>(i);
+    set.AssignNode(node, i % lanes);
+    chains.push_back(std::make_unique<Chain>(set.SimFor(node), kPeriod, stop));
+    chains.back()->Start(static_cast<Tick>(i), node);  // Staggered starts.
   }
   ScenarioResult result;
   Measure([&] { set.Run(); }, &result);
   result.events = set.events_processed();
   result.sim_ns = set.now();
   result.trace_hash = set.trace_hash();
+  result.lanes = lanes;
+  result.windows = set.windows_run();
   return result;
 }
 
@@ -203,12 +171,10 @@ struct ClusterScenario {
   bool spread = false;             // Spread the table across all masters.
   int masters = 4;
   int clients = 2;
-  int lanes = 0;                   // > 0: sharded execution on that many lanes.
-  bool lane_threads = false;
+  int lanes = 0;                   // > 0: sharded execution, threaded above 1.
 };
 
-ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
-                          CriticalPathModel* model = nullptr) {
+ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
   ClusterConfig config;
   config.num_masters = scenario.masters;
   config.num_clients = scenario.clients;
@@ -216,11 +182,8 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
   config.master.hash_table_log2_buckets = 15;
   config.master.segment_size = 256 * 1024;
   config.lanes = scenario.lanes;
-  config.lane_threads = scenario.lane_threads;
+  config.lane_threads = scenario.lanes > 1;
   Cluster cluster(config);
-  if (model != nullptr) {
-    model->Install(cluster.lanes());
-  }
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   if (scenario.spread) {
@@ -266,6 +229,10 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
   result.events = cluster.events_processed() - events_before;
   result.sim_ns = cluster.now();
   result.trace_hash = cluster.trace_hash();
+  if (cluster.lanes() != nullptr) {
+    result.lanes = scenario.lanes;
+    result.windows = cluster.lanes()->windows_run();
+  }
   if (scenario.migrate_at.has_value() && !stats.has_value()) {
     std::fprintf(stderr, "engine_throughput: migration did not complete (seed %" PRIu64 ")\n",
                  seed);
@@ -282,28 +249,26 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
   return result;
 }
 
-// Runs a lane scenario's three configurations — single-lane reference,
-// 4-lane unthreaded (for the critical-path model), 4-lane threaded (the
-// reported run) — and dies if any trace hash diverges: identical schedules
-// across lane counts and threading is the sharded engine's contract.
+// Runs a lane scenario at lanes {1, 2, 4} (threaded above one lane),
+// reports each measured run, and dies if any trace hash diverges: identical
+// schedules across lane counts and threading is the sharded engine's
+// contract.
 template <typename RunFn>
-ScenarioResult RunLaneChecked(const char* scenario, RunFn&& run) {
-  const ScenarioResult lane1 = run(1, false, nullptr);
-  CriticalPathModel model;
-  const ScenarioResult lane4 = run(4, false, &model);
-  ScenarioResult threaded = run(4, true, nullptr);
-  if (lane1.trace_hash != lane4.trace_hash || lane1.trace_hash != threaded.trace_hash) {
-    std::fprintf(stderr,
-                 "engine_throughput: %s trace hashes diverged across lane configs "
-                 "(lanes1 0x%016" PRIx64 ", lanes4 0x%016" PRIx64 ", threaded 0x%016" PRIx64 ")\n",
-                 scenario, lane1.trace_hash, lane4.trace_hash, threaded.trace_hash);
-    std::exit(1);
+void ReportLaneSweep(const char* scenario, uint64_t seed, RunFn&& run) {
+  std::vector<ScenarioResult> results;
+  for (const int lanes : {1, 2, 4}) {
+    results.push_back(run(lanes));
+    if (results.back().trace_hash != results.front().trace_hash) {
+      std::fprintf(stderr,
+                   "engine_throughput: %s trace hash diverged at %d lanes "
+                   "(0x%016" PRIx64 " vs 0x%016" PRIx64 " at 1 lane)\n",
+                   scenario, lanes, results.back().trace_hash, results.front().trace_hash);
+      std::exit(1);
+    }
   }
-  threaded.lanes = 4;
-  threaded.model_parallel_wall_s = model.critical_s();
-  threaded.model_speedup =
-      model.critical_s() > 0 ? lane1.wall_s / model.critical_s() : 0;
-  return threaded;
+  for (const ScenarioResult& r : results) {
+    Report(scenario, seed, r);
+  }
 }
 
 int Main(int argc, char** argv) {
@@ -319,10 +284,8 @@ int Main(int argc, char** argv) {
 
   Report("dispatch", 42, RunDispatch(42, smoke));
 
-  Report("dispatch_lanes", 42,
-         RunLaneChecked("dispatch_lanes", [&](int lanes, bool threads, CriticalPathModel* model) {
-           return RunDispatchLanes(42, smoke, lanes, threads, model);
-         }));
+  ReportLaneSweep("dispatch_lanes", 42,
+                  [&](int lanes) { return RunDispatchLanes(42, smoke, lanes); });
 
   ClusterScenario steady;
   steady.spread = true;
@@ -340,19 +303,16 @@ int Main(int argc, char** argv) {
     Report("ycsb_migration", 7, RunCluster(7, migration));
   }
 
-  Report("ycsb_migration_lanes", 42,
-         RunLaneChecked("ycsb_migration_lanes",
-                        [&](int lanes, bool threads, CriticalPathModel* model) {
-                          ClusterScenario s = migration;
-                          s.lanes = lanes;
-                          s.lane_threads = threads;
-                          return RunCluster(42, s, model);
-                        }));
+  ReportLaneSweep("ycsb_migration_lanes", 42, [&](int lanes) {
+    ClusterScenario s = migration;
+    s.lanes = lanes;
+    return RunCluster(42, s);
+  });
 
   if (!smoke) {
     // The paper-shape scaling point: 24 masters (Figure 15's cluster size)
-    // under spread YCSB-B load, sharded across 4 lanes. The model_speedup
-    // field is the acceptance number for parallel lane execution.
+    // under spread YCSB-B load. Its measured wall time at 1 vs 4 lanes is
+    // the parallel speedup of lane execution on this host.
     ClusterScenario fig15;
     fig15.spread = true;
     fig15.masters = 24;
@@ -360,14 +320,11 @@ int Main(int argc, char** argv) {
     fig15.records = 48'000;
     fig15.ops_per_second = 800'000;  // 6.4M ops/s aggregate keeps lanes busy.
     fig15.stop_time = 60 * kMillisecond;
-    Report("fig15_24srv_lanes", 42,
-           RunLaneChecked("fig15_24srv_lanes",
-                          [&](int lanes, bool threads, CriticalPathModel* model) {
-                            ClusterScenario s = fig15;
-                            s.lanes = lanes;
-                            s.lane_threads = threads;
-                            return RunCluster(42, s, model);
-                          }));
+    ReportLaneSweep("fig15_24srv_lanes", 42, [&](int lanes) {
+      ClusterScenario s = fig15;
+      s.lanes = lanes;
+      return RunCluster(42, s);
+    });
   }
   return 0;
 }

@@ -11,12 +11,13 @@
 // (5 GB/s) with a few cores.
 //
 // A second section scales the *simulator itself* at the paper's cluster
-// size: a 24-master YCSB-B cluster sharded across event lanes, sweeping the
-// lane count and reporting the schedule's critical path (max lane busy +
-// merge, per window) as the projected parallel wall-clock. Every lane count
-// must produce the same trace hash — the sharded engine's contract.
+// size: a 24-master YCSB-B cluster sharded across event lanes on worker
+// threads, sweeping the lane count and reporting measured wall-clock time
+// and speedup over one lane. Every lane count must produce the same trace
+// hash — the sharded engine's contract — or the bench exits 1.
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench/experiment_common.h"
 #include "src/common/hash.h"
@@ -183,37 +184,19 @@ double TargetRateGBps(int workers, size_t entry_bytes) {
 
 struct LaneScalePoint {
   size_t events = 0;
-  double wall_s = 0;        // Measured single-CPU wall (all lanes serialized).
-  double critical_s = 0;    // Sum over windows of (max lane busy + merge).
+  double wall_s = 0;  // Measured wall time of the run, lanes on real threads.
   uint64_t trace_hash = 0;
 };
 
-// One YCSB-B run sharded across `lanes` event lanes (unthreaded: this
-// container has one CPU, so the critical path — not the contended thread
-// wall — is the parallel projection).
+// One YCSB-B run sharded across `lanes` event lanes, threaded above one.
 LaneScalePoint RunLaneScale(int lanes, int masters, int clients, double ops_per_client,
                             Tick stop) {
   ClusterConfig config = MakeConfig(masters, clients, 1.0);
   config.master.hash_table_log2_buckets = 15;
   config.master.segment_size = 256 * 1024;
   config.lanes = lanes;
+  config.lane_threads = lanes > 1;
   Cluster cluster(config);
-
-  double critical = 0;
-  double window_max = 0;
-  std::chrono::steady_clock::time_point mark;
-  auto lap = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - mark).count();
-  };
-  LaneSet::PhaseHooks hooks;
-  hooks.lane_begin = [&](int) { mark = std::chrono::steady_clock::now(); };
-  hooks.lane_end = [&](int) { window_max = std::max(window_max, lap()); };
-  hooks.merge_begin = [&] { mark = std::chrono::steady_clock::now(); };
-  hooks.merge_end = [&] {
-    critical += window_max + lap();
-    window_max = 0;
-  };
-  cluster.lanes()->set_phase_hooks(std::move(hooks));
 
   const TableId table = 1;
   cluster.CreateTable(table, 0);
@@ -240,7 +223,6 @@ LaneScalePoint RunLaneScale(int lanes, int masters, int clients, double ops_per_
   cluster.Run();
   point.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   point.events = cluster.events_processed() - before;
-  point.critical_s = critical;
   point.trace_hash = cluster.trace_hash();
   return point;
 }
@@ -249,8 +231,8 @@ void LaneSweep(const char* title, std::initializer_list<int> lane_counts, int ma
                int clients, double ops_per_client, Tick stop) {
   std::printf("\n%s\n", title);
   std::printf("-----------------------------------------------------------------------------\n");
-  std::printf("%-6s %12s %12s %14s %16s %10s\n", "lanes", "events", "wall (s)", "critical (s)",
-              "model events/s", "speedup");
+  std::printf("%-6s %12s %12s %16s %10s\n", "lanes", "events", "wall (s)", "events/s",
+              "speedup");
   LaneScalePoint base;
   bool first = true;
   for (int lanes : lane_counts) {
@@ -264,24 +246,22 @@ void LaneSweep(const char* title, std::initializer_list<int> lane_counts, int ma
                   static_cast<unsigned long long>(base.trace_hash));
       std::exit(1);
     }
-    // At 1 lane the critical path IS the wall (one lane, empty merges), so
-    // speedup is wall-vs-critical throughout.
-    std::printf("%-6d %12zu %12.3f %14.3f %16.0f %9.2fx\n", lanes, point.events, point.wall_s,
-                point.critical_s, static_cast<double>(point.events) / point.critical_s,
-                base.wall_s / point.critical_s);
+    std::printf("%-6d %12zu %12.3f %16.0f %9.2fx\n", lanes, point.events, point.wall_s,
+                static_cast<double>(point.events) / point.wall_s, base.wall_s / point.wall_s);
   }
-  std::printf("(trace hash identical at every lane count: 0x%016llx)\n",
-              static_cast<unsigned long long>(base.trace_hash));
+  std::printf("(trace hash identical at every lane count: 0x%016llx; measured on %u CPUs)\n",
+              static_cast<unsigned long long>(base.trace_hash),
+              std::thread::hardware_concurrency());
 }
 
 void PrintLaneScaling() {
   LaneSweep("Simulator lane scaling: 24 masters, 8 clients, YCSB-B (3.2M ops/s aggregate)",
-            {1, 2, 4, 8}, 24, 8, 400'000, 30 * kMillisecond);
+            {1, 2, 4}, 24, 8, 400'000, 30 * kMillisecond);
   // The north-star shape: 96 servers, four times the paper's cluster. A
   // shorter window keeps the sweep quick; the per-window density is what
   // the lanes see.
   LaneSweep("Simulator lane scaling: 96 masters, 16 clients, YCSB-B (6.4M ops/s aggregate)",
-            {1, 4, 8}, 96, 16, 400'000, 10 * kMillisecond);
+            {1, 2, 4}, 96, 16, 400'000, 10 * kMillisecond);
 }
 
 }  // namespace

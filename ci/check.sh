@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: static analysis, then three build+test passes —
+# CI gate: static analysis, the perfbench selftest, then three build+test
+# passes —
 #  1. RelWithDebInfo with -Werror and ASan+UBSan (full suite + chaos runs),
 #  2. Debug with -Werror and ROCKSTEADY_AUDIT=ON (DCHECKs + invariant audits
 #     enabled, death tests active),
@@ -81,7 +82,13 @@ step "threaded lanes: 4-lane worker-thread runs match the single-lane schedule"
 # leg re-runs a slice with ASan explicitly so a lane/barrier memory bug
 # cannot hide behind a ctest filter change.
 "${ROOT}/build-asan/tests/lane_determinism_test" \
-  --gtest_filter='*_s10:*_s11:*_s12:*_s13:LaneTieBreakTest.*'
+  --gtest_filter='*_s10:*_s11:*_s12:*_s13:LaneTieBreakTest.*:LaneWindowTest.*'
+
+step "perfbench selftest (hard gate): every workload's simulated metrics, counts and trace hashes repeat"
+# Builds perfbench in Release, runs each workload twice per mode at a tiny
+# size and fails unless every metric is named, finite and — for simulated
+# metrics, counts and trace hashes — identical across the repetitions.
+python3 "${ROOT}/perfbench/run.py" --selftest
 
 step "engine bench smoke (~2s; trace-hash divergence is a hard failure)"
 # Compare against the recorded trajectory without mutating it: the smoke
@@ -119,9 +126,10 @@ step "test: TSan fast subset (determinism core + threaded lane barriers)"
 "${ROOT}/build-tsan/tests/sim_determinism_test"
 "${ROOT}/build-tsan/tests/rpc_test"
 # The multi-lane suite under TSan is the race gate for sharded execution:
-# every parameterized case runs 4 threaded lanes through the window/merge
-# barriers. A subset of seeds keeps the leg fast; ctest runs all 20.
+# every parameterized case (the 24-master scale24 shape included) runs 2 and
+# 4 threaded lanes through the per-window barrier. A subset of seeds keeps
+# the leg fast; ctest runs all 20.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
-  --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*'
+  --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*:LaneWindowTest.*'
 
 step "all checks passed"

@@ -112,7 +112,7 @@ void RamCloudClient::Report(RetryState* s, Status status, Tick hint) {
                        : std::min<Tick>(static_cast<Tick>(attempt) *
                                             costs_->wrong_server_backoff_step_ns,
                                         costs_->wrong_server_backoff_max_ns);
-      sim.After(backoff, [this, s] { RefreshConfig(s->table, [this, s] { Retry(s); }); });
+      sim.After(backoff, node(), [this, s] { RefreshConfig(s->table, [this, s] { Retry(s); }); });
       return;
     }
     case Status::kRetryLater: {
@@ -120,13 +120,13 @@ void RamCloudClient::Report(RetryState* s, Status status, Tick hint) {
       const Tick jitter = rng_->UniformRange(costs_->retry_backoff_min_ns,
                                              costs_->retry_backoff_max_ns);
       const Tick at = std::max(hint, sim.now()) + jitter;
-      sim.At(at, [this, s] { Retry(s); });
+      sim.At(at, node(), [this, s] { Retry(s); });
       return;
     }
     case Status::kServerDown:
       server_down_retries_++;
       // Likely a crash: wait for recovery to make progress, then refresh.
-      sim.After(costs_->recovering_retry_hint_ns,
+      sim.After(costs_->recovering_retry_hint_ns, node(),
                 [this, s] { RefreshConfig(s->table, [this, s] { Retry(s); }); });
       return;
     default:

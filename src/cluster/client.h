@@ -35,10 +35,11 @@ class RamCloudClient {
 
   NodeId node() const { return endpoint_->node(); }
   Coordinator& coordinator() const { return *coordinator_; }
-  // This client's lane simulator and RNG stream — everything the client (or
-  // a workload actor driving it) schedules or draws must go through these,
-  // never the coordinator's lane.
-  Simulator& sim() { return *sim_; }
+  // This client's lane simulator (bound to the client's node, so setup code
+  // may schedule client work through it) and RNG stream — everything the
+  // client (or a workload actor driving it) schedules or draws must go
+  // through these, never the coordinator's lane.
+  Simulator& sim() { return sim_->ForNode(node()); }
   Random& rng() { return *rng_; }
 
   // Key/value parameters are views: the client copies them into pooled

@@ -45,11 +45,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // The root simulator: lane 0's in sharded mode (coordinator's lane), the
-  // single shared queue otherwise. Lane-mode code that needs *a* clock may
-  // use it; scheduling cross-cutting control actions must go through
-  // AtSafePoint instead.
-  Simulator& sim() { return lanes_ != nullptr ? lanes_->lane_sim(0) : sim_; }
+  // The root simulator: in sharded mode the coordinator's (lane 0, bound to
+  // the coordinator node), the single shared queue otherwise. Lane-mode
+  // code that needs *a* clock may use it; scheduling cross-cutting control
+  // actions must go through AtSafePoint instead.
+  Simulator& sim() { return lanes_ != nullptr ? coordinator_->sim() : sim_; }
   Network& net() { return net_; }
   RpcSystem& rpc() { return rpc_; }
   Coordinator& coordinator() { return *coordinator_; }

@@ -277,7 +277,7 @@ Status Coordinator::SplitTabletChecked(TableId table, KeyHash split_hash) {
              static_cast<unsigned long long>(table),
              static_cast<unsigned long long>(split_hash), owner);
     DebugAudit(*this, "coordinator after SplitTabletChecked");
-    sim_->After(0, [this, table, split_hash, owner] {
+    sim_->After(0, node(), [this, table, split_hash, owner] {
       if (crashed_ || master(owner)->crashed()) {
         return;  // ReconcileSplits()/recovery converges the mirror later.
       }
@@ -673,7 +673,7 @@ void Coordinator::DetectorSweep() {
   }
   // The sweep timer lives on the simulator, not the coordinator's cores, so
   // it survives a coordinator crash and resumes probing after Restart().
-  sim_->After(costs_->ping_interval_ns, [this] { DetectorSweep(); });
+  sim_->After(costs_->ping_interval_ns, node(), [this] { DetectorSweep(); });
   if (crashed_) {
     return;
   }

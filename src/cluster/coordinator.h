@@ -81,7 +81,8 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   NodeId node() const { return endpoint_->node(); }
-  Simulator& sim() { return *sim_; }
+  // The coordinator's lane simulator, bound to its node (Simulator::ForNode).
+  Simulator& sim() { return sim_->ForNode(node()); }
   RpcSystem& rpc() { return *rpc_; }
 
   // --- Server directory. ---

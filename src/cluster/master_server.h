@@ -90,7 +90,8 @@ class MasterServer {
 
   ServerId id() const { return id_; }
   NodeId node() const { return endpoint_->node(); }
-  Simulator& sim() { return *sim_; }
+  // This server's lane simulator, bound to its node (Simulator::ForNode).
+  Simulator& sim() { return sim_->ForNode(node()); }
   // The RNG this server's event-path code must draw from: its private
   // per-node stream in lane mode (draws in this node's event order are
   // lane-invariant), the shared simulator stream otherwise.

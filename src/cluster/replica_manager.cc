@@ -36,7 +36,7 @@ void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, std::vector<uint
   state->remaining = backups_.size();
   state->done = std::move(done);
   auto shared_data = std::make_shared<std::vector<uint8_t>>(std::move(data));
-  sim->At(issue_at, [this, segment_id, offset, seal, bulk, state, shared_data] {
+  sim->At(issue_at, owner_node_, [this, segment_id, offset, seal, bulk, state, shared_data] {
     for (const NodeId backup : backups_) {
       SendToBackup(backup, segment_id, offset, shared_data, seal, bulk, /*attempt=*/1,
                    [state](Status status) {
@@ -84,8 +84,9 @@ void ReplicaManager::SendToBackup(NodeId backup, uint32_t segment_id, uint32_t o
         const Tick backoff = std::min<Tick>(rpc_->costs()->retry_backoff_min_ns << attempt,
                                             rpc_->costs()->wrong_server_backoff_max_ns) +
                              rpc_->CallerRng(owner_node_).Uniform(rpc_->costs()->retry_backoff_min_ns);
-        sim->After(backoff, [this, backup, segment_id, offset, data, seal, bulk, attempt,
-                             done = std::move(done)]() mutable {
+        sim->After(backoff, owner_node_,
+                   [this, backup, segment_id, offset, data, seal, bulk, attempt,
+                    done = std::move(done)]() mutable {
           SendToBackup(backup, segment_id, offset, std::move(data), seal, bulk, attempt + 1,
                        std::move(done));
         });

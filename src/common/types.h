@@ -16,6 +16,10 @@ using KeyHash = uint64_t;
 using ServerId = uint32_t;
 inline constexpr ServerId kInvalidServerId = 0;
 
+// Identifies a simulated machine (fabric endpoint): coordinator, server or
+// client. Assigned densely from 0 as endpoints are created.
+using NodeId = uint32_t;
+
 // Monotonic per-object version; bumped by every write.
 using Version = uint64_t;
 

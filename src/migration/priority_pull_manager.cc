@@ -51,7 +51,8 @@ void PriorityPullManager::IssueBatch() {
             pending_.push_back(hash);
           }
           if (++consecutive_failures_ <= kMaxConsecutiveFailures) {
-            target_->sim().After(target_->costs().recovering_retry_hint_ns, [this] {
+            target_->sim().After(target_->costs().recovering_retry_hint_ns, target_->node(),
+                                 [this] {
               if (!shutdown_ && !target_->crashed()) {
                 IssueBatch();
               }

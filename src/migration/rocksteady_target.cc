@@ -75,8 +75,9 @@ void RocksteadyMigrationManager::ControlCall(
         const Tick backoff = std::min<Tick>(target_->costs().retry_backoff_min_ns << attempt,
                                             target_->costs().wrong_server_backoff_max_ns) +
                              target_->rng().Uniform(target_->costs().retry_backoff_min_ns);
-        target_->sim().After(backoff, [this, to, make_request = std::move(make_request),
-                                       cb = std::move(cb), attempt]() mutable {
+        target_->sim().After(backoff, target_->node(),
+                             [this, to, make_request = std::move(make_request), cb = std::move(cb),
+                              attempt]() mutable {
           if (aborted_ || target_->crashed()) {
             return;
           }
@@ -107,7 +108,7 @@ void RocksteadyMigrationManager::HeartbeatLoop() {
   target_->rpc().Call(target_->node(), target_->coordinator().node(), std::move(heartbeat),
                       [](Status, std::unique_ptr<RpcResponse>) {},
                       target_->costs().rpc_timeout_ns);
-  target_->sim().After(target_->costs().migration_heartbeat_interval_ns,
+  target_->sim().After(target_->costs().migration_heartbeat_interval_ns, target_->node(),
                        [this] { HeartbeatLoop(); });
 }
 
@@ -125,7 +126,8 @@ void RocksteadyMigrationManager::Start() {
     if (done_) {
       auto done = std::move(done_);
       done_ = nullptr;
-      target_->sim().After(0, [done = std::move(done), stats = stats_] { done(stats); });
+      target_->sim().After(0, target_->node(),
+                           [done = std::move(done), stats = stats_] { done(stats); });
     }
     return;
   }
@@ -386,7 +388,7 @@ void RocksteadyMigrationManager::IssuePull(size_t partition_index) {
             Partition& partition = partitions_[partition_index];
             partition.pull_in_flight = false;
             if (++partition.pull_retries <= kMaxPullRetries) {
-              target_->sim().After(target_->costs().recovering_retry_hint_ns,
+              target_->sim().After(target_->costs().recovering_retry_hint_ns, target_->node(),
                                    [this, partition_index] {
                                      if (aborted_ || target_->crashed()) {
                                        return;
@@ -421,7 +423,7 @@ void RocksteadyMigrationManager::OnPullResponse(size_t partition_index,
     OnLoadSignal(response->load, /*rejected=*/true);
     const Tick resume_at = std::max(response->retry_after, target_->sim().now());
     const Tick jitter = target_->rng().Uniform(target_->costs().retry_backoff_min_ns);
-    target_->sim().At(resume_at + jitter, [this] {
+    target_->sim().At(resume_at + jitter, target_->node(), [this] {
       if (aborted_ || target_->crashed()) {
         return;
       }
@@ -433,7 +435,8 @@ void RocksteadyMigrationManager::OnPullResponse(size_t partition_index,
     // The source delivered an error (e.g. it lost the tablet to recovery
     // mid-pull). Bounded re-drive, same as a transport failure.
     if (++partition.pull_retries <= kMaxPullRetries) {
-      target_->sim().After(target_->costs().recovering_retry_hint_ns, [this, partition_index] {
+      target_->sim().After(target_->costs().recovering_retry_hint_ns, target_->node(),
+                           [this, partition_index] {
         if (aborted_ || target_->crashed()) {
           return;
         }
@@ -726,7 +729,7 @@ void RocksteadyMigrationManager::OnRoundComplete() {
   // Wait for in-flight PriorityPulls to drain (their records are duplicates
   // by now, but keep the state machine tidy).
   if (priority_pulls_ != nullptr && !priority_pulls_->idle()) {
-    target_->sim().After(10 * kMicrosecond, [this] { OnRoundComplete(); });
+    target_->sim().After(10 * kMicrosecond, target_->node(), [this] { OnRoundComplete(); });
     return;
   }
 

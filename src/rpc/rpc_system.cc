@@ -11,9 +11,12 @@ namespace rocksteady {
 RpcEndpoint* RpcSystem::CreateEndpoint(CoreSet* cores, int lane) {
   const NodeId node = net_->AddNode();
   assert(node == endpoints_.size());
+  if (cores != nullptr) {
+    cores->BindNode(node);
+  }
   if (lanes_ != nullptr) {
     lanes_->AssignNode(node, lane);
-    next_call_id_node_.push_back(0);
+    next_call_id_node_.emplace_back();
   }
   endpoints_.push_back(std::make_unique<RpcEndpoint>(this, node, cores, SimOfLane(lane)));
   return endpoints_.back().get();
@@ -24,7 +27,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   Simulator* csim = SimFor(from);
   const uint64_t call_id =
       lanes_ != nullptr
-          ? ((static_cast<uint64_t>(from) + 1) << kCallerShift) | next_call_id_node_[from]++
+          ? ((static_cast<uint64_t>(from) + 1) << kCallerShift) | next_call_id_node_[from].value++
           : next_call_id_++;
   const Opcode op = request->op();
   const Tick deadline = timeout > 0 ? csim->now() + timeout : 0;
@@ -41,7 +44,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   PendingFor(call_id)[call_id] = std::move(pending);
 
   if (timeout > 0) {
-    csim->At(deadline, [this, csim, call_id, op, from, to] {
+    csim->At(deadline, from, [this, csim, call_id, op, from, to] {
       FlatMap64<PendingCall>& table = PendingFor(call_id);
       PendingCall* pending = table.Find(call_id);
       if (pending == nullptr) {
@@ -109,7 +112,7 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   if (at >= pending->deadline) {
     return;
   }
-  csim->At(at, [this, call_id] { SendAttempt(call_id); });
+  csim->At(at, from, [this, call_id] { SendAttempt(call_id); });
 }
 
 void RpcEndpoint::Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id,

@@ -211,8 +211,8 @@ class RpcSystem {
       return next_call_id_;
     }
     uint64_t total = 0;
-    for (const uint64_t count : next_call_id_node_) {
-      total += count;
+    for (const PaddedCount& count : next_call_id_node_) {
+      total += count.value;
     }
     return total;
   }
@@ -241,8 +241,13 @@ class RpcSystem {
     size_t wire = 0;
   };
 
+  // Per-lane and per-node slots sit a cache line apart so lanes never
+  // false-share them.
   struct alignas(64) PaddedCount {
     uint64_t value = 0;
+  };
+  struct alignas(64) PaddedPending {
+    FlatMap64<PendingCall> calls;
   };
 
   // Lane-mode call_ids carry their caller: ((node + 1) << kCallerShift) | n.
@@ -256,7 +261,7 @@ class RpcSystem {
   // mode (only ever touched from that lane), the shared one otherwise.
   FlatMap64<PendingCall>& PendingFor(uint64_t call_id) {
     return lanes_ != nullptr
-               ? pending_lanes_[static_cast<size_t>(lanes_->lane_of(CallerOf(call_id)))]
+               ? pending_lanes_[static_cast<size_t>(lanes_->lane_of(CallerOf(call_id)))].calls
                : pending_;
   }
 
@@ -285,12 +290,12 @@ class RpcSystem {
   // (responses hop to the caller's lane before the lookup). Bounded like
   // pending_ above; the deque itself is fixed at SetLanes (lane count).
   ROCKSTEADY_SHARED_GUARDED("per-lane tables; each touched only by its owning lane")
-  std::deque<FlatMap64<PendingCall>> pending_lanes_;  // lint:bounded — fixed lane count; entries erased on completion.
+  std::deque<PaddedPending> pending_lanes_;  // lint:bounded — fixed lane count; entries erased on completion.
 
   uint64_t next_call_id_ = 0;  // Legacy mode.
   // Lane mode: per-node call counters (slot i touched only by node i's lane).
   ROCKSTEADY_SHARED_GUARDED("per-node slots; slot i written only by node i's lane")
-  std::vector<uint64_t> next_call_id_node_;
+  std::vector<PaddedCount> next_call_id_node_;
 
   uint64_t retransmissions_ = 0;  // Legacy mode.
   ROCKSTEADY_SHARED_GUARDED("per-lane shards; each written only by its owning lane")

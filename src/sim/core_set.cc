@@ -22,7 +22,7 @@ void CoreSet::EnqueueDispatch(Tick cost, DispatchFn fn) {
   }
   total_dispatch_busy_ += cost;
   const uint64_t epoch = epoch_;
-  sim_->At(dispatch_free_at_, [this, epoch, fn = std::move(fn)]() mutable {
+  sim_->At(dispatch_free_at_, node_, [this, epoch, fn = std::move(fn)]() mutable {
     if (halted_ || epoch != epoch_) {
       return;
     }
@@ -59,7 +59,7 @@ void CoreSet::StartWorker(AnyTask task) {
     // fires; busy time is charged at release.
     const Tick start = sim_->now();
     auto finish = [this, epoch, start](Tick extra_cost) {
-      sim_->After(Slow(extra_cost), [this, epoch, start] {
+      sim_->After(Slow(extra_cost), node_, [this, epoch, start] {
         if (epoch != epoch_) {
           return;
         }
@@ -82,7 +82,7 @@ void CoreSet::StartWorker(AnyTask task) {
     worker_util_->AddBusy(sim_->now(), cost);
   }
   total_worker_busy_ += cost;
-  sim_->After(cost, [this, epoch, done = std::move(task.done)]() mutable {
+  sim_->After(cost, node_, [this, epoch, done = std::move(task.done)]() mutable {
     WorkerFinished(std::move(done), epoch);
   });
 }

@@ -64,6 +64,10 @@ class CoreSet {
   CoreSet(const CoreSet&) = delete;
   CoreSet& operator=(const CoreSet&) = delete;
 
+  // The node these cores belong to: every event they schedule runs on it.
+  // Set once by RpcSystem::CreateEndpoint.
+  void BindNode(NodeId node) { node_ = node; }
+
   // Serializes `fn` on the dispatch core; `fn` runs after `cost` of dispatch
   // time (and after any earlier dispatch work).
   void EnqueueDispatch(Tick cost, DispatchFn fn);
@@ -153,6 +157,7 @@ class CoreSet {
   }
 
   Simulator* sim_;
+  NodeId node_ = 0;
   int num_workers_;
   int idle_workers_;
   bool halted_ = false;

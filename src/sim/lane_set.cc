@@ -8,19 +8,44 @@
 
 namespace rocksteady {
 
-LaneSet::LaneSet(const Config& config) : config_(config) {
+namespace {
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
+
+// Every kYieldInterval-th round yields instead of pausing, so on an
+// oversubscribed host the lane being waited for gets the core.
+void LaneSet::AwaitChange(const Epoch& word, uint32_t old) {
+  for (int i = 1; i <= kSpinRounds; i++) {
+    if (word.load(std::memory_order_acquire) != old) {
+      return;
+    }
+    if (i % kYieldInterval == 0) {
+      std::this_thread::yield();  // lint:allow-nondeterminism — scheduling hint only.
+    } else {
+      CpuRelax();
+    }
+  }
+  word.wait(old, std::memory_order_acquire);
+}
+
+LaneSet::LaneSet(const Config& config)
+    : config_(config), lookahead_(config.lanes > 1 ? config.lookahead : kNoEvent) {
   ROCKSTEADY_DCHECK_GE(config.lanes, 1);
   ROCKSTEADY_DCHECK_GE(config.lookahead, Tick{1});
-  const int n = config.lanes;
-  for (int l = 0; l < n; l++) {
-    sims_.push_back(std::make_unique<Simulator>(Mix64(config.seed ^ static_cast<uint64_t>(l))));
-    sims_.back()->BeginLaneMode(this, l, &next_seq_);
-    slots_.push_back(std::make_unique<WorkerSlot>());
+  const auto n = static_cast<size_t>(config.lanes);
+  for (size_t l = 0; l < n; l++) {
+    sims_.push_back(std::make_unique<Simulator>(Mix64(config.seed ^ l)));
+    sims_.back()->BeginLaneMode(this, static_cast<int>(l));
   }
-  mail_.resize(static_cast<size_t>(n) * static_cast<size_t>(n));
-  merge_cursor_.resize(static_cast<size_t>(n));
-  merge_front_time_.resize(static_cast<size_t>(n));
-  merge_front_seq_.resize(static_cast<size_t>(n));
+  mail_.resize(2 * n * n);
+  fronts_.resize(2 * n);
+  outbox_.resize(n);
 }
 
 LaneSet::~LaneSet() { StopWorkers(); }
@@ -29,36 +54,32 @@ void LaneSet::AssignNode(NodeId node, int lane) {
   ROCKSTEADY_DCHECK_GE(lane, 0);
   ROCKSTEADY_DCHECK(lane < lanes());
   ROCKSTEADY_DCHECK_EQ(static_cast<size_t>(node), lane_of_.size());
+  ROCKSTEADY_DCHECK(node < Simulator::kMaxLaneNodes);
   lane_of_.push_back(lane);
+  clocks_.emplace_back();
   // One private stream per node, derived from the run seed: the stream a
   // draw comes from depends on *which node* draws, not on lane placement,
   // so the draw sequence is invariant across lane counts and threading.
-  node_rng_.emplace_back(Mix64(config_.seed + 0x9E3779B97F4A7C15ull * (node + 1)));
+  node_rng_.push_back(NodeStream{Random(Mix64(config_.seed + 0x9E3779B97F4A7C15ull * (node + 1)))});
 }
 
-void LaneSet::PostCrossLane(Simulator* src, int dst_lane, Tick deliver, EventFn fn) {
-  Simulator* dst = sims_[static_cast<size_t>(dst_lane)].get();
-  if (!src->in_window_) {
+void LaneSet::PostCrossLane(Simulator* src, NodeId to, Tick deliver, EventFn fn) {
+  const int dst_lane = lane_of(to);
+  ROCKSTEADY_DCHECK(dst_lane != src->lane_);
+  const uint64_t key = src->LaneKey(to);
+  if (src->running_node_ == Simulator::kNoNode) {
     // Root context (setup / safe-point task): every lane is parked, so the
-    // delivery can enter the destination queue directly with its canonical
-    // seq — identical to what a single lane would have scheduled.
-    ROCKSTEADY_DCHECK_GE(deliver, dst->now_);
-    Simulator::Event* e = dst->AllocEvent();
-    e->time = deliver;
-    e->seq = next_seq_++;
-    e->fn = std::move(fn);
-    dst->InsertQueued(e);
+    // delivery enters the destination queue directly.
+    sims_[static_cast<size_t>(dst_lane)]->Enqueue(deliver, key, std::move(fn));
     return;
   }
-  // In-window: the conservative horizon guarantees the delivery cannot land
-  // inside the current window on any lane.
-  ROCKSTEADY_DCHECK_GE(deliver, src->window_end_);
-  std::vector<CrossEntry>& cell =
-      mail_[static_cast<size_t>(src->lane_) * static_cast<size_t>(lanes()) +
-            static_cast<size_t>(dst_lane)];
-  cell.push_back(CrossEntry{deliver, 0, std::move(fn)});
-  src->LaneLogCrossOp(static_cast<uint32_t>(dst_lane),
-                      static_cast<uint32_t>(cell.size() - 1));
+  Outbox& out = outbox_[static_cast<size_t>(src->lane_)];
+  ROCKSTEADY_DCHECK_GE(deliver, out.horizon);
+  const auto n = static_cast<size_t>(lanes());
+  mail_[(static_cast<size_t>(out.parity) * n + static_cast<size_t>(src->lane_)) * n +
+        static_cast<size_t>(dst_lane)]
+      .push_back(CrossEntry{deliver, key, std::move(fn)});
+  out.mail_min = std::min(out.mail_min, deliver);
 }
 
 void LaneSet::AtSafePoint(Tick t, std::function<void()> fn) {  // lint:allow-churn — cold, a handful per run.
@@ -82,6 +103,14 @@ Tick LaneSet::GlobalMinEventTime() {
   return gm;
 }
 
+uint64_t LaneSet::trace_hash() const {
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis.
+  for (const Simulator::NodeClock& clock : clocks_) {
+    hash = (hash ^ clock.digest) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
 size_t LaneSet::events_processed() const {
   size_t total = 0;
   for (const auto& sim : sims_) {
@@ -90,168 +119,134 @@ size_t LaneSet::events_processed() const {
   return total;
 }
 
-void LaneSet::LoadMergeFront(int lane) {
-  Simulator* sim = sims_[static_cast<size_t>(lane)].get();
-  const size_t i = merge_cursor_[static_cast<size_t>(lane)];
-  if (i >= sim->win_log_.size()) {
-    merge_front_time_[static_cast<size_t>(lane)] = kNoEvent;
-    merge_front_seq_[static_cast<size_t>(lane)] = ~0ull;
-    return;
-  }
-  const Simulator::DispatchRecord& rec = sim->win_log_[i];
-  merge_front_time_[static_cast<size_t>(lane)] = rec.time;
-  merge_front_seq_[static_cast<size_t>(lane)] =
-      (rec.seq & Simulator::kProvSeqBit) != 0
-          ? sim->prov_seq_[rec.seq & ~Simulator::kProvSeqBit]
-          : rec.seq;
+Tick LaneSet::Horizon(Tick global_min) const {
+  const Tick end = global_min + lookahead_;
+  return std::min(end < global_min ? kNoEvent : end, cap_);  // Saturating add.
 }
 
-void LaneSet::MergeWindow() {
-  // K-way merge of the lanes' window dispatch logs in canonical
-  // (time, seq) order, resolving provisional seqs through each lane's
-  // prov_seq_ table. A provisional front record's parent always appears
-  // earlier in the same lane's log (only local callbacks create provisional
-  // events), so by the time a record reaches its lane's cursor its seq is
-  // resolvable — LoadMergeFront resolves each front exactly once per cursor
-  // advance. Lane counts are tiny (<= 8 in practice): a linear scan of the
-  // cached fronts beats a heap.
-  const int n = lanes();
-  for (int l = 0; l < n; l++) {
-    merge_cursor_[static_cast<size_t>(l)] = 0;
-    LoadMergeFront(l);
-  }
-  for (;;) {
-    int best = 0;
-    Tick best_time = merge_front_time_[0];
-    uint64_t best_seq = merge_front_seq_[0];
-    for (int l = 1; l < n; l++) {
-      const Tick t = merge_front_time_[static_cast<size_t>(l)];
-      const uint64_t seq = merge_front_seq_[static_cast<size_t>(l)];
-      if (t < best_time || (t == best_time && seq < best_seq)) {
-        best = l;
-        best_time = t;
-        best_seq = seq;
-      }
-    }
-    if (best_time == kNoEvent && best_seq == ~0ull) {
-      break;  // Every lane exhausted.
-    }
-    Simulator* sim = sims_[static_cast<size_t>(best)].get();
-    const Simulator::DispatchRecord& rec =
-        sim->win_log_[merge_cursor_[static_cast<size_t>(best)]++];
-    // The canonical dispatch: mix the trace exactly as the single-lane
-    // engine would have at this event's dispatch.
-    trace_hash_ = (trace_hash_ ^ best_time) * 0x100000001b3ull;
-    trace_hash_ = (trace_hash_ ^ best_seq) * 0x100000001b3ull;
-    // Assign canonical seqs to this dispatch's scheduling ops, in op order —
-    // the order the single-lane engine would have drawn them from next_seq_.
-    for (uint32_t k = 0; k < rec.op_count; k++) {
-      Simulator::OpRecord& op = sim->op_log_[rec.op_begin + k];
-      switch (op.kind) {
-        case Simulator::OpKind::kLocal:
-          sim->prov_seq_[op.index] = next_seq_++;
-          break;
-        case Simulator::OpKind::kDeferred:
-          op.deferred->seq = next_seq_++;
-          break;
-        case Simulator::OpKind::kCross:
-          mail_[static_cast<size_t>(best) * static_cast<size_t>(n) + op.dst_lane][op.index]
-              .seq = next_seq_++;
-          break;
-      }
-    }
-    // After the ops: the lane's next front may be provisional with THIS
-    // dispatch as its parent, so its seq only became resolvable just now.
-    LoadMergeFront(best);
-  }
-}
-
-void LaneSet::PostPhase(int lane) {
+void LaneSet::Adopt(int lane, int parity) {
   Simulator* sim = sims_[static_cast<size_t>(lane)].get();
-  sim->InsertDeferred();
-  // Adopt inbound cross-lane deliveries (canonical seqs already stamped).
-  const int n = lanes();
-  for (int src = 0; src < n; src++) {
+  const auto n = static_cast<size_t>(lanes());
+  for (size_t src = 0; src < n; src++) {
     std::vector<CrossEntry>& cell =
-        mail_[static_cast<size_t>(src) * static_cast<size_t>(n) + static_cast<size_t>(lane)];
+        mail_[(static_cast<size_t>(parity) * n + src) * n + static_cast<size_t>(lane)];
     for (CrossEntry& entry : cell) {
-      Simulator::Event* e = sim->AllocEvent();
-      e->time = entry.time;
-      e->seq = entry.seq;
-      e->fn = std::move(entry.fn);
-      sim->InsertQueued(e);
+      sim->Enqueue(entry.time, entry.key, std::move(entry.fn));
     }
     cell.clear();  // Capacity is retained: steady state allocates nothing.
   }
 }
 
-void LaneSet::StartWorkers() {
-  if (workers_started_) {
+void LaneSet::Barrier() {
+  // The generation is read before arriving: it cannot move until this
+  // thread has arrived. The last arrival resets the count, then publishes
+  // the next generation (release), which every waiter acquires.
+  const uint32_t gen = generation_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == static_cast<uint32_t>(lanes())) {
+    arrived_.store(0, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+    generation_.notify_all();
     return;
   }
-  workers_started_ = true;
+  AwaitChange(generation_, gen);
+}
+
+void LaneSet::RunWindows(int lane, Tick horizon) {
+  const bool all = lane == kAllLanes;
+  const int first = all ? 0 : lane;
+  const int last = all ? lanes() : lane + 1;
+  // Phase hooks fire only when one thread runs every lane.
+  const PhaseHooks no_hooks;
+  const PhaseHooks& hooks = all ? hooks_ : no_hooks;
+  int parity = parity_;
+  for (;;) {
+    for (int l = first; l < last; l++) {
+      if (hooks.lane_begin) {
+        hooks.lane_begin(l);
+      }
+      Simulator* sim = sims_[static_cast<size_t>(l)].get();
+      Outbox& out = outbox_[static_cast<size_t>(l)];
+      out.parity = parity;
+      out.horizon = horizon;
+      out.mail_min = kNoEvent;
+      sim->RunWindow(horizon);
+      LaneFront& front = fronts_[static_cast<size_t>(parity * lanes() + l)];
+      if (!sim->PeekMinTime(&front.queue_min)) {
+        front.queue_min = kNoEvent;
+      }
+      front.mail_min = out.mail_min;
+      if (hooks.lane_end) {
+        hooks.lane_end(l);
+      }
+    }
+    if (!all) {
+      Barrier();
+    }
+    if (hooks.merge_begin) {
+      hooks.merge_begin();
+    }
+    // Every lane computes the same next start from the published fronts:
+    // any pending event is either queued or in a mailbox.
+    Tick next = kNoEvent;
+    for (int l = 0; l < lanes(); l++) {
+      const LaneFront& front = fronts_[static_cast<size_t>(parity * lanes() + l)];
+      next = std::min({next, front.queue_min, front.mail_min});
+    }
+    for (int l = first; l < last; l++) {
+      Adopt(l, parity);
+    }
+    if (hooks.merge_end) {
+      hooks.merge_end();
+    }
+    parity ^= 1;
+    if (first == 0) {
+      windows_run_++;
+    }
+    if (next >= cap_) {
+      break;
+    }
+    horizon = Horizon(next);
+  }
+  if (!all) {
+    Barrier();  // Every lane has adopted its mail: the caller may proceed.
+  }
+  if (first == 0) {
+    parity_ = parity;
+  }
+}
+
+void LaneSet::StartWorkers() {
+  if (!workers_.empty()) {
+    return;
+  }
+  const uint32_t epoch = start_.load(std::memory_order_relaxed);
   for (int l = 1; l < lanes(); l++) {
-    workers_.emplace_back([this, l] { WorkerLoop(l); });
+    workers_.emplace_back([this, l, epoch] { WorkerLoop(l, epoch); });
   }
 }
 
 void LaneSet::StopWorkers() {
-  if (!workers_started_) {
+  if (workers_.empty()) {
     return;
   }
-  barrier_epoch_++;
-  for (int l = 1; l < lanes(); l++) {
-    slots_[static_cast<size_t>(l)]->cmd = 3;
-    slots_[static_cast<size_t>(l)]->go.store(barrier_epoch_, std::memory_order_release);
-  }
+  stopping_ = true;
+  start_.fetch_add(1, std::memory_order_release);
+  start_.notify_all();
   for (std::thread& worker : workers_) {  // lint:allow-nondeterminism — joining persistent lane workers.
     worker.join();
   }
   workers_.clear();
-  workers_started_ = false;
+  stopping_ = false;
 }
 
-void LaneSet::WorkerLoop(int lane) {
-  WorkerSlot& slot = *slots_[static_cast<size_t>(lane)];
-  uint64_t seen = 0;
+void LaneSet::WorkerLoop(int lane, uint32_t seen) {
   for (;;) {
-    while (slot.go.load(std::memory_order_acquire) == seen) {
-      std::this_thread::yield();
-    }
-    seen = slot.go.load(std::memory_order_acquire);
-    if (slot.cmd == 3) {
-      slot.done.store(seen, std::memory_order_release);
+    AwaitChange(start_, seen);
+    seen = start_.load(std::memory_order_acquire);
+    if (stopping_) {
       return;
     }
-    if (slot.cmd == 1) {
-      sims_[static_cast<size_t>(lane)]->RunWindow(slot.window_end);
-    } else {
-      PostPhase(lane);
-    }
-    slot.done.store(seen, std::memory_order_release);
-  }
-}
-
-void LaneSet::RunLanePhase(int cmd, Tick window_end) {
-  // Fan a phase out to the workers (lanes 1..N-1), run lane 0 on the driving
-  // thread, then wait for every worker's epoch acknowledgement.
-  barrier_epoch_++;
-  for (int l = 1; l < lanes(); l++) {
-    WorkerSlot& slot = *slots_[static_cast<size_t>(l)];
-    slot.cmd = cmd;
-    slot.window_end = window_end;
-    slot.go.store(barrier_epoch_, std::memory_order_release);
-  }
-  if (cmd == 1) {
-    sims_[0]->RunWindow(window_end);
-  } else {
-    PostPhase(0);
-  }
-  for (int l = 1; l < lanes(); l++) {
-    WorkerSlot& slot = *slots_[static_cast<size_t>(l)];
-    while (slot.done.load(std::memory_order_acquire) != barrier_epoch_) {
-      std::this_thread::yield();
-    }
+    RunWindows(lane, start_horizon_);
   }
 }
 
@@ -307,45 +302,21 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
     if (gm == kNoEvent || (bounded && gm > until)) {
       break;
     }
-    // Conservative window: every event in [gm, E) can only produce
-    // cross-lane deliveries at/after E, so lanes run it independently.
-    Tick end = gm + config_.lookahead;
-    if (end < gm) {
-      end = kNoEvent;  // Saturate.
-    }
+    // Windows run until the next safe point or past the RunUntil bound
+    // (inclusive of `until`), whichever comes first.
+    cap_ = bounded ? until + 1 : kNoEvent;
     if (!safe_points_.empty()) {
-      end = std::min(end, safe_points_.front().t);
+      cap_ = std::min(cap_, safe_points_.front().t);
     }
-    if (bounded) {
-      end = std::min(end, until + 1);  // RunUntil is inclusive of `until`.
-    }
-    window_end_ = end;
+    const Tick horizon = Horizon(gm);
     if (threaded) {
-      RunLanePhase(1, end);
-      MergeWindow();
-      RunLanePhase(2, end);
+      start_horizon_ = horizon;
+      start_.fetch_add(1, std::memory_order_release);
+      start_.notify_all();
+      RunWindows(0, horizon);
     } else {
-      for (int l = 0; l < lanes(); l++) {
-        if (hooks_.lane_begin) {
-          hooks_.lane_begin(l);
-        }
-        sims_[static_cast<size_t>(l)]->RunWindow(end);
-        if (hooks_.lane_end) {
-          hooks_.lane_end(l);
-        }
-      }
-      if (hooks_.merge_begin) {
-        hooks_.merge_begin();
-      }
-      MergeWindow();
-      if (hooks_.merge_end) {
-        hooks_.merge_end();
-      }
-      for (int l = 0; l < lanes(); l++) {
-        PostPhase(l);
-      }
+      RunWindows(kAllLanes, horizon);
     }
-    windows_run_++;
   }
 }
 

@@ -1,4 +1,4 @@
-// Sharded event lanes with a deterministic merge (ROADMAP item 1).
+// Sharded event lanes with a partition-invariant event order (ROADMAP item 1).
 //
 // Partitions the simulation into N lanes, each owning one calendar-queue
 // Simulator and a disjoint set of simulated nodes (servers, cores, NICs).
@@ -7,23 +7,24 @@
 // [start, start + L) can only schedule cross-lane work at or past the
 // horizon, so lanes run a whole window without seeing each other. Cross-lane
 // Network sends land in per-(src-lane, dst-lane) mailboxes and are adopted
-// by the destination lane at the next barrier.
+// by the destination lane after the window.
 //
-// Determinism is exact, not statistical: after each window a sequential
-// merge walks the lanes' dispatch logs in canonical (time, seq) order and
-// re-derives the *single-lane* sequence number of every scheduling op (see
-// Simulator::LaneAt). The canonical seq of an op depends only on its
-// parent's dispatch order and its index within the parent's callback —
-// never on window boundaries, lane count, or threading — so --lanes=1 and
-// --lanes=N, threaded or not, produce bit-identical trace hashes
-// (DESIGN.md "Sharded execution" has the proof sketch).
+// Determinism is exact and needs no merge: every event carries a key fixed
+// when it is scheduled — (time, origin node, origin-local counter), plus the
+// node it executes on — so each node sees its events in an order that
+// depends only on node histories, and the trace digest is kept per node and
+// folded in node-id order. --lanes=1 and --lanes=N, threaded or not,
+// produce bit-identical trace hashes (DESIGN.md "Sharded execution" has the
+// proof sketch).
 //
 // Threading: with threads enabled, lane 0 runs on the driving thread and
-// lanes 1..N-1 on persistent workers; each window is phase A (parallel
-// RunWindow), phase B (sequential merge on the driver), phase C (parallel
-// deferred-insert + mailbox drain). Handoff is one acquire/release epoch
-// pair per lane per phase. Without threads the same loop runs the lanes
-// sequentially — the schedule is identical either way.
+// lanes 1..N-1 on persistent workers. Each window ends in one barrier:
+// before it every lane publishes its queue minimum and the earliest delivery
+// it mailed; after it every lane computes the same next horizon, adopts its
+// inbound mail and runs on. Waiting threads spin kSpinRounds rounds, then
+// park on std::atomic::wait. Without threads the same loop runs the lanes in turn —
+// the schedule is identical either way. With one lane there is no cross-lane
+// link, so a window runs to the next safe point or RunUntil bound.
 #ifndef ROCKSTEADY_SRC_SIM_LANE_SET_H_
 #define ROCKSTEADY_SRC_SIM_LANE_SET_H_
 
@@ -40,8 +41,6 @@
 
 namespace rocksteady {
 
-using NodeId = uint32_t;
-
 class LaneSet {
  public:
   struct Config {
@@ -52,6 +51,13 @@ class LaneSet {
     Tick lookahead = 1;
     uint64_t seed = 1;
   };
+
+  // Barrier and hand-off waits spin this many rounds (~0.4 ms) before
+  // parking: a window is a few microseconds of work, so the other lanes
+  // nearly always arrive within the spin, while an idle lane stops burning
+  // its core. Every kYieldInterval-th round yields the core instead.
+  static constexpr int kSpinRounds = 20'000;
+  static constexpr int kYieldInterval = 256;
 
   explicit LaneSet(const Config& config);
   ~LaneSet();
@@ -71,12 +77,13 @@ class LaneSet {
   Simulator* SimFor(NodeId node) { return sims_[static_cast<size_t>(lane_of_[node])].get(); }
   // The node's private RNG stream. Draws happen in the node's event order,
   // which is lane-count- and thread-invariant, unlike sharing a lane rng.
-  Random& NodeRng(NodeId node) { return node_rng_[node]; }
+  Random& NodeRng(NodeId node) { return node_rng_[node].rng; }
 
   // --- Cross-lane mail (called by Network::Send). ---
-  // Posts a delivery onto dst_lane at `deliver` (>= the current window's
-  // horizon when called in-window; lanes never see intra-window traffic).
-  void PostCrossLane(Simulator* src, int dst_lane, Tick deliver, EventFn fn);
+  // Schedules a delivery onto node `to`, on another lane than `src`, at
+  // `deliver` — at or past the current window's horizon when called
+  // in-window: lanes never see intra-window traffic.
+  void PostCrossLane(Simulator* src, NodeId to, Tick deliver, EventFn fn);
 
   // --- Safe-point tasks. ---
   // Runs `fn` on the driving thread once every event before time `t` has
@@ -92,12 +99,15 @@ class LaneSet {
   size_t RunUntil(Tick t);
 
   Tick now() const { return now_; }
-  uint64_t trace_hash() const { return trace_hash_; }
+  // The per-node dispatch digests folded in node-id order.
+  uint64_t trace_hash() const;
   size_t events_processed() const;
   uint64_t windows_run() const { return windows_run_; }
 
-  // Per-window instrumentation for the engine bench's critical-path model
-  // (only invoked when threads are off; wall-clock timing stays in bench/).
+  // Per-window instrumentation for the benches (invoked only when threads
+  // are off; wall-clock timing stays outside src/): lane_begin/lane_end
+  // bracket each lane's slice of a window, merge_begin/merge_end the
+  // sequential step between windows (horizon computation and mail adoption).
   struct PhaseHooks {
     std::function<void(int lane)> lane_begin;  // lint:allow-churn — bench-only, per window.
     std::function<void(int lane)> lane_end;    // lint:allow-churn — bench-only, per window.
@@ -107,24 +117,31 @@ class LaneSet {
   void set_phase_hooks(PhaseHooks hooks) { hooks_ = std::move(hooks); }
 
  private:
-  // One cross-lane delivery waiting for adoption: filled by the source lane
-  // during phase A, canonical seq stamped by the merge, drained by the
-  // destination lane during phase C.
+  friend class Simulator;
+
+  // One cross-lane delivery waiting for adoption. The sender fixed its key,
+  // so the order entries are adopted in does not matter.
   struct CrossEntry {
     Tick time = 0;
-    uint64_t seq = 0;
+    uint64_t key = 0;
     EventFn fn;
   };
 
-  // Per-worker barrier slot. The driver publishes a command by writing the
-  // plain fields, then storing `go` (release); the worker acknowledges by
-  // storing `done` (release) which the driver acquires — each window phase
-  // is exactly one such epoch round-trip per lane.
-  struct alignas(64) WorkerSlot {
-    std::atomic<uint64_t> go{0};    // lint:allow-nondeterminism — barrier handoff only.
-    std::atomic<uint64_t> done{0};  // lint:allow-nondeterminism — barrier handoff only.
-    int cmd = 0;  // 1 = RunWindow(window_end), 2 = post-phase, 3 = exit.
-    Tick window_end = 0;
+  // What a lane publishes before each barrier, double-buffered by window
+  // parity: slot p is written before barrier w (p = w % 2) and read after
+  // it; its next write comes after barrier w + 1, which no lane passes
+  // before every lane has finished reading.
+  struct alignas(64) LaneFront {
+    Tick queue_min = 0;  // Earliest event left in the lane's queue.
+    Tick mail_min = 0;   // Earliest delivery the lane mailed this window.
+  };
+
+  // A lane's own window state: the parity and horizon of the window it is
+  // running and the earliest delivery it has mailed in it.
+  struct alignas(64) Outbox {
+    int parity = 0;
+    Tick horizon = 0;
+    Tick mail_min = 0;
   };
 
   struct SafePoint {
@@ -133,57 +150,73 @@ class LaneSet {
     std::function<void()> fn;  // lint:allow-churn — cold, driver-thread only.
   };
 
+  static constexpr Tick kNoEvent = ~Tick{0};
+  static constexpr int kAllLanes = -1;
+
+  using Epoch = std::atomic<uint32_t>;  // lint:allow-nondeterminism — barrier and run epochs.
+  // Returns once `word` no longer holds `old`: spins, then parks.
+  static void AwaitChange(const Epoch& word, uint32_t old);
+
   void RunLoop(bool bounded, Tick until);
-  void MergeWindow();
-  void LoadMergeFront(int lane);
-  void PostPhase(int lane);
-  void RunLanePhase(int cmd, Tick window_end);
+  // Runs windows until the next one would start at or past cap_. `lane` is
+  // the calling thread's lane (threaded), or kAllLanes to run every lane in
+  // turn on this thread.
+  void RunWindows(int lane, Tick horizon);
+  Tick Horizon(Tick global_min) const;
+  void Adopt(int lane, int parity);
+  void Barrier();
   void StartWorkers();
   void StopWorkers();
-  void WorkerLoop(int lane);
+  void WorkerLoop(int lane, uint32_t seen);
   Tick GlobalMinEventTime();  // kNoEvent when every lane is idle.
 
-  static constexpr Tick kNoEvent = ~Tick{0};
-
   Config config_;
+  Tick lookahead_;  // kNoEvent with one lane: nothing crosses a lane.
   std::vector<std::unique_ptr<Simulator>> sims_;
   std::vector<int> lane_of_;      // NodeId -> lane.
-  std::deque<Random> node_rng_;   // NodeId -> private stream (stable addrs).
+  struct alignas(64) NodeStream {  // One cache line per node: no false sharing.
+    Random rng;
+  };
+  std::deque<NodeStream> node_rng_;  // NodeId -> private stream (stable addrs).
 
-  // Canonical single-lane sequence counter, advanced only by the merge and
-  // by root-context scheduling — never concurrently.
-  ROCKSTEADY_SHARED_GUARDED("canonical seq counter; merge/root contexts only, all lanes parked")
-  uint64_t next_seq_ = 0;
+  // NodeId -> counter and digest.
+  ROCKSTEADY_SHARED_GUARDED("entry i: node i's lane only; folded with every lane parked")
+  std::vector<Simulator::NodeClock> clocks_;
+  ROCKSTEADY_SHARED_GUARDED("root context only: setup and safe points, lanes parked")
+  uint64_t root_next_ = 0;
 
-  // Mailboxes, flattened [src * lanes + dst]. Cell (s, d) is written only by
-  // lane s (phase A) and drained only by lane d (phase C); the phase-B
-  // barrier orders the two, and the merge stamps seqs in between.
-  ROCKSTEADY_SHARED_GUARDED("per-(src,dst) cell: src writes in phase A, dst drains in phase C, barrier between")
+  // Mailboxes, flattened [(parity * lanes + src) * lanes + dst]. Cell
+  // (p, s, d) is written only by lane s in a window of parity p and drained
+  // only by lane d after that window's barrier.
+  ROCKSTEADY_SHARED_GUARDED("cell (p,s,d): s fills before the barrier, d drains after")
   std::vector<std::vector<CrossEntry>> mail_;
+  ROCKSTEADY_SHARED_GUARDED("slot (p,l): l writes before the barrier, all read after")
+  std::vector<LaneFront> fronts_;
+  ROCKSTEADY_SHARED_GUARDED("entry l touched only by lane l's thread")
+  std::vector<Outbox> outbox_;
 
-  // The current window's safe horizon, readable by every lane inside
-  // phase A (published before the phase's go/done epoch).
-  ROCKSTEADY_SHARED_GUARDED("written at the barrier before each window; read-only while lanes run")
-  Tick window_end_ = 0;
+  // The current run's bound (next safe point or RunUntil limit), first
+  // horizon, window parity and shutdown flag: written by the main thread while
+  // the workers wait for the start signal, read-only while lanes run.
+  ROCKSTEADY_SHARED_GUARDED("main thread writes with workers parked; read-only in runs")
+  Tick cap_ = kNoEvent;
+  ROCKSTEADY_SHARED_GUARDED("main thread writes with workers parked; read-only in runs")
+  Tick start_horizon_ = 0;
+  ROCKSTEADY_SHARED_GUARDED("main thread writes with workers parked; read-only in runs")
+  int parity_ = 0;
+  ROCKSTEADY_SHARED_GUARDED("main thread writes with workers parked; read-only in runs")
+  bool stopping_ = false;
 
-  ROCKSTEADY_SHARED_GUARDED("driver publishes cmd pre-release-store; worker reads post-acquire-load")
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
+  alignas(64) Epoch start_{0};       // Bumped to start a run segment (or stop).
+  alignas(64) Epoch arrived_{0};     // Lanes at the current barrier.
+  alignas(64) Epoch generation_{0};  // Bumped as each barrier opens.
 
   std::vector<std::thread> workers_;  // lint:allow-nondeterminism — persistent lane workers.
-  bool workers_started_ = false;
-  uint64_t barrier_epoch_ = 0;
 
   std::vector<SafePoint> safe_points_;  // Sorted by (t, order); bounded: drained every Run.
   uint64_t safe_point_order_ = 0;
-  std::vector<size_t> merge_cursor_;  // Per-lane merge position (reused).
-  // Each lane's current front, resolved once per cursor advance (a front's
-  // (time, seq) never changes after the cursor reaches it). Exhausted lanes
-  // hold the maximal (kNoEvent, ~0) pair so the min-scan skips them.
-  std::vector<Tick> merge_front_time_;
-  std::vector<uint64_t> merge_front_seq_;
 
   Tick now_ = 0;
-  uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // FNV offset basis.
   uint64_t windows_run_ = 0;
 
   PhaseHooks hooks_;

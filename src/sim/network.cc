@@ -26,21 +26,18 @@ void Network::ReleaseShared(size_t pool, SharedDelivery* shared) {
 }
 
 void Network::ScheduleDelivery(Simulator* src, NodeId to, Tick arrive, EventFn ev) {
-  if (lanes_ != nullptr) {
-    const int dst_lane = lanes_->lane_of(to);
-    if (&lanes_->lane_sim(dst_lane) != src) {
-      // The conservative horizon guarantees arrive >= the current window's
-      // end (serialization >= net_per_message_ns, plus propagation), so the
-      // mailbox post is always legal.
-      lanes_->PostCrossLane(src, dst_lane, arrive, std::move(ev));
-      return;
-    }
+  if (lanes_ != nullptr && lanes_->SimFor(to) != src) {
+    // The conservative horizon guarantees arrive >= the current window's
+    // end (serialization >= net_per_message_ns, plus propagation), so the
+    // mailbox post is always legal.
+    lanes_->PostCrossLane(src, to, arrive, std::move(ev));
+    return;
   }
-  src->At(arrive, std::move(ev));
+  src->At(arrive, to, std::move(ev));
 }
 
 void Network::Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery) {
-  assert(from < egress_free_at_.size() && to < egress_free_at_.size());
+  assert(from < egress_.size() && to < egress_.size());
   Simulator* src = lanes_ != nullptr ? lanes_->SimFor(from) : sim_;
   Counters& stats = counters_[LaneOf(from)];
   if (node_down_[from]) {
@@ -48,10 +45,10 @@ void Network::Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery)
     return;
   }
   const Tick serialization = costs_->Serialization(wire_bytes) + costs_->net_per_message_ns;
-  std::vector<Tick>& track =
-      wire_bytes >= kBulkThresholdBytes ? egress_bulk_free_at_ : egress_free_at_;
-  const Tick depart = std::max(src->now(), track[from]) + serialization;
-  track[from] = depart;
+  Tick& track_free_at = wire_bytes >= kBulkThresholdBytes ? egress_[from].bulk_free_at
+                                                         : egress_[from].small_free_at;
+  const Tick depart = std::max(src->now(), track_free_at) + serialization;
+  track_free_at = depart;
   stats.total_bytes_sent += wire_bytes;
   stats.total_messages++;
 

@@ -37,8 +37,6 @@
 
 namespace rocksteady {
 
-using NodeId = uint32_t;
-
 // Delivery callbacks store up to 64 capture bytes inline; the simulator
 // event wrapping one ({this, to, NetFn}) then fills EventFn's 88 exactly.
 inline constexpr size_t kNetInlineCallbackBytes = 64;
@@ -68,12 +66,11 @@ class Network {
   }
 
   NodeId AddNode() {
-    egress_free_at_.push_back(0);
-    egress_bulk_free_at_.push_back(0);
+    egress_.emplace_back();
     node_down_.push_back(false);
-    return static_cast<NodeId>(egress_free_at_.size() - 1);
+    return static_cast<NodeId>(egress_.size() - 1);
   }
-  size_t NumNodes() const { return egress_free_at_.size(); }
+  size_t NumNodes() const { return egress_.size(); }
 
   // Delivers `on_delivery` at the destination after egress serialization of
   // `wire_bytes` plus propagation. Messages from one node share its egress
@@ -141,7 +138,14 @@ class Network {
     uint64_t injected_delays = 0;
   };
 
-  struct LanePool {
+  // A node's egress link: when each track is next free. One cache line per
+  // node, so senders on different lanes never false-share.
+  struct alignas(64) Egress {
+    Tick small_free_at = 0;
+    Tick bulk_free_at = 0;  // Messages >= kBulkThresholdBytes.
+  };
+
+  struct alignas(64) LanePool {
     std::vector<std::unique_ptr<SharedDelivery>> storage;
     SharedDelivery* free_list = nullptr;
   };
@@ -170,9 +174,7 @@ class Network {
 
   // Per-node slots: only the owning node's lane ever touches index i.
   ROCKSTEADY_SHARED_GUARDED("per-node egress slots; only node i's lane reads/writes index i")
-  std::vector<Tick> egress_free_at_;       // Small-message track.
-  ROCKSTEADY_SHARED_GUARDED("per-node egress slots; only node i's lane reads/writes index i")
-  std::vector<Tick> egress_bulk_free_at_;  // Bulk track (>= threshold).
+  std::vector<Egress> egress_;
 
   // Read by every lane on each delivery; written only at setup or from a
   // LaneSet safe point, when all lanes are parked.

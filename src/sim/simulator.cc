@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/sim/lane_set.h"
+
 namespace rocksteady {
 
 // Overflow heap order: min (time, seq) at the front.
@@ -115,9 +117,9 @@ uint64_t Simulator::FirstOccupiedBucket() {
   return scan_ab_;
 }
 
-Simulator::Event* Simulator::PopMin() {
+Simulator::Event* Simulator::PopMinUpTo(Tick last) {
   if (ring_count_ == 0) {
-    if (overflow_.empty()) {
+    if (overflow_.empty() || overflow_.front()->time > last) {
       return nullptr;
     }
     AdvanceWindowTo(BucketOf(overflow_.front()->time));
@@ -127,6 +129,9 @@ Simulator::Event* Simulator::PopMin() {
   const size_t slot = ab & kBucketMask;
   BucketList& bucket = buckets_[slot];
   Event* e = bucket.head;
+  if (e->time > last) {
+    return nullptr;
+  }
   bucket.head = e->next;
   if (bucket.head != nullptr) {
     bucket.head->prev = nullptr;
@@ -169,6 +174,10 @@ void Simulator::InsertQueued(Event* e) {
 }
 
 void Simulator::At(Tick t, EventFn fn) {
+  At(t, running_node_ != kNoNode ? running_node_ : root_node_, std::move(fn));
+}
+
+void Simulator::At(Tick t, NodeId node, EventFn fn) {
   // Scheduling in the past would silently reorder the event ahead of
   // already-queued same-tick work; treat it as a bug, and clamp in release
   // so the clock still never rewinds.
@@ -177,7 +186,7 @@ void Simulator::At(Tick t, EventFn fn) {
     t = now_;
   }
   if (lane_mode_) {
-    LaneAt(t, std::move(fn));
+    Enqueue(t, LaneKey(node), std::move(fn));
     return;
   }
   Event* e = AllocEvent();
@@ -187,88 +196,65 @@ void Simulator::At(Tick t, EventFn fn) {
   InsertQueued(e);
 }
 
-// --- Lane mode (driven by LaneSet; see lane_set.cc for the merge). ---
+// --- Lane mode (driven by LaneSet; see lane_set.cc for the window loop). ---
 
-void Simulator::BeginLaneMode(LaneSet* lane_set, int lane, uint64_t* lane_seq) {
+void Simulator::BeginLaneMode(LaneSet* lane_set, int lane) {
   lane_mode_ = true;
   lane_set_ = lane_set;
   lane_ = lane;
-  lane_seq_ = lane_seq;
 }
 
-void Simulator::LaneAt(Tick t, EventFn fn) {
-  if (!in_window_) {
-    // Root context: every lane is parked (setup, a safe-point task, between
-    // runs), so the canonical counter is directly assignable — this is
-    // exactly what the single-lane engine would have done.
-    Event* e = AllocEvent();
-    e->time = t;
-    e->seq = (*lane_seq_)++;
-    e->fn = std::move(fn);
-    InsertQueued(e);
-    return;
+uint64_t Simulator::LaneKey(NodeId exec) {
+  ROCKSTEADY_DCHECK(exec < lane_set_->clocks_.size());
+  uint64_t origin = 0;  // Root context.
+  uint64_t counter;
+  if (running_node_ != kNoNode) {
+    origin = uint64_t{running_node_} + 1;
+    counter = clocks_[running_node_].next++;
+  } else {
+    counter = lane_set_->root_next_++;  // Every lane is parked.
   }
-  if (t < window_end_) {
-    // Executes within this window: provisional seq now, canonical at merge.
-    Event* e = AllocEvent();
-    e->time = t;
-    e->seq = kProvSeqBit | static_cast<uint64_t>(prov_seq_.size());
-    e->fn = std::move(fn);
-    op_log_.push_back(
-        OpRecord{OpKind::kLocal, 0, static_cast<uint32_t>(prov_seq_.size()), nullptr});
-    prov_seq_.push_back(0);
-    InsertQueued(e);
-    return;
-  }
-  // At/past the horizon: held until the merge stamps its canonical seq.
+  ROCKSTEADY_DCHECK(counter < (uint64_t{1} << kCounterBits));
+  return uint64_t{exec} << kExecShift | origin << kCounterBits | counter;
+}
+
+void Simulator::Enqueue(Tick t, uint64_t key, EventFn fn) {
+  // Every lane event names the node it runs on, and only that node's lane
+  // may queue it: this is what keeps per-node state single-threaded.
+  ROCKSTEADY_DCHECK_EQ(lane_set_->lane_of(static_cast<NodeId>(key >> kExecShift)), lane_);
+  ROCKSTEADY_DCHECK_GE(t, now_);
   Event* e = AllocEvent();
   e->time = t;
-  e->seq = 0;
+  e->seq = key;
   e->fn = std::move(fn);
-  op_log_.push_back(OpRecord{OpKind::kDeferred, 0, 0, e});
+  InsertQueued(e);
 }
 
 size_t Simulator::RunWindow(Tick end) {
-  win_log_.clear();
-  op_log_.clear();
-  prov_seq_.clear();
-  in_window_ = true;
-  window_end_ = end;
+  clocks_ = lane_set_->clocks_.data();  // Nodes are only added at setup.
   size_t processed = 0;
-  Tick min_time;
-  while (PeekMinTime(&min_time) && min_time < end) {
-    Event* e = PopMin();
+  while (Event* e = PopMinUpTo(end - 1)) {  // end > 0: it is past a pending event.
     ROCKSTEADY_DCHECK_GE(e->time, now_);
     now_ = e->time;
-    win_log_.push_back(
-        DispatchRecord{e->time, e->seq, static_cast<uint32_t>(op_log_.size()), 0});
-    const size_t rec = win_log_.size() - 1;
+    running_node_ = static_cast<NodeId>(e->seq >> kExecShift);
+    NodeClock& clock = clocks_[running_node_];
+    clock.digest = Fnv(clock.digest, e->time, e->seq);
     e->fn();
-    win_log_[rec].op_count = static_cast<uint32_t>(op_log_.size()) - win_log_[rec].op_begin;
-    e->fn = nullptr;
+    e->fn = nullptr;  // Release captures before the event idles in the pool.
     FreeEvent(e);
     processed++;
   }
-  in_window_ = false;
+  running_node_ = kNoNode;
   events_processed_ += processed;
   return processed;
 }
 
-void Simulator::InsertDeferred() {
-  for (const OpRecord& op : op_log_) {
-    if (op.kind == OpKind::kDeferred) {
-      InsertQueued(op.deferred);
-    }
-  }
-}
-
 size_t Simulator::Run() {
   size_t processed = 0;
-  Event* e;
-  while ((e = PopMin()) != nullptr) {
+  while (Event* e = PopMinUpTo(~Tick{0})) {
     ROCKSTEADY_DCHECK_GE(e->time, now_);
     now_ = e->time;
-    MixTrace(e->time, e->seq);
+    trace_hash_ = Fnv(trace_hash_, e->time, e->seq);
     e->fn();
     e->fn = nullptr;  // Release captures before the event idles in the pool.
     FreeEvent(e);
@@ -283,12 +269,10 @@ size_t Simulator::RunUntil(Tick t) {
   // a no-op in release (no events run, now() is unchanged).
   ROCKSTEADY_DCHECK_GE(t, now_);
   size_t processed = 0;
-  Tick min_time;
-  while (PeekMinTime(&min_time) && min_time <= t) {
-    Event* e = PopMin();
+  while (Event* e = PopMinUpTo(t)) {
     ROCKSTEADY_DCHECK_GE(e->time, now_);
     now_ = e->time;
-    MixTrace(e->time, e->seq);
+    trace_hash_ = Fnv(trace_hash_, e->time, e->seq);
     e->fn();
     e->fn = nullptr;
     FreeEvent(e);

@@ -55,9 +55,26 @@ class Simulator {
   // same tick run in scheduling order (FIFO), which keeps runs deterministic.
   // Scheduling in the past is a checked error: fatal in debug builds, and
   // clamped to now() in release builds — time never flows backwards.
+  //
+  // Lane mode (see src/sim/lane_set.h): every event runs on a node. This
+  // form runs `fn` on the node whose event is executing; from root context
+  // (setup, a safe-point task) it runs on the node last named by ForNode.
   void At(Tick t, EventFn fn);
+  // Runs `fn` on `node`, which must belong to this simulator's lane. Legacy
+  // single-queue mode ignores the node.
+  void At(Tick t, NodeId node, EventFn fn);
 
   void After(Tick delay, EventFn fn) { At(now_ + delay, std::move(fn)); }
+  void After(Tick delay, NodeId node, EventFn fn) { At(now_ + delay, node, std::move(fn)); }
+
+  // Names the node that root-context scheduling through At(t, fn) runs on.
+  // Node-bound accessors (RamCloudClient::sim and friends) call it, so
+  // setup code can schedule node work without naming the node.
+  // Inside an event the running node wins. A no-op in legacy mode.
+  Simulator& ForNode(NodeId node) {
+    root_node_ = node;
+    return *this;
+  }
 
   // Runs events until the queue drains. Returns the number processed.
   size_t Run();
@@ -73,7 +90,8 @@ class Simulator {
   // Order-sensitive digest of every event dispatched so far: two runs of
   // the same scenario are deterministic iff their trace hashes are equal.
   // Mixed from each event's (time, seq) at dispatch, so any divergence in
-  // scheduling order or timing changes the hash.
+  // scheduling order or timing changes the hash. Legacy mode only; a lane's
+  // digests live per node (LaneSet::trace_hash).
   uint64_t trace_hash() const { return trace_hash_; }
 
   Random& rng() { return rng_; }
@@ -99,7 +117,10 @@ class Simulator {
   // events, the free-list thread (next only).
   struct Event {
     Tick time = 0;
-    uint64_t seq = 0;  // Tie-break so equal-time events stay FIFO.
+    // Same-time tie-break. Legacy: the global scheduling sequence number.
+    // Lane mode: the key [executing node | origin node + 1 | origin counter]
+    // fixed at scheduling time (see LaneKey).
+    uint64_t seq = 0;
     Event* prev = nullptr;
     Event* next = nullptr;
     EventFn fn;
@@ -124,59 +145,40 @@ class Simulator {
   static uint64_t BucketOf(Tick t) { return t >> kBucketWidthLog2; }
   static bool EventLater(const Event* a, const Event* b);
 
-  void MixTrace(Tick time, uint64_t seq) {
+  static uint64_t Fnv(uint64_t digest, Tick time, uint64_t seq) {
     // FNV-1a over the event's (time, seq); cheap enough to keep always on.
-    trace_hash_ = (trace_hash_ ^ time) * 0x100000001b3ull;
-    trace_hash_ = (trace_hash_ ^ seq) * 0x100000001b3ull;
+    digest = (digest ^ time) * 0x100000001b3ull;
+    return (digest ^ seq) * 0x100000001b3ull;
   }
 
   // --- Lane mode (see src/sim/lane_set.h). ---
-  // When this simulator is one lane of a LaneSet, events execute in
-  // conservative windows [start, window_end_) and every At() made inside a
-  // window is *logged* so the LaneSet's merge can reconstruct the canonical
-  // single-lane sequence numbers. Three op shapes exist:
-  //  * kLocal:    the event executes within this window. It enters the queue
-  //               under a provisional seq (kProvSeqBit | index); the merge
-  //               writes the canonical value into prov_seq_[index].
-  //  * kDeferred: the event's time is at/past the horizon. It is held out of
-  //               the queue until the merge stamps its canonical seq, then
-  //               inserted before the next window.
-  //  * kCross:    a cross-lane Network send. It sits in the LaneSet mailbox
-  //               cell (dst_lane, index); the merge stamps its seq there.
-  // A provisional seq compares greater than every canonical seq, which is
-  // exactly the canonical same-tick order: an event scheduled during the
-  // window always has a later canonical seq than anything queued before it.
-  static constexpr uint64_t kProvSeqBit = 1ull << 63;
-  enum class OpKind : uint8_t { kLocal, kDeferred, kCross };
-  struct OpRecord {
-    OpKind kind;
-    uint32_t dst_lane = 0;  // kCross: destination lane.
-    uint32_t index = 0;     // kLocal: prov_seq_ slot; kCross: mailbox slot.
-    Event* deferred = nullptr;  // kDeferred: the held event.
-  };
-  struct DispatchRecord {
-    Tick time;
-    uint64_t seq;  // Raw (possibly provisional) seq at dispatch.
-    uint32_t op_begin;
-    uint32_t op_count;
+  // Every lane event carries a key fixed when it is scheduled: the node it
+  // executes on, the node whose callback scheduled it (0 for root context:
+  // setup and safe-point tasks), and that origin's private counter. Equal-
+  // time events on one node therefore run in (origin, counter) order, which
+  // depends only on per-node histories — never on which lane a node sits
+  // on, how windows fall, or threading.
+  static constexpr int kNodeBits = 14;
+  static constexpr int kCounterBits = 64 - 2 * kNodeBits;
+  static constexpr int kExecShift = 64 - kNodeBits;
+  static constexpr NodeId kMaxLaneNodes = (NodeId{1} << kNodeBits) - 1;
+  static constexpr NodeId kNoNode = ~NodeId{0};
+
+  // Per-node engine state, one cache line each so lanes never false-share.
+  struct alignas(64) NodeClock {
+    uint64_t next = 0;                     // Counter for events this node schedules.
+    uint64_t digest = 0xcbf29ce484222325ull;  // FNV digest of this node's dispatches.
   };
 
-  // Puts this simulator in lane mode: At() routes through LaneAt(), and
-  // canonical seqs come from the LaneSet's shared counter.
-  void BeginLaneMode(LaneSet* lane_set, int lane, uint64_t* lane_seq);
-  // Runs every queued event with time < `end` without mixing the trace
-  // (the merge does, in canonical order). Returns events dispatched.
+  // Puts this simulator in lane mode as lane `lane` of `lane_set`.
+  void BeginLaneMode(LaneSet* lane_set, int lane);
+  // The key of an event this context schedules onto `exec`.
+  uint64_t LaneKey(NodeId exec);
+  // Allocates and queues a lane event under `key`.
+  void Enqueue(Tick t, uint64_t key, EventFn fn);
+  // Runs every queued event with time < `end`, mixing each node's digest.
+  // Returns events dispatched.
   size_t RunWindow(Tick end);
-  // Lane-mode scheduling (root / in-window / deferred; see above).
-  void LaneAt(Tick t, EventFn fn);
-  // Records a cross-lane send op made by the current in-window callback.
-  void LaneLogCrossOp(uint32_t dst_lane, uint32_t index) {
-    ROCKSTEADY_DCHECK(in_window_);
-    op_log_.push_back(OpRecord{OpKind::kCross, dst_lane, index, nullptr});
-  }
-  // Inserts deferred events (canonical seqs stamped by the merge) into the
-  // queue; called between windows.
-  void InsertDeferred();
 
   Event* AllocEvent();
   void FreeEvent(Event* e);
@@ -189,9 +191,10 @@ class Simulator {
   // Absolute bucket number of the first occupied ring bucket at or after
   // `scan_ab_`. Requires ring_count_ > 0.
   uint64_t FirstOccupiedBucket();
-  // Detaches and returns the earliest event (nullptr when idle), advancing
-  // the window if the earliest lives in the overflow heap.
-  Event* PopMin();
+  // Detaches and returns the earliest event if its time is <= `last`
+  // (nullptr otherwise), advancing the window if the earliest lives in the
+  // overflow heap.
+  Event* PopMinUpTo(Tick last);
   // Time of the earliest event without popping or sliding the window.
   bool PeekMinTime(Tick* t);
 
@@ -214,18 +217,13 @@ class Simulator {
   uint64_t slab_allocations_ = 0;
   uint64_t free_count_ = 0;
 
-  // Lane-mode state (inert in the default single-lane configuration). All of
-  // it is owned by this lane's worker except where the LaneSet merge writes
-  // canonical seqs between window phases (barrier-ordered, see lane_set.cc).
+  // Lane-mode state (inert in legacy mode), owned by this lane's thread.
   bool lane_mode_ = false;
-  bool in_window_ = false;
   int lane_ = 0;
-  Tick window_end_ = 0;
   LaneSet* lane_set_ = nullptr;
-  uint64_t* lane_seq_ = nullptr;  // LaneSet's canonical sequence counter.
-  std::vector<DispatchRecord> win_log_;  // This window's dispatches, in order.
-  std::vector<OpRecord> op_log_;         // This window's scheduling ops.
-  std::vector<uint64_t> prov_seq_;       // Provisional slot -> canonical seq.
+  NodeClock* clocks_ = nullptr;  // LaneSet's per-node clocks, cached per window.
+  NodeId running_node_ = kNoNode;  // The executing event's node; kNoNode in root context.
+  NodeId root_node_ = kNoNode;     // ForNode's binding for root-context At(t, fn).
 
   Random rng_;
 };

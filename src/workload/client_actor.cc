@@ -7,7 +7,7 @@ namespace rocksteady {
 void ClientActor::Start() {
   Simulator& sim = client_->sim();
   if (sim.now() < config_.start_time) {
-    sim.At(config_.start_time, [this] { ScheduleNextArrival(); });
+    sim.At(config_.start_time, client_->node(), [this] { ScheduleNextArrival(); });
   } else {
     ScheduleNextArrival();
   }
@@ -23,7 +23,7 @@ void ClientActor::ScheduleNextArrival() {
   if (config_.stop_time != 0 && at >= config_.stop_time) {
     return;
   }
-  sim.At(at, [this] {
+  sim.At(at, client_->node(), [this] {
     Simulator& sim2 = client_->sim();
     if (outstanding_ < config_.max_outstanding) {
       workload_->NextOpInto(client_->rng(), &scratch_.op);

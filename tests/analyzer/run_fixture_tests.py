@@ -154,8 +154,8 @@ class InventoryTests(unittest.TestCase):
 
     def test_lane_structures_appear_in_src_inventory(self):
         # The sharded-execution structures themselves: cross-lane mailboxes,
-        # the safe-horizon window bound, the canonical seq counter, worker
-        # slots, and the per-lane shards in Network/RpcSystem/FaultInjector.
+        # the published window fronts, the per-node event clocks, the run
+        # bound, and the per-lane shards in Network/RpcSystem/FaultInjector.
         inventory = self._inventory_for([
             REPO / "src" / "sim" / "lane_set.h",
             REPO / "src" / "sim" / "network.h",
@@ -164,7 +164,7 @@ class InventoryTests(unittest.TestCase):
         ])
         members = {s["name"] for s in inventory["sites"]
                    if s["kind"] == "member"}
-        for required in ("mail_", "window_end_", "next_seq_", "slots_",
+        for required in ("mail_", "fronts_", "clocks_", "cap_",
                          "pools_", "counters_", "pending_lanes_",
                          "sender_rng_"):
             self.assertIn(required, members,

@@ -3,10 +3,15 @@
 
 The JSON file is the engine's perf trajectory: each entry is one labeled run
 (a list of per-scenario results straight from the bench's JSON-lines
-output). The first full entry in the file is the baseline; later runs are
-reported as speedups against it, and their trace hashes are checked against
-it — an engine optimization that changes the event schedule is a determinism
-bug, and this runner is the first place it shows up.
+output), stamped with the host's CPU count (nproc). Each result is compared
+against its reference — the latest re-baseline entry that has it, else the
+first entry — as a speedup, and its trace hash is checked against it: an
+engine optimization that changes the event schedule is a determinism bug,
+and this runner is the first place it shows up. A deliberate schedule
+change is recorded once with --rebaseline REASON, which makes the new entry
+the reference for every result it carries. Threaded-lane results (lanes > 1)
+are only timed against a reference taken with the same nproc: their wall
+time measures the host's cores as much as the engine.
 
 Exit status: nonzero if the bench binary is missing or crashes. Perf
 regressions only WARN (perf moves for legitimate reasons). Trace-hash
@@ -18,10 +23,12 @@ on a later gate to notice.
 Usage:
   tools/bench_baseline.py --build-dir build --label pre_overhaul
   tools/bench_baseline.py --build-dir build --smoke --strict-hash
+  tools/bench_baseline.py --build-dir build --label new_order --rebaseline "why"
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,16 +41,22 @@ def load_trajectory(path: Path) -> dict:
     return {"entries": []}
 
 
-def first_entry(trajectory: dict, smoke: bool):
+def result_key(result: dict) -> tuple:
+    return (result["scenario"], result["seed"], result.get("lanes", 0))
+
+
+def references(trajectory: dict, smoke: bool) -> dict:
+    """Maps result key -> (entry, result) it is checked against: the latest
+    re-baseline entry carrying the key, else the first entry carrying it."""
+    refs = {}
     for entry in trajectory["entries"]:
-        if entry.get("smoke", False) == smoke:
-            return entry
-    return None
-
-
-def scenario_results(entry: dict) -> dict:
-    """Maps (scenario, seed) -> result dict for one entry."""
-    return {(r["scenario"], r["seed"]): r for r in entry["results"]}
+        if entry.get("smoke", False) != smoke:
+            continue
+        for r in entry["results"]:
+            key = result_key(r)
+            if key not in refs or "rebaseline" in entry:
+                refs[key] = (entry, r)
+    return refs
 
 
 def main() -> int:
@@ -58,7 +71,10 @@ def main() -> int:
                         help="short run (~2s): proves the bench works, not perf")
     parser.add_argument("--strict-hash", action="store_true",
                         help="exit nonzero if any trace_hash diverges from "
-                             "the baseline entry")
+                             "its reference entry")
+    parser.add_argument("--rebaseline", metavar="REASON", default=None,
+                        help="record this entry as the new reference for its "
+                             "results, stating why their hashes changed")
     args = parser.parse_args()
 
     repo = Path(__file__).resolve().parent.parent
@@ -89,36 +105,48 @@ def main() -> int:
         return 1
 
     trajectory = load_trajectory(output)
-    baseline = first_entry(trajectory, args.smoke)
-    if baseline is None and args.strict_hash:
-        # Without a baseline the hash check is vacuous; failing here keeps
+    refs = references(trajectory, args.smoke)
+    if not refs and args.strict_hash:
+        # Without a reference the hash check is vacuous; failing here keeps
         # the CI gate honest instead of silently passing.
         print("bench_baseline: --strict-hash but the trajectory has no "
-              f"{'smoke' if args.smoke else 'full'} baseline entry to "
-              "compare against", file=sys.stderr)
+              f"{'smoke' if args.smoke else 'full'} entry to compare against",
+              file=sys.stderr)
         return 1
-    entry = {"label": args.label, "smoke": args.smoke, "results": results}
+    nproc = os.cpu_count()
+    entry = {"label": args.label, "smoke": args.smoke, "nproc": nproc}
+    if args.rebaseline:
+        entry["rebaseline"] = args.rebaseline
+    entry["results"] = results
 
     diverged = 0
     for r in results:
-        line = (f"  {r['scenario']:<16} seed {r['seed']:<6} "
-                f"{r['events_per_s']:>12,.0f} events/s  "
-                f"{r['allocs_per_event']:>8.3f} allocs/event  {r['trace_hash']}")
-        print(line)
-        if baseline is not None:
-            base = scenario_results(baseline).get((r["scenario"], r["seed"]))
-            if base is None:
-                continue
-            if base["events_per_s"] > 0:
-                speedup = r["events_per_s"] / base["events_per_s"]
-                print(f"    {speedup:.2f}x vs baseline '{baseline['label']}'")
-            if base["trace_hash"] != r["trace_hash"]:
-                diverged += 1
-                severity = "ERROR" if args.strict_hash else "WARNING"
-                print(f"    {severity}: trace_hash diverged from baseline "
-                      f"'{baseline['label']}' ({base['trace_hash']}) — the "
-                      f"event schedule changed",
-                      file=sys.stderr)
+        lanes = r.get("lanes", 0)
+        name = r["scenario"] + (f"@{lanes}" if lanes else "")
+        print(f"  {name:<22} seed {r['seed']:<6} "
+              f"{r['events_per_s']:>12,.0f} events/s  "
+              f"{r['allocs_per_event']:>8.3f} allocs/event  {r['trace_hash']}")
+        ref = refs.get(result_key(r))
+        if ref is None:
+            continue
+        ref_entry, base = ref
+        if lanes > 1 and ref_entry.get("nproc") != nproc:
+            print(f"    not timed: threaded lanes measured on nproc "
+                  f"{ref_entry.get('nproc', 'unknown')} in '{ref_entry['label']}', "
+                  f"{nproc} here")
+        elif base["events_per_s"] > 0:
+            speedup = r["events_per_s"] / base["events_per_s"]
+            print(f"    {speedup:.2f}x vs '{ref_entry['label']}'")
+        if base["trace_hash"] != r["trace_hash"] and args.rebaseline:
+            print(f"    re-baselined: was {base['trace_hash']} in "
+                  f"'{ref_entry['label']}'")
+        elif base["trace_hash"] != r["trace_hash"]:
+            diverged += 1
+            severity = "ERROR" if args.strict_hash else "WARNING"
+            print(f"    {severity}: trace_hash diverged from "
+                  f"'{ref_entry['label']}' ({base['trace_hash']}) — the "
+                  f"event schedule changed",
+                  file=sys.stderr)
 
     trajectory["entries"].append(entry)
     with output.open("w") as f:
