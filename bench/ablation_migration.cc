@@ -59,11 +59,11 @@ Row RunOne(const RocksteadyOptions& options) {
   }
 
   std::optional<MigrationStats> stats;
-  cluster.sim().At(kMigrateAt, [&] {
+  cluster.AtSafePoint(kMigrateAt, [&] {
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options,
                              [&](const MigrationStats& s) { stats = s; });
   });
-  cluster.sim().RunUntil(kEnd);
+  cluster.RunUntil(kEnd);
 
   Row row;
   if (stats.has_value()) {

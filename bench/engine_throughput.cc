@@ -1,20 +1,20 @@
 // Wall-clock throughput of the simulation engine itself.
 //
 // Every figure in this reproduction is bounded by how many simulated events
-// per second the single-threaded engine dispatches, so this driver measures
-// exactly that — no paper metric, just engine speed — across three
-// scenarios of increasing realism:
+// per second the engine dispatches, so this driver measures exactly that —
+// no paper metric, just engine speed — across three single-lane scenarios
+// of increasing realism:
 //
-//   dispatch        self-rescheduling timer chains: pure queue + callback
-//                   overhead, zero application work.
+//   dispatch        self-rescheduling timer chains on one node: pure queue +
+//                   callback overhead, zero application work.
 //   ycsb_b          steady-state YCSB-B against 4 masters (full RPC stack,
 //                   dispatch/worker cores, no migration).
 //   ycsb_migration  YCSB-B with a Rocksteady migration of half the table
 //                   mid-run — the acceptance scenario for engine PRs.
 //
-// The *_lanes scenarios run the sharded engine (LaneSet) at lanes {1, 2, 4},
-// threaded, and report each run's measured wall time; the binary exits 1 if
-// their trace hashes differ. Threaded timings only mean something next to
+// The *_lanes scenarios run at lanes {1, 2, 4}, threaded above one lane,
+// and report each run's measured wall time; the binary exits 1 if their
+// trace hashes differ. Threaded timings only mean something next to
 // the host's CPU count, which tools/bench_baseline.py stamps on each entry.
 //
 // Output is one JSON object per line, parsed by tools/bench_baseline.py into
@@ -49,7 +49,7 @@ struct ScenarioResult {
   uint64_t trace_hash = 0;
   uint64_t allocs = 0;
   uint64_t fn_fallbacks = 0;  // InlineFunction closures that heap-boxed.
-  int lanes = 0;              // Lane scenarios only; lanes > 1 run threaded.
+  int lanes = 1;              // Lanes > 1 run threaded.
   uint64_t windows = 0;
 };
 
@@ -64,11 +64,8 @@ void Report(const char* scenario, uint64_t seed, const ScenarioResult& r) {
       scenario, seed, r.events, r.wall_s, events_per_s,
       static_cast<double>(r.sim_ns) / 1e9, r.trace_hash, r.allocs, allocs_per_event,
       r.fn_fallbacks);
-  if (r.lanes > 0) {
-    std::printf(",\"lanes\":%d,\"lane_threads\":%s,\"windows\":%" PRIu64, r.lanes,
-                r.lanes > 1 ? "true" : "false", r.windows);
-  }
-  std::printf("}\n");
+  std::printf(",\"lanes\":%d,\"lane_threads\":%s,\"windows\":%" PRIu64 "}\n", r.lanes,
+              r.lanes > 1 ? "true" : "false", r.windows);
   std::fflush(stdout);
 }
 
@@ -92,9 +89,9 @@ class Chain {
  public:
   Chain(Simulator* sim, Tick period, Tick stop) : sim_(sim), period_(period), stop_(stop) {}
 
-  // Starts the chain at `at` on `node` (lane mode; legacy ignores it). Each
-  // step reschedules on the node it runs on.
-  void Start(Tick at, NodeId node = 0) {
+  // Starts the chain at `at` on `node`. Each step reschedules on the node it
+  // runs on.
+  void Start(Tick at, NodeId node) {
     sim_->At(at, node, [this] { Step(); });
   }
 
@@ -111,29 +108,10 @@ class Chain {
   Tick stop_;
 };
 
-ScenarioResult RunDispatch(uint64_t seed, bool smoke) {
-  constexpr int kChains = 32;
-  constexpr Tick kPeriod = 100;
-  const Tick stop = smoke ? kMillisecond : 10 * kMillisecond;
-
-  Simulator sim(seed);
-  std::vector<std::unique_ptr<Chain>> chains;
-  for (int i = 0; i < kChains; i++) {
-    chains.push_back(std::make_unique<Chain>(&sim, kPeriod, stop));
-    chains.back()->Start(static_cast<Tick>(i));  // Staggered starts.
-  }
-  ScenarioResult result;
-  Measure([&] { sim.Run(); }, &result);
-  result.events = sim.events_processed();
-  result.sim_ns = sim.now();
-  result.trace_hash = sim.trace_hash();
-  return result;
-}
-
-// --- dispatch_lanes: the dispatch load sharded across event lanes, one
-// chain per node. ---
-
-ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes) {
+// K chains over `nodes` nodes round-robined across `lanes` lanes: `dispatch`
+// keeps every chain on one node of one lane, `dispatch_lanes` gives each
+// chain its own node.
+ScenarioResult RunDispatch(uint64_t seed, bool smoke, int lanes, int nodes) {
   constexpr int kChains = 32;
   constexpr Tick kPeriod = 100;
   const Tick stop = smoke ? kMillisecond : 10 * kMillisecond;
@@ -144,10 +122,12 @@ ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes) {
   lane_config.lookahead = 1'150;  // The cluster's cross-lane horizon.
   lane_config.seed = seed;
   LaneSet set(lane_config);
+  for (int i = 0; i < nodes; i++) {
+    set.AssignNode(static_cast<NodeId>(i), i % lanes);
+  }
   std::vector<std::unique_ptr<Chain>> chains;
   for (int i = 0; i < kChains; i++) {
-    const auto node = static_cast<NodeId>(i);
-    set.AssignNode(node, i % lanes);
+    const auto node = static_cast<NodeId>(i % nodes);
     chains.push_back(std::make_unique<Chain>(set.SimFor(node), kPeriod, stop));
     chains.back()->Start(static_cast<Tick>(i), node);  // Staggered starts.
   }
@@ -171,7 +151,7 @@ struct ClusterScenario {
   bool spread = false;             // Spread the table across all masters.
   int masters = 4;
   int clients = 2;
-  int lanes = 0;                   // > 0: sharded execution, threaded above 1.
+  int lanes = 1;                   // Threaded above 1.
 };
 
 ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
@@ -209,18 +189,11 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
 
   std::optional<MigrationStats> stats;
   if (scenario.migrate_at.has_value()) {
-    if (scenario.lanes > 0) {
-      // Lane mode: cross-cutting control actions go through safe points.
-      cluster.AtSafePoint(*scenario.migrate_at, [&] {
-        StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
-                                 [&](const MigrationStats& s) { stats = s; });
-      });
-    } else {
-      cluster.sim().At(*scenario.migrate_at, [&] {
-        StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
-                                 [&](const MigrationStats& s) { stats = s; });
-      });
-    }
+    // Cross-cutting control actions go through safe points.
+    cluster.AtSafePoint(*scenario.migrate_at, [&] {
+      StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
+                               [&](const MigrationStats& s) { stats = s; });
+    });
   }
 
   ScenarioResult result;
@@ -229,10 +202,8 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
   result.events = cluster.events_processed() - events_before;
   result.sim_ns = cluster.now();
   result.trace_hash = cluster.trace_hash();
-  if (cluster.lanes() != nullptr) {
-    result.lanes = scenario.lanes;
-    result.windows = cluster.lanes()->windows_run();
-  }
+  result.lanes = scenario.lanes;
+  result.windows = cluster.lanes()->windows_run();
   if (scenario.migrate_at.has_value() && !stats.has_value()) {
     std::fprintf(stderr, "engine_throughput: migration did not complete (seed %" PRIu64 ")\n",
                  seed);
@@ -282,10 +253,10 @@ int Main(int argc, char** argv) {
     }
   }
 
-  Report("dispatch", 42, RunDispatch(42, smoke));
+  Report("dispatch", 42, RunDispatch(42, smoke, /*lanes=*/1, /*nodes=*/1));
 
   ReportLaneSweep("dispatch_lanes", 42,
-                  [&](int lanes) { return RunDispatchLanes(42, smoke, lanes); });
+                  [&](int lanes) { return RunDispatch(42, smoke, lanes, /*nodes=*/32); });
 
   ClusterScenario steady;
   steady.spread = true;

@@ -90,11 +90,10 @@ inline void PrintNetworkFaultCounters(Cluster& cluster) {
 // `keys_per_get` keys drawn from `spread` consecutive servers' key pools.
 class MultiGetLoop {
  public:
-  MultiGetLoop(Cluster* cluster, RamCloudClient* client, TableId table,
+  MultiGetLoop(RamCloudClient* client, TableId table,
                const std::vector<std::vector<std::string>>* pools, int spread, int keys_per_get,
                uint64_t* completed_objects)
-      : cluster_(cluster),
-        client_(client),
+      : client_(client),
         table_(table),
         pools_(pools),
         spread_(spread),
@@ -124,7 +123,7 @@ class MultiGetLoop {
     auto pick = [&](size_t server, int count) {
       const auto& pool = (*pools_)[server];
       for (int k = 0; k < count; k++) {
-        keys.push_back(pool[cluster_->sim().rng().Uniform(pool.size())]);
+        keys.push_back(pool[client_->rng().Uniform(pool.size())]);
       }
     };
     pick(primary, from_primary);
@@ -139,7 +138,6 @@ class MultiGetLoop {
     });
   }
 
-  Cluster* cluster_;
   RamCloudClient* client_;
   TableId table_;
   const std::vector<std::vector<std::string>>* pools_;
@@ -153,11 +151,10 @@ class MultiGetLoop {
 // Open-loop secondary-index scan driver (Figure 4).
 class IndexScanActor {
  public:
-  IndexScanActor(Cluster* cluster, RamCloudClient* client, TableId table, uint8_t index_id,
+  IndexScanActor(RamCloudClient* client, TableId table, uint8_t index_id,
                  uint64_t num_secondary_keys, double theta, double scans_per_second,
                  Tick stop_time, LatencyTimeline* latency)
-      : cluster_(cluster),
-        client_(client),
+      : client_(client),
         table_(table),
         index_id_(index_id),
         zipf_(num_secondary_keys, theta),
@@ -177,20 +174,22 @@ class IndexScanActor {
 
  private:
   void ScheduleNext() {
-    Simulator& sim = cluster_->sim();
-    const double u = std::max(1e-12, sim.rng().NextDouble());
+    // Arrivals, keys and timers all belong to the issuing client's node.
+    Simulator& sim = client_->sim();
+    const double u = std::max(1e-12, client_->rng().NextDouble());
     const Tick gap = std::max<Tick>(1, static_cast<Tick>(-std::log(u) / rate_ * 1e9));
     const Tick at = sim.now() + gap;
     if (at >= stop_time_) {
       return;
     }
     sim.At(at, [this, at] {
-      const std::string start_key = SecondaryKey(zipf_.Next(cluster_->sim().rng()));
+      const std::string start_key = SecondaryKey(zipf_.Next(client_->rng()));
       client_->IndexScan(table_, index_id_, start_key, 4, [this, at](Status status) {
         if (status == Status::kOk) {
           completed_++;
           if (latency_ != nullptr) {
-            latency_->Record(cluster_->sim().now(), cluster_->sim().now() - at);
+            const Tick now = client_->sim().now();
+            latency_->Record(now, now - at);
           }
         }
       });
@@ -198,7 +197,6 @@ class IndexScanActor {
     });
   }
 
-  Cluster* cluster_;
   RamCloudClient* client_;
   TableId table_;
   uint8_t index_id_;

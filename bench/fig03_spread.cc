@@ -48,25 +48,25 @@ SpreadResult RunSpread(int spread) {
     cluster.client(static_cast<size_t>(c))
         .Read(kTable, pools[0][0], [](Status, const std::string&) {});
   }
-  cluster.sim().Run();
+  cluster.Run();
 
   uint64_t completed_objects = 0;
   std::vector<std::unique_ptr<MultiGetLoop>> loops;
   for (int c = 0; c < kClients; c++) {
-    loops.push_back(std::make_unique<MultiGetLoop>(&cluster, &cluster.client(static_cast<size_t>(c)),
+    loops.push_back(std::make_unique<MultiGetLoop>(&cluster.client(static_cast<size_t>(c)),
                                                    kTable, &pools, spread, kKeysPerGet,
                                                    &completed_objects));
     loops.back()->Run(kConcurrentPerClient);
   }
 
   // Warm up, then measure over a fixed window.
-  cluster.sim().RunUntil(cluster.sim().now() + kWarmup);
+  cluster.RunUntil(cluster.now() + kWarmup);
   const uint64_t objects_at_start = completed_objects;
-  const Tick t0 = cluster.sim().now();
+  const Tick t0 = cluster.now();
   for (size_t s = 0; s < cluster.num_masters(); s++) {
     cluster.master(s).cores().ResetBusyCounters();
   }
-  cluster.sim().RunUntil(t0 + kMeasure);
+  cluster.RunUntil(t0 + kMeasure);
 
   SpreadResult result;
   result.spread = spread;

@@ -92,14 +92,14 @@ Point RunPoint(Layout layout, double scans_per_second) {
     cluster.client(static_cast<size_t>(c))
         .Read(kTable, Cluster::MakeKey(0, 30), [](Status, const std::string&) {});
   }
-  cluster.sim().Run();
+  cluster.Run();
 
   LatencyTimeline latency(kMeasure, 2);
-  const Tick t0 = cluster.sim().now();
+  const Tick t0 = cluster.now();
   std::vector<std::unique_ptr<IndexScanActor>> actors;
   for (int c = 0; c < kClients; c++) {
     actors.push_back(std::make_unique<IndexScanActor>(
-        &cluster, &cluster.client(static_cast<size_t>(c)), kTable, kIndex, kRecords, 0.5,
+        &cluster.client(static_cast<size_t>(c)), kTable, kIndex, kRecords, 0.5,
         scans_per_second / kClients, t0 + kMeasure, &latency));
     actors.back()->Start();
   }
@@ -109,7 +109,7 @@ Point RunPoint(Layout layout, double scans_per_second) {
   // Bounded drain: overloaded points would otherwise spend minutes of
   // simulated time in client retry storms; completions past the drain
   // window don't count toward the measurement either way.
-  cluster.sim().RunUntil(t0 + kMeasure + kMeasure / 2);
+  cluster.RunUntil(t0 + kMeasure + kMeasure / 2);
 
   Point point;
   point.offered_scans = scans_per_second;

@@ -43,7 +43,7 @@ VariantResult RunVariant(const std::string& name, const BaselineMigrateOptions& 
   auto* migration = StartBaselineMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options,
                                            [&](const BaselineStats& s) { stats = s; });
   migration->set_bytes_timeline(&bytes_moved);
-  cluster.sim().Run();
+  cluster.Run();
 
   VariantResult result;
   result.name = name;

@@ -79,7 +79,7 @@ void RunMode(const char* name, MigrationMode mode) {
   }
 
   std::optional<MigrationStats> stats;
-  cluster.sim().At(static_cast<Tick>(static_cast<double>(kMigrateAt) * kDilation), [&] {
+  cluster.AtSafePoint(static_cast<Tick>(static_cast<double>(kMigrateAt) * kDilation), [&] {
     RocksteadyOptions options;
     options.mode = mode;
     auto* manager = StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options,
@@ -87,7 +87,7 @@ void RunMode(const char* name, MigrationMode mode) {
     manager->set_bytes_timeline(&migrated);
   });
 
-  cluster.sim().RunUntil(experiment_end);
+  cluster.RunUntil(experiment_end);
 
   std::printf("\n--- %s ---\n", name);
   std::printf("%6s %12s %10s %10s | %8s %8s %8s %8s | %10s\n", "t(s)", "kOps/s", "med(us)",

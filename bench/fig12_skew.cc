@@ -58,11 +58,11 @@ SkewResult RunSkew(double theta) {
   }
 
   std::optional<MigrationStats> stats;
-  cluster.sim().At(kMigrateAt, [&] {
+  cluster.AtSafePoint(kMigrateAt, [&] {
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                              [&](const MigrationStats& s) { stats = s; });
   });
-  cluster.sim().RunUntil(experiment_end);
+  cluster.RunUntil(experiment_end);
 
   SkewResult result;
   result.theta = theta;

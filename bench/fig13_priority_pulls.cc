@@ -58,13 +58,13 @@ void RunVariant(const char* name, bool sync_priority_pulls) {
     actors.back()->Start();
   }
 
-  cluster.sim().At(kMigrateAt, [&] {
+  cluster.AtSafePoint(kMigrateAt, [&] {
     RocksteadyOptions options;
     options.background_pulls = false;  // §4.4: no background Pulls.
     options.sync_priority_pulls = sync_priority_pulls;
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options, nullptr);
   });
-  cluster.sim().RunUntil(experiment_end);
+  cluster.RunUntil(experiment_end);
 
   std::printf("\n--- %s ---\n", name);
   std::printf("%6s %10s %10s | %8s %8s %8s %8s\n", "t(s)", "med(us)", "p999(us)", "srcDisp",

@@ -55,7 +55,7 @@ std::unique_ptr<ObjectManager> BuildStore(size_t count, size_t entry_bytes) {
 double SourceRateGBps(int workers, size_t entry_bytes) {
   const size_t count = 64 * 1024;
   auto om = BuildStore(count, entry_bytes);
-  Simulator sim(1);
+  Simulator sim;
   CostModel costs;
   CoreSet cores(&sim, workers);
 
@@ -110,7 +110,7 @@ double SourceRateGBps(int workers, size_t entry_bytes) {
 // Target side: replay pre-serialized 20 KB batches into per-slot side logs
 // on `workers` cores; measure entry bytes replayed per simulated second.
 double TargetRateGBps(int workers, size_t entry_bytes) {
-  Simulator sim(1);
+  Simulator sim;
   CostModel costs;
   CoreSet cores(&sim, workers);
   ObjectManagerOptions options;

@@ -71,14 +71,15 @@ RunResult RunMode(bool pacing) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  // In-event clock and timers: the op pump runs on the coordinator's node.
+  Simulator& sim = cluster.coordinator().sim();
 
   RocksteadyOptions options;
   options.adaptive_pacing = pacing;
   options.pull_budget_bytes = 32 * 1024;
   options.num_partitions = 2;
 
-  sim.At(kMigrateAt, [&] {
+  cluster.AtSafePoint(kMigrateAt, [&] {
     auto* manager =
         StartRocksteadyMigration(&cluster, kTable, kSliceStart, ~0ull, 0, 1, options,
                                  [&](const MigrationStats& s) { result.stats = s; });
@@ -115,8 +116,8 @@ RunResult RunMode(bool pacing) {
     const bool burst = sim.now() % (kBurstPhase + kTroughPhase) < kBurstPhase;
     sim.After(burst ? kBurstGap : kTroughGap, pump);
   };
-  sim.After(kBurstGap, pump);
-  sim.Run();
+  cluster.coordinator().sim().After(kBurstGap, pump);
+  cluster.Run();
 
   result.client_sheds = cluster.master(0).client_sheds();
   for (size_t c = 0; c < cluster.num_clients(); c++) {

@@ -75,7 +75,8 @@ RunResult Run(bool planner_on) {
   cluster.CreateTable(kTable, 0);
   SpreadTableAcross(cluster, kTable, kMasters);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  // In-event clock and timers: the op pump runs on the coordinator's node.
+  Simulator& sim = cluster.coordinator().sim();
 
   // Key pools per quarter: the workload aims its hot mass at one master's
   // hash quarter, which ScrambledZipfian alone cannot do (it spreads hot
@@ -151,14 +152,14 @@ RunResult Run(bool planner_on) {
     op_index++;
     sim.After(op_gap, pump);
   };
-  sim.After(op_gap, pump);
+  cluster.coordinator().sim().After(op_gap, pump);
 
-  sim.RunUntil(experiment_end);
+  cluster.RunUntil(experiment_end);
   if (planner) {
     planner->Stop();
   }
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   for (int p = 0; p < kNumPhases; p++) {
     result.phase[p].p999_ns = latency.Percentile(static_cast<size_t>(p), 0.999);

@@ -134,15 +134,15 @@ BENCHMARK(BM_EventDispatch)->Arg(1)->Arg(32)->Arg(256);
 void BM_NetworkSend(benchmark::State& state) {
   // One Network::Send plus its delivery: link arbitration, serialization
   // charging, the pooled delivery event, and the inline NetFn dispatch.
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
   CostModel costs;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   uint64_t delivered = 0;
   for (auto _ : state) {
     net.Send(a, b, /*wire_bytes=*/100, [&delivered] { delivered++; });
-    sim.Run();
+    lanes.Run();
   }
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(static_cast<int64_t>(delivered));

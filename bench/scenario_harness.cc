@@ -84,7 +84,9 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
   Cluster cluster(config);
   cluster.net().SetFaultInjector(&injector);
   EnableMigration(&cluster);
-  Simulator& sim = cluster.sim();
+  // In-event clock and timers: the op pump runs on the coordinator's node;
+  // operator actions run at safe points.
+  Simulator& sim = cluster.coordinator().sim();
 
   // Standbys join the server list but own nothing until activated.
   const size_t active = spec.masters - spec.standbys;
@@ -136,18 +138,18 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
   for (const auto& event : spec.events) {
     switch (event.kind) {
       case ScenarioEvent::Kind::kBeginDrain:
-        sim.At(event.at, [&cluster, index = event.master_index] {
+        cluster.AtSafePoint(event.at, [&cluster, index = event.master_index] {
           cluster.coordinator().BeginDrain(cluster.master(index).id());
         });
         break;
       case ScenarioEvent::Kind::kActivateServer:
-        sim.At(event.at, [&cluster, index = event.master_index] {
+        cluster.AtSafePoint(event.at, [&cluster, index = event.master_index] {
           cluster.coordinator().ActivateServer(cluster.master(index).id());
         });
         break;
       case ScenarioEvent::Kind::kRollingRestart:
         rolling_restart_used = true;
-        sim.At(event.at, [&orchestrator, &rolling_restart_done] {
+        cluster.AtSafePoint(event.at, [&orchestrator, &rolling_restart_done] {
           orchestrator.Start([&rolling_restart_done] { rolling_restart_done = true; });
         });
         break;
@@ -247,12 +249,12 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
     }
     op_index++;
   };
-  sim.After(spec.op_gap, pump);
+  cluster.coordinator().sim().After(spec.op_gap, pump);
 
-  sim.RunUntil(spec.horizon);
+  cluster.RunUntil(spec.horizon);
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   // Operations convergence: every uncancelled drain reached decommissioned,
   // and a requested rolling restart ran to completion.
@@ -303,10 +305,10 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
 
   for (auto& phase : phases) {
     std::sort(phase.latencies.begin(), phase.latencies.end());
@@ -318,8 +320,8 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
     result.digest.phases.push_back(std::move(out));
   }
 
-  result.digest.trace_hash = sim.trace_hash();
-  result.digest.events_processed = sim.events_processed();
+  result.digest.trace_hash = cluster.trace_hash();
+  result.digest.events_processed = cluster.events_processed();
   result.digest.drains_completed = cluster.coordinator().drains_completed();
   result.digest.restarts_completed = orchestrator.stats().restarts_completed;
   result.digest.migrations_completed = planner.stats().migrations_completed +

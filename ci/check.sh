@@ -59,6 +59,9 @@ fi
 step "test: ASan+UBSan"
 ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}"
 
+# The chaos, overload, rebalancer and scenario suites run on the one engine
+# there is (event lanes, one lane: recovery, the planner and the operations
+# layer touch other nodes directly and refuse more than one).
 step "chaos suite: lossy fabric + crash-restarts, 20 seeds, replayed bit-identically"
 "${ROOT}/build-asan/tests/chaos_test" --gtest_filter='Seeds/ChaosTest.*'
 
@@ -93,6 +96,8 @@ python3 "${ROOT}/perfbench/run.py" --selftest
 step "engine bench smoke (~2s; trace-hash divergence is a hard failure)"
 # Compare against the recorded trajectory without mutating it: the smoke
 # entry lands in a scratch copy, so CI stays read-only on BENCH_engine.json.
+# Every scenario's reference is the latest re-baseline that carries it
+# (post_one_engine for the single-lane scenarios).
 # The recorded trajectory must exist — without it the smoke compares against
 # nothing and the determinism check silently passes.
 if [[ ! -f "${ROOT}/BENCH_engine.json" ]]; then

@@ -35,7 +35,7 @@ int main() {
   // While the migration runs, write fresh values to migrating keys: they are
   // serviced by the *target* (immediate ownership transfer).
   std::map<std::string, std::string> fresh;
-  cluster.sim().RunUntil(100 * kMicrosecond);
+  cluster.RunUntil(100 * kMicrosecond);
   for (uint64_t i = 0; i < kRecords && fresh.size() < 25; i++) {
     const std::string key = Cluster::MakeKey(i, 30);
     if (HashKey(key) >= kMid) {
@@ -43,7 +43,7 @@ int main() {
       cluster.client(0).Write(kTable, key, fresh[key], [](Status) {});
     }
   }
-  cluster.sim().RunUntil(400 * kMicrosecond);
+  cluster.RunUntil(400 * kMicrosecond);
   std::printf("migration in flight (done=%d), dependencies registered: %zu\n",
               migration_done, cluster.coordinator().dependencies().size());
 
@@ -52,7 +52,7 @@ int main() {
   cluster.master(1).Crash();
   bool recovered = false;
   cluster.coordinator().HandleCrash(cluster.master(1).id(), [&] { recovered = true; });
-  cluster.sim().Run();
+  cluster.Run();
   std::printf("recovery complete: %d\n", recovered);
 
   // Ownership returned to the source.
@@ -76,7 +76,7 @@ int main() {
       fresh_ok += (status == Status::kOk && v == e);
     });
   }
-  cluster.sim().Run();
+  cluster.Run();
   std::printf("spot check: %d/%d records intact\n", intact, checked);
   std::printf("writes serviced by the crashed target: %d/%zu recovered via lineage\n", fresh_ok,
               fresh.size());

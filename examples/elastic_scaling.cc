@@ -29,7 +29,7 @@ void PrintPhase(Cluster& cluster, const char* phase) {
   std::printf("]  dispatch busy/s: ");
   for (size_t s = 0; s < cluster.num_masters(); s++) {
     std::printf("%.2f ", static_cast<double>(cluster.master(s).cores().total_dispatch_busy()) /
-                             static_cast<double>(cluster.sim().now() + 1));
+                             static_cast<double>(cluster.now() + 1));
     cluster.master(s).cores().ResetBusyCounters();
   }
   std::printf("\n");
@@ -41,9 +41,9 @@ void MigrateAndWait(Cluster& cluster, KeyHash start, KeyHash end, size_t source,
   std::optional<MigrationStats> stats;
   StartRocksteadyMigration(&cluster, kTable, start, end, source, target, RocksteadyOptions{},
                            [&](const MigrationStats& s) { stats = s; });
-  Tick deadline = cluster.sim().now() + 30 * kSecond;
-  while (!stats.has_value() && cluster.sim().now() < deadline) {
-    cluster.sim().RunUntil(cluster.sim().now() + kMillisecond);
+  Tick deadline = cluster.now() + 30 * kSecond;
+  while (!stats.has_value() && cluster.now() < deadline) {
+    cluster.RunUntil(cluster.now() + kMillisecond);
   }
   if (!stats.has_value()) {
     std::printf("  migration did not complete (bug)\n");
@@ -77,18 +77,18 @@ int main() {
   actor.set_read_latency(&reads);
   actor.Start();
 
-  cluster.sim().RunUntil(kSecond / 2);
+  cluster.RunUntil(kSecond / 2);
   PrintPhase(cluster, "start: everything on server 1");
 
   // --- Scale up: spread the table across three servers. ---
   MigrateAndWait(cluster, 2 * kQuarter, 3 * kQuarter - 1, 0, 1);
   MigrateAndWait(cluster, 3 * kQuarter, ~0ull, 0, 2);
-  cluster.sim().RunUntil(cluster.sim().now() + kSecond / 2);
+  cluster.RunUntil(cluster.now() + kSecond / 2);
   PrintPhase(cluster, "scaled up: servers 1,2,3 share the table");
 
   // --- Rebalance: move one quarter between the new servers. ---
   MigrateAndWait(cluster, 2 * kQuarter, 3 * kQuarter - 1, 1, 2);
-  cluster.sim().RunUntil(cluster.sim().now() + kSecond / 2);
+  cluster.RunUntil(cluster.now() + kSecond / 2);
   PrintPhase(cluster, "rebalanced: server 3 carries the upper half");
 
   // --- Scale down: consolidate everything back onto server 1, one tablet
@@ -96,10 +96,10 @@ int main() {
   // is two migrations). ---
   MigrateAndWait(cluster, 2 * kQuarter, 3 * kQuarter - 1, 2, 0);
   MigrateAndWait(cluster, 3 * kQuarter, ~0ull, 2, 0);
-  cluster.sim().RunUntil(cluster.sim().now() + kSecond / 2);
+  cluster.RunUntil(cluster.now() + kSecond / 2);
   PrintPhase(cluster, "scaled down: whole table back on server 1");
 
-  cluster.sim().Run();
+  cluster.Run();
   std::printf("\nread latency through four live reconfigurations:\n");
   const Histogram totals = reads.Total();
   std::printf("  ops=%llu median=%.1f us  99.9th=%.1f us  max window p999=%.1f us\n",

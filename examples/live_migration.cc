@@ -48,14 +48,14 @@ int main() {
 
   // At t = 0.5 s, live-migrate the upper half of the hash space to master 1.
   std::optional<MigrationStats> stats;
-  cluster.sim().At(kSecond / 2, [&] {
+  cluster.AtSafePoint(kSecond / 2, [&] {
     std::printf("t=0.5s: starting Rocksteady migration of the upper half...\n");
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, /*source=*/0, /*target=*/1,
                              RocksteadyOptions{},
                              [&](const MigrationStats& s) { stats = s; });
   });
 
-  cluster.sim().Run();
+  cluster.Run();
 
   if (stats.has_value()) {
     std::printf("migration done: %.1f MB in %.3f s (%.0f MB/s), %llu pulls, "
@@ -84,7 +84,7 @@ int main() {
                                      value == std::string(100, 'w')));
                            });
   }
-  cluster.sim().Run();
+  cluster.Run();
   std::printf("spot check after migration: %d/%d records intact\n", ok,
               static_cast<int>((kRecords + 996) / 997));
   std::printf("ownership of upper half now at master id %u (master 1 is id %u)\n",

@@ -25,17 +25,17 @@ int main() {
     pools[cluster.coordinator().OwnerOf(kTable, HashKey(key)) - 1].push_back(std::move(key));
   }
   cluster.client(0).Read(kTable, pools[0][0], [](Status, const std::string&) {});
-  cluster.sim().Run();
+  cluster.Run();
 
   std::printf("%8s %22s %26s\n", "spread", "Mobjects/s (total)", "RPCs issued per multiget");
   for (int spread = 1; spread <= kServers; spread++) {
     uint64_t objects = 0;
-    MultiGetLoop loop(&cluster, &cluster.client(0), kTable, &pools, spread, 7, &objects);
+    MultiGetLoop loop(&cluster.client(0), kTable, &pools, spread, 7, &objects);
     const uint64_t calls_before = cluster.rpc().calls_issued();
-    const Tick t0 = cluster.sim().now();
+    const Tick t0 = cluster.now();
     loop.Run(/*concurrency=*/192);
-    cluster.sim().RunUntil(t0 + kSecond / 20);
-    const double seconds = static_cast<double>(cluster.sim().now() - t0) / 1e9;
+    cluster.RunUntil(t0 + kSecond / 20);
+    const double seconds = static_cast<double>(cluster.now() - t0) / 1e9;
     const double rpcs_per_get =
         static_cast<double>(cluster.rpc().calls_issued() - calls_before) /
         (static_cast<double>(objects) / 7.0);
@@ -43,7 +43,7 @@ int main() {
                 rpcs_per_get);
     // Stop this configuration's loop and let in-flight multigets drain.
     loop.Stop();
-    cluster.sim().Run();
+    cluster.Run();
   }
   std::printf("\nco-locating access-correlated keys on one server multiplies cluster\n"
               "capacity -- the reason Rocksteady migrates at arbitrary boundaries.\n");

@@ -26,8 +26,7 @@ class RamCloudClient {
   using DoneCallback = std::function<void(Status)>;
   using ReadCallback = std::function<void(Status, const std::string& value)>;
 
-  // `lane` places this client machine's events on that event lane under
-  // sharded execution; ignored in legacy single-queue mode.
+  // `lane` places this client machine's events on that event lane.
   RamCloudClient(Coordinator* coordinator, const CostModel* costs, int lane = 0);
 
   RamCloudClient(const RamCloudClient&) = delete;

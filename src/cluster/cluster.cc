@@ -5,14 +5,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/common/dcheck.h"
+
 namespace rocksteady {
 
 namespace {
 
 std::unique_ptr<LaneSet> MakeLanes(const ClusterConfig& config) {
-  if (config.lanes <= 0) {
-    return nullptr;
-  }
+  ROCKSTEADY_CHECK(config.lanes >= 1);
   LaneSet::Config lane_config;
   lane_config.lanes = config.lanes;
   lane_config.threads = config.lane_threads;
@@ -28,16 +28,12 @@ std::unique_ptr<LaneSet> MakeLanes(const ClusterConfig& config) {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), lanes_(MakeLanes(config)), sim_(config.seed),
-      net_(RootSim(), &config_.costs), rpc_(RootSim(), &net_, &config_.costs) {
-  if (lanes_ != nullptr) {
-    net_.SetLanes(lanes_.get());
-    rpc_.SetLanes(lanes_.get());
-  }
-  const int lanes = lanes_ != nullptr ? lanes_->lanes() : 1;
+    : config_(config), lanes_(MakeLanes(config)), net_(lanes_.get(), &config_.costs),
+      rpc_(lanes_.get(), &net_, &config_.costs) {
+  const int lanes = lanes_->lanes();
   // The coordinator lives on lane 0; servers and clients round-robin across
   // lanes so the paper-shape cluster (24 servers) spreads evenly.
-  coordinator_ = std::make_unique<Coordinator>(RootSim(), &rpc_, &config_.costs);
+  coordinator_ = std::make_unique<Coordinator>(&lanes_->lane_sim(0), &rpc_, &config_.costs);
   for (int i = 0; i < config_.num_masters; i++) {
     masters_.push_back(std::make_unique<MasterServer>(coordinator_.get(), &config_.costs,
                                                       config_.master, i % lanes));
@@ -56,20 +52,6 @@ Cluster::Cluster(const ClusterConfig& config)
     clients_.push_back(
         std::make_unique<RamCloudClient>(coordinator_.get(), &config_.costs, i % lanes));
   }
-}
-
-size_t Cluster::Run() { return lanes_ != nullptr ? lanes_->Run() : sim_.Run(); }
-
-size_t Cluster::RunUntil(Tick t) {
-  return lanes_ != nullptr ? lanes_->RunUntil(t) : sim_.RunUntil(t);
-}
-
-void Cluster::AtSafePoint(Tick t, std::function<void()> fn) {
-  if (lanes_ != nullptr) {
-    lanes_->AtSafePoint(t, std::move(fn));
-    return;
-  }
-  sim_.At(t, [fn = std::move(fn)] { fn(); });
 }
 
 void Cluster::CreateTable(TableId table, size_t master_index) {

@@ -1,4 +1,4 @@
-// Cluster: wires a full simulated RAMCloud deployment in one Simulator —
+// Cluster: wires a full simulated RAMCloud deployment onto one LaneSet —
 // coordinator, N storage servers (master + backup + cores + NIC), and M
 // client machines — mirroring the paper's CloudLab testbed (Table 1).
 //
@@ -26,13 +26,9 @@ struct ClusterConfig {
   MasterConfig master;
   CostModel costs;
   uint64_t seed = 42;
-  // Sharded execution: > 0 runs the cluster on that many event lanes
-  // (servers/clients round-robined across them) with a deterministic merge;
-  // 0 keeps the legacy single event queue, byte-identical to prior traces.
-  // Lane-mode traces form their own hash domain: per-node RNG streams
-  // replace the shared simulator stream, so lane hashes differ from legacy
-  // hashes but are identical across lane counts and threading.
-  int lanes = 0;
+  // Event lanes (>= 1): servers and clients round-robin across them. Trace
+  // hashes are identical across lane counts and threading.
+  int lanes = 1;
   // With lanes > 1: execute lanes on real worker threads. Trace hashes are
   // identical with threads on or off.
   bool lane_threads = false;
@@ -45,33 +41,27 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // The root simulator: in sharded mode the coordinator's (lane 0, bound to
-  // the coordinator node), the single shared queue otherwise. Lane-mode
-  // code that needs *a* clock may use it; scheduling cross-cutting control
-  // actions must go through AtSafePoint instead.
-  Simulator& sim() { return lanes_ != nullptr ? coordinator_->sim() : sim_; }
   Network& net() { return net_; }
   RpcSystem& rpc() { return rpc_; }
   Coordinator& coordinator() { return *coordinator_; }
   const CostModel& costs() const { return config_.costs; }
   const ClusterConfig& config() const { return config_; }
 
-  // --- Mode-independent execution (prefer these over sim().Run*). ---
+  // --- Execution, from root context (setup code or a safe-point task). ---
+  // Inside an event, use the node-bound master(i)/client(i)/coordinator()
+  // .sim() instead: now() only advances between run segments.
   LaneSet* lanes() { return lanes_.get(); }
-  size_t Run();
-  size_t RunUntil(Tick t);
-  Tick now() const { return lanes_ != nullptr ? lanes_->now() : sim_.now(); }
-  uint64_t trace_hash() const {
-    return lanes_ != nullptr ? lanes_->trace_hash() : sim_.trace_hash();
-  }
-  size_t events_processed() const {
-    return lanes_ != nullptr ? lanes_->events_processed() : sim_.events_processed();
-  }
+  size_t Run() { return lanes_->Run(); }
+  size_t RunUntil(Tick t) { return lanes_->RunUntil(t); }
+  Tick now() const { return lanes_->now(); }
+  uint64_t trace_hash() const { return lanes_->trace_hash(); }
+  size_t events_processed() const { return lanes_->events_processed(); }
   // Runs `fn` once everything before `t` has executed and nothing at/after
-  // `t` has, with all lanes parked — the lane-safe home for cross-cutting
-  // control actions (migration kickoff, crash injection, operator actions).
-  // Legacy mode approximates with a plain event at `t`.
-  void AtSafePoint(Tick t, std::function<void()> fn);
+  // `t` has, with all lanes parked — the home for cross-cutting control
+  // actions (migration kickoff, crash injection, operator actions).
+  void AtSafePoint(Tick t, std::function<void()> fn) {
+    lanes_->AtSafePoint(t, std::move(fn));
+  }
 
   MasterServer& master(size_t i) { return *masters_.at(i); }
   RamCloudClient& client(size_t i) { return *clients_.at(i); }
@@ -98,13 +88,8 @@ class Cluster {
   static void MakeKeyInto(uint64_t id, size_t key_length, std::string* out);
 
  private:
-  // Root-context simulator access during construction (legacy: the shared
-  // queue; lane mode: lane 0). Must not be used before lanes_ is set.
-  Simulator* RootSim() { return lanes_ != nullptr ? &lanes_->lane_sim(0) : &sim_; }
-
   ClusterConfig config_;
-  std::unique_ptr<LaneSet> lanes_;  // Null in legacy mode. Before sim_/net_/rpc_: they wire to it.
-  Simulator sim_;                   // Legacy shared queue (idle in lane mode).
+  std::unique_ptr<LaneSet> lanes_;  // Before net_/rpc_: they wire to it.
   Network net_;
   RpcSystem rpc_;
   std::unique_ptr<Coordinator> coordinator_;

@@ -6,6 +6,7 @@
 #include "src/cluster/master_server.h"
 #include "src/cluster/recovery.h"
 #include "src/common/annotations.h"
+#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -110,6 +111,8 @@ bool Coordinator::AnyPlacementEligible(ServerId except) const {
 }
 
 Status Coordinator::BeginDrain(ServerId id) {
+  // Draining flips the master's state directly: one lane only.
+  ROCKSTEADY_CHECK(rpc_->lanes()->lanes() == 1);
   if (id < 1 || id > masters_.size()) {
     return Status::kInvalidState;
   }
@@ -660,6 +663,8 @@ void Coordinator::Restart() {
 }
 
 void Coordinator::StartFailureDetector() {
+  // Recovery touches other nodes' state directly: one lane only.
+  ROCKSTEADY_CHECK(rpc_->lanes()->lanes() == 1);
   if (failure_detector_running_) {
     return;
   }

@@ -81,7 +81,7 @@ class MasterServer {
   };
 
   // `lane` places the server's events (cores, NIC, timers) on that event
-  // lane under sharded execution; ignored in legacy single-queue mode.
+  // lane.
   MasterServer(Coordinator* coordinator, const CostModel* costs, const MasterConfig& config,
                int lane = 0);
 
@@ -93,8 +93,7 @@ class MasterServer {
   // This server's lane simulator, bound to its node (Simulator::ForNode).
   Simulator& sim() { return sim_->ForNode(node()); }
   // The RNG this server's event-path code must draw from: its private
-  // per-node stream in lane mode (draws in this node's event order are
-  // lane-invariant), the shared simulator stream otherwise.
+  // per-node stream (draws in this node's event order are lane-invariant).
   Random& rng() { return *rng_; }
   RpcSystem& rpc() { return coordinator_->rpc(); }
   Coordinator& coordinator() { return *coordinator_; }

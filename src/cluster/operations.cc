@@ -2,6 +2,7 @@
 
 #include "src/cluster/coordinator.h"
 #include "src/cluster/master_server.h"
+#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -20,6 +21,8 @@ RollingRestartOrchestrator::~RollingRestartOrchestrator() {
 }
 
 void RollingRestartOrchestrator::Start(std::function<void()> done) {
+  // Crashes and restarts other nodes directly: one lane only.
+  ROCKSTEADY_CHECK(cluster_->lanes()->lanes() == 1);
   if (running_) {
     return;
   }
@@ -88,7 +91,7 @@ void RollingRestartOrchestrator::OnRecoveryComplete(ServerId id) {
   }
   // Rejoin only after re-homing finished, then give the cluster a settle
   // window before the next master goes down.
-  cluster_->sim().After(options_.restart_delay_ns, [this, alive = alive_, id] {
+  cluster_->coordinator().sim().After(options_.restart_delay_ns, [this, alive = alive_, id] {
     if (!*alive || !running_) {
       return;
     }
@@ -98,7 +101,7 @@ void RollingRestartOrchestrator::OnRecoveryComplete(ServerId id) {
       stats_.restarts_completed++;
     }
     in_flight_ = 0;
-    cluster_->sim().After(options_.settle_ns, [this, alive = alive_] {
+    cluster_->coordinator().sim().After(options_.settle_ns, [this, alive = alive_] {
       if (*alive && running_) {
         StepNext();
       }

@@ -78,4 +78,14 @@ template <typename A, typename B>
 #define ROCKSTEADY_DCHECK_GE(a, b) ROCKSTEADY_DCHECK_OP(>=, a, b)
 #define ROCKSTEADY_DCHECK_GT(a, b) ROCKSTEADY_DCHECK_OP(>, a, b)
 
+// Always-on check, for cold configuration guards whose violation would
+// silently corrupt a run in any build type (e.g. a subsystem that touches
+// other nodes' state directly being started on more than one lane).
+#define ROCKSTEADY_CHECK(condition)                                          \
+  do {                                                                       \
+    if (!(condition)) {                                                      \
+      ::rocksteady::DcheckFail(__FILE__, __LINE__, #condition, std::string()); \
+    }                                                                        \
+  } while (0)
+
 #endif  // ROCKSTEADY_SRC_COMMON_DCHECK_H_

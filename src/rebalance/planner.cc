@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -33,6 +34,8 @@ RebalancePlanner::~RebalancePlanner() {
 }
 
 void RebalancePlanner::Start() {
+  // Planning reads and drives every master directly: one lane only.
+  ROCKSTEADY_CHECK(cluster_->lanes()->lanes() == 1);
   if (running_) {
     return;
   }
@@ -43,7 +46,7 @@ void RebalancePlanner::Start() {
 void RebalancePlanner::Stop() { running_ = false; }
 
 void RebalancePlanner::ScheduleRound() {
-  cluster_->sim().After(options_.planner_interval_ns, [this, alive = alive_] {
+  cluster_->coordinator().sim().After(options_.planner_interval_ns, [this, alive = alive_] {
     if (!*alive || !running_) {
       return;
     }
@@ -223,7 +226,7 @@ void RebalancePlanner::LaunchMigration(const TabletLoadSample& tablet, ServerId 
   stats_.migrations_started++;
   state_ = State::kMigrating;
   imbalanced_rounds_ = 0;
-  migration_deadline_ = cluster_->sim().now() + options_.migration_deadline_ns;
+  migration_deadline_ = cluster_->coordinator().sim().now() + options_.migration_deadline_ns;
   StartRocksteadyMigration(
       cluster_, tablet.table, tablet.start_hash, tablet.end_hash, source_index, target_index,
       options_.migration, [this, alive = alive_](const MigrationStats&) {
@@ -233,7 +236,7 @@ void RebalancePlanner::LaunchMigration(const TabletLoadSample& tablet, ServerId 
         stats_.migrations_completed++;
         if (state_ == State::kMigrating) {
           state_ = State::kCooldown;
-          cooldown_until_ = cluster_->sim().now() + options_.cooldown_ns;
+          cooldown_until_ = cluster_->coordinator().sim().now() + options_.cooldown_ns;
         }
       });
 }
@@ -413,7 +416,7 @@ bool RebalancePlanner::PlanDrain(Tick now) {
 
 void RebalancePlanner::PlanOnce() {
   stats_.rounds++;
-  const Tick now = cluster_->sim().now();
+  const Tick now = cluster_->coordinator().sim().now();
   Coordinator& coordinator = cluster_->coordinator();
   if (coordinator.crashed()) {
     return;  // No map to plan against; frames keep accumulating.

@@ -9,15 +9,12 @@
 namespace rocksteady {
 
 RpcEndpoint* RpcSystem::CreateEndpoint(CoreSet* cores, int lane) {
-  const NodeId node = net_->AddNode();
+  const NodeId node = net_->AddNode(lane);
   assert(node == endpoints_.size());
   if (cores != nullptr) {
     cores->BindNode(node);
   }
-  if (lanes_ != nullptr) {
-    lanes_->AssignNode(node, lane);
-    next_call_id_node_.emplace_back();
-  }
+  next_call_id_node_.emplace_back();
   endpoints_.push_back(std::make_unique<RpcEndpoint>(this, node, cores, SimOfLane(lane)));
   return endpoints_.back().get();
 }
@@ -26,9 +23,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
                      ResponseCallback cb, Tick timeout) {
   Simulator* csim = SimFor(from);
   const uint64_t call_id =
-      lanes_ != nullptr
-          ? ((static_cast<uint64_t>(from) + 1) << kCallerShift) | next_call_id_node_[from].value++
-          : next_call_id_++;
+      ((static_cast<uint64_t>(from) + 1) << kCallerShift) | next_call_id_node_[from].value++;
   const Opcode op = request->op();
   const Tick deadline = timeout > 0 ? csim->now() + timeout : 0;
 
@@ -38,9 +33,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   pending.request = IntrusivePtr<RpcRequest>(std::move(request));
   pending.cb = std::move(cb);
   pending.deadline = deadline;
-  if (lanes_ != nullptr) {
-    pending.wire = pending.request->WireSize();
-  }
+  pending.wire = pending.request->WireSize();
   PendingFor(call_id)[call_id] = std::move(pending);
 
   if (timeout > 0) {
@@ -68,19 +61,12 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   }
   pending->attempts++;
   if (pending->attempts > 1) {
-    if (lanes_ != nullptr) {
-      lane_retransmissions_[static_cast<size_t>(lanes_->lane_of(pending->caller))].value++;
-    } else {
-      retransmissions_++;
-    }
+    lane_retransmissions_[static_cast<size_t>(lanes_->lane_of(pending->caller))].value++;
   }
   const NodeId from = pending->caller;
   const NodeId to = pending->server;
   const bool retransmittable = pending->deadline != 0;
-  // Lane mode must not re-measure the shared request (the server's handler
-  // may be moving payload out of it on another lane); legacy re-measures per
-  // attempt, matching recorded traces.
-  const size_t wire = lanes_ != nullptr ? pending->wire : pending->request->WireSize();
+  const size_t wire = pending->wire;
   // The delivery closure holds its own reference and *copies* it into
   // Deliver: the fabric may invoke the closure twice (duplication), so it
   // must not consume its captures.
@@ -269,29 +255,30 @@ uint64_t RpcEndpoint::CurrentEpoch() const { return cores_ != nullptr ? cores_->
 
 void RpcSystem::TransmitResponse(uint64_t call_id, NodeId server_node,
                                  std::unique_ptr<RpcResponse> response) {
-  NodeId caller;
-  if (lanes_ != nullptr) {
-    // Server lane: the caller's pending table is not ours to read. The
-    // call_id carries the caller id; a response to a caller that already
-    // gave up is dropped on the caller's own lane below instead of here.
-    caller = CallerOf(call_id);
-  } else {
-    PendingCall* pending = pending_.Find(call_id);
-    if (pending == nullptr) {
-      return;  // Caller gave up (deadline) or already got an earlier copy.
-    }
-    caller = pending->caller;
-  }
+  // Server lane: the caller's pending table is not ours to read. The
+  // call_id carries the caller id; a response to a caller that already
+  // gave up is dropped on the caller's own lane below instead of here.
+  const NodeId caller = CallerOf(call_id);
   const size_t wire = response->WireSize();
 
   // The pending entry survives until the response actually reaches the
   // caller: if the fabric eats this response, a later retransmission (or a
   // server-side replay of the cached response) still has a home to land in.
   // The delivery closure may run twice (fabric duplication): the first copy
-  // moves the response out, the loser still goes through dispatch (charging
-  // the poll cost, as a real duplicate would) and bails on the null.
+  // moves the response out; a loser that arrives while the winner is still
+  // queued for dispatch pays the poll and bails on the null.
   net_->Send(server_node, caller, wire,
              [this, caller, call_id, resp = std::move(response)]() mutable {
+               // A response to a call that already completed or gave up is
+               // dropped at the caller's NIC, before the dispatch poll. The
+               // server cannot tell it is stale, so every retransmission of
+               // a completed call sends one; charging each a poll makes a
+               // congested caller slower, which makes it retransmit more — a
+               // storm that outlives its cause (a recovery master's
+               // re-replication burst sustained one for seconds).
+               if (PendingFor(call_id).Find(call_id) == nullptr) {
+                 return;
+               }
                RpcEndpoint* endpoint = Endpoint(caller);
                auto deliver = [this, call_id, resp = std::move(resp)]() mutable {
                  FlatMap64<PendingCall>& table = PendingFor(call_id);

@@ -92,8 +92,7 @@ class RpcEndpoint {
   NodeId node() const { return node_; }
   CoreSet* cores() const { return cores_; }
   RpcSystem* system() const { return system_; }
-  // The simulator this endpoint's events execute on (its lane's, in lane
-  // mode; the shared one otherwise).
+  // The simulator this endpoint's events execute on (its lane's).
   Simulator* sim() const { return sim_; }
 
   uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
@@ -158,26 +157,19 @@ class RpcSystem {
   using ResponseCallback =
       InlineFunction<void(Status, std::unique_ptr<RpcResponse>), kCallbackInlineBytes>;
 
-  RpcSystem(Simulator* sim, Network* net, const CostModel* costs)
-      : sim_(sim), net_(net), costs_(costs) {}
+  // Callers' timers, jitter draws, and pending tables live in per-lane
+  // (and per-node) homes so no RPC state is touched from two lanes.
+  RpcSystem(LaneSet* lanes, Network* net, const CostModel* costs)
+      : net_(net), costs_(costs), lanes_(lanes),
+        pending_lanes_(static_cast<size_t>(lanes->lanes())),
+        lane_retransmissions_(static_cast<size_t>(lanes->lanes())) {}
 
   RpcSystem(const RpcSystem&) = delete;
   RpcSystem& operator=(const RpcSystem&) = delete;
 
-  // Lane mode: callers' timers, jitter draws, and pending tables move to
-  // per-lane (and per-node) homes so no RPC state is touched from two lanes.
-  // Call once at setup, before any CreateEndpoint.
-  void SetLanes(LaneSet* lanes) {
-    lanes_ = lanes;
-    while (pending_lanes_.size() < static_cast<size_t>(lanes->lanes())) {
-      pending_lanes_.emplace_back();
-    }
-    lane_retransmissions_.assign(static_cast<size_t>(lanes->lanes()), PaddedCount{});
-  }
   LaneSet* lanes() const { return lanes_; }
 
-  // Creates an endpoint on a fresh network node, placed on `lane` (ignored
-  // in legacy mode).
+  // Creates an endpoint on a fresh network node, placed on `lane`.
   RpcEndpoint* CreateEndpoint(CoreSet* cores, int lane = 0);
 
   // Issues an RPC. `timeout` of zero means one attempt and no deadline.
@@ -191,25 +183,17 @@ class RpcSystem {
     return node < endpoints_.size() ? endpoints_[node].get() : nullptr;
   }
 
-  Simulator* sim() const { return sim_; }
   Network* net() const { return net_; }
   const CostModel* costs() const { return costs_; }
 
-  // The simulator owning a given lane / a given node's events. In legacy
-  // mode both collapse to the single shared simulator.
-  Simulator* SimOfLane(int lane) { return lanes_ != nullptr ? &lanes_->lane_sim(lane) : sim_; }
-  Simulator* SimFor(NodeId node) { return lanes_ != nullptr ? lanes_->SimFor(node) : sim_; }
-  // The RNG a caller draws jitter/backoff from: the node's private stream in
-  // lane mode (draws in node event order are lane-invariant), the shared
-  // simulator stream otherwise.
-  Random& CallerRng(NodeId node) {
-    return lanes_ != nullptr ? lanes_->NodeRng(node) : sim_->rng();
-  }
+  // The simulator owning a given lane / a given node's events.
+  Simulator* SimOfLane(int lane) { return &lanes_->lane_sim(lane); }
+  Simulator* SimFor(NodeId node) { return lanes_->SimFor(node); }
+  // The RNG a caller draws jitter/backoff from: the node's private stream
+  // (draws in node event order are lane-invariant).
+  Random& CallerRng(NodeId node) { return lanes_->NodeRng(node); }
 
   uint64_t calls_issued() const {
-    if (lanes_ == nullptr) {
-      return next_call_id_;
-    }
     uint64_t total = 0;
     for (const PaddedCount& count : next_call_id_node_) {
       total += count.value;
@@ -217,7 +201,7 @@ class RpcSystem {
     return total;
   }
   uint64_t retransmissions() const {
-    uint64_t total = retransmissions_;
+    uint64_t total = 0;
     for (const PaddedCount& shard : lane_retransmissions_) {
       total += shard.value;
     }
@@ -234,10 +218,9 @@ class RpcSystem {
     ResponseCallback cb;
     Tick deadline = 0;  // 0 = wait forever, no retransmission.
     int attempts = 0;
-    // Lane mode caches the wire size at Call time: the server's handler may
-    // be moving payload out of the request on its own lane while the caller
+    // The wire size, measured at Call time: the server's handler may be
+    // moving payload out of the request on its own lane while the caller
     // retransmits, so attempts must not re-measure the shared object.
-    // (Legacy mode re-measures per attempt, preserving recorded traces.)
     size_t wire = 0;
   };
 
@@ -250,19 +233,16 @@ class RpcSystem {
     FlatMap64<PendingCall> calls;
   };
 
-  // Lane-mode call_ids carry their caller: ((node + 1) << kCallerShift) | n.
-  // The +1 keeps the id space disjoint from legacy's bare counter, and lets
-  // the server side recover the caller without touching its pending table.
+  // call_ids carry their caller: ((node + 1) << kCallerShift) | n, so the
+  // server side recovers the caller without touching its pending table.
   static constexpr int kCallerShift = 40;
   static NodeId CallerOf(uint64_t call_id) {
     return static_cast<NodeId>((call_id >> kCallerShift) - 1);
   }
-  // The pending table owning `call_id` — the caller's lane's table in lane
-  // mode (only ever touched from that lane), the shared one otherwise.
+  // The pending table owning `call_id`: the caller's lane's table, only
+  // ever touched from that lane.
   FlatMap64<PendingCall>& PendingFor(uint64_t call_id) {
-    return lanes_ != nullptr
-               ? pending_lanes_[static_cast<size_t>(lanes_->lane_of(CallerOf(call_id)))].calls
-               : pending_;
+    return pending_lanes_[static_cast<size_t>(lanes_->lane_of(CallerOf(call_id)))].calls;
   }
 
   // Transmits one attempt of a pending call and, when a deadline is set,
@@ -274,30 +254,25 @@ class RpcSystem {
   void TransmitResponse(uint64_t call_id, NodeId server_node,
                         std::unique_ptr<RpcResponse> response);
 
-  Simulator* sim_;
   Network* net_;
   const CostModel* costs_;
-  LaneSet* lanes_ = nullptr;  // Null in legacy single-queue mode.
+  LaneSet* lanes_;
 
   // Appended at setup only; lanes read concurrently through Endpoint().
   ROCKSTEADY_SHARED_GUARDED("grown at setup only; read-only while lanes run")
   std::vector<std::unique_ptr<RpcEndpoint>> endpoints_;
 
-  // Bounded by the callers' outstanding RPCs: an entry is erased when its
-  // response is delivered, its timeout fires, or its endpoint halts.
-  FlatMap64<PendingCall> pending_;  // Legacy mode.
-  // Lane mode: one pending table per lane, touched only from its own lane
-  // (responses hop to the caller's lane before the lookup). Bounded like
-  // pending_ above; the deque itself is fixed at SetLanes (lane count).
+  // One pending table per lane, touched only from its own lane (responses
+  // hop to the caller's lane before the lookup). Bounded by the callers'
+  // outstanding RPCs: an entry is erased when its response is delivered or
+  // its timeout fires; the vector itself is fixed at the lane count.
   ROCKSTEADY_SHARED_GUARDED("per-lane tables; each touched only by its owning lane")
-  std::deque<PaddedPending> pending_lanes_;  // lint:bounded — fixed lane count; entries erased on completion.
+  std::vector<PaddedPending> pending_lanes_;  // lint:bounded — fixed lane count; entries erased on completion.
 
-  uint64_t next_call_id_ = 0;  // Legacy mode.
-  // Lane mode: per-node call counters (slot i touched only by node i's lane).
+  // Per-node call counters (slot i touched only by node i's lane).
   ROCKSTEADY_SHARED_GUARDED("per-node slots; slot i written only by node i's lane")
   std::vector<PaddedCount> next_call_id_node_;
 
-  uint64_t retransmissions_ = 0;  // Legacy mode.
   ROCKSTEADY_SHARED_GUARDED("per-lane shards; each written only by its owning lane")
   std::vector<PaddedCount> lane_retransmissions_;
 };

@@ -1,5 +1,7 @@
 #include "src/sim/fault_injector.h"
 
+#include "src/common/dcheck.h"
+
 namespace rocksteady {
 
 FaultInjector::Decision FaultInjector::OnMessage(uint32_t from, uint32_t to) {
@@ -12,7 +14,8 @@ FaultInjector::Decision FaultInjector::OnMessage(uint32_t from, uint32_t to) {
     dup_p = override->duplicate_probability;
   }
 
-  Random& rng = sender_rng_.empty() ? rng_ : sender_rng_[from];
+  ROCKSTEADY_DCHECK(from < sender_rng_.size());  // Installed on a Network.
+  Random& rng = sender_rng_[from];
 
   Decision decision;
   if (int* remaining = drop_next_.Find(link); remaining != nullptr && *remaining > 0) {

@@ -1,8 +1,10 @@
 // Deterministic fault injection for the simulated fabric and cores.
 //
-// FoundationDB-style: all faults are drawn from a dedicated seeded RNG in
+// FoundationDB-style: all faults are drawn from seeded RNG streams in
 // deterministic event order, so a chaos run is a pure function of its seed —
-// a failing seed replays bit-identically under a debugger. The injector is
+// a failing seed replays bit-identically under a debugger. Every sender has
+// its own stream, so each draw sequence depends only on that node's send
+// order, which is lane-count- and thread-invariant. The injector is
 // consulted by Network::Send (per-message drop / duplication / extra delay)
 // and drives straggler and crash/restart schedules through callbacks the
 // cluster installs. With no injector installed (the default), the fabric
@@ -11,8 +13,7 @@
 // OnMessage is on the per-message hot path, so the link tables are flat
 // open-addressed maps keyed on the packed (from, to) pair and the Decision
 // is a fixed-size value (at most two copies exist) — no per-message
-// allocation. The draw order is identical to the original std::map/vector
-// implementation, so chaos trace hashes are unchanged.
+// allocation.
 #ifndef ROCKSTEADY_SRC_SIM_FAULT_INJECTOR_H_
 #define ROCKSTEADY_SRC_SIM_FAULT_INJECTOR_H_
 
@@ -47,26 +48,18 @@ class FaultInjector {
     std::array<Tick, 2> extra_delay_ns{};
   };
 
-  explicit FaultInjector(const Config& config) : config_(config), rng_(config.seed) {}
+  explicit FaultInjector(const Config& config) : config_(config) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Draws the fate of one message on link from->to. Called by Network::Send
-  // in event order, which keeps the draw sequence deterministic.
+  // Draws the fate of one message on link from->to from the sender's
+  // stream. Called by Network::Send in the sender's event order, which
+  // keeps the draw sequence deterministic. Network::SetFaultInjector sizes
+  // the streams; the one-shot DropNext/DuplicateNext helpers and
+  // SetLinkOverride are setup-time-only with more than one lane (their
+  // tables are read-only while lanes run).
   Decision OnMessage(uint32_t from, uint32_t to);
-
-  // Lane mode: gives every sender its own seeded stream, so each draw
-  // sequence depends only on that node's send order — which is lane-count-
-  // and thread-invariant — instead of the global interleaving of sends.
-  // Call once at setup. The one-shot DropNext/DuplicateNext helpers and
-  // SetLinkOverride remain setup-time-only under lanes (their tables are
-  // read-only while lanes run).
-  void EnablePerSenderStreams(size_t num_nodes) {
-    for (size_t node = sender_rng_.size(); node < num_nodes; node++) {
-      sender_rng_.emplace_back(Mix64(config_.seed + 0x9E3779B97F4A7C15ull * (node + 1)));
-    }
-  }
 
   // Overrides the link-level probabilities for one directed link (regression
   // tests use this to lose exactly the response path of an RPC).
@@ -84,18 +77,25 @@ class FaultInjector {
   }
 
   const Config& config() const { return config_; }
-  Random& rng() { return rng_; }
 
  private:
+  friend class Network;
+
+  // One seeded stream per sender node; installing on a Network calls this.
+  void SizeSenderStreams(size_t num_nodes) {
+    for (size_t node = sender_rng_.size(); node < num_nodes; node++) {
+      sender_rng_.emplace_back(Mix64(config_.seed + 0x9E3779B97F4A7C15ull * (node + 1)));
+    }
+  }
+
   struct LinkOverride {
     double drop_probability = 0.0;
     double duplicate_probability = 0.0;
   };
 
   Config config_;
-  Random rng_;  // Dedicated stream: fault draws never perturb workload RNG use.
-  // Lane mode: per-sender streams (stable addresses; draws happen on the
-  // sender's lane only). Empty in legacy mode — the shared rng_ is used.
+  // Per-sender streams (stable addresses; draws happen on the sender's lane
+  // only). Fault draws never perturb a node's workload stream.
   ROCKSTEADY_SHARED_GUARDED("per-sender slots; stream i drawn only from node i's lane")
   std::deque<Random> sender_rng_;
   ROCKSTEADY_SHARED_GUARDED("all lanes read on the send path; mutated only at setup (lanes parked)")

@@ -40,8 +40,7 @@ LaneSet::LaneSet(const Config& config)
   ROCKSTEADY_DCHECK_GE(config.lookahead, Tick{1});
   const auto n = static_cast<size_t>(config.lanes);
   for (size_t l = 0; l < n; l++) {
-    sims_.push_back(std::make_unique<Simulator>(Mix64(config.seed ^ l)));
-    sims_.back()->BeginLaneMode(this, static_cast<int>(l));
+    sims_.push_back(std::unique_ptr<Simulator>(new Simulator(this, static_cast<int>(l))));
   }
   mail_.resize(2 * n * n);
   fronts_.resize(2 * n);
@@ -309,6 +308,7 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
       cap_ = std::min(cap_, safe_points_.front().t);
     }
     const Tick horizon = Horizon(gm);
+    in_windows_ = true;
     if (threaded) {
       start_horizon_ = horizon;
       start_.fetch_add(1, std::memory_order_release);
@@ -317,6 +317,7 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
     } else {
       RunWindows(kAllLanes, horizon);
     }
+    in_windows_ = false;
   }
 }
 

@@ -88,17 +88,22 @@ class LaneSet {
   // --- Safe-point tasks. ---
   // Runs `fn` on the driving thread once every event before time `t` has
   // executed and before any event at or after `t` does, with all lanes
-  // parked — the lane-mode home for cross-cutting control actions
-  // (migration kickoff, operator actions) that legacy code runs as plain
-  // events. Placement depends only on the global event timeline, so it is
-  // lane-count- and thread-invariant.
+  // parked — the home for cross-cutting control actions (migration
+  // kickoff, crash injection, operator actions). Placement depends only on
+  // the global event timeline, so it is lane-count- and thread-invariant.
   void AtSafePoint(Tick t, std::function<void()> fn);  // lint:allow-churn — cold, a handful per run.
 
   // --- Execution (same contract as Simulator::Run / RunUntil). ---
   size_t Run();
   size_t RunUntil(Tick t);
 
-  Tick now() const { return now_; }
+  // The clock of root context: where the last run segment or safe point
+  // left it. Inside an event use the node's Simulator::now() — this value
+  // only advances between run segments (checked in debug builds).
+  Tick now() const {
+    ROCKSTEADY_DCHECK(!in_windows_);
+    return now_;
+  }
   // The per-node dispatch digests folded in node-id order.
   uint64_t trace_hash() const;
   size_t events_processed() const;
@@ -206,6 +211,9 @@ class LaneSet {
   int parity_ = 0;
   ROCKSTEADY_SHARED_GUARDED("main thread writes with workers parked; read-only in runs")
   bool stopping_ = false;
+  // True while lanes run windows (so no code runs in root context).
+  ROCKSTEADY_SHARED_GUARDED("main thread writes with workers parked; read-only in runs")
+  bool in_windows_ = false;
 
   alignas(64) Epoch start_{0};       // Bumped to start a run segment (or stop).
   alignas(64) Epoch arrived_{0};     // Lanes at the current barrier.

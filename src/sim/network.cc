@@ -26,7 +26,7 @@ void Network::ReleaseShared(size_t pool, SharedDelivery* shared) {
 }
 
 void Network::ScheduleDelivery(Simulator* src, NodeId to, Tick arrive, EventFn ev) {
-  if (lanes_ != nullptr && lanes_->SimFor(to) != src) {
+  if (lanes_->SimFor(to) != src) {
     // The conservative horizon guarantees arrive >= the current window's
     // end (serialization >= net_per_message_ns, plus propagation), so the
     // mailbox post is always legal.
@@ -38,7 +38,7 @@ void Network::ScheduleDelivery(Simulator* src, NodeId to, Tick arrive, EventFn e
 
 void Network::Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery) {
   assert(from < egress_.size() && to < egress_.size());
-  Simulator* src = lanes_ != nullptr ? lanes_->SimFor(from) : sim_;
+  Simulator* src = lanes_->SimFor(from);
   Counters& stats = counters_[LaneOf(from)];
   if (node_down_[from]) {
     stats.dropped_from_down_node++;

@@ -44,31 +44,29 @@ using NetFn = InlineFunction<void(), kNetInlineCallbackBytes>;
 
 class Network {
  public:
-  Network(Simulator* sim, const CostModel* costs) : sim_(sim), costs_(costs) {
-    counters_.resize(1);
-    pools_.resize(1);
-  }
+  // Sends execute on the sender's lane, deliveries on the receiver's.
+  // Cross-lane deliveries route through the LaneSet mailboxes; counters and
+  // the fault-path delivery pool are per-lane so the hot path never touches
+  // another lane's cache line.
+  Network(LaneSet* lanes, const CostModel* costs)
+      : costs_(costs), lanes_(lanes), pools_(static_cast<size_t>(lanes->lanes())),
+        counters_(static_cast<size_t>(lanes->lanes())) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   static constexpr size_t kBulkThresholdBytes = 4096;
 
-  // Lane mode: sends execute on the sender's lane, deliveries on the
-  // receiver's. Cross-lane deliveries route through the LaneSet mailboxes;
-  // counters and the fault-path delivery pool become per-lane so the hot
-  // path never touches another lane's cache line. Call once at setup,
-  // before any Send.
-  void SetLanes(LaneSet* lanes) {
-    lanes_ = lanes;
-    counters_.assign(static_cast<size_t>(lanes->lanes()), Counters{});
-    pools_.resize(static_cast<size_t>(lanes->lanes()));
-  }
-
-  NodeId AddNode() {
+  // Adds a node whose events run on `lane` (setup time, before any Run).
+  NodeId AddNode(int lane = 0) {
+    const auto node = static_cast<NodeId>(egress_.size());
+    lanes_->AssignNode(node, lane);
     egress_.emplace_back();
     node_down_.push_back(false);
-    return static_cast<NodeId>(egress_.size() - 1);
+    if (fault_injector_ != nullptr) {
+      fault_injector_->SizeSenderStreams(egress_.size());
+    }
+    return node;
   }
   size_t NumNodes() const { return egress_.size(); }
 
@@ -81,14 +79,20 @@ class Network {
   void Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery);
 
   // Crash simulation: messages in flight to a down node are dropped at
-  // delivery time; messages from it are not sent. In lane mode this must be
-  // called from a safe point (all lanes parked) — every lane reads the flag.
+  // delivery time; messages from it are not sent. With more than one lane
+  // this must be called from a safe point (all lanes parked) — every lane
+  // reads the flag.
   void SetNodeDown(NodeId node, bool down) { node_down_[node] = down; }
   bool IsNodeDown(NodeId node) const { return node_down_[node]; }
 
   // Installs (or removes, with nullptr) a fault injector consulted on every
-  // Send. Not owned; must outlive the network while installed.
+  // Send, giving it one fault stream per node (nodes added later get theirs
+  // in AddNode). Not owned; must outlive the network while installed. Setup
+  // time or a safe point.
   void SetFaultInjector(FaultInjector* injector) {
+    if (injector != nullptr) {
+      injector->SizeSenderStreams(egress_.size());
+    }
     fault_injector_ = injector;
     faults_ever_installed_ = faults_ever_installed_ || injector != nullptr;
   }
@@ -100,7 +104,7 @@ class Network {
   // duplicate-defense work must check this, not fault_injector().
   bool faults_ever_installed() const { return faults_ever_installed_; }
 
-  // Counter accessors sum the per-lane shards (one shard in legacy mode).
+  // Counter accessors sum the per-lane shards.
   uint64_t total_bytes_sent() const { return SumCounter(&Counters::total_bytes_sent); }
   uint64_t total_messages() const { return SumCounter(&Counters::total_messages); }
 
@@ -127,7 +131,7 @@ class Network {
   };
 
   // Send-side statistics, sharded per lane (cache-line spaced so lanes never
-  // false-share); legacy mode uses shard 0 only.
+  // false-share).
   struct alignas(64) Counters {
     uint64_t total_bytes_sent = 0;
     uint64_t total_messages = 0;
@@ -151,9 +155,7 @@ class Network {
   };
 
   // The lane a node's events execute on: counter/pool shard index.
-  size_t LaneOf(NodeId node) const {
-    return lanes_ != nullptr ? static_cast<size_t>(lanes_->lane_of(node)) : 0;
-  }
+  size_t LaneOf(NodeId node) const { return static_cast<size_t>(lanes_->lane_of(node)); }
   uint64_t SumCounter(uint64_t Counters::* field) const {
     uint64_t total = 0;
     for (const Counters& shard : counters_) {
@@ -164,13 +166,12 @@ class Network {
 
   SharedDelivery* AllocShared(size_t pool);
   void ReleaseShared(size_t pool, SharedDelivery* shared);
-  // Schedules a delivery event: same-lane (and legacy) through the source
-  // simulator, cross-lane through the LaneSet mailbox.
+  // Schedules a delivery event: same-lane through the source simulator,
+  // cross-lane through the LaneSet mailbox.
   void ScheduleDelivery(Simulator* src, NodeId to, Tick arrive, EventFn ev);
 
-  Simulator* sim_;
   const CostModel* costs_;
-  LaneSet* lanes_ = nullptr;  // Null in legacy single-queue mode.
+  LaneSet* lanes_;
 
   // Per-node slots: only the owning node's lane ever touches index i.
   ROCKSTEADY_SHARED_GUARDED("per-node egress slots; only node i's lane reads/writes index i")

@@ -12,7 +12,10 @@ bool Simulator::EventLater(const Event* a, const Event* b) {
   return a->time != b->time ? a->time > b->time : a->seq > b->seq;
 }
 
-Simulator::Simulator(uint64_t seed) : rng_(seed) {}
+Simulator::Simulator() = default;
+
+Simulator::Simulator(LaneSet* lane_set, int lane)
+    : lane_(lane), lane_set_(lane_set), root_node_(kNoNode) {}
 
 Simulator::~Simulator() {
   // Slab destruction runs every Event's destructor, releasing any state
@@ -50,9 +53,8 @@ void Simulator::FreeEvent(Event* e) {
 
 void Simulator::InsertRing(Event* e, uint64_t ab) {
   BucketList& bucket = buckets_[ab & kBucketMask];
-  // Insert sorted by (time, seq), scanning from the tail: seq is globally
-  // monotone, so a fresh event nearly always appends in O(1); only overflow
-  // adoptions and release-mode past-clamps ever walk.
+  // Insert sorted by (time, seq), scanning from the tail: a bucket spans
+  // ~1 us, so a fresh event nearly always sorts last and appends in O(1).
   Event* after = bucket.tail;
   while (after != nullptr &&
          (after->time > e->time || (after->time == e->time && after->seq > e->seq))) {
@@ -185,43 +187,31 @@ void Simulator::At(Tick t, NodeId node, EventFn fn) {
   if (t < now_) {
     t = now_;
   }
-  if (lane_mode_) {
-    Enqueue(t, LaneKey(node), std::move(fn));
-    return;
-  }
-  Event* e = AllocEvent();
-  e->time = t;
-  e->seq = next_seq_++;
-  e->fn = std::move(fn);
-  InsertQueued(e);
+  Enqueue(t, LaneKey(node), std::move(fn));
 }
 
-// --- Lane mode (driven by LaneSet; see lane_set.cc for the window loop). ---
-
-void Simulator::BeginLaneMode(LaneSet* lane_set, int lane) {
-  lane_mode_ = true;
-  lane_set_ = lane_set;
-  lane_ = lane;
-}
+// --- Keys and dispatch (a LaneSet drives the window loop; lane_set.cc). ---
 
 uint64_t Simulator::LaneKey(NodeId exec) {
-  ROCKSTEADY_DCHECK(exec < lane_set_->clocks_.size());
+  ROCKSTEADY_DCHECK(lane_set_ != nullptr ? exec < lane_set_->clocks_.size() : exec == 0);
   uint64_t origin = 0;  // Root context.
   uint64_t counter;
   if (running_node_ != kNoNode) {
     origin = uint64_t{running_node_} + 1;
     counter = clocks_[running_node_].next++;
   } else {
-    counter = lane_set_->root_next_++;  // Every lane is parked.
+    // Every lane is parked.
+    counter = (lane_set_ != nullptr ? lane_set_->root_next_ : solo_root_next_)++;
   }
   ROCKSTEADY_DCHECK(counter < (uint64_t{1} << kCounterBits));
   return uint64_t{exec} << kExecShift | origin << kCounterBits | counter;
 }
 
 void Simulator::Enqueue(Tick t, uint64_t key, EventFn fn) {
-  // Every lane event names the node it runs on, and only that node's lane
-  // may queue it: this is what keeps per-node state single-threaded.
-  ROCKSTEADY_DCHECK_EQ(lane_set_->lane_of(static_cast<NodeId>(key >> kExecShift)), lane_);
+  // Every event names the node it runs on, and only that node's lane may
+  // queue it: this is what keeps per-node state single-threaded.
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr ||
+                    lane_set_->lane_of(static_cast<NodeId>(key >> kExecShift)) == lane_);
   ROCKSTEADY_DCHECK_GE(t, now_);
   Event* e = AllocEvent();
   e->time = t;
@@ -231,7 +221,9 @@ void Simulator::Enqueue(Tick t, uint64_t key, EventFn fn) {
 }
 
 size_t Simulator::RunWindow(Tick end) {
-  clocks_ = lane_set_->clocks_.data();  // Nodes are only added at setup.
+  if (lane_set_ != nullptr) {
+    clocks_ = lane_set_->clocks_.data();  // Nodes are only added at setup.
+  }
   size_t processed = 0;
   while (Event* e = PopMinUpTo(end - 1)) {  // end > 0: it is past a pending event.
     ROCKSTEADY_DCHECK_GE(e->time, now_);
@@ -250,38 +242,19 @@ size_t Simulator::RunWindow(Tick end) {
 }
 
 size_t Simulator::Run() {
-  size_t processed = 0;
-  while (Event* e = PopMinUpTo(~Tick{0})) {
-    ROCKSTEADY_DCHECK_GE(e->time, now_);
-    now_ = e->time;
-    trace_hash_ = Fnv(trace_hash_, e->time, e->seq);
-    e->fn();
-    e->fn = nullptr;  // Release captures before the event idles in the pool.
-    FreeEvent(e);
-    processed++;
-  }
-  events_processed_ += processed;
-  return processed;
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr);
+  return RunWindow(~Tick{0});
 }
 
 size_t Simulator::RunUntil(Tick t) {
   // The clock never rewinds: RunUntil into the past is a checked error and
   // a no-op in release (no events run, now() is unchanged).
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr);
   ROCKSTEADY_DCHECK_GE(t, now_);
-  size_t processed = 0;
-  while (Event* e = PopMinUpTo(t)) {
-    ROCKSTEADY_DCHECK_GE(e->time, now_);
-    now_ = e->time;
-    trace_hash_ = Fnv(trace_hash_, e->time, e->seq);
-    e->fn();
-    e->fn = nullptr;
-    FreeEvent(e);
-    processed++;
-  }
+  const size_t processed = RunWindow(t == ~Tick{0} ? t : t + 1);
   if (now_ < t) {
     now_ = t;
   }
-  events_processed_ += processed;
   return processed;
 }
 

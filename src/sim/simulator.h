@@ -7,14 +7,16 @@
 // structures (log, hash table) are real and mutate inside event callbacks;
 // only *time* is simulated.
 //
-// Engine (see DESIGN.md "Engine performance"): events are 128-byte slab-
-// pooled objects whose callbacks live inline (EventFn), organized in a
-// calendar queue — a ring of fixed-width time buckets covering a sliding
-// window, with a min-heap overflow for events beyond the horizon. The
-// schedule → dispatch → free cycle touches no allocator. Dispatch order is
-// identical to the old binary-heap engine: (time, seq) with seq assigned at
-// scheduling time, so equal-time events stay FIFO and trace hashes are
-// unchanged.
+// Engine (see DESIGN.md "Engine performance" and "Sharded execution"):
+// events are 128-byte slab-pooled objects whose callbacks live inline
+// (EventFn), organized in a calendar queue — a ring of fixed-width time
+// buckets covering a sliding window, with a min-heap overflow for events
+// beyond the horizon. The schedule → dispatch → free cycle touches no
+// allocator. Every event runs on a node and carries a key fixed when it is
+// scheduled, (time, origin node, origin-local counter): equal-time events
+// on one node run in (origin, counter) order, so each origin's events stay
+// FIFO. A Simulator is one lane of a LaneSet; a standalone Simulator (unit
+// tests, micro-benches) is the same engine with one lane holding one node.
 #ifndef ROCKSTEADY_SRC_SIM_SIMULATOR_H_
 #define ROCKSTEADY_SRC_SIM_SIMULATOR_H_
 
@@ -25,7 +27,6 @@
 
 #include "src/common/dcheck.h"
 #include "src/common/inline_function.h"
-#include "src/common/random.h"
 #include "src/common/types.h"
 
 namespace rocksteady {
@@ -42,7 +43,8 @@ class LaneSet;
 
 class Simulator {
  public:
-  explicit Simulator(uint64_t seed = 1);
+  // A standalone simulator: one lane holding node 0.
+  Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -51,17 +53,18 @@ class Simulator {
 
   Tick now() const { return now_; }
 
-  // Schedules `fn` at absolute time `t` (>= now). Events scheduled for the
-  // same tick run in scheduling order (FIFO), which keeps runs deterministic.
+  // Schedules `fn` at absolute time `t` (>= now). Events one context
+  // schedules for the same tick run in scheduling order (FIFO); root-context
+  // events sort before same-tick events scheduled by a node.
   // Scheduling in the past is a checked error: fatal in debug builds, and
   // clamped to now() in release builds — time never flows backwards.
   //
-  // Lane mode (see src/sim/lane_set.h): every event runs on a node. This
-  // form runs `fn` on the node whose event is executing; from root context
-  // (setup, a safe-point task) it runs on the node last named by ForNode.
+  // Every event runs on a node (see src/sim/lane_set.h). This form runs
+  // `fn` on the node whose event is executing; from root context (setup, a
+  // safe-point task) it runs on the node last named by ForNode (node 0 in a
+  // standalone simulator).
   void At(Tick t, EventFn fn);
-  // Runs `fn` on `node`, which must belong to this simulator's lane. Legacy
-  // single-queue mode ignores the node.
+  // Runs `fn` on `node`, which must belong to this simulator's lane.
   void At(Tick t, NodeId node, EventFn fn);
 
   void After(Tick delay, EventFn fn) { At(now_ + delay, std::move(fn)); }
@@ -70,12 +73,13 @@ class Simulator {
   // Names the node that root-context scheduling through At(t, fn) runs on.
   // Node-bound accessors (RamCloudClient::sim and friends) call it, so
   // setup code can schedule node work without naming the node.
-  // Inside an event the running node wins. A no-op in legacy mode.
+  // Inside an event the running node wins.
   Simulator& ForNode(NodeId node) {
     root_node_ = node;
     return *this;
   }
 
+  // Standalone only (a LaneSet lane runs through LaneSet::Run*):
   // Runs events until the queue drains. Returns the number processed.
   size_t Run();
 
@@ -87,14 +91,10 @@ class Simulator {
   bool Idle() const { return ring_count_ == 0 && overflow_.empty(); }
   size_t events_processed() const { return events_processed_; }
 
-  // Order-sensitive digest of every event dispatched so far: two runs of
-  // the same scenario are deterministic iff their trace hashes are equal.
-  // Mixed from each event's (time, seq) at dispatch, so any divergence in
-  // scheduling order or timing changes the hash. Legacy mode only; a lane's
-  // digests live per node (LaneSet::trace_hash).
-  uint64_t trace_hash() const { return trace_hash_; }
-
-  Random& rng() { return rng_; }
+  // Standalone only: order-sensitive digest of every event dispatched so
+  // far, mixed from each event's (time, key). A LaneSet keeps one digest
+  // per node (LaneSet::trace_hash).
+  uint64_t trace_hash() const { return solo_clock_.digest; }
 
   // Event-pool telemetry. In steady state the free list satisfies every
   // schedule, so slab_allocations stays flat — asserted by the allocation
@@ -117,9 +117,8 @@ class Simulator {
   // events, the free-list thread (next only).
   struct Event {
     Tick time = 0;
-    // Same-time tie-break. Legacy: the global scheduling sequence number.
-    // Lane mode: the key [executing node | origin node + 1 | origin counter]
-    // fixed at scheduling time (see LaneKey).
+    // Same-time tie-break: the key [executing node | origin node + 1 |
+    // origin counter] fixed at scheduling time (see LaneKey).
     uint64_t seq = 0;
     Event* prev = nullptr;
     Event* next = nullptr;
@@ -151,8 +150,8 @@ class Simulator {
     return (digest ^ seq) * 0x100000001b3ull;
   }
 
-  // --- Lane mode (see src/sim/lane_set.h). ---
-  // Every lane event carries a key fixed when it is scheduled: the node it
+  // --- Event keys (see src/sim/lane_set.h). ---
+  // Every event carries a key fixed when it is scheduled: the node it
   // executes on, the node whose callback scheduled it (0 for root context:
   // setup and safe-point tasks), and that origin's private counter. Equal-
   // time events on one node therefore run in (origin, counter) order, which
@@ -170,11 +169,11 @@ class Simulator {
     uint64_t digest = 0xcbf29ce484222325ull;  // FNV digest of this node's dispatches.
   };
 
-  // Puts this simulator in lane mode as lane `lane` of `lane_set`.
-  void BeginLaneMode(LaneSet* lane_set, int lane);
+  // Lane `lane` of `lane_set`.
+  Simulator(LaneSet* lane_set, int lane);
   // The key of an event this context schedules onto `exec`.
   uint64_t LaneKey(NodeId exec);
-  // Allocates and queues a lane event under `key`.
+  // Allocates and queues an event under `key`.
   void Enqueue(Tick t, uint64_t key, EventFn fn);
   // Runs every queued event with time < `end`, mixing each node's digest.
   // Returns events dispatched.
@@ -199,9 +198,7 @@ class Simulator {
   bool PeekMinTime(Tick* t);
 
   Tick now_ = 0;
-  uint64_t next_seq_ = 0;
   size_t events_processed_ = 0;
-  uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // FNV offset basis.
 
   // Ring + overflow queue state.
   std::vector<BucketList> buckets_{kNumBuckets};
@@ -217,15 +214,15 @@ class Simulator {
   uint64_t slab_allocations_ = 0;
   uint64_t free_count_ = 0;
 
-  // Lane-mode state (inert in legacy mode), owned by this lane's thread.
-  bool lane_mode_ = false;
+  // Lane state, owned by this lane's thread.
   int lane_ = 0;
-  LaneSet* lane_set_ = nullptr;
-  NodeClock* clocks_ = nullptr;  // LaneSet's per-node clocks, cached per window.
+  LaneSet* lane_set_ = nullptr;  // Null when standalone.
+  // Standalone: node 0's clock and the root counter (a lane uses its set's).
+  NodeClock solo_clock_;
+  uint64_t solo_root_next_ = 0;
+  NodeClock* clocks_ = &solo_clock_;  // Per-node clocks, cached per window.
   NodeId running_node_ = kNoNode;  // The executing event's node; kNoNode in root context.
-  NodeId root_node_ = kNoNode;     // ForNode's binding for root-context At(t, fn).
-
-  Random rng_;
+  NodeId root_node_ = 0;           // ForNode's binding for root-context At(t, fn).
 };
 
 }  // namespace rocksteady

@@ -49,7 +49,7 @@ class Chain {
 };
 
 TEST(AllocRegressionTest, PureEventLoopIsAllocationFreeInSteadyState) {
-  Simulator sim(42);
+  Simulator sim;
   std::vector<std::unique_ptr<Chain>> chains;
   for (int i = 0; i < 32; i++) {
     chains.push_back(std::make_unique<Chain>(&sim, /*period=*/100));
@@ -99,17 +99,17 @@ TEST(AllocRegressionTest, YcsbSteadyWindowHasZeroPoolMissedAllocations) {
 
   // Warm-up: pools (event slabs, client retry states, server scratch) reach
   // their steady-state footprint.
-  cluster.sim().RunUntil(20 * kMillisecond);
+  cluster.RunUntil(20 * kMillisecond);
 
-  const uint64_t slabs_before = cluster.sim().pool_stats().slab_allocations;
+  const uint64_t slabs_before = cluster.lanes()->lane_sim(0).pool_stats().slab_allocations;
   const uint64_t fallbacks_before = InlineFunctionHeapFallbacks();
-  const size_t events_before = cluster.sim().events_processed();
-  cluster.sim().RunUntil(40 * kMillisecond);
-  const size_t events = cluster.sim().events_processed() - events_before;
+  const size_t events_before = cluster.events_processed();
+  cluster.RunUntil(40 * kMillisecond);
+  const size_t events = cluster.events_processed() - events_before;
 
   ASSERT_GT(events, 10'000u);  // The steady window covers >=10k events.
   ASSERT_GT(actor_a.completed() + actor_b.completed(), 0u);
-  EXPECT_EQ(cluster.sim().pool_stats().slab_allocations - slabs_before, 0u);
+  EXPECT_EQ(cluster.lanes()->lane_sim(0).pool_stats().slab_allocations - slabs_before, 0u);
   EXPECT_EQ(InlineFunctionHeapFallbacks() - fallbacks_before, 0u);
 }
 

@@ -84,7 +84,9 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  // In-event clock and timers: the op pump and restart timers run on the
+  // coordinator's node; root-context actions go through safe points.
+  Simulator& sim = cluster.coordinator().sim();
 
   // --- Fault schedule, drawn deterministically per seed. ---
   Random schedule(seed ^ 0x9e3779b97f4a7c15ull);
@@ -111,18 +113,20 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
     });
   };
 
-  sim.At(crash_at, [&] { cluster.master(victim).Crash(); });
+  cluster.AtSafePoint(crash_at, [&] { cluster.master(victim).Crash(); });
   if (coordinator_chaos) {
-    sim.At(coordinator_crash_at, [&] { cluster.coordinator().Crash(); });
-    sim.At(coordinator_crash_at + coordinator_down_for,
-           [&] { cluster.coordinator().Restart(); });
+    cluster.AtSafePoint(coordinator_crash_at, [&] { cluster.coordinator().Crash(); });
+    cluster.AtSafePoint(coordinator_crash_at + coordinator_down_for,
+                        [&] { cluster.coordinator().Restart(); });
   }
-  sim.At(straggle_at, [&] { cluster.master(straggler).cores().SetSlowdown(straggle_factor); });
-  sim.At(straggle_at + 5 * kMillisecond,
-         [&] { cluster.master(straggler).cores().SetSlowdown(1.0); });
+  cluster.AtSafePoint(straggle_at, [&] {
+    cluster.master(straggler).cores().SetSlowdown(straggle_factor);
+  });
+  cluster.AtSafePoint(straggle_at + 5 * kMillisecond,
+                      [&] { cluster.master(straggler).cores().SetSlowdown(1.0); });
 
   std::optional<MigrationStats> stats;
-  sim.At(migration_at, [&] {
+  cluster.AtSafePoint(migration_at, [&] {
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                              [&](const MigrationStats& s) { stats = s; });
   });
@@ -174,12 +178,12 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
     op_index++;
     sim.After(kOpGap, pump);
   };
-  sim.After(kOpGap, pump);
+  cluster.coordinator().sim().After(kOpGap, pump);
 
   // --- Run, then drain (the detector sweep is an infinite loop). ---
-  sim.RunUntil(kHorizon);
+  cluster.RunUntil(kHorizon);
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   EXPECT_TRUE(stats.has_value()) << "seed " << seed << ": migration did not complete";
   EXPECT_TRUE(victim_restarted) << "seed " << seed << ": no crash-restart happened";
@@ -228,19 +232,19 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(mismatches, 0u) << "seed " << seed << ": committed writes lost or corrupted:\n" << mismatch_detail;
 
   // The fabric really was hostile.
   EXPECT_GT(cluster.net().injected_drops(), 0u);
   EXPECT_GT(cluster.net().injected_duplicates(), 0u);
 
-  digest.trace_hash = sim.trace_hash();
-  digest.events = sim.events_processed();
-  digest.end_time = sim.now();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
+  digest.end_time = cluster.now();
   digest.injected_drops = cluster.net().injected_drops();
   digest.injected_duplicates = cluster.net().injected_duplicates();
   digest.injected_delays = cluster.net().injected_delays();
@@ -336,7 +340,8 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kOverloadRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  // In-event clock and timers: the op pump runs on the coordinator's node.
+  Simulator& sim = cluster.coordinator().sim();
 
   RocksteadyOptions options;
   options.adaptive_pacing = pacing;
@@ -348,7 +353,7 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
   options.num_partitions = 2;
 
   std::optional<MigrationStats> stats;
-  sim.At(kOverloadMigrationAt, [&] {
+  cluster.AtSafePoint(kOverloadMigrationAt, [&] {
     StartRocksteadyMigration(&cluster, kTable, kSliceStart, ~0ull, 0, 1, options,
                              [&](const MigrationStats& s) { stats = s; });
   });
@@ -410,9 +415,9 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
     const bool burst = sim.now() % (kBurstPhase + kTroughPhase) < kBurstPhase;
     sim.After(burst ? kBurstGap : kTroughGap, pump);
   };
-  sim.After(kBurstGap, pump);
+  cluster.coordinator().sim().After(kBurstGap, pump);
 
-  sim.Run();
+  cluster.Run();
 
   EXPECT_TRUE(stats.has_value()) << "seed " << seed << ": migration did not complete";
   EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
@@ -449,10 +454,10 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(digest.mismatches, 0u)
       << "seed " << seed << " pacing=" << pacing << ": acked writes lost:\n" << mismatch_detail;
 
@@ -462,8 +467,8 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
         std::min(read_latencies.size() - 1, (read_latencies.size() * 999) / 1000);
     digest.read_p999 = read_latencies[idx];
   }
-  digest.trace_hash = sim.trace_hash();
-  digest.events = sim.events_processed();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
   digest.pacing_backoffs = stats.has_value() ? stats->pacing_backoffs : 0;
   digest.pull_rejections = stats.has_value() ? stats->pull_rejections : 0;
   digest.client_sheds = cluster.master(0).client_sheds();

@@ -8,6 +8,8 @@
 #include <string>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/operations.h"
+#include "src/rebalance/planner.h"
 #include "src/workload/client_actor.h"
 #include "src/workload/ycsb.h"
 
@@ -28,7 +30,7 @@ TEST(ClusterTest, WriteThenReadThroughRpc) {
   cluster.CreateTable(1, 0);
   Status write_status = Status::kInvalidState;
   cluster.client(0).Write(1, "hello", "world", [&](Status s) { write_status = s; });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(write_status, Status::kOk);
 
   std::string value;
@@ -37,7 +39,7 @@ TEST(ClusterTest, WriteThenReadThroughRpc) {
     read_status = s;
     value = v;
   });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(read_status, Status::kOk);
   EXPECT_EQ(value, "world");
 }
@@ -47,7 +49,7 @@ TEST(ClusterTest, ReadMissingKey) {
   cluster.CreateTable(1, 0);
   Status status = Status::kOk;
   cluster.client(0).Read(1, "ghost", [&](Status s, const std::string&) { status = s; });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(status, Status::kObjectNotFound);
 }
 
@@ -59,28 +61,28 @@ TEST(ClusterTest, UnloadedReadLatencyNearSixMicroseconds) {
   cluster.LoadTable(1, 100, 30, 100);
   // Warm the tablet cache first.
   cluster.client(0).Read(1, Cluster::MakeKey(0, 30), [](Status, const std::string&) {});
-  cluster.sim().Run();
-  const Tick start = cluster.sim().now();
+  cluster.Run();
+  const Tick start = cluster.now();
   Tick read_done = 0;
   cluster.client(0).Read(1, Cluster::MakeKey(1, 30),
                          [&](Status s, const std::string& v) {
                            EXPECT_EQ(s, Status::kOk);
                            EXPECT_EQ(v.size(), 100u);
-                           read_done = cluster.sim().now();
+                           read_done = cluster.client(0).sim().now();
                          });
-  cluster.sim().Run();
+  cluster.Run();
   const double read_us = static_cast<double>(read_done - start) / 1'000.0;
   EXPECT_GT(read_us, 3.0);
   EXPECT_LT(read_us, 9.0);
 
-  const Tick wstart = cluster.sim().now();
+  const Tick wstart = cluster.now();
   Tick write_done = 0;
   cluster.client(0).Write(1, Cluster::MakeKey(1, 30), std::string(100, 'x'),
                           [&](Status s) {
                             EXPECT_EQ(s, Status::kOk);
-                            write_done = cluster.sim().now();
+                            write_done = cluster.client(0).sim().now();
                           });
-  cluster.sim().Run();
+  cluster.Run();
   const double write_us = static_cast<double>(write_done - wstart) / 1'000.0;
   EXPECT_GT(write_us, 8.0);
   EXPECT_LT(write_us, 22.0);
@@ -96,7 +98,7 @@ TEST(ClusterTest, WritesAreReplicatedToBackups) {
       completed++;
     });
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(completed, 20);
   // Three backups each hold the replicated bytes.
   uint64_t replica_bytes = 0;
@@ -127,7 +129,7 @@ TEST(ClusterTest, LoadTableDistributesByHash) {
     cluster.client(0).Read(1, Cluster::MakeKey(static_cast<uint64_t>(i * 17), 30),
                            [&](Status s, const std::string&) { ok += (s == Status::kOk); });
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(ok, 50);
 }
 
@@ -144,7 +146,7 @@ TEST(ClusterTest, MultiGetSpansServers) {
   }
   Status status = Status::kInvalidState;
   cluster.client(0).MultiGet(1, keys, [&](Status s) { status = s; });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(status, Status::kOk);
 }
 
@@ -166,12 +168,12 @@ TEST(ClusterTest, IndexScanEndToEnd) {
                             },
                             secondary);
   }
-  cluster.sim().Run();
+  cluster.Run();
   ASSERT_EQ(writes_done, 50);
 
   Status status = Status::kInvalidState;
   cluster.client(0).IndexScan(1, 1, "name0010", 4, [&](Status s) { status = s; });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(status, Status::kOk);
 }
 
@@ -183,7 +185,7 @@ TEST(ClusterTest, ClientRefreshAfterOwnershipChange) {
   Status status = Status::kInvalidState;
   cluster.client(0).Read(1, Cluster::MakeKey(5, 30),
                          [&](Status s, const std::string&) { status = s; });
-  cluster.sim().Run();
+  cluster.Run();
   ASSERT_EQ(status, Status::kOk);
 
   // Move the whole table to master 1 behind the client's back (data copied
@@ -202,7 +204,7 @@ TEST(ClusterTest, ClientRefreshAfterOwnershipChange) {
   status = Status::kInvalidState;
   cluster.client(0).Read(1, Cluster::MakeKey(5, 30),
                          [&](Status s, const std::string&) { status = s; });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(status, Status::kOk);
   EXPECT_GE(cluster.client(0).wrong_server_retries(), 1u);
 }
@@ -222,7 +224,7 @@ TEST(ClusterTest, YcsbActorDrivesLoad) {
   ClientActor actor(1, &cluster.client(0), &workload, actor_config);
   actor.set_read_latency(&reads);
   actor.Start();
-  cluster.sim().Run();
+  cluster.Run();
 
   EXPECT_GT(actor.issued(), 15'000u);
   EXPECT_EQ(actor.issued(), actor.completed() + actor.failed());
@@ -246,12 +248,66 @@ TEST(ClusterTest, Determinism) {
     actor_config.stop_time = kSecond / 5;
     ClientActor actor(1, &cluster.client(0), &workload, actor_config);
     actor.Start();
-    cluster.sim().Run();
-    return std::make_tuple(actor.issued(), actor.completed(), cluster.sim().now(),
+    cluster.Run();
+    return std::make_tuple(actor.issued(), actor.completed(), cluster.now(),
                            cluster.net().total_bytes_sent());
   };
   EXPECT_EQ(run(), run());
 }
+
+// ------------------------------------------------- One engine, one lane.
+
+TEST(ClusterDeathTest, FewerThanOneLaneIsRejected) {
+  for (const int lanes : {0, -1}) {
+    ClusterConfig config = SmallCluster();
+    config.lanes = lanes;
+    EXPECT_DEATH({ Cluster cluster(config); }, "config.lanes >= 1") << "lanes=" << lanes;
+  }
+}
+
+// Recovery, the planner, drains and rolling restarts touch other nodes'
+// state directly, so they refuse to start on more than one lane.
+ClusterConfig TwoLanes() {
+  ClusterConfig config = SmallCluster();
+  config.lanes = 2;
+  return config;
+}
+
+TEST(ClusterDeathTest, FailureDetectorNeedsOneLane) {
+  Cluster cluster(TwoLanes());
+  EXPECT_DEATH(cluster.coordinator().StartFailureDetector(), "lanes\\(\\) == 1");
+}
+
+TEST(ClusterDeathTest, PlannerNeedsOneLane) {
+  Cluster cluster(TwoLanes());
+  RebalancePlanner planner(&cluster);
+  EXPECT_DEATH(planner.Start(), "lanes\\(\\) == 1");
+}
+
+TEST(ClusterDeathTest, DrainNeedsOneLane) {
+  Cluster cluster(TwoLanes());
+  cluster.CreateTable(1, 0);
+  EXPECT_DEATH(cluster.coordinator().BeginDrain(cluster.master(0).id()), "lanes\\(\\) == 1");
+}
+
+TEST(ClusterDeathTest, RollingRestartNeedsOneLane) {
+  Cluster cluster(TwoLanes());
+  RollingRestartOrchestrator orchestrator(&cluster);
+  EXPECT_DEATH(orchestrator.Start(), "lanes\\(\\) == 1");
+}
+
+#if ROCKSTEADY_DCHECK_ENABLED
+
+// Cluster::now() is root context's clock: it only advances between run
+// segments, so reading it inside an event would silently return a stale
+// time. Events read their node's Simulator::now() instead.
+TEST(ClusterDeathTest, NowInsideAnEventIsFatal) {
+  Cluster cluster(SmallCluster());
+  cluster.client(0).sim().At(10, [&cluster] { (void)cluster.now(); });
+  EXPECT_DEATH(cluster.Run(), "in_windows_");
+}
+
+#endif  // ROCKSTEADY_DCHECK_ENABLED
 
 }  // namespace
 }  // namespace rocksteady

@@ -146,7 +146,7 @@ TEST(CoordinatorTest, GetTableConfigRpcFromClient) {
                        ASSERT_EQ(status, Status::kOk);
                        got = static_cast<GetTableConfigResponse&>(*response).tablets;
                      });
-  cluster.sim().Run();
+  cluster.Run();
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].owner_node, cluster.master(0).node());
 
@@ -158,7 +158,7 @@ TEST(CoordinatorTest, GetTableConfigRpcFromClient) {
                      [&](Status, std::unique_ptr<RpcResponse> response) {
                        missing_status = response->status;
                      });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(missing_status, Status::kTableNotFound);
 }
 
@@ -178,7 +178,7 @@ TEST(CoordinatorTest, UpdateOwnershipRpc) {
                      [&](Status s, std::unique_ptr<RpcResponse> response) {
                        status = s == Status::kOk ? response->status : s;
                      });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(status, Status::kOk);
   EXPECT_EQ(cluster.coordinator().OwnerOf(1, 5), cluster.master(3).id());
   cluster.master(0).objects().tablets().Remove(1, 0, ~0ull);

@@ -47,14 +47,13 @@ void SpreadQuarters(Cluster& cluster) {
 // Runs the planner until `server` finishes draining (or the deadline hits).
 void RunUntilDrained(Cluster& cluster, RebalancePlanner& planner, ServerId server,
                      Tick deadline = kSecond) {
-  Simulator& sim = cluster.sim();
-  while (sim.now() < deadline &&
+  while (cluster.now() < deadline &&
          cluster.coordinator().lifecycle(server) == ServerLifecycle::kDraining) {
-    sim.RunUntil(sim.now() + 5 * kMillisecond);
+    cluster.RunUntil(cluster.now() + 5 * kMillisecond);
   }
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 }
 
 uint64_t RangesOwnedBy(Cluster& cluster, ServerId id) {
@@ -145,9 +144,9 @@ TEST(DrainTest, DrainRpcsRoundTripAndAreIdempotent) {
   Status first = Status::kInvalidState;
   Status second = Status::kInvalidState;
   begin_drain(victim, &first);
-  cluster.sim().Run();
+  cluster.Run();
   begin_drain(victim, &second);  // Duplicate delivery of the same intent.
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(first, Status::kOk);
   EXPECT_EQ(second, Status::kOk);
   EXPECT_EQ(cluster.coordinator().drains_started(), 1u);
@@ -165,7 +164,7 @@ TEST(DrainTest, DrainRpcsRoundTripAndAreIdempotent) {
                        lifecycle = reply.lifecycle;
                        tablets_remaining = reply.tablets_remaining;
                      });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(lifecycle, static_cast<uint8_t>(ServerLifecycle::kDraining));
   EXPECT_EQ(tablets_remaining, 1u);  // The whole table, still unevacuated.
 
@@ -179,7 +178,7 @@ TEST(DrainTest, DrainRpcsRoundTripAndAreIdempotent) {
                        [&](Status s, std::unique_ptr<RpcResponse> response) {
                          activated = s == Status::kOk ? response->status : s;
                        });
-    cluster.sim().Run();
+    cluster.Run();
     EXPECT_EQ(activated, Status::kOk);
   }
   EXPECT_EQ(cluster.coordinator().lifecycle(victim), ServerLifecycle::kActive);
@@ -216,7 +215,7 @@ TEST(DrainTest, PlannerEvacuatesDrainingMaster) {
     cluster.client(0).Read(kTable, Cluster::MakeKey(static_cast<uint64_t>(i * 7), 30),
                            [&](Status s, const std::string&) { ok += (s == Status::kOk); });
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(ok, 100);
 }
 
@@ -259,7 +258,6 @@ TEST(DrainTest, MasterCrashMidDrainConvergesToDecommissioned) {
   cluster.CreateTable(kTable, 0);
   SpreadQuarters(cluster);
   cluster.LoadTable(kTable, 1'000, 30, 100);
-  Simulator& sim = cluster.sim();
 
   RebalancePlanner planner(&cluster);
   planner.Start();
@@ -270,7 +268,7 @@ TEST(DrainTest, MasterCrashMidDrainConvergesToDecommissioned) {
   // The server is never restarted: recovery re-homes whatever the drain had
   // not yet moved, after which the empty drain converges to decommissioned
   // on the detector sweep.
-  sim.At(sim.now() + 2 * kMillisecond, [&] { cluster.master(3).Crash(); });
+  cluster.AtSafePoint(cluster.now() + 2 * kMillisecond, [&] { cluster.master(3).Crash(); });
   RunUntilDrained(cluster, planner, victim);
 
   EXPECT_EQ(cluster.coordinator().lifecycle(victim), ServerLifecycle::kDecommissioned);
@@ -289,7 +287,7 @@ TEST(DrainTest, MasterCrashMidDrainConvergesToDecommissioned) {
     cluster.client(0).Read(kTable, Cluster::MakeKey(static_cast<uint64_t>(i * 7), 30),
                            [&](Status s, const std::string&) { ok += (s == Status::kOk); });
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(ok, 100);
 }
 
@@ -299,7 +297,6 @@ TEST(DrainTest, CoordinatorCrashMidDrainResumesFromPersistedFlag) {
   cluster.CreateTable(kTable, 0);
   SpreadQuarters(cluster);
   cluster.LoadTable(kTable, 1'000, 30, 100);
-  Simulator& sim = cluster.sim();
 
   RebalancePlanner planner(&cluster);
   planner.Start();
@@ -309,8 +306,8 @@ TEST(DrainTest, CoordinatorCrashMidDrainResumesFromPersistedFlag) {
   // Coordinator goes down mid-drain. The lifecycle table is part of the
   // quorum-replicated metadata, so the restart resumes the drain rather
   // than forgetting it.
-  sim.At(sim.now() + kMillisecond, [&] { cluster.coordinator().Crash(); });
-  sim.At(sim.now() + 6 * kMillisecond, [&] {
+  cluster.AtSafePoint(cluster.now() + kMillisecond, [&] { cluster.coordinator().Crash(); });
+  cluster.AtSafePoint(cluster.now() + 6 * kMillisecond, [&] {
     cluster.coordinator().Restart();
     EXPECT_EQ(cluster.coordinator().lifecycle(victim), ServerLifecycle::kDraining);
     EXPECT_TRUE(cluster.master(3).draining());  // Master-side latch survived too.
@@ -335,7 +332,7 @@ TEST(DrainTest, DrainingMasterRejectsInboundMigration) {
   std::optional<MigrationStats> stats;
   StartRocksteadyMigration(&cluster, kTable, 0, kQuarter - 1, 0, 3, RocksteadyOptions{},
                            [&](const MigrationStats& s) { stats = s; });
-  cluster.sim().Run();
+  cluster.Run();
   // The migration never commits ownership to the draining target.
   EXPECT_EQ(cluster.coordinator().OwnerOf(kTable, 0), cluster.master(0).id());
   EXPECT_EQ(RangesOwnedBy(cluster, cluster.master(3).id()), 1u);  // Only its original quarter.
@@ -349,15 +346,14 @@ TEST(RollingRestartTest, CyclesEveryActiveMasterOnce) {
   cluster.CreateTable(kTable, 0);
   SpreadQuarters(cluster);
   cluster.LoadTable(kTable, 1'000, 30, 100);
-  Simulator& sim = cluster.sim();
 
   RollingRestartOrchestrator orchestrator(&cluster);
   bool done = false;
   orchestrator.Start([&] { done = true; });
   EXPECT_TRUE(cluster.coordinator().failure_detector_running());
-  sim.RunUntil(2 * kSecond);
+  cluster.RunUntil(2 * kSecond);
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   EXPECT_TRUE(done);
   EXPECT_FALSE(orchestrator.running());
@@ -381,7 +377,7 @@ TEST(RollingRestartTest, CyclesEveryActiveMasterOnce) {
     cluster.client(0).Read(kTable, Cluster::MakeKey(static_cast<uint64_t>(i * 7), 30),
                            [&](Status s, const std::string&) { ok += (s == Status::kOk); });
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(ok, 100);
 }
 
@@ -389,14 +385,13 @@ TEST(RollingRestartTest, SkipsNonActiveMasters) {
   Cluster cluster(SmallConfig());
   cluster.CreateTable(kTable, 0);  // Only master 1 owns anything.
   ASSERT_EQ(cluster.coordinator().MarkStandby(cluster.master(3).id()), Status::kOk);
-  Simulator& sim = cluster.sim();
 
   RollingRestartOrchestrator orchestrator(&cluster);
   bool done = false;
   orchestrator.Start([&] { done = true; });
-  sim.RunUntil(2 * kSecond);
+  cluster.RunUntil(2 * kSecond);
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   EXPECT_TRUE(done);
   EXPECT_EQ(orchestrator.stats().restarts_completed, 3u);

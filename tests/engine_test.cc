@@ -3,7 +3,7 @@
 // (src/sim/simulator.h), InlineFunction (src/common/inline_function.h),
 // FlatMap64 (src/common/flat_map.h), and the FaultInjector's flat per-link
 // tables. These pin down the behaviors the overhaul must preserve —
-// (time, seq) dispatch order, FIFO ties, zero-allocation steady state, and
+// (time, key) dispatch order, FIFO ties, zero-allocation steady state, and
 // deterministic draw sequences — independently of the full-cluster tests.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,10 @@
 
 #include "src/common/flat_map.h"
 #include "src/common/inline_function.h"
+#include "src/sim/cost_model.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/lane_set.h"
+#include "src/sim/network.h"
 #include "src/sim/simulator.h"
 
 namespace rocksteady {
@@ -23,7 +26,7 @@ namespace {
 
 // The calendar ring covers 8192 buckets x 1024 ns ~= 8.4 ms; anything past
 // that waits in the overflow heap. Events on both sides of the horizon must
-// still dispatch in global (time, seq) order.
+// still dispatch in (time, key) order.
 constexpr Tick kBeyondHorizon = 100'000'000;  // 100 ms.
 
 // ---------------------------------------------------- Calendar queue.
@@ -43,7 +46,7 @@ TEST(CalendarQueueTest, OverflowEventsInterleaveWithRingEvents) {
 }
 
 TEST(CalendarQueueTest, SameTickFifoHoldsInOverflowHeap) {
-  // Equal-time events tie-break on seq even when they sat in the overflow
+  // Equal-time events tie-break on their key even when they sat in the overflow
   // min-heap (which is exactly where heap order would lose FIFO without it).
   Simulator sim;
   std::vector<int> order;
@@ -252,6 +255,18 @@ TEST(FlatMapTest, PackLinkIsInjectiveOnDirection) {
 
 // ---------------------------------------------------- FaultInjector.
 
+// Installs `injector` on a throwaway `nodes`-node fabric: installation is
+// what gives it one fault stream per sender.
+void InstallOnFabric(FaultInjector* injector, int nodes = 10) {
+  LaneSet lanes(LaneSet::Config{});
+  CostModel costs;
+  Network net(&lanes, &costs);
+  for (int i = 0; i < nodes; i++) {
+    net.AddNode();
+  }
+  net.SetFaultInjector(injector);
+}
+
 TEST(FaultInjectorFlatTest, DrawSequenceIsAPureFunctionOfSeed) {
   // Two injectors with the same seed and config must produce identical
   // decision streams — the flat per-link tables cannot perturb the RNG.
@@ -262,6 +277,8 @@ TEST(FaultInjectorFlatTest, DrawSequenceIsAPureFunctionOfSeed) {
   config.max_extra_delay_ns = 1000;
   FaultInjector a(config);
   FaultInjector b(config);
+  InstallOnFabric(&a);
+  InstallOnFabric(&b);
   for (int i = 0; i < 500; i++) {
     const uint32_t from = static_cast<uint32_t>(i % 7);
     const uint32_t to = static_cast<uint32_t>((i * 3) % 5);
@@ -272,8 +289,31 @@ TEST(FaultInjectorFlatTest, DrawSequenceIsAPureFunctionOfSeed) {
   }
 }
 
+TEST(FaultInjectorFlatTest, SenderStreamsAreIndependent) {
+  // A sender's decisions depend only on its own send order: interleaving
+  // another sender's traffic (what a different lane split would do) must
+  // not change them.
+  FaultInjector::Config config;
+  config.seed = 42;
+  config.drop_probability = 0.3;
+  config.duplicate_probability = 0.2;
+  config.max_extra_delay_ns = 1000;
+  FaultInjector alone(config);
+  FaultInjector mixed(config);
+  InstallOnFabric(&alone);
+  InstallOnFabric(&mixed);
+  for (int i = 0; i < 200; i++) {
+    mixed.OnMessage(2, 1);
+    const FaultInjector::Decision da = alone.OnMessage(1, 2);
+    const FaultInjector::Decision dm = mixed.OnMessage(1, 2);
+    EXPECT_EQ(da.copies, dm.copies);
+    EXPECT_EQ(da.extra_delay_ns, dm.extra_delay_ns);
+  }
+}
+
 TEST(FaultInjectorFlatTest, DropNextConsumesExactlyNMessages) {
   FaultInjector injector(FaultInjector::Config{.seed = 1});
+  InstallOnFabric(&injector);
   injector.DropNext(3, 4, 2);
   EXPECT_EQ(injector.OnMessage(3, 4).copies, 0);
   EXPECT_EQ(injector.OnMessage(4, 3).copies, 1);  // Reverse link unaffected.
@@ -283,6 +323,7 @@ TEST(FaultInjectorFlatTest, DropNextConsumesExactlyNMessages) {
 
 TEST(FaultInjectorFlatTest, DuplicateNextForcesExactlyNDuplicates) {
   FaultInjector injector(FaultInjector::Config{.seed = 1});
+  InstallOnFabric(&injector);
   injector.DuplicateNext(9, 2, 1);
   EXPECT_EQ(injector.OnMessage(9, 2).copies, 2);
   EXPECT_EQ(injector.OnMessage(9, 2).copies, 1);
@@ -293,6 +334,7 @@ TEST(FaultInjectorFlatTest, LinkOverridesApplyAndClear) {
   config.seed = 5;
   config.drop_probability = 0.0;  // Base fabric is lossless.
   FaultInjector injector(config);
+  InstallOnFabric(&injector);
   injector.SetLinkOverride(1, 2, /*drop_probability=*/1.0, /*duplicate_probability=*/0.0);
   for (int i = 0; i < 10; i++) {
     EXPECT_EQ(injector.OnMessage(1, 2).copies, 0);  // Overridden link drops all.

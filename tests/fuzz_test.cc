@@ -43,7 +43,7 @@ class FuzzEpisode {
     for (int i = 0; i < 200; i++) {
       DoWrite(rng);
     }
-    cluster_.sim().Run();
+    cluster_.Run();
 
     std::optional<KeyHash> migrate_split;
     if (with_migration) {
@@ -64,11 +64,11 @@ class FuzzEpisode {
       if (op % 16 == 15) {
         // Let some operations complete; keeps interleavings interesting
         // without unbounded outstanding state.
-        cluster_.sim().RunUntil(cluster_.sim().now() + 50 * kMicrosecond);
+        cluster_.RunUntil(cluster_.now() + 50 * kMicrosecond);
         AuditAll("mid-episode");
       }
     }
-    cluster_.sim().Run();
+    cluster_.Run();
     AuditAll("after operations drained");
 
     if (with_crash) {
@@ -79,7 +79,7 @@ class FuzzEpisode {
       cluster_.master(2).Crash();
       bool recovered = false;
       cluster_.coordinator().HandleCrash(cluster_.master(2).id(), [&] { recovered = true; });
-      cluster_.sim().Run();
+      cluster_.Run();
       ASSERT_TRUE(recovered);
     }
 
@@ -158,10 +158,10 @@ class FuzzEpisode {
             }
           });
       if (id % 32 == 31) {
-        cluster_.sim().Run();
+        cluster_.Run();
       }
     }
-    cluster_.sim().Run();
+    cluster_.Run();
     EXPECT_EQ(mismatches, 0);
   }
 

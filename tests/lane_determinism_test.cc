@@ -11,9 +11,8 @@
 // lane needs no lookahead windows), so they are compared only between
 // threaded and unthreaded runs of one lane count.
 //
-// Lane-mode traces are their own hash domain (per-node RNG streams replace
-// the shared simulator stream), so these hashes are not compared against
-// legacy single-queue runs; sim_determinism_test continues to pin those.
+// sim_determinism_test pins same-seed replay of the default one-lane
+// cluster; this suite pins equality across lane counts and threading.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -101,7 +100,6 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
     // Per-sender fault streams: each node's drop/duplicate/delay draws
     // depend only on that node's send order, which the per-node event order keeps
     // lane-count- and thread-invariant.
-    injector.EnablePerSenderStreams(1 + cluster.num_masters() + cluster.num_clients());
     cluster.net().SetFaultInjector(&injector);
   }
   const bool migrates = kind == Scenario::kMigration || kind == Scenario::kFaults;

@@ -40,7 +40,7 @@ struct MigrationFixture {
     std::optional<MigrationStats> result;
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options,
                              [&](const MigrationStats& stats) { result = stats; });
-    cluster.sim().Run();
+    cluster.Run();
     EXPECT_TRUE(result.has_value()) << "migration did not complete";
     return result.value_or(MigrationStats{});
   }
@@ -59,10 +59,10 @@ struct MigrationFixture {
                                }
                              });
       if (i % 64 == 63) {
-        cluster.sim().Run();  // Bound outstanding requests.
+        cluster.Run();  // Bound outstanding requests.
       }
     }
-    cluster.sim().Run();
+    cluster.Run();
     EXPECT_EQ(static_cast<uint64_t>(ok), num_records);
     EXPECT_EQ(wrong, 0);
   }
@@ -139,13 +139,13 @@ TEST(RocksteadyMigrationTest, WritesDuringMigrationLandAtTarget) {
     }
   }
   int writes_ok = 0;
-  f.cluster.sim().After(50 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(50 * kMicrosecond, [&] {
     for (const auto& key : migrating_keys) {
       f.cluster.client(0).Write(kTable, key, "written-during-migration",
                                 [&](Status s) { writes_ok += (s == Status::kOk); });
     }
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(writes_ok, static_cast<int>(migrating_keys.size()));
   // The fresh writes beat the migrated (older) copies.
@@ -155,7 +155,7 @@ TEST(RocksteadyMigrationTest, WritesDuringMigrationLandAtTarget) {
       fresh += (s == Status::kOk && v == "written-during-migration");
     });
   }
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_EQ(fresh, static_cast<int>(migrating_keys.size()));
 }
 
@@ -175,22 +175,22 @@ TEST(RocksteadyMigrationTest, PriorityPullServesEarlyReads) {
   }
   Tick read_completed_at = 0;
   Status read_status = Status::kInvalidState;
-  f.cluster.sim().After(20 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(20 * kMicrosecond, [&] {
     f.cluster.client(0).Read(kTable, hot_key, [&](Status s, const std::string& v) {
       read_status = s;
-      read_completed_at = f.cluster.sim().now();
+      read_completed_at = f.cluster.client(0).sim().now();
       EXPECT_EQ(v.size(), 100u);
     });
   });
   Tick migration_end = 0;
   while (!done) {
-    f.cluster.sim().RunUntil(f.cluster.sim().now() + kMillisecond);
+    f.cluster.RunUntil(f.cluster.now() + kMillisecond);
     if (done) {
-      migration_end = f.cluster.sim().now();
+      migration_end = f.cluster.now();
     }
-    ASSERT_LT(f.cluster.sim().now(), 100 * static_cast<Tick>(kSecond));
+    ASSERT_LT(f.cluster.now(), 100 * static_cast<Tick>(kSecond));
   }
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_EQ(read_status, Status::kOk);
   EXPECT_GT(read_completed_at, 0u);
   EXPECT_LT(read_completed_at, migration_end / 2);
@@ -211,11 +211,11 @@ TEST(RocksteadyMigrationTest, AbsentKeyDuringMigrationIsNotFound) {
     }
   }
   Status status = Status::kOk;
-  f.cluster.sim().After(20 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(20 * kMicrosecond, [&] {
     f.cluster.client(0).Read(kTable, absent,
                              [&](Status s, const std::string&) { status = s; });
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(status, Status::kObjectNotFound);
 }
@@ -256,17 +256,17 @@ TEST(RocksteadyMigrationTest, SourceOwnsPreservesWritesDuringRoundOne) {
     }
   }
   Status write_status = Status::kInvalidState;
-  f.cluster.sim().After(30 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(30 * kMicrosecond, [&] {
     f.cluster.client(0).Write(kTable, key, "updated-mid-precopy",
                               [&](Status s) { write_status = s; });
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(write_status, Status::kOk);
   // The delta round carried the update to the target.
   std::string value;
   f.cluster.client(1).Read(kTable, key, [&](Status, const std::string& v) { value = v; });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_EQ(value, "updated-mid-precopy");
 }
 
@@ -286,13 +286,13 @@ TEST(RocksteadyMigrationTest, SyncPriorityPullsServeReads) {
   }
   Status status = Status::kInvalidState;
   std::string value;
-  f.cluster.sim().After(20 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(20 * kMicrosecond, [&] {
     f.cluster.client(0).Read(kTable, key, [&](Status s, const std::string& v) {
       status = s;
       value = v;
     });
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(status, Status::kOk);
   EXPECT_EQ(value.size(), 100u);
@@ -316,7 +316,7 @@ TEST(RocksteadyMigrationTest, SyncReplicationAblationSlowsTransfer) {
     std::optional<MigrationStats> result;
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options,
                              [&](const MigrationStats& stats) { result = stats; });
-    cluster.sim().Run();
+    cluster.Run();
     EXPECT_TRUE(result.has_value());
     const MigrationStats stats = result.value_or(MigrationStats{});
     return static_cast<double>(stats.bytes_pulled) /
@@ -348,7 +348,7 @@ TEST(RocksteadyMigrationTest, ConcurrentMigrationsToDistinctTargets) {
                            [&](const MigrationStats& s) { first = s; });
   StartRocksteadyMigration(&f.cluster, kTable, kMid, ~0ull, 0, 2, RocksteadyOptions{},
                            [&](const MigrationStats& s) { second = s; });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(f.cluster.coordinator().OwnerOf(kTable, 1ull << 62), f.cluster.master(1).id());
@@ -363,7 +363,7 @@ TEST(RocksteadyMigrationTest, ChainedMigrationsKeepDataIntact) {
     std::optional<MigrationStats> stats;
     StartRocksteadyMigration(&f.cluster, kTable, kMid, ~0ull, from, to, RocksteadyOptions{},
                              [&](const MigrationStats& s) { stats = s; });
-    f.cluster.sim().Run();
+    f.cluster.Run();
     ASSERT_TRUE(stats.has_value());
   };
   hop(0, 1);
@@ -390,16 +390,16 @@ TEST(RocksteadyMigrationTest, DeleteOfUnarrivedKeyStaysDeleted) {
     }
   }
   Status remove_status = Status::kInvalidState;
-  f.cluster.sim().After(20 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(20 * kMicrosecond, [&] {
     f.cluster.client(0).Remove(kTable, victim, [&](Status s) { remove_status = s; });
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(remove_status, Status::kOk);
   Status read_status = Status::kOk;
   f.cluster.client(1).Read(kTable, victim,
                            [&](Status s, const std::string&) { read_status = s; });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_EQ(read_status, Status::kObjectNotFound);
 }
 
@@ -410,7 +410,7 @@ TEST(BaselineMigrationTest, MovesAllData) {
   std::optional<BaselineStats> result;
   StartBaselineMigration(&f.cluster, kTable, kMid, ~0ull, 0, 1, BaselineMigrateOptions{},
                          [&](const BaselineStats& stats) { result = stats; });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->bytes_transferred, 0u);
   EXPECT_EQ(f.cluster.coordinator().OwnerOf(kTable, kMid), f.cluster.master(1).id());
@@ -431,13 +431,13 @@ TEST(BaselineMigrationTest, OwnershipStaysAtSourceUntilEnd) {
     }
   }
   Status status = Status::kInvalidState;
-  f.cluster.sim().After(50 * kMicrosecond, [&] {
+  f.cluster.AtSafePoint(f.cluster.now() + 50 * kMicrosecond, [&] {
     ASSERT_FALSE(done);  // Baseline is slow; it cannot have finished.
     EXPECT_EQ(f.cluster.coordinator().OwnerOf(kTable, kMid), f.cluster.master(0).id());
     f.cluster.client(0).Read(kTable, key,
                              [&](Status s, const std::string&) { status = s; });
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(status, Status::kOk);
 }
@@ -449,7 +449,7 @@ TEST(BaselineMigrationTest, SkipKnobsIncreaseRate) {
     std::optional<BaselineStats> result;
     StartBaselineMigration(&f.cluster, kTable, kMid, ~0ull, 0, 1, options,
                            [&](const BaselineStats& stats) { result = stats; });
-    f.cluster.sim().Run();
+    f.cluster.Run();
     EXPECT_TRUE(result.has_value());
     return result.value_or(BaselineStats{}).RateMBps();
   };
@@ -479,16 +479,16 @@ TEST(BaselineMigrationTest, CapturesWritesDuringScan) {
     }
   }
   Status write_status = Status::kInvalidState;
-  f.cluster.sim().After(100 * kMicrosecond, [&] {
+  f.cluster.client(0).sim().After(100 * kMicrosecond, [&] {
     f.cluster.client(0).Write(kTable, key, "updated-during-baseline",
                               [&](Status s) { write_status = s; });
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_TRUE(done);
   ASSERT_EQ(write_status, Status::kOk);
   std::string value;
   f.cluster.client(1).Read(kTable, key, [&](Status, const std::string& v) { value = v; });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_EQ(value, "updated-during-baseline");
 }
 

@@ -36,7 +36,7 @@ void ExpectCleanAudit(const ObjectManager& objects, const char* what) {
 }
 
 TEST(AdmissionControlTest, QueueBoundsReportFull) {
-  Simulator sim(1);
+  Simulator sim;
   CoreSet cores(&sim, 1);
   cores.SetQueueBound(Priority::kMigration, 2);
   EXPECT_FALSE(cores.QueueFull(Priority::kMigration));
@@ -69,7 +69,7 @@ TEST(AdmissionControlTest, ClientShedsPastHardLimitAndAllOpsComplete) {
                                  (status == Status::kOk ? ok : failed)++;
                                });
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(ok, 400);
   EXPECT_EQ(failed, 0);
   EXPECT_GT(cluster.master(0).client_sheds(), 0u);
@@ -101,7 +101,7 @@ TEST(MemoryBudgetTest, PausesCleansResumesAndCompletes) {
   std::optional<MigrationStats> result;
   StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                            [&](const MigrationStats& stats) { result = stats; });
-  cluster.sim().Run();
+  cluster.Run();
 
   ASSERT_TRUE(result.has_value()) << "migration did not complete";
   EXPECT_FALSE(result->aborted_over_budget);
@@ -128,16 +128,16 @@ TEST(MemoryBudgetTest, PausesCleansResumesAndCompletes) {
   for (uint64_t i = 0; i < 5'000; i++) {
     cluster.client(0).Read(kTable, Cluster::MakeKey(i, 30), check);
     if (i % 64 == 63) {
-      cluster.sim().Run();
+      cluster.Run();
     }
   }
   for (uint64_t i = 0; i < 3'000; i++) {
     cluster.client(1).Read(kChurnTable, Cluster::MakeKey(i, 30), check);
     if (i % 64 == 63) {
-      cluster.sim().Run();
+      cluster.Run();
     }
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(ok, 5'000 + 3'000);
   EXPECT_EQ(wrong, 0);
 }
@@ -176,14 +176,14 @@ TEST(MemoryBudgetTest, TooSmallBudgetAbortsToSourceWithoutLosingAckedWrites) {
   const std::string new_value(100, 'W');
   int write_acks = 0;
   for (size_t i = 0; i < migrating_keys.size(); i++) {
-    cluster.sim().At(Tick{20'000} + static_cast<Tick>(i) * 10'000, [&, i] {
+    cluster.client(0).sim().At(Tick{20'000} + static_cast<Tick>(i) * 10'000, [&, i] {
       cluster.client(0).Write(kTable, migrating_keys[i], new_value, [&](Status status) {
         EXPECT_EQ(status, Status::kOk);
         write_acks++;
       });
     });
   }
-  cluster.sim().Run();
+  cluster.Run();
 
   // The migration aborted over budget (done_ is not invoked on abort; the
   // manager's state is the record).
@@ -216,7 +216,7 @@ TEST(MemoryBudgetTest, TooSmallBudgetAbortsToSourceWithoutLosingAckedWrites) {
       (status == Status::kOk && value == new_value ? ok : wrong)++;
     });
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(static_cast<size_t>(ok), migrating_keys.size());
   EXPECT_EQ(wrong, 0);
 }
@@ -246,10 +246,10 @@ TEST(CleanerTest, CleanOnceRunsConcurrentlyWithMigration) {
     }
     cluster.master(0).objects().RunCleaner(1);
     cluster.master(1).objects().RunCleaner(1);
-    cluster.sim().After(50 * kMicrosecond, kick);
+    cluster.AtSafePoint(cluster.now() + 50 * kMicrosecond, kick);
   };
-  cluster.sim().After(10 * kMicrosecond, kick);
-  cluster.sim().Run();
+  cluster.AtSafePoint(cluster.now() + 10 * kMicrosecond, kick);
+  cluster.Run();
 
   ASSERT_TRUE(result.has_value()) << "migration did not complete";
   // The cleaner genuinely ran against the migration's source.
@@ -269,10 +269,10 @@ TEST(CleanerTest, CleanOnceRunsConcurrentlyWithMigration) {
                              (status == Status::kOk && value == expected ? ok : wrong)++;
                            });
     if (i % 64 == 63) {
-      cluster.sim().Run();
+      cluster.Run();
     }
   }
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(ok, 5'000);
   EXPECT_EQ(wrong, 0);
 }
@@ -292,7 +292,7 @@ TEST(AdmissionControlTest, SourceShedsPullsUnderTinyBoundAndMigrationCompletes) 
   std::optional<MigrationStats> result;
   StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                            [&](const MigrationStats& stats) { result = stats; });
-  cluster.sim().Run();
+  cluster.Run();
 
   ASSERT_TRUE(result.has_value()) << "migration did not complete";
   // With one worker and eight partitions the bound must have tripped; the

@@ -150,19 +150,19 @@ TEST(TelemetryTransportTest, FramesReachPlannerViaPingReplies) {
   RebalancePlanner planner(&cluster);  // Not started: just collects frames.
 
   // Drive some client traffic so the frames carry real rates.
-  Simulator& sim = cluster.sim();
   // Keep traffic flowing through the whole run so the (16 ms) sliding
   // window is non-empty whenever a ping samples a frame.
   for (int i = 0; i < 2'200; i++) {
-    sim.At(kMillisecond + static_cast<Tick>(i) * 10 * kMicrosecond, [&cluster, i] {
+    const Tick at = kMillisecond + static_cast<Tick>(i) * 10 * kMicrosecond;
+    cluster.client(0).sim().At(at, [&cluster, i] {
       cluster.client(0).Read(kTable, Cluster::MakeKey(static_cast<uint64_t>(i % 500), 30),
                              [](Status, const std::string&) {});
     });
   }
   cluster.coordinator().StartFailureDetector();
-  sim.RunUntil(25 * kMillisecond);
+  cluster.RunUntil(25 * kMillisecond);
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   // Every master's frame arrived by piggyback on ping replies.
   for (size_t i = 0; i < cluster.num_masters(); i++) {
@@ -197,7 +197,7 @@ TEST(CheckedSplitTest, RefusesNarrowEmptyAndUnknownSplits) {
 
   // A legal split works and both layers converge once events drain.
   EXPECT_EQ(coordinator.SplitTabletChecked(kTable, kMid), Status::kOk);
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(coordinator.splits_performed(), 1u);
   const Tablet* upper = cluster.master(0).objects().tablets().Find(kTable, kMid);
   ASSERT_NE(upper, nullptr);
@@ -212,15 +212,14 @@ TEST(CheckedSplitTest, RefusesSplitUnderInFlightMigration) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, 2'000, 30, 100);
-  Simulator& sim = cluster.sim();
 
   std::optional<MigrationStats> stats;
-  sim.At(kMillisecond, [&] {
+  cluster.AtSafePoint(kMillisecond, [&] {
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                              [&](const MigrationStats& s) { stats = s; });
   });
   // Let the migration get under way (ownership moved, dependency live).
-  sim.RunUntil(kMillisecond + 500 * kMicrosecond);
+  cluster.RunUntil(kMillisecond + 500 * kMicrosecond);
   ASSERT_TRUE(cluster.coordinator().FindDependencyBySource(cluster.master(0).id()).has_value());
 
   // Splitting the migrating range is refused while the dependency is live...
@@ -229,11 +228,11 @@ TEST(CheckedSplitTest, RefusesSplitUnderInFlightMigration) {
   // ...but the source's untouched lower half splits fine.
   EXPECT_EQ(cluster.coordinator().SplitTabletChecked(kTable, kQuarter), Status::kOk);
 
-  sim.Run();
+  cluster.Run();
   ASSERT_TRUE(stats.has_value());
   // Once committed, the formerly migrating range splits normally again.
   EXPECT_EQ(cluster.coordinator().SplitTabletChecked(kTable, kMid + kQuarter), Status::kOk);
-  sim.Run();
+  cluster.Run();
   AuditReport report;
   cluster.coordinator().AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.Summary();
@@ -248,7 +247,7 @@ TEST(CheckedSplitTest, CoordinatorCrashMidSplitConvergesOnRestart) {
   // the coordinator before the mirror lands: the owner is stranded unsplit.
   EXPECT_EQ(coordinator.SplitTabletChecked(kTable, kMid), Status::kOk);
   coordinator.Crash();
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(cluster.master(0).objects().tablets().tablets().size(), 1u);
 
   // Restart reconciles every map boundary back onto the owners.
@@ -265,11 +264,11 @@ TEST(CheckedSplitTest, CoordinatorCrashMidSplitConvergesOnRestart) {
 
 // Builds a frame claiming `server` serves `tablets` (ops spread uniformly
 // over each tablet's bins).
-LoadTelemetryFrame MakeFrame(Simulator& sim, ServerId server,
+LoadTelemetryFrame MakeFrame(Cluster& cluster, ServerId server,
                              std::vector<TabletLoadSample> tablets) {
   LoadTelemetryFrame frame;
   frame.server = server;
-  frame.sampled_at = sim.now();
+  frame.sampled_at = cluster.now();
   frame.tablets = std::move(tablets);
   return frame;
 }
@@ -302,15 +301,14 @@ TEST(PlannerTest, HysteresisThenMigratesBestFitTablet) {
   cluster.coordinator().SplitTablet(kTable, kMid);
   cluster.LoadTable(kTable, 1'000, 30, 100);
   RebalancePlanner planner(&cluster, TestPlannerOptions());
-  Simulator& sim = cluster.sim();
 
   const ServerId hot = cluster.master(0).id();
   auto feed = [&] {
-    planner.InjectFrame(MakeFrame(sim, hot,
+    planner.InjectFrame(MakeFrame(cluster, hot,
                                   {MakeSample(0, kMid - 1, 30'000),
                                    MakeSample(kMid, ~KeyHash{0}, 8'000)}));
     for (size_t i = 1; i < cluster.num_masters(); i++) {
-      planner.InjectFrame(MakeFrame(sim, cluster.master(i).id(), {}));
+      planner.InjectFrame(MakeFrame(cluster, cluster.master(i).id(), {}));
     }
   };
 
@@ -323,7 +321,7 @@ TEST(PlannerTest, HysteresisThenMigratesBestFitTablet) {
   planner.PlanOnce();
   EXPECT_EQ(planner.state(), RebalancePlanner::State::kMigrating);
   EXPECT_EQ(planner.stats().migrations_started, 1u);
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(planner.stats().migrations_completed, 1u);
   EXPECT_EQ(planner.state(), RebalancePlanner::State::kCooldown);
   // Best fit under the cap: the 8k tablet moved (desired ≈ min(max-mean,
@@ -340,11 +338,10 @@ TEST(PlannerTest, BalancedOrStaleClusterNeverActs) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   RebalancePlanner planner(&cluster, TestPlannerOptions());
-  Simulator& sim = cluster.sim();
 
   // Balanced: equal load everywhere.
   for (size_t i = 0; i < cluster.num_masters(); i++) {
-    planner.InjectFrame(MakeFrame(sim, cluster.master(i).id(),
+    planner.InjectFrame(MakeFrame(cluster, cluster.master(i).id(),
                                   {MakeSample(0, ~KeyHash{0}, 10'000)}));
   }
   planner.PlanOnce();
@@ -352,8 +349,7 @@ TEST(PlannerTest, BalancedOrStaleClusterNeverActs) {
   EXPECT_EQ(planner.state(), RebalancePlanner::State::kIdle);
 
   // Stale: frames exist but are too old to act on.
-  sim.At(sim.now() + 200 * kMillisecond, [] {});
-  sim.Run();
+  cluster.RunUntil(cluster.now() + 200 * kMillisecond);
   planner.PlanOnce();
   EXPECT_EQ(planner.stats().skipped_stale, 1u);
   EXPECT_EQ(planner.stats().migrations_started, 0u);
@@ -367,18 +363,17 @@ TEST(PlannerTest, NeverMigratesIntoOverloadedOrBudgetPressedTarget) {
   RebalancerOptions options = TestPlannerOptions();
   options.hysteresis_rounds = 1;
   RebalancePlanner planner(&cluster, options);
-  Simulator& sim = cluster.sim();
 
   const ServerId hot = cluster.master(0).id();
   auto hot_frame = [&] {
-    return MakeFrame(sim, hot,
+    return MakeFrame(cluster, hot,
                      {MakeSample(0, kMid - 1, 30'000), MakeSample(kMid, ~KeyHash{0}, 8'000)});
   };
 
   // Every prospective target is past an overload ceiling.
   planner.InjectFrame(hot_frame());
   for (size_t i = 1; i < cluster.num_masters(); i++) {
-    LoadTelemetryFrame frame = MakeFrame(sim, cluster.master(i).id(), {});
+    LoadTelemetryFrame frame = MakeFrame(cluster, cluster.master(i).id(), {});
     frame.recent_p999_ns = kTargetP999CeilingNs + 1;
     planner.InjectFrame(frame);
   }
@@ -389,7 +384,7 @@ TEST(PlannerTest, NeverMigratesIntoOverloadedOrBudgetPressedTarget) {
   // Every prospective target would blow its memory budget.
   planner.InjectFrame(hot_frame());
   for (size_t i = 1; i < cluster.num_masters(); i++) {
-    LoadTelemetryFrame frame = MakeFrame(sim, cluster.master(i).id(), {});
+    LoadTelemetryFrame frame = MakeFrame(cluster, cluster.master(i).id(), {});
     frame.memory_budget_bytes = 1 << 20;
     frame.memory_in_use = 1 << 20;  // No headroom at all.
     planner.InjectFrame(frame);
@@ -400,10 +395,10 @@ TEST(PlannerTest, NeverMigratesIntoOverloadedOrBudgetPressedTarget) {
 
   // Relieve one target and the same imbalance becomes actionable.
   planner.InjectFrame(hot_frame());
-  planner.InjectFrame(MakeFrame(sim, cluster.master(2).id(), {}));
+  planner.InjectFrame(MakeFrame(cluster, cluster.master(2).id(), {}));
   planner.PlanOnce();
   EXPECT_EQ(planner.stats().migrations_started, 1u);
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(cluster.coordinator().OwnerOf(kTable, kMid), cluster.master(2).id());
 }
 
@@ -415,20 +410,19 @@ TEST(PlannerTest, SplitsHotTabletAtHistogramBoundary) {
   RebalancerOptions options = TestPlannerOptions();
   options.hysteresis_rounds = 1;
   RebalancePlanner planner(&cluster, options);
-  Simulator& sim = cluster.sim();
 
   // One tablet carries everything: any move overshoots the deficit, so the
   // planner must carve it first.
-  planner.InjectFrame(MakeFrame(sim, cluster.master(0).id(),
+  planner.InjectFrame(MakeFrame(cluster, cluster.master(0).id(),
                                 {MakeSample(0, ~KeyHash{0}, 40'000)}));
   for (size_t i = 1; i < cluster.num_masters(); i++) {
-    planner.InjectFrame(MakeFrame(sim, cluster.master(i).id(), {}));
+    planner.InjectFrame(MakeFrame(cluster, cluster.master(i).id(), {}));
   }
   planner.PlanOnce();
   EXPECT_EQ(planner.stats().splits_requested, 1u);
   EXPECT_EQ(planner.stats().migrations_started, 0u);
   EXPECT_EQ(cluster.coordinator().splits_performed(), 1u);
-  sim.Run();
+  cluster.Run();
 
   // The split landed where the uniform histogram crosses the desired move
   // (~desired/total of the way in, on a bin boundary) — and both layers
@@ -519,7 +513,6 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
     }
   }
   cluster.LoadTable(kTable, kChaosRecords, 30, 100);
-  Simulator& sim = cluster.sim();
 
   // Key pools per quarter (for aiming the hot spot at master 0).
   std::vector<std::string> hot_pool;
@@ -546,9 +539,10 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
   const size_t victim = 2 + schedule.Uniform(2);
   const Tick crash_at = 8 * kMillisecond + schedule.Uniform(10 * kMillisecond);
   cluster.coordinator().on_recovery_complete = [&](ServerId id) {
-    sim.After(kMillisecond, [&, id] { cluster.coordinator().master(id)->Restart(); });
+    cluster.coordinator().sim().After(kMillisecond,
+                                      [&, id] { cluster.coordinator().master(id)->Restart(); });
   };
-  sim.At(crash_at, [&] { cluster.master(victim).Crash(); });
+  cluster.AtSafePoint(crash_at, [&] { cluster.master(victim).Crash(); });
 
   // 80%-hot / 20%-uniform op pump with the durability reference.
   Random ops_rng(seed * 31 + 5);
@@ -556,8 +550,9 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
   std::set<std::string> write_in_flight;
   RebalanceChaosDigest digest;
   uint64_t op_index = 0;
+  // The op pump runs on the coordinator's node.
   std::function<void()> pump = [&] {
-    if (sim.now() >= kChaosOpsStop) {
+    if (cluster.coordinator().sim().now() >= kChaosOpsStop) {
       return;
     }
     const bool hot = ops_rng.NextDouble() < 0.8;
@@ -594,14 +589,14 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
                    });
     }
     op_index++;
-    sim.After(kChaosOpGap, pump);
+    cluster.coordinator().sim().After(kChaosOpGap, pump);
   };
-  sim.After(kChaosOpGap, pump);
+  cluster.coordinator().sim().After(kChaosOpGap, pump);
 
-  sim.RunUntil(kChaosHorizon);
+  cluster.RunUntil(kChaosHorizon);
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
 
@@ -639,15 +634,15 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(digest.mismatches, 0u)
       << "seed " << seed << ": acked writes lost under rebalancing:\n" << mismatch_detail;
 
-  digest.trace_hash = sim.trace_hash();
-  digest.events = sim.events_processed();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
   digest.splits_performed = cluster.coordinator().splits_performed();
   digest.migrations_started = planner.stats().migrations_started;
   digest.migrations_completed = planner.stats().migrations_completed;

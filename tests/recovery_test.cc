@@ -36,7 +36,7 @@ struct RecoveryFixture {
     bool recovered = false;
     cluster.coordinator().HandleCrash(cluster.master(master_index).id(),
                                       [&] { recovered = true; });
-    cluster.sim().Run();
+    cluster.Run();
     EXPECT_TRUE(recovered);
   }
 
@@ -52,10 +52,10 @@ struct RecoveryFixture {
         correct += (s == Status::kOk && v == expected);
       });
       if (i % 64 == 63) {
-        cluster.sim().Run();
+        cluster.Run();
       }
     }
-    cluster.sim().Run();
+    cluster.Run();
     return correct;
   }
 
@@ -77,7 +77,7 @@ TEST(RecoveryTest, CrashWithoutMigrationRestoresAllData) {
       writes++;
     });
   }
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_EQ(writes, 20);
 
   f.CrashAndRecover(0);
@@ -97,13 +97,13 @@ TEST(RecoveryTest, RemovesSurviveRecovery) {
     EXPECT_EQ(s, Status::kOk);
     ops++;
   });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   ASSERT_EQ(ops, 1);
   f.CrashAndRecover(0);
   Status status = Status::kOk;
   f.cluster.client(0).Read(kTable, Cluster::MakeKey(7, 30),
                            [&](Status s, const std::string&) { status = s; });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_EQ(status, Status::kObjectNotFound);
 }
 
@@ -116,7 +116,7 @@ TEST(RecoveryTest, TargetCrashMidMigrationFallsBackToSource) {
   // Let the migration get going, write to migrating keys at the *target*
   // (ownership moved there), then crash the target.
   std::map<std::string, std::string> overrides;
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 100 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 100 * kMicrosecond);
   int writes = 0;
   for (uint64_t i = 0; i < f.num_records && writes < 0 + 10; i++) {
     const std::string key = Cluster::MakeKey(i, 30);
@@ -126,7 +126,7 @@ TEST(RecoveryTest, TargetCrashMidMigrationFallsBackToSource) {
       writes++;
     }
   }
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 300 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 300 * kMicrosecond);
   ASSERT_FALSE(migration_done) << "crash must hit mid-migration";
   ASSERT_FALSE(f.cluster.coordinator().dependencies().empty());
 
@@ -147,7 +147,7 @@ TEST(RecoveryTest, SourceCrashMidMigrationRecoversEverything) {
   StartRocksteadyMigration(&f.cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                            [&](const MigrationStats&) { migration_done = true; });
   std::map<std::string, std::string> overrides;
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 100 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 100 * kMicrosecond);
   int writes = 0;
   for (uint64_t i = 0; i < f.num_records && writes < 10; i++) {
     const std::string key = Cluster::MakeKey(i, 30);
@@ -157,7 +157,7 @@ TEST(RecoveryTest, SourceCrashMidMigrationRecoversEverything) {
       writes++;
     }
   }
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 300 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 300 * kMicrosecond);
   ASSERT_FALSE(migration_done) << "crash must hit mid-migration";
 
   f.CrashAndRecover(0);
@@ -181,7 +181,7 @@ TEST(RecoveryTest, TargetCrashDuringPriorityPullBatch) {
                            [&](const MigrationStats&) { migration_done = true; });
   // Let ownership transfer, then read migrated-range keys the target cannot
   // have yet: each miss batches into a PriorityPull.
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 50 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 50 * kMicrosecond);
   int reads_issued = 0;
   int reads_ok = 0;
   for (uint64_t i = 0; i < f.num_records && reads_issued < 8; i++) {
@@ -194,7 +194,7 @@ TEST(RecoveryTest, TargetCrashDuringPriorityPullBatch) {
     }
   }
   // A few microseconds in, the batch is in flight / being replayed.
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 10 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 10 * kMicrosecond);
   ASSERT_FALSE(migration_done) << "crash must hit mid-migration";
 
   f.CrashAndRecover(1);
@@ -217,11 +217,11 @@ TEST(RecoveryTest, SourceCrashDuringLazyRereplication) {
       StartRocksteadyMigration(&f.cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                                [&](const MigrationStats&) { migration_done = true; });
   // Step until the pulls finish and the replication epilogue begins.
-  const Tick limit = f.cluster.sim().now() + 50 * kMillisecond;
+  const Tick limit = f.cluster.now() + 50 * kMillisecond;
   while (!migration_done &&
          manager->phase() != RocksteadyMigrationManager::Phase::kReplicating &&
-         f.cluster.sim().now() < limit) {
-    f.cluster.sim().RunUntil(f.cluster.sim().now() + 2 * kMicrosecond);
+         f.cluster.now() < limit) {
+    f.cluster.RunUntil(f.cluster.now() + 2 * kMicrosecond);
   }
   ASSERT_EQ(static_cast<int>(manager->phase()),
             static_cast<int>(RocksteadyMigrationManager::Phase::kReplicating))
@@ -245,12 +245,12 @@ TEST(RecoveryTest, CoordinatorRestartMidMigration) {
   bool migration_done = false;
   StartRocksteadyMigration(&f.cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                            [&](const MigrationStats&) { migration_done = true; });
-  f.cluster.sim().RunUntil(f.cluster.sim().now() + 100 * kMicrosecond);
+  f.cluster.RunUntil(f.cluster.now() + 100 * kMicrosecond);
   ASSERT_FALSE(migration_done);
   f.cluster.coordinator().Crash();
-  f.cluster.sim().At(f.cluster.sim().now() + 5 * kMillisecond,
-                     [&] { f.cluster.coordinator().Restart(); });
-  f.cluster.sim().Run();
+  f.cluster.AtSafePoint(f.cluster.now() + 5 * kMillisecond,
+                        [&] { f.cluster.coordinator().Restart(); });
+  f.cluster.Run();
 
   EXPECT_TRUE(migration_done);
   EXPECT_EQ(f.cluster.coordinator().OwnerOf(kTable, kMid), f.cluster.master(1).id());
@@ -272,7 +272,7 @@ TEST(RecoveryTest, ReadsDuringRecoveryEventuallySucceed) {
                              status = s;
                              value = v;
                            });
-  f.cluster.sim().Run();
+  f.cluster.Run();
   EXPECT_TRUE(recovered);
   EXPECT_EQ(status, Status::kOk);
   EXPECT_EQ(value, std::string(100, 'v'));

@@ -11,10 +11,11 @@ namespace rocksteady {
 namespace {
 
 struct Fixture {
-  Simulator sim{7};
+  LaneSet lanes{LaneSet::Config{.seed = 7}};
+  Simulator& sim = lanes.lane_sim(0);  // The one lane: in-event clock, CoreSet home.
   CostModel costs;
-  Network net{&sim, &costs};
-  RpcSystem rpc{&sim, &net, &costs};
+  Network net{&lanes, &costs};
+  RpcSystem rpc{&lanes, &net, &costs};
 };
 
 TEST(RpcTest, RoundTripThroughDispatch) {
@@ -38,7 +39,7 @@ TEST(RpcTest, RoundTripThroughDispatch) {
                ASSERT_EQ(status, Status::kOk);
                got = static_cast<ReadResponse&>(*response).value;
              });
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(got, "value-for-k1");
 }
 
@@ -53,7 +54,7 @@ TEST(RpcTest, LatencyIncludesDispatchAndNetwork) {
   Tick completed_at = 0;
   f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
              [&](Status, std::unique_ptr<RpcResponse>) { completed_at = f.sim.now(); });
-  f.sim.Run();
+  f.lanes.Run();
   // At minimum: two propagation delays + dispatch rx + dispatch tx.
   const Tick floor = 2 * f.costs.net_propagation_ns + f.costs.dispatch_per_rpc_ns +
                      f.costs.dispatch_tx_ns;
@@ -79,7 +80,7 @@ TEST(RpcTest, ConcurrentCallsSerializeOnDispatch) {
                  completed++;
                });
   }
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(handled, 10);
   EXPECT_EQ(completed, 10);
 }
@@ -102,10 +103,10 @@ TEST(RpcTest, TimeoutFiresWhenServerDown) {
                EXPECT_EQ(response, nullptr);
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(got, Status::kServerDown);
-  EXPECT_EQ(f.sim.now(), kMillisecond);
+  EXPECT_EQ(f.lanes.now(), kMillisecond);
 }
 
 TEST(RpcTest, NoTimeoutAfterResponse) {
@@ -123,8 +124,40 @@ TEST(RpcTest, NoTimeoutAfterResponse) {
                EXPECT_EQ(status, Status::kOk);
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(callbacks, 1);  // The timeout must not double-fire.
+}
+
+// Regression: a response to a call that already gave up is dropped at the
+// caller's NIC, before its dispatch core polls it. Charging stale responses
+// a poll let a congested recovery master's retransmissions feed on
+// themselves (the rebalance chaos suite's event storm).
+TEST(RpcTest, StaleResponseSkipsTheCallersDispatchPoll) {
+  Fixture f;
+  CoreSet server_cores(&f.sim, 1);
+  CoreSet caller_cores(&f.sim, 1);
+  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* caller = f.rpc.CreateEndpoint(&caller_cores);
+  // The handler answers after 2 ms of work: past the caller's deadline.
+  server->Register(Opcode::kRead, [&server_cores](RpcContext context) {
+    auto reply = std::make_shared<ReplyFn>(std::move(context.reply));
+    server_cores.EnqueueWorker({Priority::kClient, [] { return 2 * kMillisecond; },
+                                [reply] { (*reply)(std::make_unique<ReadResponse>()); }});
+  });
+  int callbacks = 0;
+  Status got = Status::kOk;
+  f.rpc.Call(caller->node(), server->node(), std::make_unique<ReadRequest>(),
+             [&](Status status, std::unique_ptr<RpcResponse>) {
+               callbacks++;
+               got = status;
+             },
+             /*timeout=*/kMillisecond);
+  f.lanes.Run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(got, Status::kServerDown);
+  EXPECT_GT(f.rpc.retransmissions(), 0u);  // Duplicates the server suppressed.
+  EXPECT_GE(f.lanes.now(), 2 * kMillisecond);  // The late response was sent...
+  EXPECT_EQ(caller_cores.total_dispatch_busy(), 0u);  // ...and never polled.
 }
 
 TEST(RpcTest, HaltedServerNeverReplies) {
@@ -140,7 +173,7 @@ TEST(RpcTest, HaltedServerNeverReplies) {
   f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
              [&](Status status, std::unique_ptr<RpcResponse>) { got = status; },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(got, Status::kServerDown);
 }
 
@@ -159,7 +192,7 @@ TEST(RpcTest, RetransmitDeliversThroughRequestDrop) {
   f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
              [&](Status status, std::unique_ptr<RpcResponse>) { got = status; },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(got, Status::kOk);
   EXPECT_GE(f.rpc.retransmissions(), 1u);
   EXPECT_EQ(f.net.injected_drops(), 1u);
@@ -185,7 +218,7 @@ TEST(RpcTest, DuplicateRequestExecutesHandlerOnce) {
                callbacks++;
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(executions, 1);
   EXPECT_EQ(callbacks, 1);
   EXPECT_GE(server->duplicates_suppressed() + server->responses_replayed(), 1u);
@@ -216,7 +249,7 @@ TEST(RpcTest, LostResponseDoesNotDoubleApplyWrite) {
                callbacks++;
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(applied, 1);  // Executed exactly once despite the retransmission.
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(got, Status::kOk);
@@ -235,7 +268,7 @@ TEST(RpcTest, ServerToServerCallsChargeBothDispatches) {
   bool done = false;
   f.rpc.Call(a->node(), b->node(), std::make_unique<ReadRequest>(),
              [&](Status, std::unique_ptr<RpcResponse>) { done = true; });
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_TRUE(done);
   // Caller's dispatch polled the response off its NIC.
   EXPECT_GE(a_cores.total_dispatch_busy(), f.costs.dispatch_per_rpc_ns);
@@ -260,7 +293,7 @@ TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
   const int calls = static_cast<int>(10 * f.costs.rpc_dedup_retention_ns / spacing);
   int completed = 0;
   for (int i = 0; i < calls; i++) {
-    f.sim.At(static_cast<Tick>(i) * spacing, [&] {
+    f.sim.At(static_cast<Tick>(i) * spacing, client->node(), [&] {
       f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
                  [&](Status status, std::unique_ptr<RpcResponse>) {
                    EXPECT_EQ(status, Status::kOk);
@@ -268,7 +301,7 @@ TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
                  });
     });
   }
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(completed, calls);
   // At most one retention window of entries (plus the handful whose expiry
   // the final prune had not reached yet), not all `calls` of them.
@@ -294,20 +327,20 @@ TEST(RpcTest, DedupCacheExpiresCrashOrphanedEntries) {
   });
   f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
              [](Status, std::unique_ptr<RpcResponse>) {}, /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(server->dedup_size(), 1u);  // Undone entry parked in the cache.
   // Crash-restart bumps the core epoch: the entry is now orphaned, not
   // in flight.
   server_cores.Halt();
   server_cores.Restart();
   // Well past the retention horizon, any delivery triggers the prune.
-  f.sim.After(2 * f.costs.rpc_dedup_retention_ns, [&] {
+  f.sim.After(2 * f.costs.rpc_dedup_retention_ns, client->node(), [&] {
     f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
                [](Status status, std::unique_ptr<RpcResponse>) {
                  EXPECT_EQ(status, Status::kOk);
                });
   });
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_LE(server->dedup_size(), 1u);  // Orphan expired; only the fresh call remains.
 }
 

@@ -58,11 +58,11 @@ RunDigest RunScenario(uint64_t seed) {
   actor.Start();
 
   std::optional<MigrationStats> stats;
-  cluster.sim().At(kSecond / 100, [&] {
+  cluster.AtSafePoint(kSecond / 100, [&] {
     StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
                              [&](const MigrationStats& s) { stats = s; });
   });
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_TRUE(stats.has_value()) << "migration did not complete";
 
   // The migrated cluster must also be *consistent*, not just deterministic.
@@ -72,9 +72,9 @@ RunDigest RunScenario(uint64_t seed) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 
   RunDigest digest;
-  digest.trace_hash = cluster.sim().trace_hash();
-  digest.events = cluster.sim().events_processed();
-  digest.end_time = cluster.sim().now();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
+  digest.end_time = cluster.now();
   digest.records_pulled = stats ? stats->records_pulled : 0;
   digest.priority_pull_records = stats ? stats->priority_pull_records : 0;
   digest.client_completed = actor.completed();

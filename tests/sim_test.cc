@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/sim/core_set.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/lane_set.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 
@@ -63,10 +65,22 @@ TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(SimulatorTest, DeterministicRngPerSeed) {
-  Simulator a(99);
-  Simulator b(99);
-  EXPECT_EQ(a.rng().Next(), b.rng().Next());
+TEST(LaneSetTest, NodeRngIsDeterministicPerSeedAndPlacementFree) {
+  // Randomness lives in per-node streams: the same seed gives the same
+  // draws, and a node's stream does not depend on which lane it sits on.
+  auto draws = [](uint64_t seed, int lanes) {
+    LaneSet set(LaneSet::Config{.lanes = lanes, .seed = seed});
+    std::vector<uint64_t> out;
+    for (NodeId node = 0; node < 4; node++) {
+      set.AssignNode(node, static_cast<int>(node) % lanes);
+      out.push_back(set.NodeRng(node).Next());
+    }
+    return out;
+  };
+  EXPECT_EQ(draws(99, 1), draws(99, 1));
+  EXPECT_EQ(draws(99, 1), draws(99, 4));
+  EXPECT_NE(draws(99, 1), draws(100, 1));
+  EXPECT_NE(draws(99, 1)[0], draws(99, 1)[1]);  // Streams differ per node.
 }
 
 #if ROCKSTEADY_DCHECK_ENABLED
@@ -116,10 +130,11 @@ TEST(SimulatorTest, RunUntilPastIsNoOp) {
 
 TEST(SimulatorTest, TraceHashMatchesForIdenticalRuns) {
   auto run = [] {
-    Simulator sim(7);
+    Simulator sim;
+    Random rng(7);
     for (int i = 0; i < 50; i++) {
-      sim.After(sim.rng().Uniform(1'000), [&sim] {
-        if (sim.rng().Uniform(4) == 0) {
+      sim.After(rng.Uniform(1'000), [&sim, &rng] {
+        if (rng.Uniform(4) == 0) {
           sim.After(10, [] {});
         }
       });
@@ -280,93 +295,96 @@ TEST(CoreSetTest, RestartAcceptsNewWork) {
 // ---------------------------------------------------------------- Network.
 
 TEST(NetworkTest, DeliveryIncludesSerializationAndPropagation) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
+  Simulator& sim = lanes.lane_sim(0);  // In-event clock.
   CostModel costs;
   costs.net_bandwidth_bps = 1e9;  // 1 GB/s for round numbers.
   costs.net_propagation_ns = 1'000;
   costs.net_per_message_ns = 0;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   Tick delivered_at = 0;
   net.Send(a, b, 1'000, [&] { delivered_at = sim.now(); });  // 1 KB at 1 GB/s = 1 us.
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(delivered_at, 2'000u);  // 1 us serialization + 1 us propagation.
 }
 
 TEST(NetworkTest, EgressLinkSerializesMessages) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
+  Simulator& sim = lanes.lane_sim(0);  // In-event clock.
   CostModel costs;
   costs.net_bandwidth_bps = 1e9;
   costs.net_propagation_ns = 0;
   costs.net_per_message_ns = 0;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   std::vector<Tick> deliveries;
   for (int i = 0; i < 3; i++) {
     net.Send(a, b, 1'000, [&] { deliveries.push_back(sim.now()); });
   }
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(deliveries, (std::vector<Tick>{1'000, 2'000, 3'000}));
 }
 
 TEST(NetworkTest, DistinctSourcesDontShareEgress) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
+  Simulator& sim = lanes.lane_sim(0);  // In-event clock.
   CostModel costs;
   costs.net_bandwidth_bps = 1e9;
   costs.net_propagation_ns = 0;
   costs.net_per_message_ns = 0;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   const NodeId c = net.AddNode();
   std::vector<Tick> deliveries;
   net.Send(a, c, 1'000, [&] { deliveries.push_back(sim.now()); });
   net.Send(b, c, 1'000, [&] { deliveries.push_back(sim.now()); });
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(deliveries, (std::vector<Tick>{1'000, 1'000}));
 }
 
 TEST(NetworkTest, DownNodeDropsTraffic) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
   CostModel costs;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   int delivered = 0;
   net.SetNodeDown(b, true);
   net.Send(a, b, 100, [&] { delivered++; });
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(delivered, 0);
   net.SetNodeDown(b, false);
   net.Send(a, b, 100, [&] { delivered++; });
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(delivered, 1);
 }
 
 TEST(NetworkTest, InFlightMessagesToCrashedNodeDropped) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
   CostModel costs;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   int delivered = 0;
   net.Send(a, b, 1'000'000, [&] { delivered++; });  // In flight for a while.
-  sim.At(1, [&] { net.SetNodeDown(b, true); });
-  sim.Run();
+  lanes.AtSafePoint(1, [&] { net.SetNodeDown(b, true); });
+  lanes.Run();
   EXPECT_EQ(delivered, 0);
 }
 
 TEST(NetworkTest, ByteAccounting) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
   CostModel costs;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   net.Send(a, b, 100, [] {});
   net.Send(b, a, 250, [] {});
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(net.total_bytes_sent(), 350u);
   EXPECT_EQ(net.total_messages(), 2u);
 }
@@ -460,37 +478,39 @@ TEST(CoreSetTest, HaltCancelsHeldTask) {
 TEST(NetworkTest, SmallMessagesBypassBulkQueue) {
   // A tiny response must not wait behind a large bulk transfer on the same
   // egress (packet interleaving, §2.4's transport-integration point).
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
+  Simulator& sim = lanes.lane_sim(0);  // In-event clock.
   CostModel costs;
   costs.net_bandwidth_bps = 1e9;
   costs.net_propagation_ns = 0;
   costs.net_per_message_ns = 0;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   Tick bulk_at = 0;
   Tick small_at = 0;
   net.Send(a, b, 1'000'000, [&] { bulk_at = sim.now(); });  // 1 ms of serialization.
   net.Send(a, b, 100, [&] { small_at = sim.now(); });
-  sim.Run();
+  lanes.Run();
   EXPECT_LT(small_at, 10'000u);     // Did not wait for the bulk message.
   EXPECT_GE(bulk_at, 1'000'000u);   // Bulk paid its full serialization.
 }
 
 TEST(NetworkTest, BulkMessagesStillQueueTogether) {
-  Simulator sim;
+  LaneSet lanes(LaneSet::Config{});
+  Simulator& sim = lanes.lane_sim(0);  // In-event clock.
   CostModel costs;
   costs.net_bandwidth_bps = 1e9;
   costs.net_propagation_ns = 0;
   costs.net_per_message_ns = 0;
-  Network net(&sim, &costs);
+  Network net(&lanes, &costs);
   const NodeId a = net.AddNode();
   const NodeId b = net.AddNode();
   std::vector<Tick> deliveries;
   for (int i = 0; i < 3; i++) {
     net.Send(a, b, 100'000, [&] { deliveries.push_back(sim.now()); });
   }
-  sim.Run();
+  lanes.Run();
   EXPECT_EQ(deliveries, (std::vector<Tick>{100'000, 200'000, 300'000}));
 }
 

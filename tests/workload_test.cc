@@ -79,7 +79,7 @@ TEST(ClientActorTest, OpenLoopOffersConfiguredRate) {
   actor_config.stop_time = kSecond;
   ClientActor actor(1, &cluster.client(0), &workload, actor_config);
   actor.Start();
-  cluster.sim().Run();
+  cluster.Run();
   // Poisson arrivals at 50K/s for 1 s: within a few percent.
   EXPECT_NEAR(static_cast<double>(actor.issued()), 50'000.0, 2'500.0);
   EXPECT_EQ(actor.failed(), 0u);
@@ -108,9 +108,9 @@ TEST(ClientActorTest, BacklogFormsWhenServerSlow) {
   ClientActor actor(1, &cluster.client(0), &workload, actor_config);
   actor.set_read_latency(&reads);
   actor.Start();
-  cluster.sim().RunUntil(kSecond / 10);
+  cluster.RunUntil(kSecond / 10);
   EXPECT_GT(actor.backlog(), 100u);
-  cluster.sim().Run();  // Drain.
+  cluster.Run();  // Drain.
   EXPECT_EQ(actor.backlog(), 0u);
   EXPECT_EQ(actor.issued(), actor.completed() + actor.failed());
   // Sojourn latency far exceeds service latency under overload.
@@ -137,7 +137,7 @@ TEST(ClientActorTest, WritesCountedSeparately) {
   actor.set_read_latency(&reads);
   actor.set_write_latency(&writes);
   actor.Start();
-  cluster.sim().Run();
+  cluster.Run();
   const uint64_t total_reads = reads.Total().count();
   const uint64_t total_writes = writes.Total().count();
   EXPECT_GT(total_reads, 0u);
