@@ -60,8 +60,9 @@ step "test: ASan+UBSan"
 ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}"
 
 # The chaos, overload, rebalancer and scenario suites run on the one engine
-# there is (event lanes, one lane: recovery, the planner and the operations
-# layer touch other nodes directly and refuse more than one).
+# there is, at one lane. Recovery, the planner and the operations layer run
+# at any lane count (every event touches only its own node); the lane legs
+# below replay them at 2 and 4 lanes.
 step "chaos suite: lossy fabric + crash-restarts, 20 seeds, replayed bit-identically"
 "${ROOT}/build-asan/tests/chaos_test" --gtest_filter='Seeds/ChaosTest.*'
 
@@ -81,9 +82,11 @@ step "rpc dedup cache stays bounded"
 "${ROOT}/build-asan/tests/rpc_test" --gtest_filter='*Dedup*'
 
 step "threaded lanes: 4-lane worker-thread runs match the single-lane schedule"
-# The full 20-seed x {ycsb, migration, faults} suite runs under ctest; this
-# leg re-runs a slice with ASan explicitly so a lane/barrier memory bug
-# cannot hide behind a ctest filter change.
+# The full 20-seed x {ycsb, migration, faults, scale24, recovery, operations}
+# suite runs under ctest; this leg re-runs a slice with ASan explicitly so a
+# lane/barrier memory bug cannot hide behind a ctest filter change. The
+# recovery and operations scenarios (detector-driven lineage recovery; the
+# planner, a drain and a rolling restart) are the control plane's slice.
 "${ROOT}/build-asan/tests/lane_determinism_test" \
   --gtest_filter='*_s10:*_s11:*_s12:*_s13:LaneTieBreakTest.*:LaneWindowTest.*'
 
@@ -131,9 +134,10 @@ step "test: TSan fast subset (determinism core + threaded lane barriers)"
 "${ROOT}/build-tsan/tests/sim_determinism_test"
 "${ROOT}/build-tsan/tests/rpc_test"
 # The multi-lane suite under TSan is the race gate for sharded execution:
-# every parameterized case (the 24-master scale24 shape included) runs 2 and
-# 4 threaded lanes through the per-window barrier. A subset of seeds keeps
-# the leg fast; ctest runs all 20.
+# every parameterized case (the 24-master scale24 shape, and the recovery and
+# operations control-plane scenarios, included) runs 2 and 4 threaded lanes
+# through the per-window barrier. A subset of seeds keeps the leg fast;
+# ctest runs all 20.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
   --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*:LaneWindowTest.*'
 

@@ -65,6 +65,7 @@ Coordinator::~Coordinator() = default;
 
 ServerId Coordinator::RegisterMaster(MasterServer* master) {
   masters_.push_back(master);
+  up_.push_back(true);
   lifecycle_.push_back(ServerLifecycle::kActive);
   return static_cast<ServerId>(masters_.size());
 }
@@ -80,7 +81,7 @@ std::vector<ServerId> Coordinator::AliveServers(ServerId except) const {
   std::vector<ServerId> alive;
   for (size_t i = 0; i < masters_.size(); i++) {
     const ServerId id = static_cast<ServerId>(i + 1);
-    if (id != except && !masters_[i]->crashed()) {
+    if (id != except && up_[i]) {
       alive.push_back(id);
     }
   }
@@ -91,28 +92,14 @@ std::vector<ServerId> Coordinator::PlacementCandidates(ServerId except) const {
   std::vector<ServerId> candidates;
   for (size_t i = 0; i < masters_.size(); i++) {
     const ServerId id = static_cast<ServerId>(i + 1);
-    if (id != except && !masters_[i]->crashed() &&
-        lifecycle_[i] == ServerLifecycle::kActive) {
+    if (id != except && up_[i] && lifecycle_[i] == ServerLifecycle::kActive) {
       candidates.push_back(id);
     }
   }
   return candidates;
 }
 
-bool Coordinator::AnyPlacementEligible(ServerId except) const {
-  for (size_t i = 0; i < masters_.size(); i++) {
-    const ServerId id = static_cast<ServerId>(i + 1);
-    if (id != except && !masters_[i]->crashed() &&
-        lifecycle_[i] == ServerLifecycle::kActive) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Status Coordinator::BeginDrain(ServerId id) {
-  // Draining flips the master's state directly: one lane only.
-  ROCKSTEADY_CHECK(rpc_->lanes()->lanes() == 1);
   if (id < 1 || id > masters_.size()) {
     return Status::kInvalidState;
   }
@@ -120,16 +107,14 @@ Status Coordinator::BeginDrain(ServerId id) {
   if (state == ServerLifecycle::kDraining || state == ServerLifecycle::kDecommissioned) {
     return Status::kOk;  // Latched already; re-drives are no-ops.
   }
-  if (!AnyPlacementEligible(id)) {
+  if (PlacementCandidates(id).empty()) {
     // Nowhere for the evacuation to land — refuse rather than strand the
     // cluster with zero placement-eligible masters.
     return Status::kInvalidState;
   }
   state = ServerLifecycle::kDraining;
   drains_started_++;
-  if (!masters_[id - 1]->crashed()) {
-    masters_[id - 1]->SetDraining(true);
-  }
+  SendDrainLatch(id, true);
   LOG_INFO("coordinator: server %u draining at t=%.6f s", id,
            static_cast<double>(sim_->now()) / 1e9);
   // An already-empty server (standby, or never assigned) completes at once.
@@ -146,9 +131,7 @@ Status Coordinator::ActivateServer(ServerId id) {
     return Status::kOk;
   }
   state = ServerLifecycle::kActive;
-  if (!masters_[id - 1]->crashed()) {
-    masters_[id - 1]->SetDraining(false);
-  }
+  SendDrainLatch(id, false);
   LOG_INFO("coordinator: server %u activated at t=%.6f s", id,
            static_cast<double>(sim_->now()) / 1e9);
   return Status::kOk;
@@ -188,12 +171,21 @@ void Coordinator::MaybeCompleteDrains() {
     }
     lifecycle_[i] = ServerLifecycle::kDecommissioned;
     drains_completed_++;
-    if (!masters_[i]->crashed()) {
-      masters_[i]->SetDraining(false);
-    }
+    SendDrainLatch(id, false);
     LOG_INFO("coordinator: server %u drained empty; decommissioned at t=%.6f s", id,
              static_cast<double>(sim_->now()) / 1e9);
   }
+}
+
+void Coordinator::SendDrainLatch(ServerId id, bool draining) {
+  if (!up(id)) {
+    return;  // Restart() re-syncs the latch from the lifecycle table.
+  }
+  auto request = std::make_unique<SetDrainingRequest>();
+  request->draining = draining;
+  request->epoch = ++drain_latch_epoch_;
+  rpc_->Call(node(), NodeOf(id), std::move(request),
+             [](Status, std::unique_ptr<RpcResponse>) {}, costs_->rpc_timeout_ns);
 }
 
 void Coordinator::CreateTable(TableId table, ServerId owner) {
@@ -211,7 +203,7 @@ Status Coordinator::SplitTablet(TableId table, KeyHash split_hash) {
         // Already split in the map. Still converge the owner's mirror (a
         // checked split's deferred mirror may have been lost to a
         // coordinator crash); TabletManager::Split is idempotent.
-        if (!master(tablet.owner)->crashed()) {
+        if (up(tablet.owner)) {
           // lint:allow-unchecked: convergence mirror — kTableNotFound here means the
           // owner is mid-recovery and recovery reinstalls exact ranges itself.
           master(tablet.owner)->objects().tablets().Split(table, split_hash);
@@ -247,7 +239,7 @@ Status Coordinator::SplitTabletChecked(TableId table, KeyHash split_hash) {
       return Status::kInvalidState;
     }
     const ServerId owner = tablet.owner;
-    if (master(owner)->crashed() || recovering_.contains(owner) || active_recoveries_ > 0) {
+    if (!up(owner) || recovering_.contains(owner) || active_recoveries_ > 0) {
       splits_refused_++;
       return Status::kRetryLater;
     }
@@ -262,15 +254,9 @@ Status Coordinator::SplitTabletChecked(TableId table, KeyHash split_hash) {
         return Status::kRetryLater;
       }
     }
-    const Tablet* local = master(owner)->objects().tablets().Find(table, split_hash);
-    if (local == nullptr || local->state != TabletState::kNormal) {
-      // Owner mid-transition (recovering replay, migration endpoint, ...).
-      splits_refused_++;
-      return Status::kRetryLater;
-    }
-    // Commit to the quorum-replicated map first, then mirror to the owner
-    // asynchronously (the mirror is an RPC in spirit: a coordinator crash in
-    // between loses it, and Restart()'s ReconcileSplits re-drives it).
+    // Commit to the quorum-replicated map first, then mirror to the owner by
+    // RPC (a coordinator crash in between loses the mirror, and Restart()'s
+    // ReconcileSplits re-drives it).
     OwnedTablet upper = tablet;
     upper.start_hash = split_hash;
     tablet.end_hash = split_hash - 1;
@@ -281,13 +267,16 @@ Status Coordinator::SplitTabletChecked(TableId table, KeyHash split_hash) {
              static_cast<unsigned long long>(split_hash), owner);
     DebugAudit(*this, "coordinator after SplitTabletChecked");
     sim_->After(0, node(), [this, table, split_hash, owner] {
-      if (crashed_ || master(owner)->crashed()) {
+      if (crashed_ || !up(owner)) {
         return;  // ReconcileSplits()/recovery converges the mirror later.
       }
-      // lint:allow-unchecked: deferred mirror — a refused split means the owner's
-      // tablets changed under us; ReconcileSplits()/recovery converge the mirror.
-      master(owner)->objects().tablets().Split(table, split_hash);
-      DebugAudit(*this, "coordinator after split mirror");
+      auto mirror = std::make_unique<SplitTabletRequest>();
+      mirror->table = table;
+      mirror->split_hash = split_hash;
+      // A refused mirror means the owner's tablets changed under us;
+      // ReconcileSplits()/recovery converge it.
+      rpc_->Call(node(), NodeOf(owner), std::move(mirror),
+                 [](Status, std::unique_ptr<RpcResponse>) {}, costs_->rpc_timeout_ns);
     });
     return Status::kOk;
   }
@@ -297,7 +286,7 @@ Status Coordinator::SplitTabletChecked(TableId table, KeyHash split_hash) {
 
 void Coordinator::ReconcileSplits() {
   for (const auto& entry : tablet_map_) {
-    if (master(entry.owner)->crashed() || recovering_.contains(entry.owner)) {
+    if (!up(entry.owner) || recovering_.contains(entry.owner)) {
       continue;  // Recovery installs exact-range tablets itself.
     }
     TabletManager& tablets = master(entry.owner)->objects().tablets();
@@ -336,7 +325,7 @@ Status Coordinator::UpdateOwnership(TableId table, KeyHash start_hash, KeyHash e
 Status Coordinator::ReassignTablet(TableId table, KeyHash start_hash, KeyHash end_hash,
                                    ServerId new_owner) {
   if (new_owner < 1 || new_owner > masters_.size() ||
-      lifecycle_[new_owner - 1] != ServerLifecycle::kActive || master(new_owner)->crashed()) {
+      lifecycle_[new_owner - 1] != ServerLifecycle::kActive || !up(new_owner)) {
     return Status::kInvalidState;
   }
   for (auto& tablet : tablet_map_) {
@@ -354,7 +343,7 @@ Status Coordinator::ReassignTablet(TableId table, KeyHash start_hash, KeyHash en
     master(new_owner)->objects().tablets().Add(
         Tablet{table, start_hash, end_hash, TabletState::kNormal});
     tablet.owner = new_owner;
-    if (previous >= 1 && previous <= masters_.size() && !master(previous)->crashed()) {
+    if (previous >= 1 && previous <= masters_.size() && up(previous)) {
       master(previous)->objects().tablets().Remove(table, start_hash, end_hash);
     }
     MaybeCompleteDrains();
@@ -427,14 +416,22 @@ void Coordinator::RegisterDependency(const MigrationDependency& dependency) {
   DebugAudit(*this, "coordinator after RegisterDependency");
 }
 
-void Coordinator::DropDependency(ServerId source, ServerId target, TableId table) {
+bool Coordinator::DropDependency(ServerId source, ServerId target, TableId table) {
   leases_.erase(LeaseKey{source, target, table});
-  std::erase_if(dependencies_, [&](const MigrationDependency& d) {
+  const size_t dropped = std::erase_if(dependencies_, [&](const MigrationDependency& d) {
     return d.source == source && d.target == target && d.table == table;
   });
   // The dependency edge may have been the last thing pinning a draining
   // server (its final outbound migration just committed or aborted).
   MaybeCompleteDrains();
+  return dropped > 0;
+}
+
+void Coordinator::CommitDependency(ServerId source, ServerId target, TableId table) {
+  // Re-driven drops of one commit find the edge gone and report nothing.
+  if (DropDependency(source, target, table) && on_migration_committed) {
+    on_migration_committed(source, target, table);
+  }
 }
 
 std::optional<MigrationDependency> Coordinator::FindDependencyBySource(ServerId source) const {
@@ -497,10 +494,10 @@ void Coordinator::AuditInvariants(AuditReport* report) const {
   // hole, or reads routed by the map fall into kWrongServer loops. Recovery
   // legitimately repoints ownership before the recovery master installs its
   // kRecovering tablets, so the check stands down while one is in flight.
-  if (active_recoveries_ == 0 && recovering_.empty()) {
+  // Masters' tablets are theirs: only root context may read them.
+  if (active_recoveries_ == 0 && recovering_.empty() && !sim_->in_event()) {
     for (const auto& entry : tablet_map_) {
-      if (entry.owner < 1 || entry.owner > masters_.size() ||
-          master(entry.owner)->crashed()) {
+      if (entry.owner < 1 || entry.owner > masters_.size() || !up(entry.owner)) {
         continue;
       }
       // A range under an in-flight migration is in transition (e.g. a target
@@ -663,8 +660,6 @@ void Coordinator::Restart() {
 }
 
 void Coordinator::StartFailureDetector() {
-  // Recovery touches other nodes' state directly: one lane only.
-  ROCKSTEADY_CHECK(rpc_->lanes()->lanes() == 1);
   if (failure_detector_running_) {
     return;
   }
@@ -716,11 +711,10 @@ void Coordinator::DeclareDead(ServerId id) {
   if (crashed_ || recovering_.contains(id)) {
     return;
   }
-  MasterServer* server = master(id);
-  if (!server->crashed()) {
+  if (up(id)) {
     // The probe died to loss, not to a crash (or the server already came
     // back). A real detector needs several misses or a quorum; the sim can
-    // simply consult ground truth and let the next sweep re-check.
+    // simply consult its membership view and let the next sweep re-check.
     return;
   }
   crashes_detected_++;
@@ -752,38 +746,41 @@ void Coordinator::CheckLeases() {
   for (const auto& dependency : expired) {
     // A crashed endpoint outranks "stalled": route through full lineage
     // recovery rather than a plain abort.
-    if (master(dependency.target)->crashed()) {
+    if (!up(dependency.target)) {
       DeclareDead(dependency.target);
       continue;
     }
-    if (master(dependency.source)->crashed()) {
+    if (!up(dependency.source)) {
       DeclareDead(dependency.source);
       continue;
     }
-    // Both ends alive. If the target already owns the range and serves it
+    // Both ends alive: ask the target. If it already serves the range
     // normally, the migration committed but the DropDependency RPC never
-    // landed — the dependency row is stale metadata, not a wedge.
-    MasterServer* target = master(dependency.target);
-    const Tablet* tablet = target->objects().tablets().Find(dependency.table,
-                                                            dependency.start_hash);
-    const bool committed = tablet != nullptr && tablet->state == TabletState::kNormal &&
-                           OwnerOf(dependency.table, dependency.start_hash) == dependency.target;
-    if (committed) {
-      stale_dependencies_dropped_++;
-      LOG_INFO("coordinator: dropping stale dependency source=%u target=%u table=%llu",
+    // landed — the dependency row is stale metadata, not a wedge. Otherwise
+    // it is wedged mid-flight with no heartbeats: abort it back to the
+    // source through the §3.4 lineage path so the range serves again. The
+    // lease restarts so one abort is in flight per expiry.
+    leases_[LeaseKey{dependency.source, dependency.target, dependency.table}] = now;
+    AbortToSource(dependency, /*keep_if_committed=*/true, [this, dependency](bool committed) {
+      (committed ? stale_dependencies_dropped_ : stalled_migrations_aborted_)++;
+      LOG_INFO("coordinator: %s source=%u target=%u table=%llu",
+               committed ? "dropped stale dependency" : "aborted stalled migration",
                dependency.source, dependency.target,
                static_cast<unsigned long long>(dependency.table));
-      DropDependency(dependency.source, dependency.target, dependency.table);
-      continue;
-    }
-    // Genuinely wedged mid-flight with no heartbeats: abort it back to the
-    // source through the §3.4 lineage path so the range serves again.
-    stalled_migrations_aborted_++;
-    LOG_INFO("coordinator: aborting stalled migration source=%u target=%u table=%llu",
-             dependency.source, dependency.target,
-             static_cast<unsigned long long>(dependency.table));
-    recovery_->AbortMigrationToSource(dependency, nullptr);
+    });
   }
+}
+
+void Coordinator::AbortToSource(const MigrationDependency& dependency, bool keep_if_committed,
+                                std::function<void(bool committed)> done) {
+  active_recoveries_++;
+  recovery_->AbortMigrationToSource(
+      dependency, keep_if_committed, [this, done = std::move(done)](bool committed) {
+        active_recoveries_--;
+        if (done) {
+          done(committed);
+        }
+      });
 }
 
 void Coordinator::HandleGetTableConfig(RpcContext context) {
@@ -806,7 +803,7 @@ void Coordinator::HandleRegisterDependency(RpcContext context) {
 
 void Coordinator::HandleDropDependency(RpcContext context) {
   auto& request = context.As<DropDependencyRequest>();
-  DropDependency(request.source, request.target, request.table);
+  CommitDependency(request.source, request.target, request.table);
   context.reply(std::make_unique<StatusResponse>());
 }
 
@@ -834,8 +831,8 @@ void Coordinator::HandleAbortMigration(RpcContext context) {
            dependency.source, dependency.target,
            static_cast<unsigned long long>(dependency.table));
   auto shared = std::make_shared<RpcContext>(std::move(context));
-  recovery_->AbortMigrationToSource(
-      dependency, [shared] { shared->reply(std::make_unique<StatusResponse>()); });
+  AbortToSource(dependency, /*keep_if_committed=*/false,
+                [shared](bool) { shared->reply(std::make_unique<StatusResponse>()); });
 }
 
 void Coordinator::HandleMigrationHeartbeat(RpcContext context) {

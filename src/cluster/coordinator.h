@@ -7,9 +7,15 @@
 // The coordinator owns crash recovery orchestration (delegated to
 // RecoveryManager).
 //
-// Control-plane operations (table creation, server registration) are direct
-// method calls; data-plane-relevant operations that the paper charges RPCs
-// for (client tablet-map refresh, dependency register/drop) are RPCs.
+// The coordinator touches only its own state inside an event. It decides
+// from its tablet map, its lifecycle table and a membership view that
+// master crash and restart update in root context, and reaches masters by
+// RPC, as RAMCloud does: recovery-master assignment (kRecover), inbound
+// migration aborts, split mirrors and the drain latch are messages, like
+// client tablet-map refresh and dependency register/drop. Setup-time and
+// safe-point control-plane calls (CreateTable, SplitTablet, ReassignTablet,
+// CreateIndex, Restart's split reconciliation) run in root context, with
+// every lane parked, and still install on the masters directly.
 #ifndef ROCKSTEADY_SRC_CLUSTER_COORDINATOR_H_
 #define ROCKSTEADY_SRC_CLUSTER_COORDINATOR_H_
 
@@ -89,7 +95,10 @@ class Coordinator {
   ServerId RegisterMaster(MasterServer* master);
   MasterServer* master(ServerId id) const;
   NodeId NodeOf(ServerId id) const;
-  const std::vector<MasterServer*>& masters() const { return masters_; }
+  // Membership view: false from a master's Crash() to its Restart(), both
+  // of which run in root context and report here.
+  bool up(ServerId id) const { return up_[id - 1]; }
+  void SetServerUp(ServerId id, bool up) { up_[id - 1] = up; }
   // Alive servers other than `except` (backup placement, recovery sources).
   // Lifecycle-blind: a draining or decommissioned server still answers
   // backup reads (its frames model disk), so recovery fetch paths keep it.
@@ -100,11 +109,12 @@ class Coordinator {
 
   // --- Server lifecycle (drain/decommission protocol). ---
   ServerLifecycle lifecycle(ServerId id) const { return lifecycle_[id - 1]; }
-  // Marks `id` kDraining: the master stops accepting tablet assignments and
-  // the rebalance planner mass-evacuates its ranges. Idempotent (draining or
-  // decommissioned already -> kOk). Refused (kInvalidState) when no *other*
-  // placement-eligible master exists — the evacuation would have nowhere to
-  // land. An empty server decommissions immediately.
+  // Marks `id` kDraining: the master stops accepting tablet assignments (a
+  // kSetDraining latch) and the rebalance planner mass-evacuates its ranges.
+  // Idempotent (draining or decommissioned already -> kOk). Refused
+  // (kInvalidState) when no *other* placement-eligible master exists — the
+  // evacuation would have nowhere to land. An empty server decommissions
+  // immediately.
   Status BeginDrain(ServerId id);
   // Moves `id` to kActive: admits a standby into placement (scale-out),
   // cancels an in-progress drain, or re-commissions a decommissioned server.
@@ -138,9 +148,8 @@ class Coordinator {
   //  * owner crashed/recovering, owner's tablet not kNormal, or a lineage
   //    dependency overlaps the range (migration in flight) -> kRetryLater
   // On success the quorum-replicated map splits immediately; the owning
-  // master's mirror is applied asynchronously (it is an RPC in spirit), so a
-  // coordinator crash can strand the master unsplit — Restart() runs
-  // ReconcileSplits() to converge.
+  // master's mirror follows by kSplitTablet RPC, so a coordinator crash can
+  // strand the master unsplit — Restart() runs ReconcileSplits() to converge.
   Status SplitTabletChecked(TableId table, KeyHash split_hash);
   // Re-mirrors every map boundary onto the owning masters (idempotent);
   // called on Restart() so a crash between map update and master mirror
@@ -182,7 +191,12 @@ class Coordinator {
 
   // --- Lineage dependencies (§3.4). ---
   void RegisterDependency(const MigrationDependency& dependency);
-  void DropDependency(ServerId source, ServerId target, TableId table);
+  // Returns whether the edge was registered.
+  bool DropDependency(ServerId source, ServerId target, TableId table);
+  // Drops an edge whose migration committed (the target's DropDependency
+  // RPC, or the lease watchdog finding it committed) and reports it through
+  // on_migration_committed.
+  void CommitDependency(ServerId source, ServerId target, TableId table);
   std::optional<MigrationDependency> FindDependencyBySource(ServerId source) const;
   std::optional<MigrationDependency> FindDependencyByTarget(ServerId target) const;
   const std::vector<MigrationDependency>& dependencies() const { return dependencies_; }
@@ -223,10 +237,10 @@ class Coordinator {
   uint64_t stale_dependencies_dropped() const { return stale_dependencies_dropped_; }
   uint64_t budget_aborts() const { return budget_aborts_; }
 
-  // Hook installed by the migration library: called on the target master
-  // when its inbound migration must abort (source crashed). Takes (target
-  // master, table).
-  std::function<void(MasterServer*, TableId)> abort_inbound_migration;
+  // Fired on the coordinator's node when a migration commits (its lineage
+  // dependency is dropped as committed): (source, target, table). The
+  // rebalance planner learns of its migrations' completion here.
+  std::function<void(ServerId, ServerId, TableId)> on_migration_committed;
 
   // --- Piggyback payload routing. ---
   // Control RPCs that flow periodically anyway (ping replies, migration
@@ -242,10 +256,11 @@ class Coordinator {
   // hash has exactly one owner; owners are registered servers; lineage
   // dependencies are unique per (source, target, table) and name registered,
   // distinct servers; standby and decommissioned servers own no map range
-  // and appear in no dependency. When no crash recovery is in flight, additionally
-  // cross-layer: each alive owner's local tablets tile every map range it
-  // owns (split ranges included) — a master serving a range the map gave
-  // away, or missing a range the map assigned it, is a routing hole.
+  // and appear in no dependency. In root context with no crash recovery in
+  // flight, additionally cross-layer: each alive owner's local tablets tile
+  // every map range it owns (split ranges included) — a master missing a
+  // range the map assigned it is a routing hole. (Inside an event the
+  // coordinator may not read masters, so that part stands down.)
   void AuditInvariants(AuditReport* report) const;
 
  private:
@@ -259,8 +274,13 @@ class Coordinator {
   void HandleBeginDrain(RpcContext context);
   void HandleActivateServer(RpcContext context);
   void HandleDrainStatus(RpcContext context);
-  // True while any server (other than `except`) can legally receive tablets.
-  bool AnyPlacementEligible(ServerId except) const;
+  // Latches the master's drain flag by kSetDraining RPC (a down master
+  // re-syncs from the lifecycle table when it restarts).
+  void SendDrainLatch(ServerId id, bool draining);
+  // RecoveryManager::AbortMigrationToSource, counted as a recovery in
+  // flight; `done(committed)` may be null.
+  void AbortToSource(const MigrationDependency& dependency, bool keep_if_committed,
+                     std::function<void(bool committed)> done);
   void DetectorSweep();
   void DeclareDead(ServerId id);
   void CheckLeases();
@@ -272,6 +292,8 @@ class Coordinator {
   std::unique_ptr<CoreSet> cores_;
   RpcEndpoint* endpoint_;
   std::vector<MasterServer*> masters_;  // Index = ServerId - 1.
+  std::vector<bool> up_;               // Membership view, index = ServerId - 1.
+  uint64_t drain_latch_epoch_ = 0;     // Orders kSetDraining latches.
   // Quorum-replicated like the tablet map: survives Crash()/Restart(), so a
   // drain in progress resumes after a coordinator outage.
   std::vector<ServerLifecycle> lifecycle_;  // Index = ServerId - 1.
@@ -286,9 +308,10 @@ class Coordinator {
   std::map<LeaseKey, Tick> leases_;  // Last heartbeat per dependency.
   // One registered handler per kind; at most a handful of kinds ever exist.
   std::vector<std::pair<PiggybackKind, PiggybackHandler>> piggyback_handlers_;
-  // Recoveries in flight (HandleCrash started, done not yet fired). While
-  // nonzero, ownership moves ahead of master-side tablet installs by design,
-  // so the cross-layer coverage audit stands down.
+  // Recoveries and aborts-to-source in flight (started, done not yet
+  // fired). While nonzero, ownership moves ahead of master-side tablet
+  // installs by design, so the cross-layer coverage audit stands down and
+  // checked splits are refused.
   int active_recoveries_ = 0;
   uint64_t crashes_detected_ = 0;
   uint64_t stalled_migrations_aborted_ = 0;

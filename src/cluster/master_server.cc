@@ -2,7 +2,9 @@
 
 #include <cassert>
 
+#include "src/cluster/recovery.h"
 #include "src/common/annotations.h"
+#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -72,6 +74,31 @@ void MasterServer::RegisterHandlers() {
       response->piggyback = piggyback_provider();
     }
     c.reply(std::move(response));
+  });
+  // Coordinator -> master hand-offs: the coordinator never touches this
+  // server's state itself.
+  endpoint_->Register(Opcode::kRecover,
+                      ROCKSTEADY_IDEMPOTENT("installs ranges kRecovering and replays by the "
+                                            "version rule: a re-run replays the same entries")
+                      [this](RpcContext c) { RunRecovery(this, std::move(c)); });
+  endpoint_->Register(Opcode::kSplitTablet,
+                      ROCKSTEADY_IDEMPOTENT("splitting at an existing boundary is a no-op")
+                      [this](RpcContext c) {
+    auto& request = c.As<SplitTabletRequest>();
+    auto response = std::make_unique<StatusResponse>();
+    response->status = objects_.tablets().Split(request.table, request.split_hash);
+    c.reply(std::move(response));
+  });
+  endpoint_->Register(Opcode::kSetDraining,
+                      ROCKSTEADY_IDEMPOTENT("epoch-ordered latch: an older or repeated latch "
+                                            "is ignored")
+                      [this](RpcContext c) {
+    auto& request = c.As<SetDrainingRequest>();
+    if (request.epoch > drain_latch_epoch_) {
+      drain_latch_epoch_ = request.epoch;
+      SetDraining(request.draining);
+    }
+    c.reply(std::make_unique<StatusResponse>());
   });
 }
 
@@ -532,12 +559,18 @@ void MasterServer::HandleGetRecoveryData(RpcContext context) {
 }
 
 void MasterServer::Crash() {
+  ROCKSTEADY_DCHECK(!sim_->in_event());
+  if (on_crash) {
+    on_crash();
+  }
   crashed_ = true;
   cores_->Halt();
   rpc().net()->SetNodeDown(node(), true);
+  coordinator_->SetServerUp(id_, false);
 }
 
 void MasterServer::Restart() {
+  ROCKSTEADY_DCHECK(!sim_->in_event());
   if (!crashed_) {
     return;
   }
@@ -554,6 +587,7 @@ void MasterServer::Restart() {
   crashed_ = false;
   cores_->Restart();
   rpc().net()->SetNodeDown(node(), false);
+  coordinator_->SetServerUp(id_, true);
   // Re-sync the drain flag from the coordinator's quorum-replicated
   // lifecycle table: a master that crashed mid-drain rejoins still refusing
   // new tablet assignments, so the drain converges instead of resetting.

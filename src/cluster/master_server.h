@@ -10,6 +10,7 @@
 #ifndef ROCKSTEADY_SRC_CLUSTER_MASTER_SERVER_H_
 #define ROCKSTEADY_SRC_CLUSTER_MASTER_SERVER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/cluster/backup_service.h"
 #include "src/cluster/coordinator.h"
 #include "src/cluster/replica_manager.h"
+#include "src/common/dcheck.h"
 #include "src/common/timeseries.h"
 #include "src/index/indexlet.h"
 #include "src/rpc/rpc_system.h"
@@ -101,7 +103,12 @@ class MasterServer {
   const MasterConfig& config() const { return config_; }
 
   CoreSet& cores() { return *cores_; }
-  ObjectManager& objects() { return objects_; }
+  // The store: touched only by this server's own events or root context
+  // (debug builds check it, at every lane count).
+  ObjectManager& objects() {
+    CheckOwner();
+    return objects_;
+  }
   ReplicaManager& replicas() { return *replicas_; }
   BackupService& backup() { return backup_; }
   RpcEndpoint& endpoint() { return *endpoint_; }
@@ -118,6 +125,11 @@ class MasterServer {
   // probes reply with an empty blob, exactly the pre-telemetry wire cost.
   std::function<PiggybackBlob()> piggyback_provider;
 
+  // Called by Crash() before the server halts: a crashed process loses
+  // whatever it was running (the migration library aborts its inbound
+  // migrations here, so no continuation survives into a restart).
+  std::function<void()> on_crash;
+
   // Opaque per-server state slot for layered subsystems (the migration
   // library parks its per-server managers here).
   void set_extension(std::shared_ptr<void> extension) { extension_ = std::move(extension); }
@@ -129,15 +141,21 @@ class MasterServer {
   Indexlet* FindIndexlet(TableId table, uint8_t index_id, std::string_view secondary_key);
 
   // --- Drain (decommission protocol). ---
-  // Set by the coordinator when this master enters/leaves kDraining. While
-  // draining, the master refuses new inbound tablet migrations (the
-  // kMigrateTablet handler checks this) — it only sheds. Mirrors the
-  // coordinator's quorum-replicated lifecycle flag; Restart() re-syncs from
-  // it, so a master that crashes mid-drain comes back still refusing.
-  void SetDraining(bool draining) { draining_ = draining; }
+  // Latched by the coordinator's kSetDraining RPC when this master enters or
+  // leaves kDraining. While draining, the master refuses new inbound tablet
+  // migrations (the kMigrateTablet handler checks this) — it only sheds.
+  // Mirrors the coordinator's quorum-replicated lifecycle flag; Restart()
+  // re-syncs from it, so a master that crashes mid-drain comes back still
+  // refusing.
+  void SetDraining(bool draining) {
+    CheckOwner();
+    draining_ = draining;
+  }
   bool draining() const { return draining_; }
 
   // --- Crash simulation. ---
+  // Root context only (a safe-point task or setup code): both also update
+  // the coordinator's membership view.
   // Halts cores and disconnects the NIC. Recovery is driven separately by
   // Coordinator::HandleCrash.
   void Crash();
@@ -188,6 +206,10 @@ class MasterServer {
   void HandleBackupWrite(RpcContext context);
   void HandleGetRecoveryData(RpcContext context);
 
+  // An event touches only its own node: debug builds abort when another
+  // node's event reaches this server's state.
+  void CheckOwner() const { ROCKSTEADY_DCHECK(sim_->InRootOrOn(node())); }
+
   // Load shedding: past the client hard limit, replies kRetryLater (with a
   // backoff hint) instead of queueing. Returns true if the request was shed.
   template <typename Response>
@@ -234,6 +256,7 @@ class MasterServer {
   std::vector<std::unique_ptr<Indexlet>> indexlets_;
   bool crashed_ = false;
   bool draining_ = false;
+  uint64_t drain_latch_epoch_ = 0;  // Newest kSetDraining latch applied.
   uint64_t reads_served_ = 0;
   uint64_t writes_served_ = 0;
   SlidingLatencyTracker client_latency_;

@@ -1,8 +1,9 @@
 #include "src/cluster/operations.h"
 
+#include <algorithm>
+
 #include "src/cluster/coordinator.h"
 #include "src/cluster/master_server.h"
-#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -21,8 +22,6 @@ RollingRestartOrchestrator::~RollingRestartOrchestrator() {
 }
 
 void RollingRestartOrchestrator::Start(std::function<void()> done) {
-  // Crashes and restarts other nodes directly: one lane only.
-  ROCKSTEADY_CHECK(cluster_->lanes()->lanes() == 1);
   if (running_) {
     return;
   }
@@ -53,7 +52,8 @@ void RollingRestartOrchestrator::StepNext() {
   while (next_index_ < cluster_->num_masters()) {
     const size_t index = next_index_++;
     MasterServer& master = cluster_->master(index);
-    if (master.crashed() || coordinator.lifecycle(master.id()) != ServerLifecycle::kActive) {
+    if (!coordinator.up(master.id()) ||
+        coordinator.lifecycle(master.id()) != ServerLifecycle::kActive) {
       // Draining masters are mid-evacuation (a restart would turn a planned
       // drain into an unplanned recovery); standby/decommissioned masters
       // hold nothing worth cycling; crashed ones are already being handled.
@@ -90,18 +90,22 @@ void RollingRestartOrchestrator::OnRecoveryComplete(ServerId id) {
     return;  // Someone else's recovery (concurrent chaos), not our step.
   }
   // Rejoin only after re-homing finished, then give the cluster a settle
-  // window before the next master goes down.
-  cluster_->coordinator().sim().After(options_.restart_delay_ns, [this, alive = alive_, id] {
+  // window before the next master goes down. Restart and the next crash are
+  // operator actions on other nodes: they run as safe-point tasks.
+  Simulator& sim = cluster_->coordinator().sim();
+  const Tick restart_at = sim.now() + std::max(options_.restart_delay_ns,
+                                               cluster_->lanes()->lookahead());
+  sim.AtSafePoint(restart_at, [this, alive = alive_, id] {
     if (!*alive || !running_) {
       return;
     }
     MasterServer* master = cluster_->coordinator().master(id);
-    if (master != nullptr && master->crashed()) {
+    if (master->crashed()) {
       master->Restart();
       stats_.restarts_completed++;
     }
     in_flight_ = 0;
-    cluster_->coordinator().sim().After(options_.settle_ns, [this, alive = alive_] {
+    cluster_->AtSafePoint(cluster_->now() + options_.settle_ns, [this, alive = alive_] {
       if (*alive && running_) {
         StepNext();
       }

@@ -16,6 +16,12 @@
 // rolling restart is "controlled failure, one at a time" — which means the
 // whole fault-tolerance stack (detection, lineage resolution, re-homing,
 // backup replay) is exercised by routine operations, not just by disasters.
+//
+// Crashing and restarting a master are operator actions from outside the
+// cluster, so they run in root context: Start() and every later step are
+// safe-point tasks (the recovery-complete hook, a coordinator event, posts
+// the restart one restart_delay ahead), which keeps the whole cycle
+// lane-count-invariant.
 #ifndef ROCKSTEADY_SRC_CLUSTER_OPERATIONS_H_
 #define ROCKSTEADY_SRC_CLUSTER_OPERATIONS_H_
 
@@ -58,7 +64,8 @@ class RollingRestartOrchestrator {
   RollingRestartOrchestrator& operator=(const RollingRestartOrchestrator&) = delete;
 
   // Begins the rolling restart over every currently-kActive master, in id
-  // order, one at a time. Starts the coordinator's failure detector if it is
+  // order, one at a time. Root context only (setup code or a safe-point
+  // task): it crashes the first master directly. Starts the coordinator's failure detector if it is
   // not already running (the crash must be *detected*, not announced — the
   // restart rides the real failure path). `done` fires after the last
   // restarted master's settle window. Chains with (saves and restores, and
@@ -81,7 +88,7 @@ class RollingRestartOrchestrator {
   ServerId in_flight_ = 0;    // Master currently being cycled (0 = none).
   std::function<void()> done_;
   std::function<void(ServerId)> saved_hook_;  // Prior on_recovery_complete.
-  // Guards timer callbacks across orchestrator destruction.
+  // Guards safe-point tasks across orchestrator destruction.
   std::shared_ptr<bool> alive_;
 };
 

@@ -1,6 +1,5 @@
 #include "src/cluster/recovery.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -57,7 +56,268 @@ void ReplicateDurably(MasterServer* rm, LogRef ref, int attempts_left,
   });
 }
 
+// Shared state of one kRecover request on its recovery master.
+struct RecoveryJob {
+  MasterServer* rm = nullptr;
+  std::vector<RecoverRange> ranges;
+  size_t sources_left = 0;
+  RpcContext context;
+
+  // Replays the entries of `bytes` that fall in a recovered range, skipping
+  // those below `skip_below`; returns the modeled replay cost.
+  Tick Replay(const std::vector<uint8_t>& bytes, size_t skip_below) {
+    size_t offset = 0;
+    size_t replayed = 0;
+    size_t replayed_bytes = 0;
+    while (offset < bytes.size()) {
+      LogEntryView entry;
+      if (!ReadEntry(bytes.data() + offset, bytes.size() - offset, &entry)) {
+        break;  // Torn tail of an in-progress replica write.
+      }
+      const size_t length = entry.header.TotalLength();
+      if (offset >= skip_below && (entry.type() == LogEntryType::kObject ||
+                                   entry.type() == LogEntryType::kTombstone)) {
+        for (const auto& range : ranges) {
+          if (entry.table_id() == range.table && entry.key_hash() >= range.start_hash &&
+              entry.key_hash() <= range.end_hash) {
+            LogRef ref;
+            if (rm->objects().Replay(entry, nullptr, &ref)) {
+              // The recovery master's DRAM is now the record's only home;
+              // give it fresh replicas or the *next* crash loses it for
+              // good. Detached from completion: the recovery master's
+              // backup set may include the crashed master itself, whose
+              // legs cannot succeed until it restarts — which, in a rolling
+              // restart, only happens after this recovery reports done.
+              ReplicateDurably(rm, ref, kReplayReplicationAttempts, [] {});
+            }
+            replayed++;
+            replayed_bytes += length;
+            break;
+          }
+        }
+      }
+      offset += length;
+    }
+    return rm->costs().ReplayCost(replayed, replayed_bytes);
+  }
+
+  void SourceDone() {
+    if (--sources_left > 0) {
+      return;
+    }
+    // Every source replayed: open the ranges for clients (a range may have
+    // been split while it recovered, so walk every local tablet in it).
+    for (const auto& range : ranges) {
+      KeyHash cursor = range.start_hash;
+      while (Tablet* tablet = rm->objects().tablets().Find(range.table, cursor)) {
+        if (tablet->state == TabletState::kRecovering) {
+          tablet->state = TabletState::kNormal;
+        }
+        if (tablet->end_hash >= range.end_hash) {
+          break;
+        }
+        cursor = tablet->end_hash + 1;
+      }
+    }
+    context.reply(std::make_unique<StatusResponse>());
+  }
+};
+
+// Fetches `source`'s segments from every backup, keeps the copy of each
+// segment that parses furthest, then replays them one worker task each (at
+// replication priority: recovery competes with normal service like other
+// background work).
+void FetchAndReplay(const std::shared_ptr<RecoveryJob>& job, const RecoverSource& source,
+                    const std::vector<NodeId>& backups) {
+  struct Fetch {
+    std::map<uint32_t, std::vector<uint8_t>> segments;  // Deduped by id.
+    size_t outstanding = 0;
+  };
+  auto fetch = std::make_shared<Fetch>();
+  const uint32_t min_segment = source.min_segment;
+  const uint32_t min_offset = source.min_offset;
+  auto replay_all = [job, fetch, min_segment, min_offset] {
+    if (fetch->segments.empty()) {
+      job->SourceDone();
+      return;
+    }
+    auto remaining = std::make_shared<size_t>(fetch->segments.size());
+    for (auto& [segment_id, data] : fetch->segments) {
+      const size_t skip_below = segment_id == min_segment ? min_offset : 0;
+      auto bytes = std::make_shared<std::vector<uint8_t>>(std::move(data));
+      job->rm->cores().EnqueueWorker(
+          {Priority::kReplication,
+           [job, bytes, skip_below] { return job->Replay(*bytes, skip_below); },
+           [job, remaining] {
+             if (--*remaining == 0) {
+               job->SourceDone();
+             }
+           }});
+    }
+  };
+  if (backups.empty()) {
+    job->SourceDone();
+    return;
+  }
+  fetch->outstanding = backups.size();
+  MasterServer* rm = job->rm;
+  for (const NodeId backup : backups) {
+    auto request = std::make_unique<GetRecoveryDataRequest>();
+    request->crashed_master = source.data_of;
+    request->min_segment_id = source.min_segment;
+    rm->rpc().Call(
+        rm->node(), backup, std::move(request),
+        [fetch, replay_all](Status status, std::unique_ptr<RpcResponse> response) {
+          if (status == Status::kOk && response != nullptr) {
+            auto& data = static_cast<GetRecoveryDataResponse&>(*response);
+            for (auto& segment : data.segments) {
+              // Replica copies of the same segment can diverge: a leg that
+              // failed mid-stream leaves a zero hole that truncates replay
+              // at that offset. Keep whichever copy parses furthest, not
+              // whichever response happened to arrive first.
+              auto it = fetch->segments.find(segment.segment_id);
+              if (it == fetch->segments.end()) {
+                fetch->segments.emplace(segment.segment_id, std::move(segment.data));
+              } else if (ParseablePrefix(segment.data) > ParseablePrefix(it->second)) {
+                it->second = std::move(segment.data);
+              }
+            }
+          }
+          if (--fetch->outstanding == 0) {
+            replay_all();
+          }
+        },
+        rm->costs().migration_rpc_timeout_ns);
+  }
+}
+
 }  // namespace
+
+void RunRecovery(MasterServer* rm, RpcContext context) {
+  auto& request = context.As<RecoverRequest>();
+  // Install every range in kRecovering first: a write accepted mid-replay
+  // would take a version the replayed entries silently clobber. A range the
+  // recovery master still holds (a migration source taking its tablet back)
+  // flips in place.
+  for (const auto& range : request.ranges) {
+    if (Tablet* tablet = rm->objects().tablets().Find(range.table, range.start_hash)) {
+      tablet->state = TabletState::kRecovering;
+    } else {
+      rm->objects().tablets().Add(
+          Tablet{range.table, range.start_hash, range.end_hash, TabletState::kRecovering});
+    }
+  }
+  auto job = std::make_shared<RecoveryJob>();
+  job->rm = rm;
+  job->ranges = request.ranges;
+  job->sources_left = request.sources.size() + 1;  // +1: released below.
+  job->context = std::move(context);  // `request` stays alive with it.
+  for (auto& source : request.sources) {
+    if (!source.inline_tail) {
+      FetchAndReplay(job, source, request.backups);
+      continue;
+    }
+    // A live target's log tail: every entry is already in range and past
+    // the dependency offset. Its only other durable home was the
+    // (now-dropped) target lineage, so replay re-replicates it too.
+    auto bytes = std::make_shared<std::vector<uint8_t>>(std::move(source.tail));
+    rm->cores().EnqueueWorker({Priority::kReplication,
+                               [job, bytes] { return job->Replay(*bytes, 0); },
+                               [job] { job->SourceDone(); }});
+  }
+  job->SourceDone();
+}
+
+std::vector<uint8_t> CollectLogTail(MasterServer* master, TableId table, KeyHash start_hash,
+                                    KeyHash end_hash, uint32_t min_segment, uint32_t min_offset) {
+  // Every write the target could ever ack is appended to its log before the
+  // ack, so the log (not its backups, which may trail an in-flight
+  // replication) is the complete set. Entries the cleaner relocated from
+  // below the dependency offset may reappear above it; the replaying
+  // master's version comparison drops those as already-known.
+  std::vector<uint8_t> tail;
+  const Log& log = master->objects().log();
+  log.ForEachEntry([&](LogRef ref, const LogEntryView& entry) {
+    if (ref.segment_id() < min_segment ||
+        (ref.segment_id() == min_segment && ref.offset() < min_offset)) {
+      return;
+    }
+    if (entry.type() != LogEntryType::kObject && entry.type() != LogEntryType::kTombstone) {
+      return;
+    }
+    if (entry.table_id() != table || entry.key_hash() < start_hash ||
+        entry.key_hash() > end_hash) {
+      return;
+    }
+    const uint8_t* data = nullptr;
+    size_t length = 0;
+    if (log.RawEntry(ref, &data, &length)) {
+      tail.insert(tail.end(), data, data + length);
+    }
+  });
+  return tail;
+}
+
+// A recovery master replies once it has replayed everything, so the call's
+// deadline bounds fetch plus replay: the control-plane RPC timeout, several
+// times what a recovery of this model's tables takes.
+void RecoveryManager::SendPlan(Plan plan, std::function<void()> done) {
+  auto request = std::make_unique<RecoverRequest>();
+  request->ranges = std::move(plan.ranges);
+  request->sources = std::move(plan.sources);
+  for (const ServerId backup : coordinator_->AliveServers(plan.recovery_master)) {
+    request->backups.push_back(coordinator_->NodeOf(backup));
+  }
+  coordinator_->rpc().Call(
+      coordinator_->node(), coordinator_->NodeOf(plan.recovery_master), std::move(request),
+      [rm = plan.recovery_master, done = std::move(done)](Status status,
+                                                          std::unique_ptr<RpcResponse>) {
+        if (status != Status::kOk) {
+          // The recovery master died mid-plan (its own recovery now owns
+          // the ranges it took over) or overran the deadline.
+          LOG_WARNING("recovery: recovery master %u did not finish (status %d)", rm,
+                      static_cast<int>(status));
+        }
+        done();
+      },
+      coordinator_->rpc().costs()->migration_rpc_timeout_ns);
+}
+
+void RecoveryManager::TakeTargetTail(
+    const MigrationDependency& dependency, bool keep_if_committed,
+    std::function<void(bool committed, RecoverSource tail)> on_tail) {
+  RecoverSource source{dependency.target, dependency.target_log_segment,
+                       dependency.target_log_offset, false, {}};
+  if (!coordinator_->up(dependency.target)) {
+    on_tail(false, std::move(source));  // Down: its backups hold the tail.
+    return;
+  }
+  auto request = std::make_unique<AbortInboundMigrationRequest>();
+  request->table = dependency.table;
+  request->start_hash = dependency.start_hash;
+  request->end_hash = dependency.end_hash;
+  request->min_segment = dependency.target_log_segment;
+  request->min_offset = dependency.target_log_offset;
+  request->keep_if_committed = keep_if_committed;
+  coordinator_->rpc().Call(
+      coordinator_->node(), coordinator_->NodeOf(dependency.target), std::move(request),
+      [source = std::move(source), on_tail = std::move(on_tail)](
+          Status status, std::unique_ptr<RpcResponse> response) mutable {
+        if (status == Status::kOk && response != nullptr) {
+          auto& aborted = static_cast<AbortInboundMigrationResponse&>(*response);
+          if (aborted.committed) {
+            on_tail(true, std::move(source));
+            return;
+          }
+          source.inline_tail = true;
+          source.tail = std::move(aborted.tail);
+        }
+        // No answer: the target went down meanwhile, so its backups hold
+        // every write it acked.
+        on_tail(false, std::move(source));
+      },
+      coordinator_->rpc().costs()->migration_rpc_timeout_ns);
+}
 
 void RecoveryManager::RecoverServer(ServerId crashed, std::function<void()> done) {
   const std::vector<ServerId> alive = coordinator_->AliveServers(crashed);
@@ -77,7 +337,22 @@ void RecoveryManager::RecoverServer(ServerId crashed, std::function<void()> done
     homes = alive;
   }
 
-  std::vector<Plan> plans;
+  // Finish when every plan's recovery master has replied.
+  struct Barrier {
+    size_t remaining = 1;  // Released once every plan is out.
+    std::function<void()> done;
+    void Arrive() {
+      if (--remaining == 0 && done) {
+        done();
+      }
+    }
+  };
+  auto barrier = std::make_shared<Barrier>();
+  barrier->done = std::move(done);
+  auto send = [this, barrier](Plan plan) {
+    barrier->remaining++;
+    SendPlan(std::move(plan), [barrier] { barrier->Arrive(); });
+  };
 
   // A draining master may run several concurrent evacuations, so a crashed
   // server can appear in any number of dependency edges — snapshot them all
@@ -93,352 +368,97 @@ void RecoveryManager::RecoverServer(ServerId crashed, std::function<void()> done
   }
 
   // --- Lineage case 1: the crashed server was a migration target. ---
-  for (const auto& edge : as_target) {
-    const MigrationDependency* dep = &edge;
-    // Abort the crashed target's manager first: its cores are halted but its
-    // heap state stays coherent until Restart(), so the side logs drop
-    // cleanly and any still-scheduled continuations see aborted_ and die
-    // instead of running against a restarted, empty master.
-    if (coordinator_->abort_inbound_migration) {
-      coordinator_->abort_inbound_migration(coordinator_->master(crashed), dep->table);
-    }
+  for (const auto& dep : as_target) {
     // Ownership returns to the source, whose copy is complete and immutable;
     // it only needs the target's log tail (writes serviced post-transfer).
     // The dependency's exact range must still be in the map: splits refuse
     // ranges that overlap an in-flight migration.
     const Status ownership_back =
-        coordinator_->UpdateOwnership(dep->table, dep->start_hash, dep->end_hash, dep->source);
+        coordinator_->UpdateOwnership(dep.table, dep.start_hash, dep.end_hash, dep.source);
     ROCKSTEADY_DCHECK(ownership_back == Status::kOk);
-    MasterServer* source = coordinator_->master(dep->source);
-    if (Tablet* tablet = source->objects().tablets().Find(dep->table, dep->start_hash)) {
-      // Held in kRecovering until the tail plan below completes: a write
-      // accepted mid-replay would take a version the replayed tail entries
-      // silently clobber. The plan's completion flips it to kNormal.
-      tablet->state = TabletState::kRecovering;
-    }
-    Plan tail;
-    tail.recovery_master = source;
-    tail.ranges.push_back({dep->table, dep->start_hash, dep->end_hash});
-    tail.data_of = crashed;
-    tail.min_segment = dep->target_log_segment;
-    tail.min_offset = dep->target_log_offset;
-    plans.push_back(std::move(tail));
-    coordinator_->DropDependency(dep->source, dep->target, dep->table);
+    coordinator_->DropDependency(dep.source, dep.target, dep.table);
+    send(Plan{dep.source,
+              {{dep.table, dep.start_hash, dep.end_hash}},
+              {{crashed, dep.target_log_segment, dep.target_log_offset, false, {}}}});
   }
 
   // --- Lineage case 2: the crashed server was a migration source. ---
   size_t next_lineage_home = 0;
-  for (const auto& edge : as_source) {
-    const MigrationDependency* dep = &edge;
-    MasterServer* target = coordinator_->master(dep->target);
-    if (coordinator_->abort_inbound_migration) {
-      coordinator_->abort_inbound_migration(target, dep->table);
-    }
+  for (const auto& dep : as_source) {
     // The tablet (owned by the target since migration start) is rebuilt on a
-    // recovery master from the source's backups plus the target's log tail.
-    MasterServer* rm = coordinator_->master(homes[next_lineage_home++ % homes.size()]);
+    // recovery master from the source's backups plus the target's log tail,
+    // which the target hands back as it aborts its inbound migration.
+    const ServerId rm = homes[next_lineage_home++ % homes.size()];
     const Status ownership_to_rm =
-        coordinator_->UpdateOwnership(dep->table, dep->start_hash, dep->end_hash, rm->id());
+        coordinator_->UpdateOwnership(dep.table, dep.start_hash, dep.end_hash, rm);
     ROCKSTEADY_DCHECK(ownership_to_rm == Status::kOk);
-    target->objects().tablets().Remove(dep->table, dep->start_hash, dep->end_hash);
-    rm->objects().tablets().Add(
-        Tablet{dep->table, dep->start_hash, dep->end_hash, TabletState::kRecovering});
-
-    Plan from_source;
-    from_source.recovery_master = rm;
-    from_source.ranges.push_back({dep->table, dep->start_hash, dep->end_hash});
-    from_source.data_of = crashed;
-    plans.push_back(std::move(from_source));
-
-    Plan from_target_tail;
-    from_target_tail.recovery_master = rm;
-    from_target_tail.ranges.push_back({dep->table, dep->start_hash, dep->end_hash});
-    from_target_tail.data_of = dep->target;
-    from_target_tail.min_segment = dep->target_log_segment;
-    from_target_tail.min_offset = dep->target_log_offset;
-    plans.push_back(std::move(from_target_tail));
-
-    coordinator_->DropDependency(dep->source, dep->target, dep->table);
+    coordinator_->DropDependency(dep.source, dep.target, dep.table);
+    barrier->remaining++;
+    TakeTargetTail(dep, /*keep_if_committed=*/false,
+                   [send, barrier, rm, dep](bool, RecoverSource tail) {
+                     send(Plan{rm,
+                               {{dep.table, dep.start_hash, dep.end_hash}},
+                               {{dep.source, 0, 0, false, {}}, std::move(tail)}});
+                     barrier->Arrive();
+                   });
   }
 
   // --- Generic: re-home every tablet still owned by the crashed server. ---
   std::map<ServerId, Plan> generic;
   size_t next_rm = 0;
-  for (const auto& entry : coordinator_->GetAllTablets()) {
+  // Copy: UpdateOwnership below edits the map.
+  const std::vector<Coordinator::OwnedTablet> tablets = coordinator_->GetAllTablets();
+  for (const auto& entry : tablets) {
     if (entry.owner != crashed) {
       continue;
     }
-    const ServerId rm_id = homes[next_rm++ % homes.size()];
-    MasterServer* rm = coordinator_->master(rm_id);
-    // The entry's range comes straight from the map we are iterating, so the
-    // exact-range repoint cannot miss.
+    const ServerId rm = homes[next_rm++ % homes.size()];
+    // The entry's range comes straight from the map, so the exact-range
+    // repoint cannot miss.
     const Status ownership_spread =
-        coordinator_->UpdateOwnership(entry.table, entry.start_hash, entry.end_hash, rm_id);
+        coordinator_->UpdateOwnership(entry.table, entry.start_hash, entry.end_hash, rm);
     ROCKSTEADY_DCHECK(ownership_spread == Status::kOk);
-    rm->objects().tablets().Add(
-        Tablet{entry.table, entry.start_hash, entry.end_hash, TabletState::kRecovering});
-    Plan& plan = generic[rm_id];
+    Plan& plan = generic[rm];
     plan.recovery_master = rm;
-    plan.data_of = crashed;
     plan.ranges.push_back({entry.table, entry.start_hash, entry.end_hash});
   }
-  for (auto& [rm_id, plan] : generic) {
-    plans.push_back(std::move(plan));
+  for (auto& [rm, plan] : generic) {
+    plan.sources.push_back({crashed, 0, 0, false, {}});
+    send(std::move(plan));
   }
-
-  if (plans.empty()) {
-    if (done) {
-      done();
-    }
-    return;
-  }
-
-  // Execute all plans; finish when every one completes.
-  struct Barrier {
-    size_t remaining;
-    std::function<void()> done;
-  };
-  auto barrier = std::make_shared<Barrier>();
-  barrier->remaining = plans.size();
-  barrier->done = std::move(done);
-  for (const auto& plan : plans) {
-    MasterServer* rm = plan.recovery_master;
-    std::vector<RangeToRecover> ranges = plan.ranges;
-    ExecutePlan(plan, [barrier, rm, ranges] {
-      // Mark the restored ranges live.
-      for (const auto& range : ranges) {
-        if (Tablet* tablet = rm->objects().tablets().Find(range.table, range.start_hash)) {
-          if (tablet->state == TabletState::kRecovering) {
-            tablet->state = TabletState::kNormal;
-          }
-        }
-      }
-      if (--barrier->remaining == 0 && barrier->done) {
-        barrier->done();
-      }
-    });
-  }
+  barrier->Arrive();
 }
 
 void RecoveryManager::AbortMigrationToSource(const MigrationDependency& dependency,
-                                             std::function<void()> done) {
-  MasterServer* target = coordinator_->master(dependency.target);
-  if (coordinator_->abort_inbound_migration) {
-    // Tells the target's manager to drop its side logs and hooks cleanly.
-    coordinator_->abort_inbound_migration(target, dependency.table);
-  }
-  // The manager's Abort() removes the target's tablet; make sure it is gone
-  // even when no manager is installed (e.g. the registration landed but the
-  // target never got the ack and never built one).
-  target->objects().tablets().Remove(dependency.table, dependency.start_hash,
-                                     dependency.end_hash);
-  const Status ownership_to_source = coordinator_->UpdateOwnership(
-      dependency.table, dependency.start_hash, dependency.end_hash, dependency.source);
-  ROCKSTEADY_DCHECK(ownership_to_source == Status::kOk);
-  MasterServer* source = coordinator_->master(dependency.source);
-  if (Tablet* tablet = source->objects().tablets().Find(dependency.table,
-                                                        dependency.start_hash)) {
-    // Hold the tablet in kRecovering until the target's tail has been
-    // replayed: a write accepted mid-replay would take a version the
-    // replayed (higher-versioned) tail entries silently clobber.
-    tablet->state = TabletState::kRecovering;
-  }
-  coordinator_->DropDependency(dependency.source, dependency.target, dependency.table);
-  // The source's copy is complete and immutable; it only needs the target's
-  // log tail (writes serviced post-transfer).
+                                             bool keep_if_committed,
+                                             std::function<void(bool committed)> done) {
   if (!done) {
-    done = [] {};
+    done = [](bool) {};
   }
-  // Replay complete → open the tablet for clients, whichever branch ran.
-  const TableId dep_table = dependency.table;
-  const KeyHash dep_start = dependency.start_hash;
-  done = [source, dep_table, dep_start, inner = std::move(done)] {
-    if (Tablet* tablet = source->objects().tablets().Find(dep_table, dep_start)) {
-      if (tablet->state == TabletState::kRecovering) {
-        tablet->state = TabletState::kNormal;
-      }
-    }
-    inner();
-  };
-  if (target->crashed()) {
-    // Target unreachable: fetch its durable tail from the backups.
-    Plan tail;
-    tail.recovery_master = source;
-    tail.ranges.push_back({dependency.table, dependency.start_hash, dependency.end_hash});
-    tail.data_of = dependency.target;
-    tail.min_segment = dependency.target_log_segment;
-    tail.min_offset = dependency.target_log_offset;
-    ExecutePlan(tail, std::move(done));
-    return;
-  }
-  // Live target: read the tail straight from its in-memory log. The backups
-  // may be missing a write whose replication is still in flight even though
-  // the target will ack it once that replication completes — but every write
-  // the target could ever ack is appended to its log before the ack, and the
-  // tablet removal above stops new appends, so the log itself is the
-  // complete set. Entries the cleaner relocated from below the dependency
-  // offset may reappear above it; the source's version comparison drops
-  // those as already-known.
-  auto tail_bytes = std::make_shared<std::vector<uint8_t>>();
-  auto tail_entries = std::make_shared<size_t>(0);
-  target->objects().log().ForEachEntry([&](LogRef ref, const LogEntryView& entry) {
-    if (ref.segment_id() < dependency.target_log_segment ||
-        (ref.segment_id() == dependency.target_log_segment &&
-         ref.offset() < dependency.target_log_offset)) {
+  TakeTargetTail(dependency, keep_if_committed,
+                 [this, dependency, done = std::move(done)](bool committed, RecoverSource tail) {
+    if (committed) {
+      // The migration committed but its DropDependency never landed: the
+      // row is stale metadata, not a wedge.
+      coordinator_->CommitDependency(dependency.source, dependency.target, dependency.table);
+      done(true);
       return;
     }
-    if (entry.type() != LogEntryType::kObject && entry.type() != LogEntryType::kTombstone) {
+    if (!coordinator_->DropDependency(dependency.source, dependency.target, dependency.table)) {
+      // Crash recovery took the edge over meanwhile and replays the tail.
+      done(false);
       return;
     }
-    if (entry.table_id() != dependency.table || entry.key_hash() < dependency.start_hash ||
-        entry.key_hash() > dependency.end_hash) {
-      return;
-    }
-    const uint8_t* data = nullptr;
-    size_t length = 0;
-    if (target->objects().log().RawEntry(ref, &data, &length)) {
-      tail_bytes->insert(tail_bytes->end(), data, data + length);
-      (*tail_entries)++;
-    }
+    // The target has let go of the range (or is down); hand it back to the
+    // source, whose copy is complete and immutable, plus the target's tail.
+    const Status ownership_to_source = coordinator_->UpdateOwnership(
+        dependency.table, dependency.start_hash, dependency.end_hash, dependency.source);
+    ROCKSTEADY_DCHECK(ownership_to_source == Status::kOk);
+    SendPlan(Plan{dependency.source,
+                  {{dependency.table, dependency.start_hash, dependency.end_hash}},
+                  {std::move(tail)}},
+             [done] { done(false); });
   });
-  auto finish = std::make_shared<std::function<void()>>(std::move(done));
-  source->cores().EnqueueWorker(
-      {Priority::kReplication,
-       [this, source, tail_bytes, tail_entries] {
-         size_t offset = 0;
-         while (offset < tail_bytes->size()) {
-           LogEntryView entry;
-           if (!ReadEntry(tail_bytes->data() + offset, tail_bytes->size() - offset, &entry)) {
-             break;
-           }
-           LogRef ref;
-           if (source->objects().Replay(entry, nullptr, &ref)) {
-             // The tail entries' only other durable home was the
-             // (now-dropped) target lineage; the source must give them
-             // fresh replicas of its own. Detached retries, as in
-             // ExecutePlan.
-             ReplicateDurably(source, ref, kReplayReplicationAttempts, [] {});
-           }
-           offset += entry.header.TotalLength();
-         }
-         return source->costs().ReplayCost(*tail_entries, tail_bytes->size());
-       },
-       [finish] { (*finish)(); }});
-}
-
-void RecoveryManager::ExecutePlan(const Plan& plan, std::function<void()> done) {
-  MasterServer* rm = plan.recovery_master;
-  const std::vector<ServerId> backups = coordinator_->AliveServers(rm->id());
-
-  struct FetchState {
-    std::map<uint32_t, std::vector<uint8_t>> segments;  // Deduped by id.
-    size_t outstanding = 0;
-    std::vector<RangeToRecover> ranges;
-    uint32_t min_segment = 0;
-    uint32_t min_offset = 0;
-    std::function<void()> done;
-  };
-  auto state = std::make_shared<FetchState>();
-  state->ranges = plan.ranges;
-  state->min_segment = plan.min_segment;
-  state->min_offset = plan.min_offset;
-  state->done = std::move(done);
-
-  auto replay_all = [this, rm, state] {
-    if (state->segments.empty()) {
-      state->done();
-      return;
-    }
-    // One replay worker task per recovered segment, at replication priority
-    // (recovery competes with normal service like other background work).
-    // Re-replication of incorporated entries runs detached from plan
-    // completion: the recovery master's backup set still contains the
-    // crashed master itself, so the legs to it cannot succeed until it
-    // restarts — which, in a rolling restart, only happens *after* this
-    // plan reports done. The per-entry retry loop rides out that window.
-    auto remaining = std::make_shared<size_t>(state->segments.size());
-    for (auto& [segment_id, data] : state->segments) {
-      const uint32_t id = segment_id;
-      auto bytes = std::make_shared<std::vector<uint8_t>>(std::move(data));
-      rm->cores().EnqueueWorker(
-          {Priority::kReplication,
-           [this, rm, state, id, bytes] {
-             size_t offset = 0;
-             size_t replayed = 0;
-             size_t replayed_bytes = 0;
-             while (offset < bytes->size()) {
-               LogEntryView entry;
-               if (!ReadEntry(bytes->data() + offset, bytes->size() - offset, &entry)) {
-                 break;  // Torn tail of an in-progress replica write.
-               }
-               const size_t length = entry.header.TotalLength();
-               const bool below_dependency =
-                   id == state->min_segment && offset < state->min_offset;
-               if (!below_dependency &&
-                   (entry.type() == LogEntryType::kObject ||
-                    entry.type() == LogEntryType::kTombstone)) {
-                 for (const auto& range : state->ranges) {
-                   if (entry.table_id() == range.table && entry.key_hash() >= range.start_hash &&
-                       entry.key_hash() <= range.end_hash) {
-                     LogRef ref;
-                     if (rm->objects().Replay(entry, nullptr, &ref)) {
-                       // The recovery master's DRAM is now the record's
-                       // only home; give it fresh replicas or the *next*
-                       // crash loses it for good.
-                       ReplicateDurably(rm, ref, kReplayReplicationAttempts, [] {});
-                     }
-                     replayed++;
-                     replayed_bytes += length;
-                     break;
-                   }
-                 }
-               }
-               offset += length;
-             }
-             return rm->costs().ReplayCost(replayed, replayed_bytes);
-           },
-           [state, remaining] {
-             if (--*remaining == 0) {
-               state->done();
-             }
-           }});
-    }
-    (void)this;
-  };
-
-  if (backups.empty()) {
-    state->done();
-    return;
-  }
-  state->outstanding = backups.size();
-  for (const ServerId backup : backups) {
-    auto request = std::make_unique<GetRecoveryDataRequest>();
-    request->crashed_master = plan.data_of;
-    request->min_segment_id = plan.min_segment;
-    rm->rpc().Call(
-        rm->node(), coordinator_->NodeOf(backup), std::move(request),
-        [state, replay_all](Status status, std::unique_ptr<RpcResponse> response) {
-          if (status == Status::kOk && response != nullptr) {
-            auto& data = static_cast<GetRecoveryDataResponse&>(*response);
-            for (auto& segment : data.segments) {
-              // Replica copies of the same segment can diverge: a leg that
-              // failed mid-stream leaves a zero hole that truncates replay
-              // at that offset. Keep whichever copy parses furthest, not
-              // whichever response happened to arrive first.
-              auto it = state->segments.find(segment.segment_id);
-              if (it == state->segments.end()) {
-                state->segments.emplace(segment.segment_id, std::move(segment.data));
-              } else if (ParseablePrefix(segment.data) > ParseablePrefix(it->second)) {
-                it->second = std::move(segment.data);
-              }
-            }
-          }
-          if (--state->outstanding == 0) {
-            replay_all();
-          }
-        },
-        rm->costs().migration_rpc_timeout_ns);
-  }
 }
 
 }  // namespace rocksteady

@@ -14,17 +14,21 @@
 //    dependency's (segment, offset) — to pick up writes the target serviced
 //    after ownership transfer. Records sitting in the target's uncommitted
 //    side logs were never replicated and are NOT needed: the source's copy
-//    is authoritative for them.
+//    is authoritative for them. (The crashed target's manager died with it:
+//    MasterServer::Crash aborts it.)
 //  * Source crashed: the target aborts the inbound migration (dropping its
-//    partial side-log state); the tablet is recovered from the source's
-//    backups onto a recovery master, which also replays the target's log
-//    tail for the migrating range.
+//    partial side-log state) and hands back its log tail; the tablet is
+//    recovered from the source's backups onto a recovery master, which also
+//    replays that tail.
+//
+// Everything here is a message, as in RAMCloud: the coordinator decides
+// from its own tablet map, dependencies and membership view, then sends
+// kAbortInboundMigration to a live target and kRecover to each recovery
+// master. The recovery master's half (RunRecovery) runs on its own node.
 #ifndef ROCKSTEADY_SRC_CLUSTER_RECOVERY_H_
 #define ROCKSTEADY_SRC_CLUSTER_RECOVERY_H_
 
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/cluster/coordinator.h"
@@ -41,34 +45,45 @@ class RecoveryManager {
   // when every affected tablet is owned, replayed, and serving again.
   void RecoverServer(ServerId crashed, std::function<void()> done);
 
-  // Aborts an in-flight migration whose endpoints are both alive (a wedged
-  // target, detected by lease expiry): ownership returns to the source per
+  // Aborts an in-flight migration (a wedged target detected by lease expiry,
+  // or a target's own abort request): ownership returns to the source per
   // the §3.4 lineage rule, the target drops its partial side-log state, and
   // the source replays the target's log tail — the writes the target
-  // serviced after ownership transfer. `done` may be null.
-  void AbortMigrationToSource(const MigrationDependency& dependency, std::function<void()> done);
+  // serviced after ownership transfer. With `keep_if_committed` (the lease
+  // path) a target that already committed keeps the range and only the
+  // stale dependency row is dropped. `done(committed)` may be null.
+  void AbortMigrationToSource(const MigrationDependency& dependency, bool keep_if_committed,
+                              std::function<void(bool committed)> done);
 
  private:
-  struct RangeToRecover {
-    TableId table = 0;
-    KeyHash start_hash = 0;
-    KeyHash end_hash = 0;
-  };
-
-  // One recovery master's share of the work.
+  // One recovery master's share of the work (a kRecover request).
   struct Plan {
-    MasterServer* recovery_master = nullptr;
-    std::vector<RangeToRecover> ranges;
-    // Replay crashed data from this master's backups...
-    ServerId data_of = 0;
-    uint32_t min_segment = 0;  // ...restricted to segments >= this...
-    uint32_t min_offset = 0;   // ...skipping entries below this in that segment.
+    ServerId recovery_master = 0;
+    std::vector<RecoverRange> ranges;
+    std::vector<RecoverSource> sources;
   };
 
-  void ExecutePlan(const Plan& plan, std::function<void()> done);
+  // Sends `plan` to its recovery master; `done` fires when it replies.
+  void SendPlan(Plan plan, std::function<void()> done);
+  // Asks the dependency's target to abort its inbound migration and hand
+  // back its log tail. `on_tail` gets where to replay the tail from: inline,
+  // or the target's backups when it is down or does not answer — or
+  // committed = true when keep_if_committed found the migration done.
+  void TakeTargetTail(const MigrationDependency& dependency, bool keep_if_committed,
+                      std::function<void(bool committed, RecoverSource tail)> on_tail);
 
   Coordinator* coordinator_;
 };
+
+// The recovery master's side of a kRecover request: installs the ranges in
+// kRecovering, replays every source, marks the ranges kNormal and replies.
+void RunRecovery(MasterServer* rm, RpcContext context);
+
+// Serialized main-log entries of `master` for [start_hash, end_hash] of
+// `table` from (min_segment, min_offset) on: a live migration target's log
+// tail, which holds every write it could ever have acked for the range.
+std::vector<uint8_t> CollectLogTail(MasterServer* master, TableId table, KeyHash start_hash,
+                                    KeyHash end_hash, uint32_t min_segment, uint32_t min_offset);
 
 }  // namespace rocksteady
 

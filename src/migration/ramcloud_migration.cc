@@ -43,6 +43,10 @@ void ReplayNextBatch(MasterServer* master) {
       {Priority::kMigration,
        [master, shared, skip_replay] {
          auto& req = shared->As<BaselineReplayRequest>();
+         if (req.install_tablet) {
+           master->objects().tablets().Add(
+               Tablet{req.table, req.start_hash, req.end_hash, TabletState::kNormal});
+         }
          if (req.last_batch) {
            // Ownership arrives with the data: continue versions above the
            // source's and start serving.
@@ -240,9 +244,19 @@ void BaselineMigration::FinishIfDone() {
 void BaselineMigration::Complete() {
   completed_ = true;
   // Only now does ownership move (§2.3: "Only after all of the records have
-  // been transferred is tablet ownership switched").
-  MasterServer* target = source_->coordinator().master(target_);
-  target->objects().tablets().Add(Tablet{table_, start_hash_, end_hash_, TabletState::kNormal});
+  // been transferred is tablet ownership switched"): the target installs the
+  // tablet (behind every replayed batch), then the coordinator repoints.
+  auto install = std::make_unique<BaselineReplayRequest>();
+  install->table = table_;
+  install->install_tablet = true;
+  install->start_hash = start_hash_;
+  install->end_hash = end_hash_;
+  source_->rpc().Call(source_->node(), target_node_, std::move(install),
+                      [this](Status, std::unique_ptr<RpcResponse>) { SwitchOwnership(); },
+                      /*timeout=*/0);
+}
+
+void BaselineMigration::SwitchOwnership() {
   auto own = std::make_unique<UpdateOwnershipRequest>();
   own->table = table_;
   own->start_hash = start_hash_;

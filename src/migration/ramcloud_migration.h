@@ -49,6 +49,7 @@ class BaselineMigration {
   void ScheduleScanChunk();
   void FinishIfDone();
   void Complete();
+  void SwitchOwnership();
 
   MasterServer* source_;
   TableId table_;

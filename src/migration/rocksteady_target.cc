@@ -6,6 +6,7 @@
 
 #include <bit>
 
+#include "src/cluster/recovery.h"
 #include "src/common/annotations.h"
 #include "src/common/audit.h"
 #include "src/common/logging.h"
@@ -24,6 +25,15 @@ RocksteadyMigrationManager* ParkManager(MasterServer* master,
   state->inbound.push_back(manager.get());
   state->owned.push_back(std::move(manager));
   return state->inbound.back();
+}
+
+// Aborts every unfinished inbound migration on `master`.
+void AbortInbound(MasterServer* master) {
+  for (auto* manager : GetServerMigrationState(master)->inbound) {
+    if (!manager->finished()) {
+      manager->Abort();
+    }
+  }
 }
 
 // Pseudo-segment ids for synchronous re-replication streams (distinct from
@@ -655,7 +665,7 @@ void RocksteadyMigrationManager::AbortOverBudget() {
   // Ownership-transfer mode: ask the coordinator to drive the §3.4 lineage
   // abort (ownership back to the source, our durable log tail replayed there
   // from backups — acked writes survive). On success the coordinator's abort
-  // path re-enters this manager through the abort_inbound_migration hook. If
+  // path re-enters this manager through a kAbortInboundMigration RPC. If
   // the coordinator stays unreachable past the re-drive budget, the stopped
   // heartbeats let the lease watchdog abort the migration instead.
   auto make_abort = [this]() -> std::unique_ptr<RpcRequest> {
@@ -967,6 +977,37 @@ void InstallRocksteadyHandlers(MasterServer* master) {
     manager->Start();
     context.reply(std::make_unique<StatusResponse>());
   });
+  // Coordinator -> target (§3.4 lineage paths: the source crashed, or the
+  // migration stalled or ran over budget): drop the inbound migration and
+  // the tablet, and hand back the log tail the source side must replay.
+  master->endpoint().Register(Opcode::kAbortInboundMigration,
+                              ROCKSTEADY_IDEMPOTENT("the migration is aborted and the tablet "
+                                                    "dropped at most once; a re-run returns the "
+                                                    "same log tail")
+                              [master](RpcContext context) {
+    auto& request = context.As<AbortInboundMigrationRequest>();
+    auto response = std::make_unique<AbortInboundMigrationResponse>();
+    const Tablet* tablet = master->objects().tablets().Find(request.table, request.start_hash);
+    if (request.keep_if_committed && tablet != nullptr &&
+        tablet->state == TabletState::kNormal && tablet->start_hash == request.start_hash &&
+        tablet->end_hash == request.end_hash) {
+      response->committed = true;  // Committed; only its DropDependency was lost.
+      context.reply(std::move(response));
+      return;
+    }
+    AbortInbound(master);
+    // The manager's Abort() removes the tablet; make sure it is gone even
+    // when none is installed (the registration landed but the target never
+    // got the ack and never built one). This also stops new appends, so the
+    // tail below is complete.
+    master->objects().tablets().Remove(request.table, request.start_hash, request.end_hash);
+    response->tail = CollectLogTail(master, request.table, request.start_hash, request.end_hash,
+                                    request.min_segment, request.min_offset);
+    context.reply(std::move(response));
+  });
+  // A crashed process loses its migrations: abort them before the halt, so
+  // no continuation survives into a restart.
+  master->on_crash = [master] { AbortInbound(master); };
 }
 
 void EnableMigration(Cluster* cluster) {
@@ -974,15 +1015,6 @@ void EnableMigration(Cluster* cluster) {
     InstallRocksteadyHandlers(&cluster->master(i));
     InstallBaselineMigrationHandlers(&cluster->master(i));
   }
-  cluster->coordinator().abort_inbound_migration = [](MasterServer* target, TableId table) {
-    auto* state = GetServerMigrationState(target);
-    for (auto* manager : state->inbound) {
-      if (!manager->finished()) {
-        manager->Abort();
-      }
-    }
-    (void)table;
-  };
 }
 
 RocksteadyMigrationManager* StartRocksteadyMigration(

@@ -250,12 +250,13 @@ class RocksteadyMigrationManager : public MasterServer::MigrationHooks {
   size_t cleaned_last_ = 0;        // Segments reclaimed by the last clean pass.
 };
 
-// Installs kMigrateTablet + all source-side handlers on `master`. Any
-// server can then act as source or target.
+// Installs kMigrateTablet, kAbortInboundMigration and all source-side
+// handlers on `master`, and aborts its inbound migrations when it crashes.
+// Any server can then act as source or target.
 void InstallRocksteadyHandlers(MasterServer* master);
 
 // Installs Rocksteady (and the baseline migration) on every master of a
-// cluster and hooks migration-abort into crash recovery.
+// cluster.
 void EnableMigration(Cluster* cluster);
 
 // Convenience driver used by experiments and tests: splits the tablet at

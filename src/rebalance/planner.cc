@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -25,17 +24,20 @@ RebalancePlanner::RebalancePlanner(Cluster* cluster, const RebalancerOptions& op
         }
         InjectFrame(frame);
       });
+  cluster_->coordinator().on_migration_committed = [this](ServerId source, ServerId target,
+                                                          TableId table) {
+    OnCommitted(source, target, table);
+  };
 }
 
 RebalancePlanner::~RebalancePlanner() {
   *alive_ = false;
   running_ = false;
   cluster_->coordinator().ClearPiggybackHandler(PiggybackKind::kLoadTelemetry);
+  cluster_->coordinator().on_migration_committed = nullptr;
 }
 
 void RebalancePlanner::Start() {
-  // Planning reads and drives every master directly: one lane only.
-  ROCKSTEADY_CHECK(cluster_->lanes()->lanes() == 1);
   if (running_) {
     return;
   }
@@ -62,13 +64,31 @@ void RebalancePlanner::InjectFrame(const LoadTelemetryFrame& frame) {
   frames_[frame.server - 1] = frame;
 }
 
-size_t RebalancePlanner::MasterIndexOf(ServerId id) const {
-  for (size_t i = 0; i < cluster_->num_masters(); i++) {
-    if (cluster_->master(i).id() == id) {
-      return i;
+void RebalancePlanner::OnCommitted(ServerId source, ServerId target, TableId table) {
+  const auto matches = [&](const Flight& f) {
+    return f.source == source && f.target == target && f.table == table;
+  };
+  if (hot_flight_.has_value() && matches(*hot_flight_)) {
+    hot_flight_.reset();
+    stats_.migrations_completed++;
+    if (state_ == State::kMigrating) {
+      state_ = State::kCooldown;
+      cooldown_until_ = cluster_->coordinator().sim().now() + options_.cooldown_ns;
     }
   }
-  return cluster_->num_masters();
+  stats_.drain_migrations_completed += std::erase_if(drain_flights_, matches);
+}
+
+void RebalancePlanner::SendMigrateTablet(const Flight& flight) {
+  Coordinator& coordinator = cluster_->coordinator();
+  auto request = std::make_unique<MigrateTabletRequest>();
+  request->table = flight.table;
+  request->start_hash = flight.start_hash;
+  request->end_hash = flight.end_hash;
+  request->source = flight.source;
+  coordinator.rpc().Call(coordinator.node(), coordinator.NodeOf(flight.target),
+                         std::move(request), [](Status, std::unique_ptr<RpcResponse>) {},
+                         cluster_->costs().migration_rpc_timeout_ns);
 }
 
 bool RebalancePlanner::CollectLoads(std::vector<uint64_t>* loads, std::vector<bool>* fresh,
@@ -78,15 +98,15 @@ bool RebalancePlanner::CollectLoads(std::vector<uint64_t>* loads, std::vector<bo
   fresh->assign(n, false);
   size_t fresh_count = 0;
   for (size_t i = 0; i < n; i++) {
-    MasterServer& master = cluster_->master(i);
-    if (master.crashed() ||
-        cluster_->coordinator().lifecycle(master.id()) != ServerLifecycle::kActive) {
+    const auto id = static_cast<ServerId>(i + 1);
+    if (!cluster_->coordinator().up(id) ||
+        cluster_->coordinator().lifecycle(id) != ServerLifecycle::kActive) {
       // Hot-spot balancing is an active-members game: standbys have no load
       // to report, draining masters are drain mode's responsibility, and a
       // decommissioned server's idle frame would only drag down the mean.
       continue;
     }
-    const auto& frame = frames_[master.id() - 1];
+    const auto& frame = frames_[i];
     if (!frame.has_value() || now - frame->sampled_at > options_.telemetry_staleness_ns) {
       continue;
     }
@@ -211,12 +231,6 @@ void RebalancePlanner::LaunchMigration(const TabletLoadSample& tablet, ServerId 
     stats_.skipped_no_candidate++;
     return;
   }
-  const size_t source_index = MasterIndexOf(source);
-  const size_t target_index = MasterIndexOf(target);
-  if (source_index >= cluster_->num_masters() || target_index >= cluster_->num_masters()) {
-    stats_.skipped_no_candidate++;
-    return;
-  }
   LOG_INFO("planner: migrate table %llu [%llx, %llx] %u -> %u (%llu ops/s, %.1f MB)",
            static_cast<unsigned long long>(tablet.table),
            static_cast<unsigned long long>(tablet.start_hash),
@@ -226,26 +240,15 @@ void RebalancePlanner::LaunchMigration(const TabletLoadSample& tablet, ServerId 
   stats_.migrations_started++;
   state_ = State::kMigrating;
   imbalanced_rounds_ = 0;
-  migration_deadline_ = cluster_->coordinator().sim().now() + options_.migration_deadline_ns;
-  StartRocksteadyMigration(
-      cluster_, tablet.table, tablet.start_hash, tablet.end_hash, source_index, target_index,
-      options_.migration, [this, alive = alive_](const MigrationStats&) {
-        if (!*alive) {
-          return;
-        }
-        stats_.migrations_completed++;
-        if (state_ == State::kMigrating) {
-          state_ = State::kCooldown;
-          cooldown_until_ = cluster_->coordinator().sim().now() + options_.cooldown_ns;
-        }
-      });
+  hot_flight_ = Flight{source,           target,          tablet.table,
+                       tablet.start_hash, tablet.end_hash,
+                       coordinator.sim().now() + options_.migration_deadline_ns};
+  SendMigrateTablet(*hot_flight_);
 }
 
 bool RebalancePlanner::DrainTargetFree(ServerId target) const {
-  Coordinator& coordinator = cluster_->coordinator();
-  const size_t index = MasterIndexOf(target);
-  if (index >= cluster_->num_masters() || cluster_->master(index).crashed() ||
-      coordinator.lifecycle(target) != ServerLifecycle::kActive) {
+  const Coordinator& coordinator = cluster_->coordinator();
+  if (!coordinator.up(target) || coordinator.lifecycle(target) != ServerLifecycle::kActive) {
     return false;
   }
   // One inbound migration manager per target at a time: skip anyone already
@@ -269,7 +272,7 @@ bool RebalancePlanner::PlanDrain(Tick now) {
   Coordinator& coordinator = cluster_->coordinator();
   // Flights whose done callback never fired by the deadline are abandoned to
   // the lease watchdog (same division of labor as the hot-spot path).
-  std::erase_if(drain_flights_, [&](const DrainFlight& flight) {
+  std::erase_if(drain_flights_, [&](const Flight& flight) {
     if (now < flight.deadline) {
       return false;
     }
@@ -279,10 +282,10 @@ bool RebalancePlanner::PlanDrain(Tick now) {
   bool any_draining = false;
   std::vector<ServerId> draining;  // Alive draining masters, ascending id.
   for (size_t i = 0; i < cluster_->num_masters(); i++) {
-    const ServerId id = cluster_->master(i).id();
+    const auto id = static_cast<ServerId>(i + 1);
     if (coordinator.lifecycle(id) == ServerLifecycle::kDraining) {
       any_draining = true;
-      if (!cluster_->master(i).crashed()) {
+      if (coordinator.up(id)) {
         draining.push_back(id);  // Crashed ones are recovery's problem.
       }
     }
@@ -295,7 +298,7 @@ bool RebalancePlanner::PlanDrain(Tick now) {
     // A hot-spot migration is outstanding and its target is not in the
     // drain books; wait it out so two inbound migrations never share a
     // target. No new hot-spot moves start while drain mode owns the loop.
-    if (now >= migration_deadline_) {
+    if (now >= hot_flight_->deadline) {
       stats_.migrations_timed_out++;
       state_ = State::kCooldown;
       cooldown_until_ = now + options_.cooldown_ns;
@@ -319,7 +322,7 @@ bool RebalancePlanner::PlanDrain(Tick now) {
   };
   std::vector<TargetRank> ranked;
   for (size_t i = 0; i < cluster_->num_masters(); i++) {
-    const ServerId id = cluster_->master(i).id();
+    const auto id = static_cast<ServerId>(i + 1);
     if (!DrainTargetFree(id)) {
       continue;
     }
@@ -382,30 +385,17 @@ bool RebalancePlanner::PlanDrain(Tick now) {
         break;
       }
       const ServerId target = ranked[next_target++].id;
-      const size_t source_index = MasterIndexOf(source);
-      const size_t target_index = MasterIndexOf(target);
       stats_.drain_migrations_started++;
       capacity--;
-      const DrainFlight flight{source,           target,
-                               entry.table,      entry.start_hash,
-                               entry.end_hash,   now + options_.drain_flight_deadline_ns};
+      const Flight flight{source,           target,         entry.table,
+                          entry.start_hash, entry.end_hash,
+                          now + options_.drain_flight_deadline_ns};
       drain_flights_.push_back(flight);
       LOG_INFO("planner: drain-evacuate table %llu [%llx, %llx] %u -> %u",
                static_cast<unsigned long long>(entry.table),
                static_cast<unsigned long long>(entry.start_hash),
                static_cast<unsigned long long>(entry.end_hash), source, target);
-      StartRocksteadyMigration(
-          cluster_, entry.table, entry.start_hash, entry.end_hash, source_index, target_index,
-          options_.migration, [this, alive = alive_, flight](const MigrationStats&) {
-            if (!*alive) {
-              return;
-            }
-            stats_.drain_migrations_completed++;
-            std::erase_if(drain_flights_, [&](const DrainFlight& f) {
-              return f.source == flight.source && f.target == flight.target &&
-                     f.table == flight.table && f.start_hash == flight.start_hash;
-            });
-          });
+      SendMigrateTablet(flight);
     }
   }
   if (starved && next_target >= ranked.size()) {
@@ -430,8 +420,8 @@ void RebalancePlanner::PlanOnce() {
   }
 
   if (state_ == State::kMigrating) {
-    if (now >= migration_deadline_) {
-      // The done callback never fired: the migration wedged or aborted.
+    if (now >= hot_flight_->deadline) {
+      // The migration never committed: it wedged or aborted.
       // Stand down; the coordinator's lease watchdog owns the repair.
       stats_.migrations_timed_out++;
       state_ = State::kCooldown;
@@ -486,7 +476,7 @@ void RebalancePlanner::PlanOnce() {
     return;  // Arming: the imbalance must persist before the planner acts.
   }
 
-  const ServerId source = cluster_->master(hottest).id();
+  const auto source = static_cast<ServerId>(hottest + 1);
   // Targets in ascending load order (ties by index: deterministic).
   std::vector<size_t> targets;
   for (size_t i = 0; i < loads.size(); i++) {
@@ -522,7 +512,7 @@ void RebalancePlanner::PlanOnce() {
   }
 
   for (size_t t : targets) {
-    const ServerId target = cluster_->master(t).id();
+    const auto target = static_cast<ServerId>(t + 1);
     if (TargetEligible(*frames_[target - 1], *tablet)) {
       LaunchMigration(*tablet, source, target);
       return;

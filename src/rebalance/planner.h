@@ -19,10 +19,14 @@
 //    recent p99.9, client queue, or dispatch backlog exceed the ceilings,
 //    or when the candidate tablet would push it past its memory-budget
 //    fraction. A kRetryLater from the split path aborts the round.
-//  * One migration in flight, with a deadline: if the done callback never
-//    fires (wedged endpoint), the planner stands down to cooldown and
-//    leaves repair to the coordinator's lease watchdog — it never "fixes"
-//    data paths itself.
+//  * One migration in flight, with a deadline: if it never commits (wedged
+//    endpoint), the planner stands down to cooldown and leaves repair to the
+//    coordinator's lease watchdog — it never "fixes" data paths itself.
+//  * Coordinator-local: the planner runs on the coordinator's node and
+//    decides from the coordinator's map, lifecycle table, membership view
+//    and the piggybacked telemetry frames. It launches a migration with a
+//    kMigrateTablet RPC to the target and learns of its commit from the
+//    dependency drop the coordinator receives (on_migration_committed).
 #ifndef ROCKSTEADY_SRC_REBALANCE_PLANNER_H_
 #define ROCKSTEADY_SRC_REBALANCE_PLANNER_H_
 
@@ -30,7 +34,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/migration/rocksteady_target.h"
+#include "src/cluster/cluster.h"
 #include "src/rebalance/telemetry.h"
 
 namespace rocksteady {
@@ -90,8 +94,6 @@ struct RebalancerOptions {
   bool allow_splits = true;
   int drain_concurrency = kDrainConcurrency;
   Tick drain_flight_deadline_ns = kDrainFlightDeadlineNs;
-  // Options for the Rocksteady migrations the planner launches.
-  RocksteadyOptions migration;
 };
 
 struct PlannerStats {
@@ -146,8 +148,8 @@ class RebalancePlanner {
     ServerId source = 0;
   };
 
-  // One outstanding drain evacuation migration.
-  struct DrainFlight {
+  // One outstanding planner-launched migration.
+  struct Flight {
     ServerId source = 0;
     ServerId target = 0;
     TableId table = 0;
@@ -179,8 +181,12 @@ class RebalancePlanner {
   KeyHash ChooseSplitBoundary(const TabletLoadSample& tablet, uint64_t desired_ops) const;
   bool TargetEligible(const LoadTelemetryFrame& frame,
                       const TabletLoadSample& tablet) const;
-  size_t MasterIndexOf(ServerId id) const;
   void LaunchMigration(const TabletLoadSample& tablet, ServerId source, ServerId target);
+  // Asks the flight's target to pull the range (kMigrateTablet). A refused
+  // or lost launch simply never commits, and the flight's deadline expires.
+  void SendMigrateTablet(const Flight& flight);
+  // on_migration_committed: retires the matching flight.
+  void OnCommitted(ServerId source, ServerId target, TableId table);
 
   Cluster* cluster_;
   RebalancerOptions options_;
@@ -189,10 +195,11 @@ class RebalancePlanner {
   bool running_ = false;
   int imbalanced_rounds_ = 0;
   Tick cooldown_until_ = 0;
-  Tick migration_deadline_ = 0;
-  std::vector<DrainFlight> drain_flights_;
+  // The hot-spot migration in flight; always set while state_ is kMigrating.
+  std::optional<Flight> hot_flight_;
+  std::vector<Flight> drain_flights_;
   std::vector<std::optional<LoadTelemetryFrame>> frames_;  // Index = ServerId - 1.
-  // Guards the migration-done callback across planner destruction.
+  // Guards the planning timer across planner destruction.
   std::shared_ptr<bool> alive_;
 };
 

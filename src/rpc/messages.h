@@ -55,6 +55,13 @@ enum class Opcode : uint8_t {
   kBeginDrain,      // Operator -> coordinator: start evacuating a master.
   kActivateServer,  // Operator -> coordinator: admit standby / cancel drain.
   kDrainStatus,     // Operator -> coordinator: poll drain progress.
+  // Coordinator -> master ownership hand-offs (RAMCloud's recovery-master,
+  // split-mirror and drain-flag RPCs): the coordinator never touches a
+  // master's state directly.
+  kRecover,                // Assign recovery-master work; replies when replayed.
+  kAbortInboundMigration,  // Target drops an inbound migration; returns its log tail.
+  kSplitTablet,            // Mirror a map split onto the owning master.
+  kSetDraining,            // Set or clear the master's drain latch.
 };
 
 // Fixed per-RPC wire overhead (headers, opcode, ids).
@@ -439,6 +446,86 @@ struct DrainStatusResponse : RpcResponse {
   ROCKSTEADY_CLONEABLE_RESPONSE(DrainStatusResponse)
 };
 
+// --- Coordinator -> master hand-offs (crash recovery, splits, drains). ---
+
+struct RecoverRange {
+  TableId table = 0;
+  KeyHash start_hash = 0;
+  KeyHash end_hash = 0;
+};
+
+// One log whose entries for the recovered ranges the recovery master
+// replays: fetched from `backups` (from min_segment on, skipping entries
+// below min_offset in min_segment), or — when the coordinator already holds
+// a live target's log tail — shipped inline.
+struct RecoverSource {
+  ServerId data_of = 0;
+  uint32_t min_segment = 0;
+  uint32_t min_offset = 0;
+  bool inline_tail = false;
+  std::vector<uint8_t> tail;  // Serialized entries, when inline_tail.
+};
+
+struct RecoverRequest : RpcRequest {
+  // Coordinator -> recovery master: install `ranges` in kRecovering, replay
+  // every source, then serve them (kNormal) and reply.
+  std::vector<RecoverRange> ranges;
+  std::vector<RecoverSource> sources;
+  std::vector<NodeId> backups;  // Alive servers to fetch segments from.
+
+  Opcode op() const override { return Opcode::kRecover; }
+  size_t WireSize() const override {
+    size_t size = kRpcHeaderBytes + ranges.size() * 24 + backups.size() * 4;
+    for (const auto& source : sources) {
+      size += 16 + source.tail.size();
+    }
+    return size;
+  }
+};
+
+struct AbortInboundMigrationRequest : RpcRequest {
+  // Coordinator -> migration target: abort the inbound migration of this
+  // range, drop the tablet, and return every log entry for it from
+  // (min_segment, min_offset) on — the writes served since the switch.
+  // With keep_if_committed, a migration that already committed is left
+  // alone and reported instead (its DropDependency was lost).
+  TableId table = 0;
+  KeyHash start_hash = 0;
+  KeyHash end_hash = 0;
+  uint32_t min_segment = 0;
+  uint32_t min_offset = 0;
+  bool keep_if_committed = false;
+
+  Opcode op() const override { return Opcode::kAbortInboundMigration; }
+  size_t WireSize() const override { return kRpcHeaderBytes + 33; }
+};
+
+struct AbortInboundMigrationResponse : RpcResponse {
+  bool committed = false;
+  std::vector<uint8_t> tail;
+
+  size_t WireSize() const override { return kRpcHeaderBytes + 1 + tail.size(); }
+  ROCKSTEADY_CLONEABLE_RESPONSE(AbortInboundMigrationResponse)
+};
+
+struct SplitTabletRequest : RpcRequest {
+  TableId table = 0;
+  KeyHash split_hash = 0;
+
+  Opcode op() const override { return Opcode::kSplitTablet; }
+  size_t WireSize() const override { return kRpcHeaderBytes + 16; }
+};
+
+struct SetDrainingRequest : RpcRequest {
+  bool draining = false;
+  // Latches apply in epoch order, so a retransmitted older latch can never
+  // undo a newer one.
+  uint64_t epoch = 0;
+
+  Opcode op() const override { return Opcode::kSetDraining; }
+  size_t WireSize() const override { return kRpcHeaderBytes + 9; }
+};
+
 // ------------------------------------------------- Rocksteady migration.
 
 struct MigrateTabletRequest : RpcRequest {
@@ -565,6 +652,11 @@ struct BaselineReplayRequest : RpcRequest {
   // On the last batch: the source's version horizon, so the target's
   // versions continue above the source's after the ownership switch.
   Version version_horizon = 0;
+  // Sent once every batch is acked, before the ownership switch: the target
+  // installs [start_hash, end_hash] as a normal tablet.
+  bool install_tablet = false;
+  KeyHash start_hash = 0;
+  KeyHash end_hash = 0;
 
   Opcode op() const override { return Opcode::kBaselineReplay; }
   size_t WireSize() const override { return kRpcHeaderBytes + records.size() + 8; }

@@ -45,6 +45,7 @@ LaneSet::LaneSet(const Config& config)
   mail_.resize(2 * n * n);
   fronts_.resize(2 * n);
   outbox_.resize(n);
+  posted_.resize(n);
 }
 
 LaneSet::~LaneSet() { StopWorkers(); }
@@ -82,13 +83,39 @@ void LaneSet::PostCrossLane(Simulator* src, NodeId to, Tick deliver, EventFn fn)
 }
 
 void LaneSet::AtSafePoint(Tick t, std::function<void()> fn) {  // lint:allow-churn — cold, a handful per run.
-  SafePoint sp{t, safe_point_order_++, std::move(fn)};
+  ROCKSTEADY_DCHECK(!in_windows_);
+  InsertSafePoint(SafePoint{t, safe_point_order_++, std::move(fn)});
+}
+
+void LaneSet::PostSafePoint(Simulator* src, Tick t, std::function<void()> fn) {  // lint:allow-churn — cold.
+  // One lookahead ahead is at or past every lane's current horizon, so no
+  // lane has run an event at or after `t` yet — at any lane count.
+  ROCKSTEADY_DCHECK_GE(t, src->now_ + config_.lookahead);
+  const uint64_t order =
+      src->LaneKey(src->running_node_) & ((uint64_t{1} << Simulator::kExecShift) - 1);
+  posted_[static_cast<size_t>(src->lane_)].push_back(SafePoint{t, order, std::move(fn)});
+  Outbox& out = outbox_[static_cast<size_t>(src->lane_)];
+  out.safe_min = std::min(out.safe_min, t);
+  // One lane runs to the next safe point in a single window: stop it here.
+  src->window_end_ = std::min(src->window_end_, t);
+}
+
+void LaneSet::InsertSafePoint(SafePoint sp) {
   auto pos = std::upper_bound(
       safe_points_.begin(), safe_points_.end(), sp,
       [](const SafePoint& a, const SafePoint& b) {
         return a.t != b.t ? a.t < b.t : a.order < b.order;
       });
   safe_points_.insert(pos, std::move(sp));
+}
+
+void LaneSet::AdoptSafePoints() {
+  for (std::vector<SafePoint>& posted : posted_) {
+    for (SafePoint& sp : posted) {
+      InsertSafePoint(std::move(sp));
+    }
+    posted.clear();
+  }
 }
 
 Tick LaneSet::GlobalMinEventTime() {
@@ -118,9 +145,9 @@ size_t LaneSet::events_processed() const {
   return total;
 }
 
-Tick LaneSet::Horizon(Tick global_min) const {
+Tick LaneSet::Horizon(Tick global_min, Tick cap) const {
   const Tick end = global_min + lookahead_;
-  return std::min(end < global_min ? kNoEvent : end, cap_);  // Saturating add.
+  return std::min(end < global_min ? kNoEvent : end, cap);  // Saturating add.
 }
 
 void LaneSet::Adopt(int lane, int parity) {
@@ -158,6 +185,7 @@ void LaneSet::RunWindows(int lane, Tick horizon) {
   const PhaseHooks no_hooks;
   const PhaseHooks& hooks = all ? hooks_ : no_hooks;
   int parity = parity_;
+  Tick cap = cap_;  // Pulled in by safe points events post.
   for (;;) {
     for (int l = first; l < last; l++) {
       if (hooks.lane_begin) {
@@ -168,12 +196,14 @@ void LaneSet::RunWindows(int lane, Tick horizon) {
       out.parity = parity;
       out.horizon = horizon;
       out.mail_min = kNoEvent;
+      out.safe_min = kNoEvent;
       sim->RunWindow(horizon);
       LaneFront& front = fronts_[static_cast<size_t>(parity * lanes() + l)];
       if (!sim->PeekMinTime(&front.queue_min)) {
         front.queue_min = kNoEvent;
       }
       front.mail_min = out.mail_min;
+      front.safe_min = out.safe_min;
       if (hooks.lane_end) {
         hooks.lane_end(l);
       }
@@ -190,6 +220,7 @@ void LaneSet::RunWindows(int lane, Tick horizon) {
     for (int l = 0; l < lanes(); l++) {
       const LaneFront& front = fronts_[static_cast<size_t>(parity * lanes() + l)];
       next = std::min({next, front.queue_min, front.mail_min});
+      cap = std::min(cap, front.safe_min);
     }
     for (int l = first; l < last; l++) {
       Adopt(l, parity);
@@ -201,10 +232,10 @@ void LaneSet::RunWindows(int lane, Tick horizon) {
     if (first == 0) {
       windows_run_++;
     }
-    if (next >= cap_) {
+    if (next >= cap) {
       break;
     }
-    horizon = Horizon(next);
+    horizon = Horizon(next, cap);
   }
   if (!all) {
     Barrier();  // Every lane has adopted its mail: the caller may proceed.
@@ -255,6 +286,11 @@ size_t LaneSet::Run() {
   Tick end = now_;
   for (auto& sim : sims_) {
     end = std::max(end, sim->now());
+  }
+  // Every lane's clock moves to the last event's time, so root context
+  // schedules after the run from the same base at every lane count.
+  for (auto& sim : sims_) {
+    sim->now_ = end;
   }
   now_ = end;
   return events_processed() - before;
@@ -307,7 +343,7 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
     if (!safe_points_.empty()) {
       cap_ = std::min(cap_, safe_points_.front().t);
     }
-    const Tick horizon = Horizon(gm);
+    const Tick horizon = Horizon(gm, cap_);
     in_windows_ = true;
     if (threaded) {
       start_horizon_ = horizon;
@@ -318,6 +354,7 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
       RunWindows(kAllLanes, horizon);
     }
     in_windows_ = false;
+    AdoptSafePoints();
   }
 }
 

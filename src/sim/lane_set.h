@@ -66,6 +66,9 @@ class LaneSet {
   LaneSet& operator=(const LaneSet&) = delete;
 
   int lanes() const { return static_cast<int>(sims_.size()); }
+  // The minimum cross-lane delivery latency (also at one lane): how far
+  // ahead of now() an event may post a safe point.
+  Tick lookahead() const { return config_.lookahead; }
   bool threads() const { return config_.threads; }
   Simulator& lane_sim(int lane) { return *sims_[static_cast<size_t>(lane)]; }
 
@@ -91,6 +94,9 @@ class LaneSet {
   // parked — the home for cross-cutting control actions (migration
   // kickoff, crash injection, operator actions). Placement depends only on
   // the global event timeline, so it is lane-count- and thread-invariant.
+  // Root context only; an event posts through its Simulator::AtSafePoint,
+  // at least one lookahead ahead. Same-time tasks run root-posted first,
+  // then by posting node and that node's counter — like same-time events.
   void AtSafePoint(Tick t, std::function<void()> fn);  // lint:allow-churn — cold, a handful per run.
 
   // --- Execution (same contract as Simulator::Run / RunUntil). ---
@@ -139,6 +145,7 @@ class LaneSet {
   struct alignas(64) LaneFront {
     Tick queue_min = 0;  // Earliest event left in the lane's queue.
     Tick mail_min = 0;   // Earliest delivery the lane mailed this window.
+    Tick safe_min = 0;   // Earliest safe point the lane's events posted.
   };
 
   // A lane's own window state: the parity and horizon of the window it is
@@ -147,11 +154,14 @@ class LaneSet {
     int parity = 0;
     Tick horizon = 0;
     Tick mail_min = 0;
+    Tick safe_min = 0;
   };
 
   struct SafePoint {
     Tick t;
-    uint64_t order;  // Insertion order: same-tick tasks run FIFO.
+    // Same-tick order: root context's counter, or an event's key without
+    // its executing node (origin node + 1, origin counter).
+    uint64_t order;
     std::function<void()> fn;  // lint:allow-churn — cold, driver-thread only.
   };
 
@@ -162,12 +172,17 @@ class LaneSet {
   // Returns once `word` no longer holds `old`: spins, then parks.
   static void AwaitChange(const Epoch& word, uint32_t old);
 
+  // Simulator::AtSafePoint from inside an event on `src`'s lane.
+  void PostSafePoint(Simulator* src, Tick t, std::function<void()> fn);  // lint:allow-churn — cold.
+  void InsertSafePoint(SafePoint sp);
+  // Moves every lane's posted safe points into safe_points_ (lanes parked).
+  void AdoptSafePoints();
   void RunLoop(bool bounded, Tick until);
   // Runs windows until the next one would start at or past cap_. `lane` is
   // the calling thread's lane (threaded), or kAllLanes to run every lane in
   // turn on this thread.
   void RunWindows(int lane, Tick horizon);
-  Tick Horizon(Tick global_min) const;
+  Tick Horizon(Tick global_min, Tick cap) const;
   void Adopt(int lane, int parity);
   void Barrier();
   void StartWorkers();
@@ -223,6 +238,9 @@ class LaneSet {
 
   std::vector<SafePoint> safe_points_;  // Sorted by (t, order); bounded: drained every Run.
   uint64_t safe_point_order_ = 0;
+  // Safe points events posted this run segment, adopted once lanes park.
+  ROCKSTEADY_SHARED_GUARDED("entry l: lane l appends in windows; main thread drains, lanes parked")
+  std::vector<std::vector<SafePoint>> posted_;
 
   Tick now_ = 0;
   uint64_t windows_run_ = 0;

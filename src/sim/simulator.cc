@@ -225,7 +225,8 @@ size_t Simulator::RunWindow(Tick end) {
     clocks_ = lane_set_->clocks_.data();  // Nodes are only added at setup.
   }
   size_t processed = 0;
-  while (Event* e = PopMinUpTo(end - 1)) {  // end > 0: it is past a pending event.
+  window_end_ = end;
+  while (Event* e = PopMinUpTo(window_end_ - 1)) {  // > 0: past a pending event.
     ROCKSTEADY_DCHECK_GE(e->time, now_);
     now_ = e->time;
     running_node_ = static_cast<NodeId>(e->seq >> kExecShift);
@@ -239,6 +240,15 @@ size_t Simulator::RunWindow(Tick end) {
   running_node_ = kNoNode;
   events_processed_ += processed;
   return processed;
+}
+
+void Simulator::AtSafePoint(Tick t, std::function<void()> fn) {  // lint:allow-churn — cold.
+  ROCKSTEADY_DCHECK(lane_set_ != nullptr);
+  if (running_node_ == kNoNode) {
+    lane_set_->AtSafePoint(t, std::move(fn));
+    return;
+  }
+  lane_set_->PostSafePoint(this, t, std::move(fn));
 }
 
 size_t Simulator::Run() {

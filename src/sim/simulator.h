@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -78,6 +79,21 @@ class Simulator {
     root_node_ = node;
     return *this;
   }
+
+  // True while an event runs on `node`, or in root context (setup and
+  // safe-point tasks, every lane parked). Node-owned state checks this at
+  // its entry points: an event touches only its own node.
+  bool InRootOrOn(NodeId node) const {
+    return running_node_ == kNoNode || running_node_ == node;
+  }
+  bool in_event() const { return running_node_ != kNoNode; }
+
+  // Lane member only: runs `fn` in root context once everything before `t`
+  // has executed and nothing at/after `t` has (LaneSet::AtSafePoint). From
+  // inside an event, `t` must be at least one lookahead past now(): the
+  // same rule cross-lane mail follows, so the task lands at the same point
+  // of the timeline at every lane count.
+  void AtSafePoint(Tick t, std::function<void()> fn);  // lint:allow-churn — cold, a handful per run.
 
   // Standalone only (a LaneSet lane runs through LaneSet::Run*):
   // Runs events until the queue drains. Returns the number processed.
@@ -199,6 +215,8 @@ class Simulator {
 
   Tick now_ = 0;
   size_t events_processed_ = 0;
+  // The running window's end; an in-event safe point may pull it in.
+  Tick window_end_ = 0;
 
   // Ring + overflow queue state.
   std::vector<BucketList> buckets_{kNumBuckets};

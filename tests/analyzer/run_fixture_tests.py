@@ -184,8 +184,7 @@ class DriverTests(unittest.TestCase):
 
     def test_fixtures_fail_the_gate(self):
         with tempfile.TemporaryDirectory() as tmp:
-            proc = self._run([str(FIXTURES), "--frontend", "tokens",
-                              "--no-baseline", "--build-dir", tmp,
+            proc = self._run([str(FIXTURES), "--no-baseline", "--build-dir", tmp,
                               "--json", f"{tmp}/findings.json"])
             self.assertEqual(proc.returncode, 1, proc.stderr)
             self.assertTrue(Path(tmp, "findings.json").exists())
@@ -199,8 +198,7 @@ class DriverTests(unittest.TestCase):
                 "constexpr int kAnswer = 42;\n"
                 "int Twice(int value) { return value + value; }\n"
                 "}  // namespace rocksteady\n", encoding="utf-8")
-            proc = self._run([str(clean), "--frontend", "tokens",
-                              "--no-baseline", "--build-dir", tmp])
+            proc = self._run([str(clean), "--no-baseline", "--build-dir", tmp])
             self.assertEqual(proc.returncode, 0,
                              proc.stderr + proc.stdout)
 
@@ -212,13 +210,11 @@ class DriverTests(unittest.TestCase):
                 "int g_mutable = 0;\n"
                 "}  // namespace rocksteady\n", encoding="utf-8")
             baseline = Path(tmp) / "baseline.json"
-            wrote = self._run([str(dirty), "--frontend", "tokens",
-                               "--build-dir", tmp,
+            wrote = self._run([str(dirty), "--build-dir", tmp,
                                "--baseline", str(baseline),
                                "--write-baseline"])
             self.assertEqual(wrote.returncode, 0, wrote.stderr)
-            gated = self._run([str(dirty), "--frontend", "tokens",
-                               "--build-dir", tmp,
+            gated = self._run([str(dirty), "--build-dir", tmp,
                                "--baseline", str(baseline)])
             self.assertEqual(gated.returncode, 0, gated.stderr)
 

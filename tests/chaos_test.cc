@@ -106,8 +106,9 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
   bool victim_restarted = false;
   cluster.coordinator().on_recovery_complete = [&](ServerId id) {
     // Rejoin only after recovery finishes: restarting earlier would race the
-    // re-homing of the dead server's tablets.
-    sim.After(kMillisecond, [&, id] {
+    // re-homing of the dead server's tablets. A restart is an operator action
+    // on another node, so it runs as a safe-point task.
+    sim.AtSafePoint(sim.now() + kMillisecond, [&, id] {
       cluster.coordinator().master(id)->Restart();
       victim_restarted = true;
     });

@@ -8,8 +8,6 @@
 #include <string>
 
 #include "src/cluster/cluster.h"
-#include "src/cluster/operations.h"
-#include "src/rebalance/planner.h"
 #include "src/workload/client_actor.h"
 #include "src/workload/ycsb.h"
 
@@ -265,37 +263,6 @@ TEST(ClusterDeathTest, FewerThanOneLaneIsRejected) {
   }
 }
 
-// Recovery, the planner, drains and rolling restarts touch other nodes'
-// state directly, so they refuse to start on more than one lane.
-ClusterConfig TwoLanes() {
-  ClusterConfig config = SmallCluster();
-  config.lanes = 2;
-  return config;
-}
-
-TEST(ClusterDeathTest, FailureDetectorNeedsOneLane) {
-  Cluster cluster(TwoLanes());
-  EXPECT_DEATH(cluster.coordinator().StartFailureDetector(), "lanes\\(\\) == 1");
-}
-
-TEST(ClusterDeathTest, PlannerNeedsOneLane) {
-  Cluster cluster(TwoLanes());
-  RebalancePlanner planner(&cluster);
-  EXPECT_DEATH(planner.Start(), "lanes\\(\\) == 1");
-}
-
-TEST(ClusterDeathTest, DrainNeedsOneLane) {
-  Cluster cluster(TwoLanes());
-  cluster.CreateTable(1, 0);
-  EXPECT_DEATH(cluster.coordinator().BeginDrain(cluster.master(0).id()), "lanes\\(\\) == 1");
-}
-
-TEST(ClusterDeathTest, RollingRestartNeedsOneLane) {
-  Cluster cluster(TwoLanes());
-  RollingRestartOrchestrator orchestrator(&cluster);
-  EXPECT_DEATH(orchestrator.Start(), "lanes\\(\\) == 1");
-}
-
 #if ROCKSTEADY_DCHECK_ENABLED
 
 // Cluster::now() is root context's clock: it only advances between run
@@ -305,6 +272,23 @@ TEST(ClusterDeathTest, NowInsideAnEventIsFatal) {
   Cluster cluster(SmallCluster());
   cluster.client(0).sim().At(10, [&cluster] { (void)cluster.now(); });
   EXPECT_DEATH(cluster.Run(), "in_windows_");
+}
+
+// An event touches only its own node: a master's state is reachable from
+// its own events and from root context, and from nowhere else. The check
+// is per node, so it fires at one lane too, where the per-lane ownership
+// check in Simulator::Enqueue cannot.
+TEST(ClusterDeathTest, CrossNodeTouchIsFatal) {
+  Cluster cluster(SmallCluster());
+  cluster.CreateTable(1, 0);
+  MasterServer& master = cluster.master(0);
+  (void)master.objects();  // Root context.
+  bool touched = false;
+  master.sim().At(10, [&] { touched = master.objects().tablets().Find(1, 0) != nullptr; });
+  cluster.Run();
+  EXPECT_TRUE(touched);
+  cluster.coordinator().sim().At(cluster.now() + 10, [&] { (void)master.objects(); });
+  EXPECT_DEATH(cluster.Run(), "InRootOrOn");
 }
 
 #endif  // ROCKSTEADY_DCHECK_ENABLED

@@ -83,6 +83,7 @@ TEST(DrainTest, DrainIsIdempotentAndActivateCancels) {
   const ServerId victim = cluster.master(0).id();  // Owns the whole table.
   EXPECT_EQ(cluster.coordinator().BeginDrain(victim), Status::kOk);
   EXPECT_EQ(cluster.coordinator().lifecycle(victim), ServerLifecycle::kDraining);
+  cluster.Run();  // The master's latch travels by kSetDraining RPC.
   EXPECT_TRUE(cluster.master(0).draining());
   // Re-draining a draining server is a no-op, not a second drain.
   EXPECT_EQ(cluster.coordinator().BeginDrain(victim), Status::kOk);
@@ -90,6 +91,7 @@ TEST(DrainTest, DrainIsIdempotentAndActivateCancels) {
   // An operator can change their mind while tablets remain.
   EXPECT_EQ(cluster.coordinator().ActivateServer(victim), Status::kOk);
   EXPECT_EQ(cluster.coordinator().lifecycle(victim), ServerLifecycle::kActive);
+  cluster.Run();
   EXPECT_FALSE(cluster.master(0).draining());
   EXPECT_EQ(cluster.coordinator().ActivateServer(victim), Status::kOk);  // Idempotent.
 }
@@ -328,7 +330,8 @@ TEST(DrainTest, DrainingMasterRejectsInboundMigration) {
   SpreadQuarters(cluster);
   cluster.LoadTable(kTable, 200, 30, 100);
   ASSERT_EQ(cluster.coordinator().BeginDrain(cluster.master(3).id()), Status::kOk);
-  // An operator-raced migration *into* the draining master must bounce.
+  cluster.Run();  // The master's latch travels by kSetDraining RPC.
+  // An operator's migration *into* the draining master must bounce.
   std::optional<MigrationStats> stats;
   StartRocksteadyMigration(&cluster, kTable, 0, kQuarter - 1, 0, 3, RocksteadyOptions{},
                            [&](const MigrationStats& s) { stats = s; });

@@ -7,7 +7,10 @@
 // spread YCSB-B on the paper's 24-master cluster) at lanes {1, 2, 4} x
 // threads {off, on} across 20 seeds and asserts every digest — trace hash,
 // event count, end time, client/migration/fault counters, final object
-// placement — is bit-identical. Window counts depend on the lane count (one
+// placement — is bit-identical. Two control-plane scenarios do the same for
+// detector-driven lineage recovery (kRecovery) and for the planner, a drain
+// and a rolling restart (kOperations), each checking that no acked write
+// was lost. Window counts depend on the lane count (one
 // lane needs no lookahead windows), so they are compared only between
 // threaded and unthreaded runs of one lane count.
 //
@@ -16,15 +19,21 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/operations.h"
 #include "src/common/audit.h"
 #include "src/common/dcheck.h"
+#include "src/common/hash.h"
 #include "src/migration/rocksteady_target.h"
+#include "src/rebalance/planner.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/lane_set.h"
 #include "src/workload/client_actor.h"
@@ -37,7 +46,7 @@ constexpr TableId kTable = 1;
 constexpr KeyHash kMid = 1ull << 63;
 constexpr uint64_t kRecords = 1'000;
 
-enum class Scenario { kYcsb, kMigration, kFaults, kScale24 };
+enum class Scenario { kYcsb, kMigration, kFaults, kScale24, kRecovery, kOperations };
 
 struct LaneDigest {
   uint64_t trace_hash = 0;
@@ -51,8 +60,31 @@ struct LaneDigest {
   uint64_t injected_drops = 0;
   uint64_t injected_duplicates = 0;
   uint64_t retransmissions = 0;
+  // Control-plane scenarios.
+  uint64_t crashes_detected = 0;
+  uint64_t lineage_crashes = 0;  // Crashes of a live migration endpoint.
+  uint64_t recoveries_completed = 0;
+  uint64_t splits_performed = 0;
+  uint64_t planner_migrations = 0;
+  uint64_t drains_completed = 0;
+  uint64_t restarts_completed = 0;
+  uint64_t acked_writes = 0;
+  uint64_t failed_writes = 0;
+  uint64_t lost_writes = 0;  // Read-back mismatches: must stay 0.
 
   friend bool operator==(const LaneDigest&, const LaneDigest&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const LaneDigest& d) {
+    return os << "{hash=" << d.trace_hash << " events=" << d.events << " end=" << d.end_time
+              << " completed=" << d.client_completed << " failed=" << d.client_failed
+              << " pulled=" << d.records_pulled << " objects=" << d.source_objects << "/"
+              << d.target_objects << " drops=" << d.injected_drops
+              << " dups=" << d.injected_duplicates << " retx=" << d.retransmissions
+              << " crashes=" << d.crashes_detected << "/" << d.lineage_crashes << "/"
+              << d.recoveries_completed << " splits=" << d.splits_performed
+              << " planner=" << d.planner_migrations << " drains=" << d.drains_completed
+              << " restarts=" << d.restarts_completed << " writes=" << d.acked_writes << "/"
+              << d.failed_writes << " lost=" << d.lost_writes << "}";
+  }
 };
 
 struct LaneRun {
@@ -160,6 +192,286 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
   return run;
 }
 
+// ------------------------------------------- Control-plane scenarios.
+
+constexpr uint64_t kControlRecords = 2'000;
+constexpr KeyHash kQuarter = KeyHash{1} << 62;
+constexpr Tick kWriteGap = 100 * kMicrosecond;
+
+// What a key's read-back may return: its last acked value, or any value of
+// a write that failed (it may still have landed) — the loaded value if no
+// write was ever acked.
+struct KeyState {
+  bool acked = false;
+  std::string last_acked;
+  std::set<std::string> failed_values;
+};
+
+// One client's durable-write stream. It runs on the client's own node and
+// writes only keys it owns (index % clients), serialized per key, so its
+// reference model is touched by that node's events alone.
+class ClientWriter {
+ public:
+  ClientWriter(RamCloudClient* client, size_t index, size_t clients, Tick stop,
+               std::vector<std::string> hot_keys)
+      : client_(client), index_(index), clients_(clients), stop_(stop),
+        hot_keys_(std::move(hot_keys)) {}
+
+  void Start() { client_->sim().At(kWriteGap, client_->node(), [this] { Step(); }); }
+
+  const std::map<std::string, KeyState>& reference() const { return reference_; }
+  uint64_t acked() const { return acked_; }
+  uint64_t failed() const { return failed_; }
+
+ private:
+  void Step() {
+    Simulator& sim = client_->sim();
+    if (sim.now() >= stop_) {
+      return;
+    }
+    sim.After(kWriteGap, [this] { Step(); });
+    Random& rng = client_->rng();
+    // Mostly hot keys (when there are any), the rest uniform.
+    std::string key;
+    if (!hot_keys_.empty() && rng.NextDouble() < 0.8) {
+      key = hot_keys_[rng.Uniform(hot_keys_.size())];
+    } else {
+      key = Cluster::MakeKey(rng.Uniform(kControlRecords), 30);
+    }
+    if (HashKey(kTable, key) % clients_ != index_ || in_flight_.contains(key)) {
+      return;  // Another client's key, or a write to it is still in flight.
+    }
+    const std::string value = "c" + std::to_string(index_) + "-" + std::to_string(next_++);
+    in_flight_.insert(key);
+    KeyState* state = &reference_[key];
+    client_->Write(kTable, key, value, [this, key, value, state](Status status) {
+      in_flight_.erase(key);
+      if (status == Status::kOk) {
+        state->acked = true;
+        state->last_acked = value;
+        acked_++;
+      } else {
+        state->failed_values.insert(value);
+        failed_++;
+      }
+    });
+  }
+
+  RamCloudClient* client_;
+  size_t index_;
+  size_t clients_;
+  Tick stop_;
+  std::vector<std::string> hot_keys_;
+  std::map<std::string, KeyState> reference_;
+  std::set<std::string> in_flight_;
+  uint64_t next_ = 0;
+  uint64_t acked_ = 0;
+  uint64_t failed_ = 0;
+};
+
+// Reads every key back in root context; returns how many disagree with the
+// writers' reference models (lost acked writes, or lost records).
+uint64_t CountLostWrites(Cluster& cluster,
+                         const std::vector<std::unique_ptr<ClientWriter>>& writers) {
+  const std::string loaded(100, 'v');
+  uint64_t lost = 0;
+  for (uint64_t i = 0; i < kControlRecords; i++) {
+    const std::string key = Cluster::MakeKey(i, 30);
+    const KeyState* state = nullptr;
+    for (const auto& writer : writers) {
+      if (const auto it = writer->reference().find(key); it != writer->reference().end()) {
+        state = &it->second;
+      }
+    }
+    cluster.client(0).Read(kTable, key, [&lost, &loaded, state](Status s, const std::string& v) {
+      bool ok = s == Status::kOk;
+      if (ok && state != nullptr) {
+        ok = v == (state->acked ? state->last_acked : loaded) || state->failed_values.contains(v);
+      } else if (ok) {
+        ok = v == loaded;
+      }
+      lost += ok ? 0 : 1;
+    });
+    if (i % 64 == 63) {
+      cluster.Run();
+    }
+  }
+  cluster.Run();
+  return lost;
+}
+
+// Runs `crash` at the first safe point (polled every 5 us for 5 ms from
+// `from`) at which `mid_migration` holds — a lineage dependency names the
+// victim.
+void CrashMidMigration(Cluster& cluster, Tick from, std::function<bool()> mid_migration,
+                       std::function<void()> crash, int polls_left = 1'000) {
+  cluster.AtSafePoint(from, [&cluster, from, mid_migration, crash, polls_left] {
+    if (mid_migration()) {
+      crash();
+    } else if (polls_left > 1) {
+      CrashMidMigration(cluster, from + 5 * kMicrosecond, mid_migration, crash, polls_left - 1);
+    }
+  });
+}
+
+LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
+  FaultInjector injector({.seed = seed * 1'000 + 7,
+                          .drop_probability = 0.005,
+                          .duplicate_probability = 0.005,
+                          .max_extra_delay_ns = 2 * kMicrosecond});
+  ClusterConfig config;
+  config.num_masters = 4;
+  config.num_clients = 2;
+  config.master.hash_table_log2_buckets = 14;
+  config.master.segment_size = 64 * 1024;
+  config.seed = seed;
+  config.lanes = lanes;
+  config.lane_threads = threads;
+  Cluster cluster(config);
+  cluster.net().SetFaultInjector(&injector);
+  EnableMigration(&cluster);
+  Coordinator& coordinator = cluster.coordinator();
+  cluster.CreateTable(kTable, 0);
+  for (uint64_t i = 1; i < 4; i++) {  // Quarter i on master i.
+    EXPECT_EQ(coordinator.SplitTablet(kTable, i * kQuarter), Status::kOk);
+  }
+  for (uint64_t i = 1; i < 4; i++) {
+    EXPECT_EQ(coordinator.ReassignTablet(kTable, i * kQuarter, i * kQuarter + (kQuarter - 1),
+                                         cluster.master(i).id()),
+              Status::kOk);
+  }
+  cluster.LoadTable(kTable, kControlRecords, 30, 100);
+
+  const bool operations = kind == Scenario::kOperations;
+  const Tick ops_stop = (operations ? 120 : 60) * kMillisecond;
+  const Tick horizon = (operations ? 260 : 100) * kMillisecond;
+  std::vector<std::string> hot_keys;  // Operations: master 0's quarter is hot.
+  for (uint64_t i = 0; operations && i < kControlRecords; i++) {
+    std::string key = Cluster::MakeKey(i, 30);
+    if (HashKey(kTable, key) < kQuarter) {
+      hot_keys.push_back(std::move(key));
+    }
+  }
+
+  // Read-only actors: the writers own every write, so the read-back can
+  // judge each key against one reference model.
+  YcsbConfig ycsb = YcsbConfig::WorkloadC();
+  ycsb.num_records = kControlRecords;
+  YcsbWorkload workload(ycsb);
+  ClientActorConfig actor_config;
+  actor_config.ops_per_second = 20'000;
+  actor_config.stop_time = ops_stop;
+  std::vector<std::unique_ptr<ClientActor>> actors;
+  std::vector<std::unique_ptr<ClientWriter>> writers;
+  for (size_t c = 0; c < cluster.num_clients(); c++) {
+    actors.push_back(
+        std::make_unique<ClientActor>(kTable, &cluster.client(c), &workload, actor_config));
+    actors.back()->Start();
+    writers.push_back(std::make_unique<ClientWriter>(&cluster.client(c), c, cluster.num_clients(),
+                                                     ops_stop, hot_keys));
+    writers.back()->Start();
+  }
+
+  LaneRun run;
+  LaneDigest& digest = run.digest;
+  coordinator.StartFailureDetector();
+
+  std::unique_ptr<ClusterTelemetry> telemetry;
+  std::unique_ptr<RebalancePlanner> planner;
+  std::unique_ptr<RollingRestartOrchestrator> orchestrator;
+  bool restart_done = false;
+  if (operations) {
+    // Hot spot on master 0 -> checked split + planner migration; then drain
+    // master 3 (the planner evacuates it); then a rolling restart.
+    telemetry = std::make_unique<ClusterTelemetry>(&cluster);
+    RebalancerOptions options;
+    options.min_imbalance_ops_per_sec = 1'000;
+    options.migration_deadline_ns = 30 * kMillisecond;
+    planner = std::make_unique<RebalancePlanner>(&cluster, options);
+    planner->Start();
+    orchestrator = std::make_unique<RollingRestartOrchestrator>(&cluster);
+    cluster.AtSafePoint(70 * kMillisecond,
+                        [&] { coordinator.BeginDrain(cluster.master(3).id()); });
+    cluster.AtSafePoint(110 * kMillisecond,
+                        [&] { orchestrator->Start([&] { restart_done = true; }); });
+  } else {
+    // Restart a recovered master one millisecond later: an operator action
+    // on another node, posted from the coordinator's event as a safe-point
+    // task. (In kOperations the orchestrator restarts its own victims.)
+    coordinator.on_recovery_complete = [&](ServerId id) {
+      digest.recoveries_completed++;
+      Simulator& sim = coordinator.sim();
+      sim.AtSafePoint(sim.now() + kMillisecond, [&, id] { coordinator.master(id)->Restart(); });
+    };
+    // A migration whose source crashes mid-flight, then one whose target
+    // does; the detector finds both and recovery follows the lineage rule.
+    const ServerId source = cluster.master(0).id();
+    const ServerId target = cluster.master(3).id();
+    cluster.AtSafePoint(10 * kMillisecond, [&] {
+      StartRocksteadyMigration(&cluster, kTable, 0, kQuarter - 1, 0, 1, RocksteadyOptions{},
+                               nullptr);
+    });
+    CrashMidMigration(
+        cluster, 10 * kMillisecond,
+        [&coordinator, source] { return coordinator.FindDependencyBySource(source).has_value(); },
+        [&] {
+          digest.lineage_crashes++;
+          cluster.master(0).Crash();
+        });
+    cluster.AtSafePoint(40 * kMillisecond, [&] {
+      StartRocksteadyMigration(&cluster, kTable, 2 * kQuarter, 3 * kQuarter - 1, 2, 3,
+                               RocksteadyOptions{}, nullptr);
+    });
+    CrashMidMigration(
+        cluster, 40 * kMillisecond,
+        [&coordinator, target] { return coordinator.FindDependencyByTarget(target).has_value(); },
+        [&] {
+          digest.lineage_crashes++;
+          cluster.master(3).Crash();
+        });
+  }
+
+  cluster.RunUntil(horizon);
+  if (planner != nullptr) {
+    planner->Stop();
+  }
+  coordinator.StopFailureDetector();
+  cluster.Run();
+
+  AuditReport report;
+  coordinator.AuditInvariants(&report);
+  for (size_t i = 0; i < cluster.num_masters(); i++) {
+    cluster.master(i).objects().AuditInvariants(&report);
+  }
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  cluster.net().SetFaultInjector(nullptr);
+  digest.lost_writes = CountLostWrites(cluster, writers);
+
+  run.windows = cluster.lanes()->windows_run();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
+  digest.end_time = cluster.now();
+  for (const auto& actor : actors) {
+    digest.client_completed += actor->completed();
+    digest.client_failed += actor->failed();
+  }
+  for (const auto& writer : writers) {
+    digest.acked_writes += writer->acked();
+    digest.failed_writes += writer->failed();
+  }
+  digest.injected_drops = cluster.net().injected_drops();
+  digest.retransmissions = cluster.rpc().retransmissions();
+  digest.crashes_detected = coordinator.crashes_detected();
+  digest.splits_performed = coordinator.splits_performed();
+  digest.drains_completed = coordinator.drains_completed();
+  if (planner != nullptr) {
+    digest.planner_migrations = planner->stats().migrations_completed;
+    digest.restarts_completed = restart_done ? orchestrator->stats().restarts_completed : 0;
+  }
+  coordinator.on_recovery_complete = nullptr;
+  return run;
+}
+
 const char* ScenarioName(Scenario kind) {
   switch (kind) {
     case Scenario::kYcsb:
@@ -170,6 +482,10 @@ const char* ScenarioName(Scenario kind) {
       return "faults";
     case Scenario::kScale24:
       return "scale24";
+    case Scenario::kRecovery:
+      return "recovery";
+    case Scenario::kOperations:
+      return "operations";
   }
   return "?";
 }
@@ -208,6 +524,42 @@ std::string LaneParamName(const testing::TestParamInfo<std::tuple<Scenario, uint
   return std::string(ScenarioName(std::get<0>(info.param))) + "_s" +
          std::to_string(std::get<1>(info.param));
 }
+
+// Recovery, the planner, drains and rolling restarts: every event touches
+// only its own node, so they too run at any lane count with one trace.
+class ControlPlaneLaneTest : public testing::TestWithParam<std::tuple<Scenario, uint64_t>> {};
+
+TEST_P(ControlPlaneLaneTest, HashesIdenticalAcrossLaneCountsAndThreads) {
+  const auto [kind, seed] = GetParam();
+  const LaneRun single = RunControlScenario(kind, seed, 1, false);
+  const LaneDigest& reference = single.digest;
+  // The scenario's events actually happened, and no acked write was lost.
+  EXPECT_GT(reference.acked_writes, 0u);
+  EXPECT_EQ(reference.lost_writes, 0u);
+  if (kind == Scenario::kRecovery) {
+    EXPECT_EQ(reference.lineage_crashes, 2u);
+    EXPECT_EQ(reference.crashes_detected, 2u);
+    EXPECT_EQ(reference.recoveries_completed, 2u);
+  } else {
+    EXPECT_GE(reference.splits_performed, 1u);
+    EXPECT_GE(reference.planner_migrations, 1u);
+    EXPECT_EQ(reference.drains_completed, 1u);
+    EXPECT_EQ(reference.restarts_completed, 3u);  // Every active master; master 3 drained.
+  }
+  for (const int lanes : {2, 4}) {
+    const LaneRun unthreaded = RunControlScenario(kind, seed, lanes, false);
+    EXPECT_EQ(unthreaded.digest, reference) << "lanes=" << lanes << " unthreaded diverged";
+    const LaneRun threaded = RunControlScenario(kind, seed, lanes, true);
+    EXPECT_EQ(threaded.digest, reference) << "lanes=" << lanes << " threaded diverged";
+    EXPECT_EQ(threaded.windows, unthreaded.windows) << "lanes=" << lanes;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ControlPlaneLaneTest,
+                         testing::Combine(testing::Values(Scenario::kRecovery,
+                                                          Scenario::kOperations),
+                                          testing::Range(uint64_t{0}, uint64_t{20})),
+                         LaneParamName);
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LaneDeterminismTest,
                          testing::Combine(testing::Values(Scenario::kYcsb, Scenario::kMigration,
@@ -296,6 +648,50 @@ TEST(LaneWindowTest, SingleLaneRunsOneWindowPerSafePointPlusOne) {
   EXPECT_EQ(fired, 50);
   EXPECT_EQ(safe_points_run, 3);
   EXPECT_EQ(set->windows_run(), 3u + 1u);
+}
+
+// An event may post a safe point one lookahead ahead: it runs after every
+// event before its time and before any at or after it, at every lane count
+// — at one lane the running window is cut there; above one the time is past
+// every lane's horizon and the barrier pulls the run bound in.
+TEST(LaneWindowTest, SafePointPostedFromAnEventLandsAtTheSameTimelinePoint) {
+  std::vector<std::string> reference;
+  for (const int lanes : {1, 2, 4}) {
+    for (const bool threads : {false, true}) {
+      std::unique_ptr<LaneSet> set = MakeLanes(lanes, threads, 4);
+      // Each node runs a chain of events 30 ns apart; the tail length makes
+      // sure events run on both sides of the safe point.
+      std::vector<int> ticks(4, 0);
+      std::vector<std::function<void()>> chains(4);
+      for (NodeId node = 0; node < 4; node++) {
+        Simulator& sim = set->lane_sim(set->lane_of(node));
+        chains[node] = [&, node] {
+          if (++ticks[node] < 40) {
+            set->lane_sim(set->lane_of(node)).After(30, chains[node]);
+          }
+        };
+        sim.At(node, node, chains[node]);
+      }
+      std::vector<std::string> seen;
+      Simulator& poster = set->lane_sim(set->lane_of(2));
+      poster.At(250, 2, [&] {
+        poster.AtSafePoint(poster.now() + 100, [&] {
+          std::string counts;
+          for (const int t : ticks) {
+            counts += std::to_string(t) + " ";
+          }
+          seen.push_back(counts + "@" + std::to_string(set->now()));
+        });
+      });
+      set->Run();
+      ASSERT_EQ(seen.size(), 1u);
+      if (reference.empty()) {
+        reference = seen;
+      }
+      EXPECT_EQ(seen, reference) << "lanes=" << lanes << " threads=" << threads;
+    }
+  }
+  EXPECT_EQ(reference, (std::vector<std::string>{"12 12 12 12 @350"}));
 }
 
 #if ROCKSTEADY_DCHECK_ENABLED

@@ -539,8 +539,9 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
   const size_t victim = 2 + schedule.Uniform(2);
   const Tick crash_at = 8 * kMillisecond + schedule.Uniform(10 * kMillisecond);
   cluster.coordinator().on_recovery_complete = [&](ServerId id) {
-    cluster.coordinator().sim().After(kMillisecond,
-                                      [&, id] { cluster.coordinator().master(id)->Restart(); });
+    Simulator& sim = cluster.coordinator().sim();
+    sim.AtSafePoint(sim.now() + kMillisecond,
+                    [&, id] { cluster.coordinator().master(id)->Restart(); });
   };
   cluster.AtSafePoint(crash_at, [&] { cluster.master(victim).Crash(); });
 

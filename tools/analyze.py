@@ -24,10 +24,10 @@ flow), in four rules that gate the move to sharded execution (ROADMAP 1):
                        dedup cache expires, so at-least-once delivery can
                        re-execute any handler
 
-Frontends: libclang (clang.cindex + compile_commands.json) when installed,
-otherwise a token/scope frontend with no dependencies. `--frontend` forces
-one. Grandfathered findings live in tools/analyzer/baseline.json (currently
-empty — keep it that way); `--write-baseline` regenerates it.
+Frontend: a token/scope pass with no dependencies (tools/analyzer/
+frontend_tokens.py). Grandfathered findings live in
+tools/analyzer/baseline.json (currently empty — keep it that way);
+`--write-baseline` regenerates it.
 
 Exit status: 0 clean (or all findings baselined), 1 findings, 2 usage.
 
@@ -47,7 +47,7 @@ sys.path.insert(0, str(REPO / "tools"))
 
 import lint_determinism  # noqa: E402
 from analyzer import baseline as baseline_mod  # noqa: E402
-from analyzer import frontend_clang, frontend_tokens, rules  # noqa: E402
+from analyzer import frontend_tokens, rules  # noqa: E402
 from analyzer.model import Finding, Index  # noqa: E402
 
 SOURCE_EXTS = (".cc", ".cpp", ".h", ".hpp")
@@ -68,8 +68,8 @@ def collect_files(paths):
     return files
 
 
-def run_semantic(files, frontend_choice, build_dir):
-    """Returns (findings, all_facts, frontend_name)."""
+def run_semantic(files):
+    """Returns (findings, all_facts)."""
     index = Index()
     texts = {}
     for path in files:
@@ -77,37 +77,13 @@ def run_semantic(files, frontend_choice, build_dir):
         texts[path] = text
         frontend_tokens.build_index_for_file(text, index)
 
-    cindex = None
-    if frontend_choice in ("auto", "clang"):
-        cindex = frontend_clang.load_cindex()
-        if cindex is None and frontend_choice == "clang":
-            print("analyze: --frontend=clang requested but clang.cindex / "
-                  "libclang is unavailable", file=sys.stderr)
-            return None, None, None
-
     findings = []
     all_facts = []
-    frontend_name = "clang" if cindex else "tokens"
-    compile_commands = None
-    if cindex:
-        compile_commands = frontend_clang.load_compile_commands(build_dir)
     for path in files:
-        raw_lines = texts[path].splitlines()
-        if cindex:
-            try:
-                facts = frontend_clang.analyze_file(
-                    str(path), index, cindex, compile_commands)
-            except Exception as e:  # Robustness: fall back per file.
-                print(f"analyze: clang frontend failed on {path} ({e}); "
-                      "using token frontend", file=sys.stderr)
-                facts = frontend_tokens.analyze_file(
-                    texts[path], str(path), index)
-        else:
-            facts = frontend_tokens.analyze_file(texts[path], str(path),
-                                                 index)
+        facts = frontend_tokens.analyze_file(texts[path], str(path), index)
         all_facts.append(facts)
-        findings.extend(rules.check_tu(facts, index, raw_lines))
-    return findings, all_facts, frontend_name
+        findings.extend(rules.check_tu(facts, index, texts[path].splitlines()))
+    return findings, all_facts
 
 
 def run_regex_lint(files):
@@ -124,11 +100,8 @@ def main(argv):
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument("--frontend", choices=("auto", "clang", "tokens"),
-                        default="auto")
     parser.add_argument("--build-dir", default=str(REPO / "build"),
-                        help="where compile_commands.json and "
-                             "shard_state.json live")
+                        help="where shard_state.json is written")
     parser.add_argument("--json", default=None,
                         help="also write findings as JSON to this path")
     parser.add_argument("--baseline",
@@ -153,10 +126,7 @@ def main(argv):
         print("analyze: no source files found", file=sys.stderr)
         return 2
 
-    findings, all_facts, frontend_name = run_semantic(
-        files, args.frontend, args.build_dir)
-    if findings is None:
-        return 2
+    findings, all_facts = run_semantic(files)
     if not args.no_regex_lint:
         findings.extend(run_regex_lint(files))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
@@ -189,7 +159,6 @@ def main(argv):
 
     if args.json:
         payload = {
-            "frontend": frontend_name,
             "files_analyzed": len(files),
             "findings": [vars(f) for f in findings],
             "baselined": len(baselined),
@@ -205,11 +174,11 @@ def main(argv):
               f"{finding.message}", file=sys.stderr)
     suffix = f", {len(baselined)} baselined" if baselined else ""
     if findings:
-        print(f"analyze[{frontend_name}]: {len(findings)} finding(s) in "
+        print(f"analyze: {len(findings)} finding(s) in "
               f"{len(files)} files{suffix} — see rule docs in "
               "tools/analyze.py / DESIGN.md", file=sys.stderr)
         return 1
-    print(f"analyze[{frontend_name}]: {len(files)} files clean{suffix}; "
+    print(f"analyze: {len(files)} files clean{suffix}; "
           f"shard-state inventory: {shard_state_path} "
           f"({inventory['total_sites']} mutable site(s), "
           f"{inventory['unannotated']} unannotated)")

@@ -4,7 +4,6 @@ Package layout:
   lexer.py           C++ token stream (comments/strings stripped, lines kept)
   model.py           frontend-neutral facts (state sites, range-fors, calls...)
   frontend_tokens.py token/scope frontend — runs everywhere, no deps
-  frontend_clang.py  libclang (clang.cindex) frontend — used when available
   rules.py           the four semantic rules over the model
   baseline.py        reviewed-findings baseline (grandfathering)
 

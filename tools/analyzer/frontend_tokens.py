@@ -1,7 +1,7 @@
 """Token/scope frontend: builds model.TuFacts without a compiler.
 
-This is the always-available fallback behind the libclang frontend. It is
-not a parser; it is a set of targeted scans over the token stream plus a
+This is the analyzer's only frontend: it needs no compiler. It is not a
+parser; it is a set of targeted scans over the token stream plus a
 brace-tracking scope machine, tuned to this codebase's style (Google-ish
 C++, no macros that hide braces). Where C++ is genuinely ambiguous it
 prefers silence over noise — the rules it feeds are hard CI gates.

@@ -1,8 +1,8 @@
 """Frontend-neutral facts extracted from one translation unit.
 
-Both frontends (token scanner, libclang) reduce a TU to these records;
-rules.py never looks at tokens or cursors, so the two frontends stay
-interchangeable and the fixture tests exercise the rules through either.
+The token/scope frontend reduces a TU to these records; rules.py never
+looks at tokens, so the rules stay independent of how the facts were
+extracted and the fixture tests exercise them through the facts alone.
 """
 
 from dataclasses import dataclass, field

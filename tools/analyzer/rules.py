@@ -1,7 +1,6 @@
 """The four semantic rules, evaluated over model.TuFacts.
 
-Rules only see frontend-neutral facts, so the token and libclang frontends
-are interchangeable. Suppression markers are matched against the raw source
+Rules only see frontend-neutral facts (model.py). Suppression markers are matched against the raw source
 line (same convention as lint_determinism.py):
 
   lint:allow-iter-order: <reason>   range-for over an unordered container
