@@ -81,6 +81,12 @@ step "overload protection: admission control, load shedding, memory budget"
 step "rpc dedup cache stays bounded"
 "${ROOT}/build-asan/tests/rpc_test" --gtest_filter='*Dedup*'
 
+step "backup replicas: shared segment bytes match a private copy and outlive the master's"
+# Replicas, BackupWrites and recovery data hold slices of the masters'
+# refcounted segment buffers; ASan checks the lifetimes (a segment freed by
+# the cleaner, a crash-restarted master) and the reference-model cases.
+"${ROOT}/build-asan/tests/backup_service_test"
+
 step "threaded lanes: 4-lane worker-thread runs match the single-lane schedule"
 # The full 20-seed x {ycsb, migration, faults, scale24, recovery, operations}
 # suite runs under ctest; this leg re-runs a slice with ASan explicitly so a
@@ -133,11 +139,14 @@ cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
 step "test: TSan fast subset (determinism core + threaded lane barriers)"
 "${ROOT}/build-tsan/tests/sim_determinism_test"
 "${ROOT}/build-tsan/tests/rpc_test"
+"${ROOT}/build-tsan/tests/backup_service_test"
 # The multi-lane suite under TSan is the race gate for sharded execution:
 # every parameterized case (the 24-master scale24 shape, and the recovery and
 # operations control-plane scenarios, included) runs 2 and 4 threaded lanes
 # through the per-window barrier. A subset of seeds keeps the leg fast;
-# ctest runs all 20.
+# ctest runs all 20. Backups there read the bytes of masters on other lanes
+# (shared segment buffers), so this leg also checks that a backup reads only
+# bytes written before they were sent.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
   --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*:LaneWindowTest.*'
 

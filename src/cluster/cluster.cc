@@ -110,8 +110,8 @@ void Cluster::SeedReplicas(size_t master_index) {
     for (const auto& server : masters_) {
       if (server->node() == backup_node) {
         for (const auto& segment : owner.objects().log().segments()) {
-          server->backup().Write(owner.id(), segment->id(), 0, segment->data(), segment->used(),
-                                 segment->sealed());
+          server->backup().Write(owner.id(), segment->id(), 0,
+                                 segment->Slice(0, segment->used()), segment->sealed());
         }
         break;
       }

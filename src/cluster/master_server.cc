@@ -279,13 +279,12 @@ void MasterServer::HandleWrite(RpcContext context) {
 }
 
 void MasterServer::ReplicateEntry(LogRef ref, std::function<void(Status)> done) {
-  const uint8_t* data = nullptr;
-  size_t length = 0;
-  if (!objects_.log().RawEntry(ref, &data, &length)) {
+  ByteSlice entry;
+  if (!objects_.log().EntrySlice(ref, &entry)) {
     done(Status::kCorruptData);
     return;
   }
-  replicas_->Replicate(ref.segment_id(), ref.offset(), data, length, std::move(done));
+  replicas_->Replicate(ref.segment_id(), ref.offset(), std::move(entry), std::move(done));
 }
 
 void MasterServer::HandleRemove(RpcContext context) {
@@ -528,8 +527,7 @@ void MasterServer::HandleBackupWrite(RpcContext context) {
       {bulk ? Priority::kMigration : Priority::kReplication,
        [this, request_ref] {
          auto& req = static_cast<BackupWriteRequest&>(*request_ref);
-         backup_.Write(req.master, req.segment_id, req.offset, req.data.data(), req.data.size(),
-                       req.seal);
+         backup_.Write(req.master, req.segment_id, req.offset, req.data, req.seal);
          return costs_->BackupWriteCost(req.data.size());
        },
        [reply = std::move(context.reply)]() mutable {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "src/cluster/master_server.h"
 #include "src/common/dcheck.h"
@@ -21,7 +22,7 @@ constexpr int kReplayReplicationAttempts = 10;
 // the same segment can legitimately diverge past this point (a leg that
 // failed mid-stream leaves a zero hole the backup padded around), so
 // recovery ranks copies by how far they parse.
-size_t ParseablePrefix(const std::vector<uint8_t>& bytes) {
+size_t ParseablePrefix(std::span<const uint8_t> bytes) {
   size_t offset = 0;
   LogEntryView entry;
   while (offset < bytes.size() && ReadEntry(bytes.data() + offset, bytes.size() - offset, &entry)) {
@@ -65,7 +66,7 @@ struct RecoveryJob {
 
   // Replays the entries of `bytes` that fall in a recovered range, skipping
   // those below `skip_below`; returns the modeled replay cost.
-  Tick Replay(const std::vector<uint8_t>& bytes, size_t skip_below) {
+  Tick Replay(std::span<const uint8_t> bytes, size_t skip_below) {
     size_t offset = 0;
     size_t replayed = 0;
     size_t replayed_bytes = 0;
@@ -130,7 +131,7 @@ struct RecoveryJob {
 void FetchAndReplay(const std::shared_ptr<RecoveryJob>& job, const RecoverSource& source,
                     const std::vector<NodeId>& backups) {
   struct Fetch {
-    std::map<uint32_t, std::vector<uint8_t>> segments;  // Deduped by id.
+    std::map<uint32_t, ByteSlice> segments;  // Deduped by id.
     size_t outstanding = 0;
   };
   auto fetch = std::make_shared<Fetch>();
@@ -144,10 +145,9 @@ void FetchAndReplay(const std::shared_ptr<RecoveryJob>& job, const RecoverSource
     auto remaining = std::make_shared<size_t>(fetch->segments.size());
     for (auto& [segment_id, data] : fetch->segments) {
       const size_t skip_below = segment_id == min_segment ? min_offset : 0;
-      auto bytes = std::make_shared<std::vector<uint8_t>>(std::move(data));
       job->rm->cores().EnqueueWorker(
           {Priority::kReplication,
-           [job, bytes, skip_below] { return job->Replay(*bytes, skip_below); },
+           [job, bytes = std::move(data), skip_below] { return job->Replay(bytes, skip_below); },
            [job, remaining] {
              if (--*remaining == 0) {
                job->SourceDone();

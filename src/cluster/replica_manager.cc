@@ -5,8 +5,8 @@
 
 namespace rocksteady {
 
-void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, std::vector<uint8_t> data,
-                          bool seal, bool bulk, std::function<void(Status)> done) {
+void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal,
+                          bool bulk, std::function<void(Status)> done) {
   if (backups_.empty()) {
     // Replication disabled (single-server unit tests).
     if (done) {
@@ -35,10 +35,10 @@ void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, std::vector<uint
   auto state = std::make_shared<FanOut>();
   state->remaining = backups_.size();
   state->done = std::move(done);
-  auto shared_data = std::make_shared<std::vector<uint8_t>>(std::move(data));
-  sim->At(issue_at, owner_node_, [this, segment_id, offset, seal, bulk, state, shared_data] {
+  sim->At(issue_at, owner_node_, [this, segment_id, offset, seal, bulk, state,
+                                   data = std::move(data)] {
     for (const NodeId backup : backups_) {
-      SendToBackup(backup, segment_id, offset, shared_data, seal, bulk, /*attempt=*/1,
+      SendToBackup(backup, segment_id, offset, data, seal, bulk, /*attempt=*/1,
                    [state](Status status) {
                      if (status != Status::kOk) {
                        state->worst = status;
@@ -52,19 +52,19 @@ void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, std::vector<uint
 }
 
 void ReplicaManager::SendToBackup(NodeId backup, uint32_t segment_id, uint32_t offset,
-                                  std::shared_ptr<std::vector<uint8_t>> data, bool seal, bool bulk,
-                                  int attempt, std::function<void(Status)> done) {
+                                  ByteSlice data, bool seal, bool bulk, int attempt,
+                                  std::function<void(Status)> done) {
   auto request = std::make_unique<BackupWriteRequest>();
   request->master = owner_id_;
   request->segment_id = segment_id;
   request->offset = offset;
-  request->data = *data;  // Each backup (and each attempt) gets its own copy.
+  request->data = data;  // Every backup and attempt shares the bytes.
   request->seal = seal;
   request->bulk = bulk;
-  Simulator* sim = rpc_->SimFor(owner_node_);
+  // The callback's captures fill its inline buffer exactly: add none.
   rpc_->Call(
       owner_node_, backup, std::move(request),
-      [this, backup, segment_id, offset, data, seal, bulk, attempt, sim,
+      [this, backup, segment_id, offset, data = std::move(data), seal, bulk, attempt,
        done = std::move(done)](Status status, std::unique_ptr<RpcResponse> response) mutable {
         if (status == Status::kOk && response->status != Status::kRetryLater) {
           done(response->status);
@@ -84,26 +84,25 @@ void ReplicaManager::SendToBackup(NodeId backup, uint32_t segment_id, uint32_t o
         const Tick backoff = std::min<Tick>(rpc_->costs()->retry_backoff_min_ns << attempt,
                                             rpc_->costs()->wrong_server_backoff_max_ns) +
                              rpc_->CallerRng(owner_node_).Uniform(rpc_->costs()->retry_backoff_min_ns);
-        sim->After(backoff, owner_node_,
-                   [this, backup, segment_id, offset, data, seal, bulk, attempt,
-                    done = std::move(done)]() mutable {
-          SendToBackup(backup, segment_id, offset, std::move(data), seal, bulk, attempt + 1,
-                       std::move(done));
-        });
+        rpc_->SimFor(owner_node_)->After(
+            backoff, owner_node_,
+            [this, backup, segment_id, offset, data, seal, bulk, attempt,
+             done = std::move(done)]() mutable {
+              SendToBackup(backup, segment_id, offset, std::move(data), seal, bulk, attempt + 1,
+                           std::move(done));
+            });
       },
       rpc_->costs()->rpc_timeout_ns);
 }
 
-void ReplicaManager::Replicate(uint32_t segment_id, uint32_t offset, const uint8_t* data,
-                               size_t length, std::function<void(Status)> done) {
-  Send(segment_id, offset, std::vector<uint8_t>(data, data + length), false, /*bulk=*/false,
-       std::move(done));
+void ReplicaManager::Replicate(uint32_t segment_id, uint32_t offset, ByteSlice data,
+                               std::function<void(Status)> done) {
+  Send(segment_id, offset, std::move(data), false, /*bulk=*/false, std::move(done));
 }
 
-void ReplicaManager::ReplicateBulk(uint32_t segment_id, uint32_t offset, const uint8_t* data,
-                                   size_t length, bool seal, std::function<void(Status)> done) {
-  Send(segment_id, offset, std::vector<uint8_t>(data, data + length), seal, /*bulk=*/true,
-       std::move(done));
+void ReplicaManager::ReplicateBulk(uint32_t segment_id, uint32_t offset, ByteSlice data,
+                                   bool seal, std::function<void(Status)> done) {
+  Send(segment_id, offset, std::move(data), seal, /*bulk=*/true, std::move(done));
 }
 
 void ReplicaManager::ReplicateSegment(const Segment& segment, std::function<void(Status)> done) {
@@ -128,8 +127,7 @@ void ReplicaManager::ReplicateSegment(const Segment& segment, std::function<void
   for (size_t offset = 0; offset < total; offset += kChunk) {
     const size_t length = std::min(kChunk, total - offset);
     const bool last = offset + length >= total;
-    Send(segment.id(), static_cast<uint32_t>(offset),
-         std::vector<uint8_t>(segment.data() + offset, segment.data() + offset + length), last,
+    Send(segment.id(), static_cast<uint32_t>(offset), segment.Slice(offset, length), last,
          /*bulk=*/true, [fan](Status status) {
            if (status != Status::kOk) {
              fan->worst = status;

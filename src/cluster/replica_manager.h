@@ -34,8 +34,9 @@ class ReplicaManager {
 
   // Replicates one log append (the entry bytes at segment/offset) to every
   // backup; `done` fires when all have acked. The synchronous path under
-  // every durable write.
-  void Replicate(uint32_t segment_id, uint32_t offset, const uint8_t* data, size_t length,
+  // every durable write. Every leg and retry shares `data`'s bytes, and so
+  // do the backups' replicas: nothing is copied.
+  void Replicate(uint32_t segment_id, uint32_t offset, ByteSlice data,
                  std::function<void(Status)> done);
 
   // Replicates a whole segment's current contents (bulk path: side-log lazy
@@ -44,8 +45,8 @@ class ReplicaManager {
   void ReplicateSegment(const Segment& segment, std::function<void(Status)> done);
 
   // One bulk chunk (background priority at the backup).
-  void ReplicateBulk(uint32_t segment_id, uint32_t offset, const uint8_t* data, size_t length,
-                     bool seal, std::function<void(Status)> done);
+  void ReplicateBulk(uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal,
+                     std::function<void(Status)> done);
 
   // Bulk transfers are split into chunks of this size.
   static constexpr size_t kBulkChunkBytes = 64 * 1024;
@@ -60,11 +61,10 @@ class ReplicaManager {
   uint64_t bytes_replicated() const { return bytes_replicated_; }
 
  private:
-  void Send(uint32_t segment_id, uint32_t offset, std::vector<uint8_t> data, bool seal, bool bulk,
+  void Send(uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal, bool bulk,
             std::function<void(Status)> done);
-  void SendToBackup(NodeId backup, uint32_t segment_id, uint32_t offset,
-                    std::shared_ptr<std::vector<uint8_t>> data, bool seal, bool bulk, int attempt,
-                    std::function<void(Status)> done);
+  void SendToBackup(NodeId backup, uint32_t segment_id, uint32_t offset, ByteSlice data,
+                    bool seal, bool bulk, int attempt, std::function<void(Status)> done);
 
   RpcSystem* rpc_;
   ServerId owner_id_;

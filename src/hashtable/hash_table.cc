@@ -1,13 +1,33 @@
 #include "src/hashtable/hash_table.h"
 
+#include <algorithm>
 #include <cassert>
+#include <new>
 
 namespace rocksteady {
 
 HashTable::HashTable(int log2_buckets) {
   assert(log2_buckets >= 1 && log2_buckets < 63);
   shift_ = 64 - log2_buckets;
-  buckets_.resize(size_t{1} << log2_buckets);
+  num_buckets_ = size_t{1} << log2_buckets;
+  buckets_.reset(static_cast<Bucket*>(std::calloc(num_buckets_, sizeof(Bucket))));
+  if (buckets_ == nullptr) {
+    throw std::bad_alloc();
+  }
+}
+
+HashTable::~HashTable() {
+  if (overflow_buckets_ == 0) {
+    return;  // Nothing to free; and the walk would fault in every page.
+  }
+  for (size_t index = 0; index < num_buckets_; index++) {
+    Bucket* bucket = buckets_[index].next;
+    while (bucket != nullptr) {
+      Bucket* next = bucket->next;
+      delete bucket;
+      bucket = next;
+    }
+  }
 }
 
 HashTable::Bucket* HashTable::FindSlot(KeyHash hash, size_t* slot) const {
@@ -19,7 +39,7 @@ HashTable::Bucket* HashTable::FindSlot(KeyHash hash, size_t* slot) const {
         return const_cast<Bucket*>(bucket);
       }
     }
-    bucket = bucket->next.get();
+    bucket = bucket->next;
   }
   return nullptr;
 }
@@ -33,9 +53,10 @@ bool HashTable::Insert(KeyHash hash, LogRef ref) {
   Bucket* bucket = &buckets_[BucketOf(hash)];
   while (bucket->count == kSlotsPerBucket) {
     if (bucket->next == nullptr) {
-      bucket->next = std::make_unique<Bucket>();
+      bucket->next = new Bucket();  // Value-initialised: empty.
+      overflow_buckets_++;
     }
-    bucket = bucket->next.get();
+    bucket = bucket->next;
   }
   bucket->hashes[bucket->count] = hash;
   bucket->refs[bucket->count] = ref;
@@ -62,7 +83,7 @@ bool HashTable::Remove(KeyHash hash) {
   // empty overflow buckets lazily (they stay allocated; count is truth).
   Bucket* tail = bucket;
   while (tail->next != nullptr && tail->next->count > 0) {
-    tail = tail->next.get();
+    tail = tail->next;
   }
   bucket->hashes[slot] = tail->hashes[tail->count - 1];
   bucket->refs[slot] = tail->refs[tail->count - 1];
@@ -84,7 +105,7 @@ bool HashTable::Replace(KeyHash hash, LogRef expected, LogRef desired) {
 size_t HashTable::ScanBuckets(size_t end_bucket, size_t cursor,
                               const std::function<void(KeyHash, LogRef)>& visit,
                               const std::function<bool()>& bucket_done) const {
-  end_bucket = std::min(end_bucket, buckets_.size());
+  end_bucket = std::min(end_bucket, num_buckets_);
   while (cursor < end_bucket) {
     if (cursor + 1 < end_bucket) {
       // Pull scans walk long contiguous bucket runs; fetching the next
@@ -96,7 +117,7 @@ size_t HashTable::ScanBuckets(size_t end_bucket, size_t cursor,
       for (size_t i = 0; i < bucket->count; i++) {
         visit(bucket->hashes[i], bucket->refs[i]);
       }
-      bucket = bucket->next.get();
+      bucket = bucket->next;
     }
     cursor++;
     if (!bucket_done()) {
@@ -107,7 +128,7 @@ size_t HashTable::ScanBuckets(size_t end_bucket, size_t cursor,
 }
 
 void HashTable::ForEach(const std::function<void(KeyHash, LogRef)>& fn) const {
-  ScanBuckets(buckets_.size(), 0, fn, [] { return true; });
+  ScanBuckets(num_buckets_, 0, fn, [] { return true; });
 }
 
 size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred) {
@@ -127,10 +148,9 @@ size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred) {
 
 void HashTable::AuditInvariants(AuditReport* report, const Log* log) const {
   size_t counted = 0;
-  for (size_t index = 0; index < buckets_.size(); index++) {
+  for (size_t index = 0; index < num_buckets_; index++) {
     const Bucket* previous = nullptr;
-    for (const Bucket* bucket = &buckets_[index]; bucket != nullptr;
-         bucket = bucket->next.get()) {
+    for (const Bucket* bucket = &buckets_[index]; bucket != nullptr; bucket = bucket->next) {
       if (bucket->count > kSlotsPerBucket) {
         report->Fail("hashtable: bucket %zu slot count %u exceeds %zu", index, bucket->count,
                      kSlotsPerBucket);
@@ -163,7 +183,7 @@ void HashTable::AuditInvariants(AuditReport* report, const Log* log) const {
         }
         // Duplicate scan within the remainder of this chain.
         size_t j = i + 1;
-        for (const Bucket* rest = bucket; rest != nullptr; rest = rest->next.get(), j = 0) {
+        for (const Bucket* rest = bucket; rest != nullptr; rest = rest->next, j = 0) {
           for (; j < rest->count; j++) {
             if (rest->hashes[j] == hash) {
               report->Fail("hashtable: duplicate entries for hash %llx in bucket %zu",
@@ -182,9 +202,9 @@ void HashTable::AuditInvariants(AuditReport* report, const Log* log) const {
 
 size_t HashTable::MaxChainLength() const {
   size_t longest = 0;
-  for (const auto& head : buckets_) {
+  for (size_t index = 0; index < num_buckets_; index++) {
     size_t length = 0;
-    for (const Bucket* bucket = &head; bucket != nullptr; bucket = bucket->next.get()) {
+    for (const Bucket* bucket = &buckets_[index]; bucket != nullptr; bucket = bucket->next) {
       length++;
     }
     longest = std::max(longest, length);

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -30,6 +31,7 @@ class HashTable {
   // 2^log2_buckets buckets. RAMCloud sizes ~2 entries per bucket on average;
   // experiment drivers size accordingly.
   explicit HashTable(int log2_buckets);
+  ~HashTable();
 
   HashTable(const HashTable&) = delete;
   HashTable& operator=(const HashTable&) = delete;
@@ -48,7 +50,7 @@ class HashTable {
   bool Replace(KeyHash hash, LogRef expected, LogRef desired);
 
   size_t size() const { return size_; }
-  size_t num_buckets() const { return buckets_.size(); }
+  size_t num_buckets() const { return num_buckets_; }
 
   size_t BucketOf(KeyHash hash) const { return static_cast<size_t>(hash >> shift_); }
 
@@ -95,18 +97,29 @@ class HashTable {
  private:
   static constexpr size_t kSlotsPerBucket = 8;
 
+  // All-zero bytes are an empty bucket (count 0, next null), and Bucket is
+  // an implicit-lifetime aggregate, so the bucket array is calloc'd memory
+  // used as-is: pages of buckets nothing hashes into are never touched and
+  // cost no RSS. `next` is a raw owning pointer for the same reason (a
+  // unique_ptr would need constructing in place); ~HashTable frees chains.
   struct Bucket {
     std::array<KeyHash, kSlotsPerBucket> hashes;
     std::array<LogRef, kSlotsPerBucket> refs;
-    uint8_t count = 0;
-    std::unique_ptr<Bucket> next;
+    uint8_t count;
+    Bucket* next;
+  };
+
+  struct FreeDeleter {
+    void operator()(Bucket* p) const { std::free(p); }
   };
 
   Bucket* FindSlot(KeyHash hash, size_t* slot) const;
 
   int shift_;
   size_t size_ = 0;
-  std::vector<Bucket> buckets_;
+  size_t num_buckets_;
+  std::unique_ptr<Bucket[], FreeDeleter> buckets_;
+  size_t overflow_buckets_ = 0;  // Allocated chain buckets (~HashTable skips the walk at 0).
 };
 
 }  // namespace rocksteady

@@ -81,6 +81,15 @@ bool Log::RawEntry(LogRef ref, const uint8_t** data, size_t* length) const {
   return true;
 }
 
+bool Log::EntrySlice(LogRef ref, ByteSlice* out) const {
+  LogEntryView view;
+  if (!Read(ref, &view)) {
+    return false;
+  }
+  *out = FindSegment(ref.segment_id())->Slice(ref.offset(), view.header.TotalLength());
+  return true;
+}
+
 void Log::MarkDead(LogRef ref) {
   if (!ref.valid()) {
     return;

@@ -71,6 +71,10 @@ class Log {
   // replication and migration transfer. False on a stale/corrupt reference.
   bool RawEntry(LogRef ref, const uint8_t** data, size_t* length) const;
 
+  // The same bytes as a slice sharing the segment's buffer: what
+  // replication sends, so backups hold them without a copy.
+  bool EntrySlice(LogRef ref, ByteSlice* out) const;
+
   // Marks the entry at `ref` dead (overwritten or deleted); updates segment
   // live-byte accounting for the cleaner.
   void MarkDead(LogRef ref);

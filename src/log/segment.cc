@@ -1,7 +1,6 @@
 #include "src/log/segment.h"
 
 #include <cassert>
-#include <cstring>
 #include <functional>
 
 namespace rocksteady {
@@ -14,7 +13,7 @@ size_t Segment::AppendEntry(const LogEntryHeader& header, std::string_view key,
     return SIZE_MAX;
   }
   const size_t offset = used_;
-  WriteEntry(buffer_.data() + offset, header, key, value);
+  WriteEntry(buffer_->data() + offset, header, key, value);
   used_ += needed;
   live_bytes_ += needed;
   return offset;
@@ -24,14 +23,14 @@ bool Segment::EntryAt(size_t offset, LogEntryView* out) const {
   if (offset >= used_) {
     return false;
   }
-  return ReadEntry(buffer_.data() + offset, used_ - offset, out);
+  return ReadEntry(buffer_->data() + offset, used_ - offset, out);
 }
 
 bool Segment::ForEach(const std::function<bool(size_t, const LogEntryView&)>& fn) const {
   size_t offset = 0;
   while (offset < used_) {
     LogEntryView view;
-    if (!ReadEntry(buffer_.data() + offset, used_ - offset, &view)) {
+    if (!ReadEntry(buffer_->data() + offset, used_ - offset, &view)) {
       return false;
     }
     if (!fn(offset, view)) {
@@ -43,8 +42,8 @@ bool Segment::ForEach(const std::function<bool(size_t, const LogEntryView&)>& fn
 }
 
 void Segment::AuditInvariants(AuditReport* report) const {
-  if (used_ > buffer_.size()) {
-    report->Fail("segment %u: used %zu exceeds capacity %zu", id_, used_, buffer_.size());
+  if (used_ > capacity()) {
+    report->Fail("segment %u: used %zu exceeds capacity %zu", id_, used_, capacity());
     return;  // Accounting is broken; walking the buffer would read past it.
   }
   if (live_bytes_ > used_) {
@@ -53,7 +52,7 @@ void Segment::AuditInvariants(AuditReport* report) const {
   size_t offset = 0;
   while (offset < used_) {
     LogEntryView view;
-    if (!ReadEntry(buffer_.data() + offset, used_ - offset, &view)) {
+    if (!ReadEntry(buffer_->data() + offset, used_ - offset, &view)) {
       report->Fail("segment %u: corrupt entry at offset %zu (bad checksum or truncated)", id_,
                    offset);
       return;  // Entry length is untrustworthy; cannot continue the walk.
@@ -66,13 +65,6 @@ void Segment::AuditInvariants(AuditReport* report) const {
   if (offset != used_) {
     report->Fail("segment %u: entries tile %zu bytes but used is %zu", id_, offset, used_);
   }
-}
-
-void Segment::RestoreRaw(const uint8_t* data, size_t length) {
-  assert(length <= buffer_.size());
-  std::memcpy(buffer_.data(), data, length);
-  used_ = length;
-  live_bytes_ = length;
 }
 
 }  // namespace rocksteady

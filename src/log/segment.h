@@ -12,9 +12,9 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "src/common/audit.h"
+#include "src/common/byte_slice.h"
 #include "src/log/log_entry.h"
 
 namespace rocksteady {
@@ -23,12 +23,13 @@ inline constexpr size_t kDefaultSegmentSize = 256 * 1024;
 
 class Segment {
  public:
-  Segment(uint32_t id, size_t capacity) : id_(id), buffer_(capacity) {}
+  // The buffer is not zero-filled: only the appended prefix is ever read.
+  Segment(uint32_t id, size_t capacity) : id_(id), buffer_(ByteBuffer::Allocate(capacity)) {}
 
   uint32_t id() const { return id_; }
-  size_t capacity() const { return buffer_.size(); }
+  size_t capacity() const { return buffer_->capacity(); }
   size_t used() const { return used_; }
-  size_t Free() const { return buffer_.size() - used_; }
+  size_t Free() const { return capacity() - used_; }
   bool sealed() const { return sealed_; }
   void Seal() { sealed_ = true; }
 
@@ -48,11 +49,15 @@ class Segment {
   // Returns false if a corrupt entry was encountered.
   bool ForEach(const std::function<bool(size_t offset, const LogEntryView&)>& fn) const;
 
-  const uint8_t* data() const { return buffer_.data(); }
+  const uint8_t* data() const { return buffer_->data(); }
 
-  // Raw copy-in used by backup replicas and recovery (the bytes were
-  // validated entry-by-entry on the original master).
-  void RestoreRaw(const uint8_t* data, size_t length);
+  // Appended bytes [offset, offset + length), shared rather than copied:
+  // replicas and replication requests hold them. Appended bytes are never
+  // rewritten, and the slice keeps them alive after the segment is freed.
+  ByteSlice Slice(size_t offset, size_t length) const {
+    ROCKSTEADY_DCHECK_LE(offset + length, used_);
+    return ByteSlice(buffer_, offset, length);
+  }
 
   // Invariants: used/live accounting within bounds, and the used region is
   // exactly tiled by entries whose checksums validate.
@@ -63,7 +68,7 @@ class Segment {
   size_t used_ = 0;
   size_t live_bytes_ = 0;
   bool sealed_ = false;
-  std::vector<uint8_t> buffer_;
+  IntrusivePtr<ByteBuffer> buffer_;
 };
 
 }  // namespace rocksteady

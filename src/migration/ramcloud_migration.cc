@@ -74,13 +74,16 @@ void ReplayNextBatch(MasterServer* master) {
            return;
          }
          // Synchronous re-replication: the batch is not acked (and the
-         // source's pipeline not advanced) until backups confirm.
-         auto bytes = std::make_shared<std::vector<uint8_t>>(std::move(req.records));
+         // source's pipeline not advanced) until backups confirm. The
+         // stream's replicas share the batch's bytes.
          master->cores().EnqueueWorker(
              {Priority::kReplication,
-              [master, bytes] { return master->costs().ReplicationSrcCost(bytes->size()); },
-              [master, bytes, finish] {
-                master->replicas().Replicate(0x60000000, 0, bytes->data(), bytes->size(),
+              [master, size = req.records.size()] {
+                return master->costs().ReplicationSrcCost(size);
+              },
+              [master, shared, finish] {
+                master->replicas().Replicate(0x60000000, 0,
+                                             shared->As<BaselineReplayRequest>().records,
                                              [finish](Status) { finish(); });
               }});
        }});
@@ -119,7 +122,7 @@ void BaselineMigration::ScheduleScanChunk() {
   }
   scan_task_active_ = true;
 
-  auto batch = std::make_shared<std::vector<uint8_t>>();
+  auto batch = std::make_shared<ByteSliceBuilder>();
   auto batch_records = std::make_shared<uint32_t>(0);
   auto matched_bytes = std::make_shared<size_t>(0);
   auto reached_end = std::make_shared<bool>(false);
@@ -165,7 +168,7 @@ void BaselineMigration::ScheduleScanChunk() {
              const uint8_t* raw = nullptr;
              size_t raw_length = 0;
              log.RawEntry(ref, &raw, &raw_length);
-             batch->insert(batch->end(), raw, raw + raw_length);
+             batch->Append(raw, raw_length);
            }
            *batch_records += 1;
          }
@@ -210,7 +213,7 @@ void BaselineMigration::ScheduleScanChunk() {
          if (!options_.skip_tx && !options_.skip_copy && (!batch->empty() || last)) {
            auto request = std::make_unique<BaselineReplayRequest>();
            request->table = table_;
-           request->records = std::move(*batch);
+           request->records = batch->Finish();
            request->record_count = *batch_records;
            request->last_batch = last;
            request->skip_replay = options_.skip_replay;

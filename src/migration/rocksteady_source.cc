@@ -71,7 +71,9 @@ void HandlePull(MasterServer* master, RpcContext context) {
          auto& req = static_cast<PullRequest&>(*request_ref);
          const HashTable& table = master->objects().hash_table();
          const Log& log = master->objects().log();
-         size_t bytes = 0;
+         // Sized for the budget up front; one bucket's overshoot grows it
+         // once, and Finish() trims it to the bytes used.
+         ByteSliceBuilder out(req.budget_bytes);
          size_t records = 0;
          const size_t cursor = table.ScanBuckets(
              static_cast<size_t>(req.bucket_end), static_cast<size_t>(req.cursor),
@@ -90,11 +92,13 @@ void HandlePull(MasterServer* master, RpcContext context) {
                const uint8_t* raw = nullptr;
                size_t length = 0;
                log.RawEntry(ref, &raw, &length);
-               response->records.insert(response->records.end(), raw, raw + length);
-               bytes += length;
+               out.Append(raw, length);
                records++;
              },
-             [&] { return bytes < req.budget_bytes; });
+             [&] { return out.size() < req.budget_bytes; });
+         const size_t bytes = out.size();
+         // Frozen from here on: the dedup cache's clone shares these bytes.
+         response->records = out.Finish();
          response->record_count = static_cast<uint32_t>(records);
          response->next_cursor = cursor;
          response->done = cursor >= req.bucket_end;
@@ -120,7 +124,7 @@ void HandlePriorityPull(MasterServer* master, RpcContext context) {
          auto& req = static_cast<PriorityPullRequest&>(*request_ref);
          const HashTable& table = master->objects().hash_table();
          const Log& log = master->objects().log();
-         size_t bytes = 0;
+         ByteSliceBuilder out;
          for (size_t i = 0; i < req.hashes.size(); i++) {
            if (i + 1 < req.hashes.size()) {
              table.PrefetchBucket(req.hashes[i + 1]);
@@ -137,10 +141,11 @@ void HandlePriorityPull(MasterServer* master, RpcContext context) {
            const uint8_t* raw = nullptr;
            size_t length = 0;
            log.RawEntry(ref, &raw, &length);
-           response->records.insert(response->records.end(), raw, raw + length);
+           out.Append(raw, length);
            response->record_count++;
-           bytes += length;
          }
+         const size_t bytes = out.size();
+         response->records = out.Finish();  // Frozen: clones share it.
          return master->costs().PriorityPullCost(req.hashes.size()) +
                 static_cast<Tick>(master->costs().pull_per_byte_ns * static_cast<double>(bytes));
        },

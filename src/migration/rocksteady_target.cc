@@ -523,9 +523,9 @@ void RocksteadyMigrationManager::OnPullResponse(size_t partition_index,
                     return target_->costs().ReplicationSrcCost(shared->records.size());
                   },
                   [this, shared, stream, partition_index] {
+                    // The stream's replicas share the pull reply's bytes.
                     target_->replicas().Replicate(
-                        stream, 0, shared->records.data(), shared->records.size(),
-                        [this, partition_index](Status) {
+                        stream, 0, shared->records, [this, partition_index](Status) {
                           if (aborted_) {
                             return;
                           }
@@ -839,7 +839,7 @@ void RocksteadyMigrationManager::FinishLazyReplication() {
          [this, chunk] { return target_->costs().ReplicationSrcCost(chunk.length); },
          [this, chunk, remaining] {
            target_->replicas().ReplicateBulk(chunk.segment->id(), chunk.offset,
-                                             chunk.segment->data() + chunk.offset, chunk.length,
+                                             chunk.segment->Slice(chunk.offset, chunk.length),
                                              chunk.last, [this, remaining](Status) {
                                                if (--*remaining == 0) {
                                                  CommitAndComplete();

@@ -3,7 +3,9 @@
 // All RAMCloud/Rocksteady operations travel as typed request/response objects
 // through the simulated fabric. Payloads are real C++ objects (records carry
 // real bytes); WireSize() declares how many bytes the message charges against
-// link bandwidth, mirroring a compact binary wire format.
+// link bandwidth, mirroring a compact binary wire format. Log bytes (replica
+// writes, recovery data, pull replies, baseline batches) travel as
+// ByteSlices: frozen once filled, so copying a message shares them.
 #ifndef ROCKSTEADY_SRC_RPC_MESSAGES_H_
 #define ROCKSTEADY_SRC_RPC_MESSAGES_H_
 
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/byte_slice.h"
 #include "src/common/intrusive_ptr.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -79,9 +82,10 @@ struct RpcRequest : RefCounted {
 struct RpcResponse {
   virtual ~RpcResponse() = default;
   virtual size_t WireSize() const { return kRpcHeaderBytes; }
-  // Deep copy, used by the transport's duplicate-suppression cache to replay
-  // a completed call's response to a retransmitted request. Pure virtual so
-  // a new response type cannot silently slice when cached.
+  // Copy, used by the transport's duplicate-suppression cache to replay a
+  // completed call's response to a retransmitted request. ByteSlice fields
+  // share their (immutable) bytes with the original. Pure virtual so a new
+  // response type cannot silently slice when cached.
   virtual std::unique_ptr<RpcResponse> Clone() const = 0;
 
   Status status = Status::kOk;
@@ -265,7 +269,7 @@ struct BackupWriteRequest : RpcRequest {
   ServerId master = 0;
   uint32_t segment_id = 0;
   uint32_t offset = 0;
-  std::vector<uint8_t> data;  // Real log bytes, replayable at recovery.
+  ByteSlice data;  // Real log bytes, replayable at recovery; shared, not copied.
   bool seal = false;
   // Bulk (lazy re-replication / recovery) writes are processed at background
   // priority on the backup so durable foreground writes never queue behind
@@ -288,7 +292,7 @@ struct GetRecoveryDataRequest : RpcRequest {
 
 struct RecoverySegment {
   uint32_t segment_id = 0;
-  std::vector<uint8_t> data;
+  ByteSlice data;
 };
 
 struct GetRecoveryDataResponse : RpcResponse {
@@ -584,7 +588,7 @@ struct PullRequest : RpcRequest {
 
 struct PullResponse : RpcResponse {
   // Concatenated serialized log entries (validated on replay).
-  std::vector<uint8_t> records;
+  ByteSlice records;
   uint32_t record_count = 0;
   uint64_t next_cursor = 0;
   bool done = false;  // Partition exhausted.
@@ -607,7 +611,7 @@ struct PriorityPullRequest : RpcRequest {
 };
 
 struct PriorityPullResponse : RpcResponse {
-  std::vector<uint8_t> records;
+  ByteSlice records;
   uint32_t record_count = 0;
   // Hashes with no record at the source: authoritatively absent (the
   // migrating tablet is immutable at the source).
@@ -644,7 +648,7 @@ struct BaselineMigrateRequest : RpcRequest {
 
 struct BaselineReplayRequest : RpcRequest {
   TableId table = 0;
-  std::vector<uint8_t> records;
+  ByteSlice records;
   uint32_t record_count = 0;
   bool last_batch = false;
   bool skip_replay = false;

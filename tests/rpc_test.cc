@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/rpc/rpc_system.h"
 #include "src/sim/fault_injector.h"
@@ -255,6 +256,77 @@ TEST(RpcTest, LostResponseDoesNotDoubleApplyWrite) {
   EXPECT_EQ(got, Status::kOk);
   EXPECT_GE(server->responses_replayed(), 1u);
   EXPECT_GE(f.rpc.retransmissions(), 1u);
+}
+
+// Log bytes in a response are frozen once filled, so a clone (what the
+// dedup cache keeps) shares them instead of copying them.
+ByteSlice Records(size_t length) {
+  ByteSliceBuilder builder;
+  for (size_t i = 0; i < length; i++) {
+    const auto byte = static_cast<uint8_t>(i * 13 + 1);
+    builder.Append(&byte, 1);
+  }
+  return builder.Finish();
+}
+
+TEST(RpcTest, ResponseClonesShareTheirLogBytes) {
+  PullResponse pull;
+  pull.records = Records(300);
+  auto pull_clone = pull.Clone();
+  EXPECT_EQ(static_cast<PullResponse&>(*pull_clone).records.data(), pull.records.data());
+
+  PriorityPullResponse priority;
+  priority.records = Records(40);
+  auto priority_clone = priority.Clone();
+  EXPECT_EQ(static_cast<PriorityPullResponse&>(*priority_clone).records.data(),
+            priority.records.data());
+
+  GetRecoveryDataResponse recovery;
+  recovery.segments.push_back(RecoverySegment{4, Records(500)});
+  auto recovery_clone = recovery.Clone();
+  const auto& cloned = static_cast<GetRecoveryDataResponse&>(*recovery_clone);
+  ASSERT_EQ(cloned.segments.size(), 1u);
+  EXPECT_EQ(cloned.segments[0].data.data(), recovery.segments[0].data.data());
+  EXPECT_EQ(cloned.WireSize(), recovery.WireSize());
+}
+
+// A pull whose response is lost is retransmitted and answered from the
+// dedup cache: the replayed records are the handler's bytes, shared.
+TEST(RpcTest, DedupReplayOfALostPullReturnsIdenticalSharedRecords) {
+  Fixture f;
+  FaultInjector injector({.seed = 3});
+  f.net.SetFaultInjector(&injector);
+  CoreSet server_cores(&f.sim, 1);
+  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
+  int executed = 0;
+  ByteSlice sent;
+  server->Register(Opcode::kPull, [&](RpcContext context) {
+    executed++;
+    auto response = std::make_unique<PullResponse>();
+    response->records = Records(20 * 1024);
+    response->record_count = 7;
+    sent = response->records;
+    context.reply(std::move(response));
+  });
+  injector.DropNext(server->node(), client->node(), 1);  // Lose the response.
+  ByteSlice got;
+  uint32_t got_count = 0;
+  f.rpc.Call(client->node(), server->node(), std::make_unique<PullRequest>(),
+             [&](Status status, std::unique_ptr<RpcResponse> response) {
+               ASSERT_EQ(status, Status::kOk);
+               auto& pull = static_cast<PullResponse&>(*response);
+               got = pull.records;
+               got_count = pull.record_count;
+             },
+             /*timeout=*/kMillisecond);
+  f.lanes.Run();
+  EXPECT_EQ(executed, 1);
+  EXPECT_GE(server->responses_replayed(), 1u);
+  EXPECT_EQ(got_count, 7u);
+  EXPECT_EQ(std::vector<uint8_t>(got.begin(), got.end()),
+            std::vector<uint8_t>(sent.begin(), sent.end()));
+  EXPECT_EQ(got.data(), sent.data());
 }
 
 TEST(RpcTest, ServerToServerCallsChargeBothDispatches) {
