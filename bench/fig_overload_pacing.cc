@@ -14,12 +14,11 @@
 // Output: per-window read median/p99.9 and pull bytes for both modes, then
 // a summary with migration duration, AIMD backoffs, admission-control shed
 // counts, and the post-migration-start tail comparison.
-#include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <vector>
 
+#include "bench/client_history.h"
 #include "bench/experiment_common.h"
 #include "src/migration/rocksteady_target.h"
 
@@ -71,8 +70,6 @@ RunResult RunMode(bool pacing) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  // In-event clock and timers: the op pump runs on the coordinator's node.
-  Simulator& sim = cluster.coordinator().sim();
 
   RocksteadyOptions options;
   options.adaptive_pacing = pacing;
@@ -86,53 +83,26 @@ RunResult RunMode(bool pacing) {
     manager->set_bytes_timeline(&result.pulled);
   });
 
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-  Random ops_rng(kSeed * 31 + 5);
-  uint64_t op_index = 0;
-
-  std::function<void()> pump = [&] {
-    if (sim.now() >= kOpsStop) {
-      return;
-    }
-    YcsbWorkload::Op op = workload.NextOp(ops_rng);
-    RamCloudClient& client = cluster.client(op_index % cluster.num_clients());
-    if (op.is_read) {
-      const Tick issued = sim.now();
-      client.Read(kTable, op.key, [&result, &sim, issued](Status s, const std::string&) {
-        if (s != Status::kOk) {
-          return;
-        }
-        result.reads.Record(sim.now(), sim.now() - issued);
-        if (issued >= kMigrateAt + 2 * kMillisecond) {
-          result.sampled.push_back(sim.now() - issued);
-        }
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kRecords); }, [](Tick now) {
+        return now % (kBurstPhase + kTroughPhase) < kBurstPhase ? kBurstGap : kTroughGap;
       });
-    } else {
-      client.Write(kTable, op.key, "overload-" + std::to_string(op_index), [](Status) {});
-    }
-    op_index++;
-    const bool burst = sim.now() % (kBurstPhase + kTroughPhase) < kBurstPhase;
-    sim.After(burst ? kBurstGap : kTroughGap, pump);
-  };
-  cluster.coordinator().sim().After(kBurstGap, pump);
   cluster.Run();
 
+  ForEachOp(histories, [&result](const OpRecord& op) {
+    if (!op.is_read || op.status != Status::kOk) {
+      return;
+    }
+    result.reads.Record(op.completed, op.completed - op.issued);
+    if (op.issued >= kMigrateAt + 2 * kMillisecond) {
+      result.sampled.push_back(op.completed - op.issued);
+    }
+  });
   result.client_sheds = cluster.master(0).client_sheds();
   for (size_t c = 0; c < cluster.num_clients(); c++) {
     result.retry_later += cluster.client(c).retry_later_retries();
   }
-  std::sort(result.sampled.begin(), result.sampled.end());
   return result;
-}
-
-Tick Quantile(const std::vector<Tick>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const auto idx = static_cast<size_t>(q * static_cast<double>(sorted.size()));
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 void PrintRun(const char* name, const RunResult& r) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/client_history.h"
 #include "bench/experiment_common.h"
 #include "src/common/hash.h"
 #include "src/common/zipfian.h"
@@ -75,8 +76,6 @@ RunResult Run(bool planner_on) {
   cluster.CreateTable(kTable, 0);
   SpreadTableAcross(cluster, kTable, kMasters);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  // In-event clock and timers: the op pump runs on the coordinator's node.
-  Simulator& sim = cluster.coordinator().sim();
 
   // Key pools per quarter: the workload aims its hot mass at one master's
   // hash quarter, which ScrambledZipfian alone cannot do (it spreads hot
@@ -100,6 +99,8 @@ RunResult Run(bool planner_on) {
   cluster.coordinator().StartFailureDetector();
 
   // Per-master served-op counters, chained in front of the telemetry tap.
+  // Each master's tap runs on that master's node and counts into its own
+  // slot.
   RunResult result;
   for (int p = 0; p < kNumPhases; p++) {
     result.phase[p].served_per_master.assign(kMasters, 0);
@@ -107,9 +108,10 @@ RunResult Run(bool planner_on) {
   for (int m = 0; m < kMasters; m++) {
     MasterServer& master = cluster.master(static_cast<size_t>(m));
     auto inner = master.on_access;
-    master.on_access = [&result, &sim, m, inner](TableId table, KeyHash hash, bool is_write,
-                                                 size_t bytes) {
-      const int p = std::min<int>(static_cast<int>(sim.now() / kPhaseLength), kNumPhases - 1);
+    master.on_access = [&result, &master, m, inner](TableId table, KeyHash hash, bool is_write,
+                                                    size_t bytes) {
+      const int p =
+          std::min<int>(static_cast<int>(master.sim().now() / kPhaseLength), kNumPhases - 1);
       result.phase[p].served_per_master[static_cast<size_t>(m)]++;
       if (inner) {
         inner(table, hash, is_write, bytes);
@@ -117,42 +119,26 @@ RunResult Run(bool planner_on) {
     };
   }
 
-  // Open-loop Zipfian pump: 80% of ops draw (Zipfian-ranked) from the
-  // current hot quarter's pool, the rest uniformly from the whole table.
-  LatencyTimeline latency(kPhaseLength, kNumPhases);
-  Random ops_rng(kSeed * 31 + 5);
-  ZipfianGenerator hot_rank(quarter_pool[0].size(), kZipfTheta);
+  // Open-loop Zipfian load from every client: 80% of ops draw
+  // (Zipfian-ranked) from the current hot quarter's pool, the rest uniformly
+  // from the whole table.
   const Tick op_gap = static_cast<Tick>(1e9 / kOfferedOpsPerSecond);
   const Tick experiment_end = kNumPhases * kPhaseLength;
-  uint64_t op_index = 0;
-  std::function<void()> pump = [&] {
-    if (sim.now() >= experiment_end) {
-      return;
-    }
-    const int phase =
-        std::min<int>(static_cast<int>(sim.now() / kPhaseLength), kNumPhases - 1);
-    const auto& hot_pool = quarter_pool[kHotQuarterByPhase[phase]];
-    std::string key;
-    if (ops_rng.NextDouble() < kHotFraction) {
-      key = hot_pool[hot_rank.Next(ops_rng) % hot_pool.size()];
-    } else {
-      key = all_keys[ops_rng.Uniform(all_keys.size())];
-    }
-    RamCloudClient& client = cluster.client(op_index % cluster.num_clients());
-    const Tick issued = sim.now();
-    if (ops_rng.NextDouble() < kWriteFraction) {
-      client.Write(kTable, key, std::string(100, 'w'), [&latency, &sim, issued](Status) {
-        latency.Record(sim.now(), sim.now() - issued);
-      });
-    } else {
-      client.Read(kTable, key, [&latency, &sim, issued](Status, const std::string&) {
-        latency.Record(sim.now(), sim.now() - issued);
-      });
-    }
-    op_index++;
-    sim.After(op_gap, pump);
-  };
-  cluster.coordinator().sim().After(op_gap, pump);
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, experiment_end,
+      [&] {
+        return [&, hot_rank = ZipfianGenerator(quarter_pool[0].size(), kZipfTheta)](
+                   Random& rng, Tick now) mutable {
+          const int phase = std::min<int>(static_cast<int>(now / kPhaseLength), kNumPhases - 1);
+          const auto& hot_pool = quarter_pool[kHotQuarterByPhase[phase]];
+          std::string key = rng.NextDouble() < kHotFraction
+                                ? hot_pool[hot_rank.Next(rng) % hot_pool.size()]
+                                : all_keys[rng.Uniform(all_keys.size())];
+          return YcsbWorkload::Op{.is_read = rng.NextDouble() >= kWriteFraction,
+                                  .key = std::move(key)};
+        };
+      },
+      [op_gap](Tick) { return op_gap; });
 
   cluster.RunUntil(experiment_end);
   if (planner) {
@@ -161,6 +147,11 @@ RunResult Run(bool planner_on) {
   cluster.coordinator().StopFailureDetector();
   cluster.Run();
 
+  // Every op, by the phase it completed in.
+  LatencyTimeline latency(kPhaseLength, kNumPhases);
+  ForEachOp(histories, [&latency](const OpRecord& op) {
+    latency.Record(op.completed, op.completed - op.issued);
+  });
   for (int p = 0; p < kNumPhases; p++) {
     result.phase[p].p999_ns = latency.Percentile(static_cast<size_t>(p), 0.999);
     result.phase[p].p50_ns = latency.Percentile(static_cast<size_t>(p), 0.5);

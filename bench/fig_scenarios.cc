@@ -24,10 +24,10 @@ void RunAndPrint(const ScenarioSpec& spec) {
                 static_cast<double>(phase.p999_ns) / 1e3);
   }
   std::printf("  acked_writes=%llu failed_writes=%llu reads_ok=%llu reads_failed=%llu\n",
-              static_cast<unsigned long long>(result.digest.acked_writes),
-              static_cast<unsigned long long>(result.digest.failed_writes),
-              static_cast<unsigned long long>(result.digest.reads_ok),
-              static_cast<unsigned long long>(result.digest.reads_failed));
+              static_cast<unsigned long long>(result.digest.ops.acked_writes),
+              static_cast<unsigned long long>(result.digest.ops.failed_writes),
+              static_cast<unsigned long long>(result.digest.ops.reads_ok),
+              static_cast<unsigned long long>(result.digest.ops.reads_failed));
   std::printf("  migrations=%llu drains=%llu restarts=%llu mismatches=%llu audits=%s "
               "converged=%s trace=%016llx\n",
               static_cast<unsigned long long>(result.digest.migrations_completed),

@@ -1,14 +1,11 @@
 #include "bench/scenario_harness.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
-#include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/client_history.h"
+#include "bench/experiment_common.h"
 #include "src/cluster/operations.h"
 #include "src/common/audit.h"
 #include "src/common/random.h"
@@ -21,36 +18,10 @@ namespace rocksteady {
 namespace {
 
 constexpr TableId kTable = 1;
-constexpr size_t kKeyLength = 30;
-constexpr size_t kValueLength = 100;
 constexpr size_t kFlashHotKeys = 8;
 constexpr double kFlashHotFraction = 0.8;
-// Diurnal trough rate as a fraction of the peak (ops are skipped, not
-// delayed, so the trace stays a function of the seed alone).
+// Diurnal trough rate as a fraction of the peak.
 constexpr double kDiurnalTroughFraction = 0.35;
-
-// Durability reference model: the last acked value per key, plus every
-// value whose write failed (a "failed" write racing a fault may still have
-// landed — reads may legally observe it).
-struct KeyState {
-  bool acked = false;
-  std::string last_acked;
-  std::set<std::string> failed_values;
-};
-
-struct PhaseCollector {
-  ScenarioPhase spec;
-  std::vector<Tick> latencies;
-};
-
-Tick Percentile(std::vector<Tick>& sorted, double fraction) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const size_t index = std::min(sorted.size() - 1,
-                                static_cast<size_t>(static_cast<double>(sorted.size()) * fraction));
-  return sorted[index];
-}
 
 // Fraction of the base rate offered at time `now` for the spec's shape.
 double OfferedFraction(const ScenarioSpec& spec, Tick now) {
@@ -69,7 +40,7 @@ bool InFlashWindow(const ScenarioSpec& spec, Tick now) {
 
 }  // namespace
 
-ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
+ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed, int lanes) {
   // Same lossy-fabric profile as the chaos suites.
   FaultInjector injector({.seed = seed * 1'000 + 7,
                           .drop_probability = 0.01,
@@ -81,12 +52,11 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
   config.seed = seed;
   config.master.hash_table_log2_buckets = 14;
   config.master.segment_size = 64 * 1024;
+  config.lanes = lanes;
+  config.lane_threads = lanes > 1;
   Cluster cluster(config);
   cluster.net().SetFaultInjector(&injector);
   EnableMigration(&cluster);
-  // In-event clock and timers: the op pump runs on the coordinator's node;
-  // operator actions run at safe points.
-  Simulator& sim = cluster.coordinator().sim();
 
   // Standbys join the server list but own nothing until activated.
   const size_t active = spec.masters - spec.standbys;
@@ -96,27 +66,9 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
 
   // Spread the table evenly across the active masters, then load.
   cluster.CreateTable(kTable, 0);
-  for (size_t i = 1; i < active; i++) {
-    const KeyHash split = static_cast<KeyHash>((~0ull / active) * i);
-    cluster.coordinator().SplitTablet(kTable, split);
-  }
-  {
-    const auto tablets = cluster.coordinator().GetTableConfig(kTable);
-    for (size_t i = 0; i < tablets.size(); i++) {
-      const ServerId owner = cluster.master(i % active).id();
-      if (tablets[i].owner != owner) {
-        cluster.coordinator().ReassignTablet(tablets[i].table, tablets[i].start_hash,
-                                             tablets[i].end_hash, owner);
-      }
-    }
-  }
-  cluster.LoadTable(kTable, spec.records, kKeyLength, kValueLength);
-
-  std::vector<std::string> keys;
-  keys.reserve(spec.records);
-  for (uint64_t i = 0; i < spec.records; i++) {
-    keys.push_back(Cluster::MakeKey(i, kKeyLength));
-  }
+  SpreadTableAcross(cluster, kTable, static_cast<int>(active));
+  cluster.LoadTable(kTable, spec.records, 30, 100);
+  const std::vector<std::string> keys = LoadedKeys(spec.records);
 
   // The full operations stack: telemetry -> planner (hot-spot + drain
   // modes), failure detector, and — when an event asks for it — the
@@ -170,92 +122,32 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
     }
   }
 
-  // Phase collectors: a read's latency is attributed to the phase it was
-  // *issued* in.
-  std::vector<PhaseCollector> phases;
-  for (const auto& phase : spec.phases) {
-    phases.push_back(PhaseCollector{phase, {}});
-  }
-  auto record_latency = [&phases](Tick issued_at, Tick latency) {
-    for (auto& phase : phases) {
-      if (issued_at >= phase.spec.start && issued_at < phase.spec.end) {
-        phase.latencies.push_back(latency);
-        break;
-      }
-    }
-  };
-
-  // Open-loop op pump with the durability reference.
-  ScenarioResult result;
-  Random ops_rng(seed * 31 + 5);
-  std::map<std::string, KeyState> reference;
-  std::set<std::string> write_in_flight;
-  uint64_t op_index = 0;
-  std::function<void()> pump = [&] {
-    const Tick now = sim.now();
-    if (now >= spec.ops_stop) {
-      return;
-    }
-    const bool flash = InFlashWindow(spec, now);
-    Tick gap = spec.op_gap;
-    if (flash && spec.flash_rate_multiplier > 1) {
-      gap = spec.op_gap / static_cast<Tick>(spec.flash_rate_multiplier);
-    }
-    sim.After(gap, pump);
-    // Diurnal trough: shed the complement of the offered fraction. The
-    // draw happens unconditionally so the random stream (and hence the
-    // trace) is a pure function of the seed.
-    const bool issue = ops_rng.NextDouble() < OfferedFraction(spec, now);
-    if (!issue) {
-      return;
-    }
-    std::string key;
-    if (flash && ops_rng.NextDouble() < kFlashHotFraction) {
-      key = keys[ops_rng.Uniform(kFlashHotKeys)];
-    } else {
-      key = keys[ops_rng.Uniform(keys.size())];
-    }
-    bool is_read = ops_rng.NextDouble() >= spec.write_fraction;
-    if (!is_read && write_in_flight.contains(key)) {
-      is_read = true;  // Serialize writes per key.
-    }
-    RamCloudClient& client = cluster.client(op_index % cluster.num_clients());
-    if (is_read) {
-      client.Read(kTable, key, [&result, &record_latency, &sim, issued = now](
-                                   Status s, const std::string&) {
-        if (s == Status::kOk || s == Status::kObjectNotFound) {
-          result.digest.reads_ok++;
-          record_latency(issued, sim.now() - issued);
-        } else {
-          result.digest.reads_failed++;
+  // Open-loop load from every client. The flash window multiplies the rate
+  // and aims most ops at a few hot keys; the diurnal curve stretches the gap.
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, spec.ops_stop,
+      [&] {
+        return [&](Random& rng, Tick now) {
+          const bool hot = InFlashWindow(spec, now) && rng.NextDouble() < kFlashHotFraction;
+          std::string key = keys[rng.Uniform(hot ? kFlashHotKeys : keys.size())];
+          return YcsbWorkload::Op{.is_read = rng.NextDouble() >= spec.write_fraction,
+                                  .key = std::move(key)};
+        };
+      },
+      [&](Tick now) {
+        Tick gap = spec.op_gap;
+        if (InFlashWindow(spec, now) && spec.flash_rate_multiplier > 1) {
+          gap /= static_cast<Tick>(spec.flash_rate_multiplier);
         }
+        return static_cast<Tick>(static_cast<double>(gap) / OfferedFraction(spec, now));
       });
-    } else {
-      const std::string value = "scenario-" + std::to_string(op_index);
-      KeyState* state = &reference[key];
-      write_in_flight.insert(key);
-      client.Write(kTable, key, value,
-                   [&result, &write_in_flight, state, key, value](Status s) {
-                     write_in_flight.erase(key);
-                     if (s == Status::kOk) {
-                       state->acked = true;
-                       state->last_acked = value;
-                       result.digest.acked_writes++;
-                     } else {
-                       state->failed_values.insert(value);
-                       result.digest.failed_writes++;
-                     }
-                   });
-    }
-    op_index++;
-  };
-  cluster.coordinator().sim().After(spec.op_gap, pump);
 
   cluster.RunUntil(spec.horizon);
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
   cluster.Run();
 
+  ScenarioResult result;
   // Operations convergence: every uncancelled drain reached decommissioned,
   // and a requested rolling restart ran to completion.
   result.operations_converged = !rolling_restart_used || rolling_restart_done;
@@ -266,58 +158,28 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
 
   // Invariant audits: coordinator tiling + every live master's store.
   AuditReport report;
-  cluster.coordinator().AuditInvariants(&report);
-  for (size_t i = 0; i < cluster.num_masters(); i++) {
-    if (!cluster.master(i).crashed()) {
-      cluster.master(i).objects().AuditInvariants(&report);
-    }
-  }
+  cluster.AuditInvariants(&report);
   result.audits_ok = report.ok();
   result.audit_summary = report.Summary();
 
   // Read-back verification: no committed write lost.
-  const std::string default_value(kValueLength, 'v');
-  for (uint64_t i = 0; i < spec.records; i++) {
-    const std::string& key = keys[i];
-    cluster.client(0).Read(kTable, key, [&result, &reference, &default_value, &cluster, key](
-                                            Status s, const std::string& v) {
-      const auto it = reference.find(key);
-      const KeyState* state = it == reference.end() ? nullptr : &it->second;
-      bool ok = false;
-      if (s == Status::kOk) {
-        if (state != nullptr && state->acked) {
-          ok = v == state->last_acked || state->failed_values.contains(v);
-        } else if (state != nullptr) {
-          ok = v == default_value || state->failed_values.contains(v);
-        } else {
-          ok = v == default_value;
-        }
-      }
-      if (!ok) {
-        result.mismatches++;
-        const KeyHash hash = HashKey(kTable, key);
-        result.mismatch_detail += "key=" + key + " status=" +
-                                  std::to_string(static_cast<int>(s)) + " got='" + v + "'" +
-                                  " want='" + (state ? state->last_acked : "") + "' hash=" +
-                                  std::to_string(hash) + " owner=" +
-                                  std::to_string(cluster.coordinator().OwnerOf(kTable, hash)) +
-                                  "\n";
+  ReadBackResult lost = VerifyReadBack(cluster, kTable, keys, histories);
+  result.mismatches = lost.mismatches;
+  result.mismatch_detail = std::move(lost.detail);
+
+  // A read's latency is attributed to the phase it was *issued* in.
+  result.digest.ops = CountOps(histories);
+  for (const ScenarioPhase& phase : spec.phases) {
+    std::vector<Tick> latencies;
+    ForEachOp(histories, [&](const OpRecord& op) {
+      if (op.is_read && op.ok() && op.issued >= phase.start && op.issued < phase.end) {
+        latencies.push_back(op.completed - op.issued);
       }
     });
-    if (i % 64 == 63) {
-      cluster.Run();
-    }
-  }
-  cluster.Run();
-
-  for (auto& phase : phases) {
-    std::sort(phase.latencies.begin(), phase.latencies.end());
-    PhaseLatency out;
-    out.name = phase.spec.name;
-    out.ops = phase.latencies.size();
-    out.p50_ns = Percentile(phase.latencies, 0.50);
-    out.p999_ns = Percentile(phase.latencies, 0.999);
-    result.digest.phases.push_back(std::move(out));
+    result.digest.phases.push_back(PhaseLatency{.name = phase.name,
+                                                .ops = latencies.size(),
+                                                .p50_ns = Quantile(latencies, 0.50),
+                                                .p999_ns = Quantile(latencies, 0.999)});
   }
 
   result.digest.trace_hash = cluster.trace_hash();

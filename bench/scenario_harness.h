@@ -6,13 +6,14 @@
 // one (spec, seed) pair on a lossy fabric with the full operations stack
 // live — rebalance planner, failure detector, drain protocol, rolling
 // restart — and returns a digest carrying:
-//  * durability accounting (a KeyState reference model per key: every read
-//    at the end must return the last acked write or a concurrently-failed
-//    value — zero lost acked writes),
+//  * durability accounting (the shared client-side load and read-back of
+//    bench/client_history.h: every read at the end must return the last
+//    acked write or a concurrently-failed value — zero lost acked writes),
 //  * cluster invariant audits (coordinator tiling + per-master store),
-//  * per-phase p50/p99.9 read latency,
-//  * the simulator trace hash, so running the same (spec, seed) twice must
-//    produce bit-identical digests (the determinism gate).
+//  * per-phase p50/p99.9 read latency, from the clients' op logs,
+//  * the simulator trace hash, so running the same (spec, seed) twice, at
+//    any lane count, must produce bit-identical digests (the determinism
+//    gate).
 //
 // ScenarioMatrix() declares the five cloud-operations scenarios the north
 // star asks for: scale-out, scale-in (drain), rolling restart, flash crowd,
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
 
 namespace rocksteady {
@@ -90,10 +92,7 @@ struct ScenarioResult {
   struct Digest {
     uint64_t trace_hash = 0;
     uint64_t events_processed = 0;
-    uint64_t acked_writes = 0;
-    uint64_t failed_writes = 0;
-    uint64_t reads_ok = 0;
-    uint64_t reads_failed = 0;
+    OpCounts ops;
     uint64_t drains_completed = 0;
     uint64_t restarts_completed = 0;
     uint64_t migrations_completed = 0;
@@ -110,8 +109,10 @@ struct ScenarioResult {
   bool operations_converged = false;  // Drains decommissioned, restarts done.
 };
 
-// Runs one scenario at one seed. Deterministic: same inputs, same Digest.
-ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed);
+// Runs one scenario at one seed on `lanes` event lanes (worker threads when
+// more than one). Deterministic: the same (spec, seed) gives the same Digest
+// at every lane count.
+ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed, int lanes = 1);
 
 // The five cloud-operations scenarios: scale-out, scale-in, rolling
 // restart, flash crowd, diurnal.

@@ -4,9 +4,10 @@
 #  1. RelWithDebInfo with -Werror and ASan+UBSan (full suite + chaos runs),
 #  2. Debug with -Werror and ROCKSTEADY_AUDIT=ON (DCHECKs + invariant audits
 #     enabled, death tests active),
-#  3. RelWithDebInfo with TSan (fast subset: the determinism core plus the
-#     threaded-lane suite, which drives real worker threads through the
-#     lane barriers — the sharded-execution race gate).
+#  3. RelWithDebInfo with TSan (fast subset: the determinism core, the
+#     threaded-lane suite and seed slices of the chaos and scenario suites,
+#     which drive real worker threads through the lane barriers — the
+#     sharded-execution race gate).
 # Run from anywhere; builds land in build-asan/, build-audit/ and
 # build-tsan/ under the repo root. Any failure aborts with a nonzero exit.
 set -euo pipefail
@@ -59,17 +60,18 @@ fi
 step "test: ASan+UBSan"
 ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}"
 
-# The chaos, overload, rebalancer and scenario suites run on the one engine
-# there is, at one lane. Recovery, the planner and the operations layer run
-# at any lane count (every event touches only its own node); the lane legs
-# below replay them at 2 and 4 lanes.
-step "chaos suite: lossy fabric + crash-restarts, 20 seeds, replayed bit-identically"
+# The chaos, overload, rebalancer and scenario suites run each seed at one
+# lane and replay it at 4 threaded lanes: every client drives its own load
+# (bench/client_history.h), so every event touches only its own node and one
+# digest comparison checks replay determinism and lane invariance. The lane
+# legs below replay recovery and the operations layer at 2 and 4 lanes too.
+step "chaos suite: lossy fabric + crash-restarts, 20 seeds, replayed bit-identically at 4 lanes"
 "${ROOT}/build-asan/tests/chaos_test" --gtest_filter='Seeds/ChaosTest.*'
 
 step "overload chaos: bursty load past saturation + migration, pacing on/off, 20 seeds"
 "${ROOT}/build-asan/tests/chaos_test" --gtest_filter='Seeds/OverloadChaosTest.*'
 
-step "rebalancer chaos: planner + splits + faults, 20 seeds, replayed bit-identically"
+step "rebalancer chaos: planner + splits + faults, 20 seeds, replayed bit-identically at 4 lanes"
 "${ROOT}/build-asan/tests/rebalance_test" --gtest_filter='Seeds/RebalanceChaosTest.*'
 
 step "scenario matrix smoke: every operational scenario at seed 0 (20-seed suites run in ctest)"
@@ -149,5 +151,10 @@ step "test: TSan fast subset (determinism core + threaded lane barriers)"
 # bytes written before they were sent.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
   --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*:LaneWindowTest.*'
+# The chaos suites replay each seed on 4 worker threads: a coordinator crash,
+# a straggler, overload pacing and the full operations stack under the
+# barrier. Two chaos and overload seeds, and every scenario at seed 0.
+"${ROOT}/build-tsan/tests/chaos_test" --gtest_filter='Seeds/*/1:Seeds/*/2'
+"${ROOT}/build-tsan/tests/scenario_test" --gtest_filter='*_s0'
 
 step "all checks passed"

@@ -42,6 +42,7 @@ void RamCloudClient::RefreshConfig(TableId table, std::function<void()> then) {
 }
 
 RamCloudClient::RetryState* RamCloudClient::AllocState(TableId table) {
+  CheckOwner();
   RetryState* s = free_states_;
   if (s != nullptr) {
     free_states_ = s->next_free;

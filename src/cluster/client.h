@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/cluster/coordinator.h"
+#include "src/common/dcheck.h"
 #include "src/common/hash.h"
 #include "src/common/inline_function.h"
 #include "src/rpc/rpc_system.h"
@@ -100,6 +101,11 @@ class RamCloudClient {
   // cache has no covering entry.
   bool CachedOwner(TableId table, KeyHash hash, NodeId* node) const;
   void RefreshConfig(TableId table, std::function<void()> then);
+
+  // An event touches only its own node: debug builds abort when another
+  // node's event issues an op through this client. Every op (Read, Write,
+  // Remove, MultiGet, IndexScan) enters through AllocState, which checks.
+  void CheckOwner() const { ROCKSTEADY_DCHECK(sim_->InRootOrOn(node())); }
 
   // Retry-with-policy core: each attempt reports its status (and, for
   // kRetryLater, a time hint) via Report, which refreshes/backs off and

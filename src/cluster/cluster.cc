@@ -103,6 +103,15 @@ void Cluster::LoadTable(TableId table, uint64_t num_records, size_t key_length,
   }
 }
 
+void Cluster::AuditInvariants(AuditReport* report) const {
+  coordinator_->AuditInvariants(report);
+  for (const auto& master : masters_) {
+    if (!master->crashed()) {
+      master->objects().AuditInvariants(report);
+    }
+  }
+}
+
 void Cluster::SeedReplicas(size_t master_index) {
   MasterServer& owner = *masters_.at(master_index);
   for (const NodeId backup_node : owner.replicas().backups()) {

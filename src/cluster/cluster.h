@@ -77,6 +77,10 @@ class Cluster {
   // durable writes).
   void LoadTable(TableId table, uint64_t num_records, size_t key_length, size_t value_length);
 
+  // Audits the coordinator's map and every live master's store (a crashed
+  // master's store is intentionally stale). Root context only.
+  void AuditInvariants(AuditReport* report) const;
+
   // Copies every main-log segment of master `i` to its backups (used after
   // direct bulk loads).
   void SeedReplicas(size_t master_index);

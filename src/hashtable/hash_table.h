@@ -65,10 +65,6 @@ class HashTable {
     __builtin_prefetch(reinterpret_cast<const char*>(bucket) + 64, 0, 1);
   }
 
-  // First bucket whose hash range starts at or after `hash` (for mapping a
-  // tablet's [start, end] hash range onto bucket ranges).
-  size_t BucketLowerBound(KeyHash hash) const { return BucketOf(hash); }
-
   // Visits every entry of every bucket in [cursor, end_bucket). `visit` is
   // called per entry; after each fully-visited bucket `bucket_done` is
   // called and may return false to pause the scan. Returns the new cursor

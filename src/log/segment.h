@@ -36,7 +36,6 @@ class Segment {
   // Bytes of entries still referenced by a hash table; maintained by the Log
   // via MarkDead. Drives the cleaner's cost-benefit policy.
   size_t live_bytes() const { return live_bytes_; }
-  void AddLive(size_t bytes) { live_bytes_ += bytes; }
   void SubLive(size_t bytes) { live_bytes_ -= bytes; }
 
   // Appends a serialized entry; returns its offset, or SIZE_MAX if full.

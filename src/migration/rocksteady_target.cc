@@ -18,6 +18,16 @@ namespace rocksteady {
 
 namespace {
 
+// Adaptive pull pacing (RocksteadyOptions::adaptive_pacing): a source-load
+// signal at or past any threshold halves the pacing window and per-pull
+// budget (never below kMinPullBudgetBytes); a healthy reply grows the
+// budget back by kPullBudgetIncrementBytes.
+constexpr Tick kPacingP999ThresholdNs = 200'000;
+constexpr uint32_t kPacingQueueThreshold = 16;
+constexpr Tick kPacingBacklogThresholdNs = 50'000;
+constexpr uint32_t kMinPullBudgetBytes = 4 * 1024;
+constexpr uint32_t kPullBudgetIncrementBytes = 2 * 1024;
+
 // Adds a manager to the server's migration state and returns a raw handle.
 RocksteadyMigrationManager* ParkManager(MasterServer* master,
                                         std::shared_ptr<RocksteadyMigrationManager> manager) {
@@ -349,13 +359,13 @@ void RocksteadyMigrationManager::OnLoadSignal(const SourceLoadHeader& load, bool
   }
   const bool overloaded =
       rejected || (load.valid &&
-                   (load.client_queue_depth >= options_.pacing_queue_threshold ||
-                    load.dispatch_backlog_ns >= options_.pacing_backlog_threshold_ns ||
-                    load.recent_p999_ns >= options_.pacing_p999_threshold_ns));
+                   (load.client_queue_depth >= kPacingQueueThreshold ||
+                    load.dispatch_backlog_ns >= kPacingBacklogThresholdNs ||
+                    load.recent_p999_ns >= kPacingP999ThresholdNs));
   if (overloaded) {
     // Multiplicative decrease: halve concurrency and per-pull bytes.
     pacing_window_ = std::max<size_t>(1, pacing_window_ / 2);
-    pacing_budget_ = std::max(options_.min_pull_budget_bytes, pacing_budget_ / 2);
+    pacing_budget_ = std::max(kMinPullBudgetBytes, pacing_budget_ / 2);
     stats_.pacing_backoffs++;
   } else {
     // Additive increase back toward full aggressiveness.
@@ -363,7 +373,7 @@ void RocksteadyMigrationManager::OnLoadSignal(const SourceLoadHeader& load, bool
       pacing_window_++;
     }
     pacing_budget_ = std::min(options_.pull_budget_bytes,
-                              pacing_budget_ + options_.pull_budget_increment_bytes);
+                              pacing_budget_ + kPullBudgetIncrementBytes);
   }
 }
 

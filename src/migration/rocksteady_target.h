@@ -60,12 +60,8 @@ struct RocksteadyOptions {
   // multiplicatively; every healthy reply grows them back additively toward
   // full aggressiveness. An unloaded source never trips a threshold, so
   // pacing leaves a quiet migration's schedule untouched.
+  // The thresholds and step sizes are constants in rocksteady_target.cc.
   bool adaptive_pacing = true;
-  Tick pacing_p999_threshold_ns = 200'000;
-  uint32_t pacing_queue_threshold = 16;
-  Tick pacing_backlog_threshold_ns = 50'000;
-  uint32_t min_pull_budget_bytes = 4 * 1024;
-  uint32_t pull_budget_increment_bytes = 2 * 1024;
 };
 
 struct MigrationStats {
@@ -114,12 +110,6 @@ class RocksteadyMigrationManager : public MasterServer::MigrationHooks {
   const MigrationStats& stats() const { return stats_; }
   bool finished() const { return finished_; }
   bool aborted() const { return aborted_; }
-
-  // Overload-protection introspection (tests and bench summaries).
-  size_t pacing_window() const { return pacing_window_; }
-  uint32_t pacing_budget() const { return pacing_budget_; }
-  bool memory_paused() const { return memory_paused_; }
-  bool abort_requested() const { return abort_requested_; }
 
   // Coarse progress marker for tests that inject a fault at a specific
   // point in the protocol (e.g. "source crash after ownership transfer,

@@ -89,8 +89,6 @@ class CoreSet {
   };
   void EnqueueWorkerHeld(HeldTask task);
 
-  bool HasIdleWorker() const { return idle_workers_ > 0; }
-  int idle_workers() const { return idle_workers_; }
   int num_workers() const { return num_workers_; }
   size_t QueuedTasks(Priority p) const { return queues_[static_cast<size_t>(p)].size(); }
 
@@ -99,7 +97,6 @@ class CoreSet {
   // enqueueing and reject with Status::kRetryLater, so the sender's seeded
   // backoff machinery paces retries instead of work vanishing silently.
   void SetQueueBound(Priority p, size_t bound) { bounds_[static_cast<size_t>(p)] = bound; }
-  size_t QueueBound(Priority p) const { return bounds_[static_cast<size_t>(p)]; }
   bool QueueFull(Priority p) const {
     const size_t bound = bounds_[static_cast<size_t>(p)];
     return bound != 0 && queues_[static_cast<size_t>(p)].size() >= bound;
@@ -137,7 +134,6 @@ class CoreSet {
   // `factor` (>= 1.0) until reset to 1.0. Models a core that slows down
   // (thermal throttling, noisy neighbor) without stopping.
   void SetSlowdown(double factor) { slowdown_ = factor < 1.0 ? 1.0 : factor; }
-  double slowdown() const { return slowdown_; }
 
  private:
   // Internal unified task: either a timed task (work/done) or a held task.

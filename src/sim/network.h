@@ -68,7 +68,6 @@ class Network {
     }
     return node;
   }
-  size_t NumNodes() const { return egress_.size(); }
 
   // Delivers `on_delivery` at the destination after egress serialization of
   // `wire_bytes` plus propagation. Messages from one node share its egress
@@ -83,7 +82,6 @@ class Network {
   // this must be called from a safe point (all lanes parked) — every lane
   // reads the flag.
   void SetNodeDown(NodeId node, bool down) { node_down_[node] = down; }
-  bool IsNodeDown(NodeId node) const { return node_down_[node]; }
 
   // Installs (or removes, with nullptr) a fault injector consulted on every
   // Send, giving it one fault stream per node (nodes added later get theirs

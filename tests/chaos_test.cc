@@ -5,24 +5,24 @@
 // asserts:
 //   * no committed (acked) write is ever lost,
 //   * ownership always tiles the hash space and all invariant audits pass,
-//   * the run is bit-identical when replayed with the same seed (trace hash).
+//   * the run is bit-identical when replayed with the same seed at 4
+//     threaded lanes (trace hash): replay determinism and lane invariance.
 //
-// Faults are drawn from the injector's dedicated seeded RNG and the schedule
-// from a per-seed RNG, so a failing seed reproduces exactly.
+// Faults are drawn from the injector's per-node seeded streams and the
+// schedule from a per-seed RNG, so a failing seed reproduces exactly. Load
+// comes from bench/client_history.h: each client drives its own ops.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
 #include "src/common/audit.h"
+#include "src/common/hash.h"
 #include "src/migration/rocksteady_target.h"
 #include "src/sim/fault_injector.h"
-#include "src/workload/ycsb.h"
 
 namespace rocksteady {
 namespace {
@@ -39,10 +39,7 @@ struct ChaosDigest {
   uint64_t trace_hash = 0;
   size_t events = 0;
   Tick end_time = 0;
-  uint64_t acked_writes = 0;
-  uint64_t failed_writes = 0;
-  uint64_t reads_ok = 0;
-  uint64_t reads_failed = 0;
+  OpCounts ops;
   uint64_t injected_drops = 0;
   uint64_t injected_duplicates = 0;
   uint64_t injected_delays = 0;
@@ -53,39 +50,33 @@ struct ChaosDigest {
   friend bool operator==(const ChaosDigest&, const ChaosDigest&) = default;
 };
 
-// Per-key durability tracking. The pump serializes writes per key (at most
-// one in flight), so per key the ack order IS the apply order — without
-// that, two concurrent acked writes whose responses reorder under injected
-// delay/retransmission would make "last acked" ambiguous (both orders are
-// linearizable). A write that failed (client gave up) may still apply at
-// any later point, so its value stays acceptable forever (sound
-// over-approximation).
-struct KeyState {
-  bool acked = false;
-  std::string last_acked;
-  std::set<std::string> failed_values;
-};
-
-ChaosDigest RunChaosEpisode(uint64_t seed) {
-  // The injector must outlive the cluster's network (installed below).
-  FaultInjector injector({.seed = seed * 1'000 + 7,
-                          .drop_probability = 0.01,
-                          .duplicate_probability = 0.005,
-                          .max_extra_delay_ns = 2 * kMicrosecond});
-
+// `lanes` > 1 runs the lanes on worker threads.
+ClusterConfig ChaosConfig(uint64_t seed, int lanes) {
   ClusterConfig config;
   config.num_masters = 4;
   config.num_clients = 2;
   config.seed = seed;
   config.master.hash_table_log2_buckets = 14;
   config.master.segment_size = 64 * 1024;
-  Cluster cluster(config);
+  config.lanes = lanes;
+  config.lane_threads = lanes > 1;
+  return config;
+}
+
+ChaosDigest RunChaosEpisode(uint64_t seed, int lanes) {
+  // The injector must outlive the cluster's network (installed below).
+  FaultInjector injector({.seed = seed * 1'000 + 7,
+                          .drop_probability = 0.01,
+                          .duplicate_probability = 0.005,
+                          .max_extra_delay_ns = 2 * kMicrosecond});
+
+  Cluster cluster(ChaosConfig(seed, lanes));
   cluster.net().SetFaultInjector(&injector);
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  // In-event clock and timers: the op pump and restart timers run on the
-  // coordinator's node; root-context actions go through safe points.
+  // The recovery callback runs on the coordinator's node; root-context
+  // actions go through safe points.
   Simulator& sim = cluster.coordinator().sim();
 
   // --- Fault schedule, drawn deterministically per seed. ---
@@ -132,112 +123,34 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
                              [&](const MigrationStats& s) { stats = s; });
   });
 
-  // --- YCSB-B op pump with a durability reference. ---
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-  Random ops_rng(seed * 31 + 5);
-  std::map<std::string, KeyState> reference;
-  std::set<std::string> write_in_flight;
-  ChaosDigest digest;
-  uint64_t op_index = 0;
-
-  std::function<void()> pump = [&] {
-    if (sim.now() >= kOpsStop) {
-      return;
-    }
-    YcsbWorkload::Op op = workload.NextOp(ops_rng);
-    if (!op.is_read && write_in_flight.contains(op.key)) {
-      op.is_read = true;  // Serialize writes per key (see KeyState).
-    }
-    RamCloudClient& client = cluster.client(op_index % cluster.num_clients());
-    if (op.is_read) {
-      client.Read(kTable, op.key, [&digest](Status s, const std::string&) {
-        if (s == Status::kOk || s == Status::kObjectNotFound) {
-          digest.reads_ok++;
-        } else {
-          digest.reads_failed++;
-        }
-      });
-    } else {
-      const std::string value = "chaos-" + std::to_string(op_index);
-      KeyState* state = &reference[op.key];
-      write_in_flight.insert(op.key);
-      client.Write(kTable, op.key, value,
-                   [&digest, &write_in_flight, state, key = op.key, value](Status s) {
-                     write_in_flight.erase(key);
-                     if (s == Status::kOk) {
-                       state->acked = true;
-                       state->last_acked = value;
-                       digest.acked_writes++;
-                     } else {
-                       state->failed_values.insert(value);
-                       digest.failed_writes++;
-                     }
-                   });
-    }
-    op_index++;
-    sim.After(kOpGap, pump);
-  };
-  cluster.coordinator().sim().After(kOpGap, pump);
+  // --- YCSB-B from every client, with a durability reference. ---
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kRecords); },
+      [](Tick) { return kOpGap; });
 
   // --- Run, then drain (the detector sweep is an infinite loop). ---
   cluster.RunUntil(kHorizon);
   cluster.coordinator().StopFailureDetector();
   cluster.Run();
 
+  ChaosDigest digest;
+  digest.ops = CountOps(histories);
   EXPECT_TRUE(stats.has_value()) << "seed " << seed << ": migration did not complete";
   EXPECT_TRUE(victim_restarted) << "seed " << seed << ": no crash-restart happened";
-  EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
+  EXPECT_GT(digest.ops.acked_writes, 0u) << "seed " << seed;
 
   // Invariant audits: ownership tiles the hash space, dependencies are
   // consistent, every store is internally coherent.
   AuditReport report;
-  cluster.coordinator().AuditInvariants(&report);
-  for (size_t i = 0; i < cluster.num_masters(); i++) {
-    if (!cluster.master(i).crashed()) {
-      cluster.master(i).objects().AuditInvariants(&report);
-    }
-  }
+  cluster.AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Summary();
 
   // No committed write lost: every key must read back as its last acked
   // value, the loaded default if never written, or — only for keys with a
   // client-abandoned write — one of those indeterminate values.
-  const std::string default_value(100, 'v');
-  uint64_t mismatches = 0;
-  std::string mismatch_detail;
-  for (uint64_t i = 0; i < kRecords; i++) {
-    const std::string key = Cluster::MakeKey(i, 30);
-    cluster.client(0).Read(kTable, key, [&, key](Status s, const std::string& v) {
-      const auto it = reference.find(key);
-      const KeyState* state = it == reference.end() ? nullptr : &it->second;
-      bool ok = false;
-      if (s == Status::kOk) {
-        if (state != nullptr && state->acked) {
-          ok = v == state->last_acked || state->failed_values.contains(v);
-        } else if (state != nullptr) {
-          ok = v == default_value || state->failed_values.contains(v);
-        } else {
-          ok = v == default_value;
-        }
-      }
-      if (!ok) {
-        mismatches++;
-        mismatch_detail += "key=" + key + " status=" + std::to_string(static_cast<int>(s)) +
-                           " got='" + v + "' last_acked='" +
-                           (state != nullptr && state->acked ? state->last_acked : "<none>") +
-                           "' failed=" +
-                           std::to_string(state != nullptr ? state->failed_values.size() : 0) +
-                           "\n";
-      }
-    });
-    if (i % 64 == 63) {
-      cluster.Run();
-    }
-  }
-  cluster.Run();
-  EXPECT_EQ(mismatches, 0u) << "seed " << seed << ": committed writes lost or corrupted:\n" << mismatch_detail;
+  const ReadBackResult lost = VerifyReadBack(cluster, kTable, LoadedKeys(kRecords), histories);
+  EXPECT_EQ(lost.mismatches, 0u) << "seed " << seed << ": committed writes lost or corrupted:\n"
+                                 << lost.detail;
 
   // The fabric really was hostile.
   EXPECT_GT(cluster.net().injected_drops(), 0u);
@@ -258,13 +171,48 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
 
 class ChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The replay runs at 4 threaded lanes: one run checks both replay
+// determinism and lane invariance.
 TEST_P(ChaosTest, SurvivesAndReplaysBitIdentically) {
   const uint64_t seed = GetParam();
-  const ChaosDigest first = RunChaosEpisode(seed);
-  const ChaosDigest second = RunChaosEpisode(seed);
+  const ChaosDigest first = RunChaosEpisode(seed, 1);
+  const ChaosDigest second = RunChaosEpisode(seed, 4);
   EXPECT_EQ(first.trace_hash, second.trace_hash)
-      << "seed " << seed << " is not deterministic";
+      << "seed " << seed << " diverged at 4 threaded lanes";
   EXPECT_EQ(first, second);
+}
+
+// The read-back can fail: with no fault it reports no mismatch, and one
+// acked write overwritten behind the client's back (in root context,
+// through the owning master's store) is exactly one mismatch.
+TEST(ReadBackTest, CatchesOneLostAckedWrite) {
+  Cluster cluster(ChaosConfig(7, 1));
+  cluster.CreateTable(kTable, 0);
+  cluster.LoadTable(kTable, kRecords, 30, 100);
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, 10 * kMillisecond, [] { return YcsbBChoice(kRecords); },
+      [](Tick) { return kOpGap; });
+  cluster.Run();
+  const std::vector<std::string> keys = LoadedKeys(kRecords);
+  EXPECT_EQ(VerifyReadBack(cluster, kTable, keys, histories).mismatches, 0u);
+
+  std::string acked_key;
+  for (const auto& history : histories) {
+    for (const auto& [key, state] : history->writes()) {
+      if (state.acked && acked_key.empty()) {
+        acked_key = key;
+      }
+    }
+  }
+  ASSERT_FALSE(acked_key.empty());
+  const KeyHash hash = HashKey(kTable, acked_key);
+  Coordinator& coordinator = cluster.coordinator();
+  coordinator.master(coordinator.OwnerOf(kTable, hash))
+      ->objects()
+      .Write(kTable, acked_key, hash, "overwritten");
+  const ReadBackResult lost = VerifyReadBack(cluster, kTable, keys, histories);
+  EXPECT_EQ(lost.mismatches, 1u);
+  EXPECT_NE(lost.detail.find(acked_key), std::string::npos) << lost.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,
@@ -280,7 +228,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,
 //   * no acked write is ever lost and the migration completes,
 //   * adaptive pacing strictly improves client-visible read p99.9 over the
 //     same episode with pacing disabled,
-//   * the paced run replays bit-identically.
+//   * the paced run replays bit-identically at 4 threaded lanes.
 constexpr uint64_t kOverloadRecords = 12'000;
 // Migrate only the top quarter of the hash space: the source keeps ~3/4 of
 // the client load for the whole run, so its bursts stay past saturation
@@ -307,10 +255,7 @@ constexpr Tick kOverloadSampleFrom = kOverloadMigrationAt + 2 * kMillisecond;
 struct OverloadDigest {
   uint64_t trace_hash = 0;
   size_t events = 0;
-  uint64_t acked_writes = 0;
-  uint64_t failed_writes = 0;
-  uint64_t reads_ok = 0;
-  uint64_t reads_failed = 0;
+  OpCounts ops;
   Tick read_p999 = 0;
   uint64_t pacing_backoffs = 0;
   uint64_t pull_rejections = 0;
@@ -321,14 +266,9 @@ struct OverloadDigest {
   friend bool operator==(const OverloadDigest&, const OverloadDigest&) = default;
 };
 
-OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
-  ClusterConfig config;
-  config.num_masters = 4;
-  config.num_clients = 2;
-  config.seed = seed;
+OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing, int lanes) {
+  ClusterConfig config = ChaosConfig(seed, lanes);
   config.master.num_workers = 1;
-  config.master.hash_table_log2_buckets = 14;
-  config.master.segment_size = 64 * 1024;
   // Worker-bound ops so one worker saturates at a modest op rate while the
   // dispatch core keeps plenty of headroom (the overload is at the workers,
   // where pulls and client requests compete). Pulls are made record-bound so
@@ -341,8 +281,6 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kOverloadRecords, 30, 100);
-  // In-event clock and timers: the op pump runs on the coordinator's node.
-  Simulator& sim = cluster.coordinator().sim();
 
   RocksteadyOptions options;
   options.adaptive_pacing = pacing;
@@ -359,115 +297,39 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
                              [&](const MigrationStats& s) { stats = s; });
   });
 
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kOverloadRecords;
-  YcsbWorkload workload(ycsb);
-  Random ops_rng(seed * 31 + 5);
-  std::map<std::string, KeyState> reference;
-  std::set<std::string> write_in_flight;
-  OverloadDigest digest;
-  std::vector<Tick> read_latencies;
-  uint64_t op_index = 0;
-
-  std::function<void()> pump = [&] {
-    if (sim.now() >= kOpsStop) {
-      return;
-    }
-    YcsbWorkload::Op op = workload.NextOp(ops_rng);
-    if (!op.is_read && write_in_flight.contains(op.key)) {
-      op.is_read = true;  // Serialize writes per key (see KeyState).
-    }
-    RamCloudClient& client = cluster.client(op_index % cluster.num_clients());
-    if (op.is_read) {
-      const Tick issued = sim.now();
-      // The tail comparison is over reads issued once migration is under way
-      // (what the paper's impact figures measure); pre-migration bursts are
-      // identical in both runs and would only dilute the percentile.
-      const bool sample = issued >= kOverloadSampleFrom;
-      client.Read(kTable, op.key,
-                  [&digest, &read_latencies, &sim, issued, sample](Status s, const std::string&) {
-                    if (s == Status::kOk) {
-                      digest.reads_ok++;
-                      if (sample) {
-                        read_latencies.push_back(sim.now() - issued);
-                      }
-                    } else {
-                      digest.reads_failed++;
-                    }
-                  });
-    } else {
-      const std::string value = "burst-" + std::to_string(op_index);
-      KeyState* state = &reference[op.key];
-      write_in_flight.insert(op.key);
-      client.Write(kTable, op.key, value,
-                   [&digest, &write_in_flight, state, key = op.key, value](Status s) {
-                     write_in_flight.erase(key);
-                     if (s == Status::kOk) {
-                       state->acked = true;
-                       state->last_acked = value;
-                       digest.acked_writes++;
-                     } else {
-                       state->failed_values.insert(value);
-                       digest.failed_writes++;
-                     }
-                   });
-    }
-    op_index++;
-    const bool burst = sim.now() % (kBurstPhase + kTroughPhase) < kBurstPhase;
-    sim.After(burst ? kBurstGap : kTroughGap, pump);
-  };
-  cluster.coordinator().sim().After(kBurstGap, pump);
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kOverloadRecords); }, [](Tick now) {
+        return now % (kBurstPhase + kTroughPhase) < kBurstPhase ? kBurstGap : kTroughGap;
+      });
 
   cluster.Run();
 
+  OverloadDigest digest;
+  digest.ops = CountOps(histories);
   EXPECT_TRUE(stats.has_value()) << "seed " << seed << ": migration did not complete";
-  EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
+  EXPECT_GT(digest.ops.acked_writes, 0u) << "seed " << seed;
 
   AuditReport report;
-  cluster.coordinator().AuditInvariants(&report);
-  for (size_t i = 0; i < cluster.num_masters(); i++) {
-    cluster.master(i).objects().AuditInvariants(&report);
-  }
+  cluster.AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Summary();
 
   // No committed write lost (same acceptance rule as RunChaosEpisode).
-  const std::string default_value(100, 'v');
-  std::string mismatch_detail;
-  for (uint64_t i = 0; i < kOverloadRecords; i++) {
-    const std::string key = Cluster::MakeKey(i, 30);
-    cluster.client(0).Read(kTable, key, [&, key](Status s, const std::string& v) {
-      const auto it = reference.find(key);
-      const KeyState* state = it == reference.end() ? nullptr : &it->second;
-      bool ok = false;
-      if (s == Status::kOk) {
-        if (state != nullptr && state->acked) {
-          ok = v == state->last_acked || state->failed_values.contains(v);
-        } else if (state != nullptr) {
-          ok = v == default_value || state->failed_values.contains(v);
-        } else {
-          ok = v == default_value;
-        }
-      }
-      if (!ok) {
-        digest.mismatches++;
-        mismatch_detail += "key=" + key + " status=" + std::to_string(static_cast<int>(s)) +
-                           " got='" + v + "'\n";
-      }
-    });
-    if (i % 64 == 63) {
-      cluster.Run();
-    }
-  }
-  cluster.Run();
+  const ReadBackResult lost =
+      VerifyReadBack(cluster, kTable, LoadedKeys(kOverloadRecords), histories);
+  digest.mismatches = lost.mismatches;
   EXPECT_EQ(digest.mismatches, 0u)
-      << "seed " << seed << " pacing=" << pacing << ": acked writes lost:\n" << mismatch_detail;
+      << "seed " << seed << " pacing=" << pacing << ": acked writes lost:\n" << lost.detail;
 
-  std::sort(read_latencies.begin(), read_latencies.end());
-  if (!read_latencies.empty()) {
-    const size_t idx =
-        std::min(read_latencies.size() - 1, (read_latencies.size() * 999) / 1000);
-    digest.read_p999 = read_latencies[idx];
-  }
+  // The tail comparison is over reads issued once migration is under way
+  // (what the paper's impact figures measure); pre-migration bursts are
+  // identical in both runs and would only dilute the percentile.
+  std::vector<Tick> read_latencies;
+  ForEachOp(histories, [&read_latencies](const OpRecord& op) {
+    if (op.is_read && op.status == Status::kOk && op.issued >= kOverloadSampleFrom) {
+      read_latencies.push_back(op.completed - op.issued);
+    }
+  });
+  digest.read_p999 = Quantile(std::move(read_latencies), 0.999);
   digest.trace_hash = cluster.trace_hash();
   digest.events = cluster.events_processed();
   digest.pacing_backoffs = stats.has_value() ? stats->pacing_backoffs : 0;
@@ -481,12 +343,13 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OverloadChaosTest, PacingCutsTailAndReplaysBitIdentically) {
   const uint64_t seed = GetParam();
-  const OverloadDigest paced = RunOverloadEpisode(seed, /*pacing=*/true);
-  const OverloadDigest replay = RunOverloadEpisode(seed, /*pacing=*/true);
-  EXPECT_EQ(paced.trace_hash, replay.trace_hash) << "seed " << seed << " is not deterministic";
+  const OverloadDigest paced = RunOverloadEpisode(seed, /*pacing=*/true, 1);
+  const OverloadDigest replay = RunOverloadEpisode(seed, /*pacing=*/true, 4);
+  EXPECT_EQ(paced.trace_hash, replay.trace_hash)
+      << "seed " << seed << " diverged at 4 threaded lanes";
   EXPECT_EQ(paced, replay);
 
-  const OverloadDigest unpaced = RunOverloadEpisode(seed, /*pacing=*/false);
+  const OverloadDigest unpaced = RunOverloadEpisode(seed, /*pacing=*/false, 1);
   EXPECT_TRUE(paced.migration_completed);
   EXPECT_TRUE(unpaced.migration_completed);
   EXPECT_EQ(paced.mismatches, 0u);

@@ -289,6 +289,22 @@ TEST(ClusterDeathTest, CrossNodeTouchIsFatal) {
   EXPECT_TRUE(touched);
   cluster.coordinator().sim().At(cluster.now() + 10, [&] { (void)master.objects(); });
   EXPECT_DEATH(cluster.Run(), "InRootOrOn");
+
+  // Clients follow the same rule: an op issued from the client's own event
+  // runs, one issued from the coordinator's event is fatal.
+  Cluster other(SmallCluster());
+  other.CreateTable(1, 0);
+  RamCloudClient& client = other.client(0);
+  bool read = false;
+  client.sim().At(10, [&] {
+    client.Read(1, Cluster::MakeKey(0, 30), [&](Status, const std::string&) { read = true; });
+  });
+  other.Run();
+  EXPECT_TRUE(read);
+  other.coordinator().sim().At(other.now() + 10, [&] {
+    client.Read(1, Cluster::MakeKey(0, 30), [](Status, const std::string&) {});
+  });
+  EXPECT_DEATH(other.Run(), "InRootOrOn");
 }
 
 #endif  // ROCKSTEADY_DCHECK_ENABLED

@@ -95,13 +95,7 @@ class FuzzEpisode {
   // would first show up.
   void AuditAll(const char* when) {
     AuditReport report;
-    cluster_.coordinator().AuditInvariants(&report);
-    for (size_t i = 0; i < cluster_.num_masters(); i++) {
-      if (cluster_.master(i).crashed()) {
-        continue;  // A crashed master's store is intentionally stale.
-      }
-      cluster_.master(i).objects().AuditInvariants(&report);
-    }
+    cluster_.AuditInvariants(&report);
     ASSERT_TRUE(report.ok()) << when << ":\n" << report.Summary();
   }
 

@@ -19,14 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/client_history.h"
+#include "bench/experiment_common.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/operations.h"
 #include "src/common/audit.h"
@@ -92,25 +92,6 @@ struct LaneRun {
   uint64_t windows = 0;
 };
 
-// Splits the table into one tablet per master and hands tablet i to master
-// i: every master serves a slice of the key space, as in the paper's
-// 24-server scalability runs.
-void SpreadTable(Cluster& cluster) {
-  const auto n = static_cast<uint64_t>(cluster.num_masters());
-  for (uint64_t i = 1; i < n; i++) {
-    ASSERT_EQ(cluster.coordinator().SplitTablet(kTable, ~0ull / n * i), Status::kOk);
-  }
-  const auto tablets = cluster.coordinator().GetTableConfig(kTable);
-  for (size_t i = 0; i < tablets.size(); i++) {
-    const ServerId owner = cluster.master(i % cluster.num_masters()).id();
-    if (tablets[i].owner != owner) {
-      ASSERT_EQ(cluster.coordinator().ReassignTablet(kTable, tablets[i].start_hash,
-                                                     tablets[i].end_hash, owner),
-                Status::kOk);
-    }
-  }
-}
-
 LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
   // The injector must outlive the cluster's network.
   FaultInjector injector({.seed = seed * 1'000 + 7,
@@ -140,7 +121,8 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
   }
   cluster.CreateTable(kTable, 0);
   if (scale24) {
-    SpreadTable(cluster);
+    // One tablet per master, as in the paper's 24-server scalability runs.
+    SpreadTableAcross(cluster, kTable, config.num_masters);
   }
   cluster.LoadTable(kTable, kRecords, 30, 100);
 
@@ -169,8 +151,7 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
   cluster.Run();
 
   AuditReport report;
-  cluster.master(0).objects().AuditInvariants(&report);
-  cluster.master(1).objects().AuditInvariants(&report);
+  cluster.AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.Summary();
 
   LaneRun run;
@@ -197,108 +178,6 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
 constexpr uint64_t kControlRecords = 2'000;
 constexpr KeyHash kQuarter = KeyHash{1} << 62;
 constexpr Tick kWriteGap = 100 * kMicrosecond;
-
-// What a key's read-back may return: its last acked value, or any value of
-// a write that failed (it may still have landed) — the loaded value if no
-// write was ever acked.
-struct KeyState {
-  bool acked = false;
-  std::string last_acked;
-  std::set<std::string> failed_values;
-};
-
-// One client's durable-write stream. It runs on the client's own node and
-// writes only keys it owns (index % clients), serialized per key, so its
-// reference model is touched by that node's events alone.
-class ClientWriter {
- public:
-  ClientWriter(RamCloudClient* client, size_t index, size_t clients, Tick stop,
-               std::vector<std::string> hot_keys)
-      : client_(client), index_(index), clients_(clients), stop_(stop),
-        hot_keys_(std::move(hot_keys)) {}
-
-  void Start() { client_->sim().At(kWriteGap, client_->node(), [this] { Step(); }); }
-
-  const std::map<std::string, KeyState>& reference() const { return reference_; }
-  uint64_t acked() const { return acked_; }
-  uint64_t failed() const { return failed_; }
-
- private:
-  void Step() {
-    Simulator& sim = client_->sim();
-    if (sim.now() >= stop_) {
-      return;
-    }
-    sim.After(kWriteGap, [this] { Step(); });
-    Random& rng = client_->rng();
-    // Mostly hot keys (when there are any), the rest uniform.
-    std::string key;
-    if (!hot_keys_.empty() && rng.NextDouble() < 0.8) {
-      key = hot_keys_[rng.Uniform(hot_keys_.size())];
-    } else {
-      key = Cluster::MakeKey(rng.Uniform(kControlRecords), 30);
-    }
-    if (HashKey(kTable, key) % clients_ != index_ || in_flight_.contains(key)) {
-      return;  // Another client's key, or a write to it is still in flight.
-    }
-    const std::string value = "c" + std::to_string(index_) + "-" + std::to_string(next_++);
-    in_flight_.insert(key);
-    KeyState* state = &reference_[key];
-    client_->Write(kTable, key, value, [this, key, value, state](Status status) {
-      in_flight_.erase(key);
-      if (status == Status::kOk) {
-        state->acked = true;
-        state->last_acked = value;
-        acked_++;
-      } else {
-        state->failed_values.insert(value);
-        failed_++;
-      }
-    });
-  }
-
-  RamCloudClient* client_;
-  size_t index_;
-  size_t clients_;
-  Tick stop_;
-  std::vector<std::string> hot_keys_;
-  std::map<std::string, KeyState> reference_;
-  std::set<std::string> in_flight_;
-  uint64_t next_ = 0;
-  uint64_t acked_ = 0;
-  uint64_t failed_ = 0;
-};
-
-// Reads every key back in root context; returns how many disagree with the
-// writers' reference models (lost acked writes, or lost records).
-uint64_t CountLostWrites(Cluster& cluster,
-                         const std::vector<std::unique_ptr<ClientWriter>>& writers) {
-  const std::string loaded(100, 'v');
-  uint64_t lost = 0;
-  for (uint64_t i = 0; i < kControlRecords; i++) {
-    const std::string key = Cluster::MakeKey(i, 30);
-    const KeyState* state = nullptr;
-    for (const auto& writer : writers) {
-      if (const auto it = writer->reference().find(key); it != writer->reference().end()) {
-        state = &it->second;
-      }
-    }
-    cluster.client(0).Read(kTable, key, [&lost, &loaded, state](Status s, const std::string& v) {
-      bool ok = s == Status::kOk;
-      if (ok && state != nullptr) {
-        ok = v == (state->acked ? state->last_acked : loaded) || state->failed_values.contains(v);
-      } else if (ok) {
-        ok = v == loaded;
-      }
-      lost += ok ? 0 : 1;
-    });
-    if (i % 64 == 63) {
-      cluster.Run();
-    }
-  }
-  cluster.Run();
-  return lost;
-}
 
 // Runs `crash` at the first safe point (polled every 5 us for 5 ms from
 // `from`) at which `mid_migration` holds — a lineage dependency names the
@@ -353,8 +232,8 @@ LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads
     }
   }
 
-  // Read-only actors: the writers own every write, so the read-back can
-  // judge each key against one reference model.
+  // Read-only actors: the client histories own every write, so the
+  // read-back can judge each key against one reference model.
   YcsbConfig ycsb = YcsbConfig::WorkloadC();
   ycsb.num_records = kControlRecords;
   YcsbWorkload workload(ycsb);
@@ -362,15 +241,26 @@ LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads
   actor_config.ops_per_second = 20'000;
   actor_config.stop_time = ops_stop;
   std::vector<std::unique_ptr<ClientActor>> actors;
-  std::vector<std::unique_ptr<ClientWriter>> writers;
   for (size_t c = 0; c < cluster.num_clients(); c++) {
     actors.push_back(
         std::make_unique<ClientActor>(kTable, &cluster.client(c), &workload, actor_config));
     actors.back()->Start();
-    writers.push_back(std::make_unique<ClientWriter>(&cluster.client(c), c, cluster.num_clients(),
-                                                     ops_stop, hot_keys));
-    writers.back()->Start();
   }
+  // Durable writes, mostly to the hot keys (when there are any), one per
+  // kWriteGap over all clients, each to a key its client owns.
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, ops_stop,
+      [&] {
+        return [&](Random& rng, Tick) {
+          if (!hot_keys.empty() && rng.NextDouble() < 0.8) {
+            return YcsbWorkload::Op{.is_read = false,
+                                    .key = hot_keys[rng.Uniform(hot_keys.size())]};
+          }
+          return YcsbWorkload::Op{.is_read = false,
+                                  .key = Cluster::MakeKey(rng.Uniform(kControlRecords), 30)};
+        };
+      },
+      [](Tick) { return kWriteGap; });
 
   LaneRun run;
   LaneDigest& digest = run.digest;
@@ -439,13 +329,13 @@ LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads
   cluster.Run();
 
   AuditReport report;
-  coordinator.AuditInvariants(&report);
-  for (size_t i = 0; i < cluster.num_masters(); i++) {
-    cluster.master(i).objects().AuditInvariants(&report);
-  }
+  cluster.AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.Summary();
   cluster.net().SetFaultInjector(nullptr);
-  digest.lost_writes = CountLostWrites(cluster, writers);
+  const ReadBackResult lost =
+      VerifyReadBack(cluster, kTable, LoadedKeys(kControlRecords), histories);
+  EXPECT_EQ(lost.mismatches, 0u) << lost.detail;
+  digest.lost_writes = lost.mismatches;
 
   run.windows = cluster.lanes()->windows_run();
   digest.trace_hash = cluster.trace_hash();
@@ -455,10 +345,9 @@ LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads
     digest.client_completed += actor->completed();
     digest.client_failed += actor->failed();
   }
-  for (const auto& writer : writers) {
-    digest.acked_writes += writer->acked();
-    digest.failed_writes += writer->failed();
-  }
+  const OpCounts ops = CountOps(histories);
+  digest.acked_writes = ops.acked_writes;
+  digest.failed_writes = ops.failed_writes;
   digest.injected_drops = cluster.net().injected_drops();
   digest.retransmissions = cluster.rpc().retransmissions();
   digest.crashes_detected = coordinator.crashes_detected();

@@ -4,13 +4,12 @@
 // + splits never lose an acked write and replay bit-identically.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/client_history.h"
+#include "bench/experiment_common.h"
 #include "src/cluster/cluster.h"
 #include "src/common/audit.h"
 #include "src/common/hash.h"
@@ -460,25 +459,16 @@ TEST(RebalanceAuditTest, CoverageAuditCatchesOwnerWithoutLocalTablet) {
 // telemetry, splits, and Rocksteady migrations run — through injected
 // drops/dups/delays and a crash-recovery of a bystander master. Asserts no
 // acked write is ever lost, all audits pass, and the run replays
-// bit-identically.
+// bit-identically at 4 threaded lanes.
 constexpr uint64_t kChaosRecords = 4'000;
 constexpr Tick kChaosOpGap = 10 * kMicrosecond;  // ~100k ops/s offered.
 constexpr Tick kChaosOpsStop = 50 * kMillisecond;
 constexpr Tick kChaosHorizon = 80 * kMillisecond;
 
-struct KeyState {
-  bool acked = false;
-  std::string last_acked;
-  std::set<std::string> failed_values;
-};
-
 struct RebalanceChaosDigest {
   uint64_t trace_hash = 0;
   size_t events = 0;
-  uint64_t acked_writes = 0;
-  uint64_t failed_writes = 0;
-  uint64_t reads_ok = 0;
-  uint64_t reads_failed = 0;
+  OpCounts ops;
   uint64_t splits_performed = 0;
   uint64_t migrations_started = 0;
   uint64_t migrations_completed = 0;
@@ -487,42 +477,29 @@ struct RebalanceChaosDigest {
   friend bool operator==(const RebalanceChaosDigest&, const RebalanceChaosDigest&) = default;
 };
 
-RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
+// `lanes` > 1 runs the lanes on worker threads.
+RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed, int lanes) {
   FaultInjector injector({.seed = seed * 1'000 + 7,
                           .drop_probability = 0.01,
                           .duplicate_probability = 0.005,
                           .max_extra_delay_ns = 2 * kMicrosecond});
-  Cluster cluster(SmallConfig(seed));
+  ClusterConfig config = SmallConfig(seed);
+  config.lanes = lanes;
+  config.lane_threads = lanes > 1;
+  Cluster cluster(config);
   cluster.net().SetFaultInjector(&injector);
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
-  // Spread the table over all four masters, one quarter each.
-  for (size_t i = 1; i < 4; i++) {
-    cluster.coordinator().SplitTablet(kTable, static_cast<KeyHash>(i) * kQuarter);
-  }
-  {
-    const auto tablets = cluster.coordinator().GetTableConfig(kTable);
-    for (size_t i = 0; i < tablets.size(); i++) {
-      const auto& t = tablets[i];
-      const ServerId owner = cluster.master(i % 4).id();
-      if (t.owner != owner) {
-        // Audit-safe reassignment: tablet lands on the new owner before the
-        // map repoints.
-        cluster.coordinator().ReassignTablet(t.table, t.start_hash, t.end_hash, owner);
-      }
-    }
-  }
+  SpreadTableAcross(cluster, kTable, 4);  // One quarter per master.
   cluster.LoadTable(kTable, kChaosRecords, 30, 100);
 
-  // Key pools per quarter (for aiming the hot spot at master 0).
+  // The hot spot aims at (about) master 0's quarter.
+  const std::vector<std::string> all_keys = LoadedKeys(kChaosRecords);
   std::vector<std::string> hot_pool;
-  std::vector<std::string> all_keys;
-  for (uint64_t i = 0; i < kChaosRecords; i++) {
-    std::string key = Cluster::MakeKey(i, 30);
+  for (const std::string& key : all_keys) {
     if (HashKey(kTable, key) < kQuarter) {
       hot_pool.push_back(key);
     }
-    all_keys.push_back(std::move(key));
   }
 
   ClusterTelemetry telemetry(&cluster);
@@ -545,102 +522,36 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
   };
   cluster.AtSafePoint(crash_at, [&] { cluster.master(victim).Crash(); });
 
-  // 80%-hot / 20%-uniform op pump with the durability reference.
-  Random ops_rng(seed * 31 + 5);
-  std::map<std::string, KeyState> reference;
-  std::set<std::string> write_in_flight;
-  RebalanceChaosDigest digest;
-  uint64_t op_index = 0;
-  // The op pump runs on the coordinator's node.
-  std::function<void()> pump = [&] {
-    if (cluster.coordinator().sim().now() >= kChaosOpsStop) {
-      return;
-    }
-    const bool hot = ops_rng.NextDouble() < 0.8;
-    const auto& pool = hot ? hot_pool : all_keys;
-    std::string key = pool[ops_rng.Uniform(pool.size())];
-    bool is_read = ops_rng.NextDouble() < 0.95;
-    if (!is_read && write_in_flight.contains(key)) {
-      is_read = true;  // Serialize writes per key.
-    }
-    RamCloudClient& client = cluster.client(op_index % cluster.num_clients());
-    if (is_read) {
-      client.Read(kTable, key, [&digest](Status s, const std::string&) {
-        if (s == Status::kOk || s == Status::kObjectNotFound) {
-          digest.reads_ok++;
-        } else {
-          digest.reads_failed++;
-        }
-      });
-    } else {
-      const std::string value = "rebalance-" + std::to_string(op_index);
-      KeyState* state = &reference[key];
-      write_in_flight.insert(key);
-      client.Write(kTable, key, value,
-                   [&digest, &write_in_flight, state, key, value](Status s) {
-                     write_in_flight.erase(key);
-                     if (s == Status::kOk) {
-                       state->acked = true;
-                       state->last_acked = value;
-                       digest.acked_writes++;
-                     } else {
-                       state->failed_values.insert(value);
-                       digest.failed_writes++;
-                     }
-                   });
-    }
-    op_index++;
-    cluster.coordinator().sim().After(kChaosOpGap, pump);
-  };
-  cluster.coordinator().sim().After(kChaosOpGap, pump);
+  // 80%-hot / 20%-uniform, 5% writes, from every client.
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, kChaosOpsStop,
+      [&] {
+        return [&](Random& rng, Tick) {
+          const auto& pool = rng.NextDouble() < 0.8 ? hot_pool : all_keys;
+          std::string key = pool[rng.Uniform(pool.size())];
+          return YcsbWorkload::Op{.is_read = rng.NextDouble() < 0.95, .key = std::move(key)};
+        };
+      },
+      [](Tick) { return kChaosOpGap; });
 
   cluster.RunUntil(kChaosHorizon);
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
   cluster.Run();
 
-  EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
+  RebalanceChaosDigest digest;
+  digest.ops = CountOps(histories);
+  EXPECT_GT(digest.ops.acked_writes, 0u) << "seed " << seed;
 
   AuditReport report;
-  cluster.coordinator().AuditInvariants(&report);
-  for (size_t i = 0; i < cluster.num_masters(); i++) {
-    if (!cluster.master(i).crashed()) {
-      cluster.master(i).objects().AuditInvariants(&report);
-    }
-  }
+  cluster.AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Summary();
 
   // No committed write lost.
-  const std::string default_value(100, 'v');
-  std::string mismatch_detail;
-  for (uint64_t i = 0; i < kChaosRecords; i++) {
-    const std::string& key = all_keys[i];
-    cluster.client(0).Read(kTable, key, [&, key](Status s, const std::string& v) {
-      const auto it = reference.find(key);
-      const KeyState* state = it == reference.end() ? nullptr : &it->second;
-      bool ok = false;
-      if (s == Status::kOk) {
-        if (state != nullptr && state->acked) {
-          ok = v == state->last_acked || state->failed_values.contains(v);
-        } else if (state != nullptr) {
-          ok = v == default_value || state->failed_values.contains(v);
-        } else {
-          ok = v == default_value;
-        }
-      }
-      if (!ok) {
-        digest.mismatches++;
-        mismatch_detail += "key=" + key + " status=" + std::to_string(static_cast<int>(s)) +
-                           " got='" + v + "'\n";
-      }
-    });
-    if (i % 64 == 63) {
-      cluster.Run();
-    }
-  }
-  cluster.Run();
+  const ReadBackResult lost = VerifyReadBack(cluster, kTable, all_keys, histories);
+  digest.mismatches = lost.mismatches;
   EXPECT_EQ(digest.mismatches, 0u)
-      << "seed " << seed << ": acked writes lost under rebalancing:\n" << mismatch_detail;
+      << "seed " << seed << ": acked writes lost under rebalancing:\n" << lost.detail;
 
   digest.trace_hash = cluster.trace_hash();
   digest.events = cluster.events_processed();
@@ -655,10 +566,10 @@ class RebalanceChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RebalanceChaosTest, PlannerUnderFaultsPreservesWritesAndReplays) {
   const uint64_t seed = GetParam();
-  const RebalanceChaosDigest first = RunRebalanceChaosEpisode(seed);
-  const RebalanceChaosDigest second = RunRebalanceChaosEpisode(seed);
+  const RebalanceChaosDigest first = RunRebalanceChaosEpisode(seed, 1);
+  const RebalanceChaosDigest second = RunRebalanceChaosEpisode(seed, 4);
   EXPECT_EQ(first.trace_hash, second.trace_hash)
-      << "seed " << seed << " is not deterministic";
+      << "seed " << seed << " diverged at 4 threaded lanes";
   EXPECT_EQ(first, second);
   // The planner genuinely engaged under chaos.
   EXPECT_GT(first.migrations_started, 0u) << "seed " << seed;

@@ -2,7 +2,7 @@
 // pair runs on a lossy fabric with the full operations stack live and must
 // finish with zero lost acked writes, clean invariant audits, converged
 // operations (drains decommissioned, restarts completed), and a
-// bit-identical digest when replayed.
+// bit-identical digest when replayed at 4 threaded lanes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,7 +22,7 @@ TEST_P(ScenarioMatrixTest, ChaosInvariantsAndReplay) {
   const ScenarioSpec& spec = ScenarioMatrix()[index];
 
   const ScenarioResult first = RunScenario(spec, seed);
-  EXPECT_GT(first.digest.acked_writes, 0u) << spec.name << " seed " << seed;
+  EXPECT_GT(first.digest.ops.acked_writes, 0u) << spec.name << " seed " << seed;
   EXPECT_EQ(first.mismatches, 0u) << spec.name << " seed " << seed
                                   << ": acked writes lost:\n" << first.mismatch_detail;
   EXPECT_TRUE(first.audits_ok) << spec.name << " seed " << seed << ":\n"
@@ -35,10 +35,11 @@ TEST_P(ScenarioMatrixTest, ChaosInvariantsAndReplay) {
     EXPECT_GT(phase.ops, 0u) << spec.name << " phase " << phase.name;
   }
 
-  // Determinism gate: the same (scenario, seed) replays bit-identically.
-  const ScenarioResult second = RunScenario(spec, seed);
+  // Determinism gate: the same (scenario, seed) replays bit-identically at
+  // 4 threaded lanes (replay determinism and lane invariance in one run).
+  const ScenarioResult second = RunScenario(spec, seed, 4);
   EXPECT_TRUE(first.digest == second.digest)
-      << spec.name << " seed " << seed << ": replay diverged (trace "
+      << spec.name << " seed " << seed << ": 4-lane replay diverged (trace "
       << first.digest.trace_hash << " vs " << second.digest.trace_hash << ", events "
       << first.digest.events_processed << " vs " << second.digest.events_processed << ")";
 }

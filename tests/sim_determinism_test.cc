@@ -67,8 +67,7 @@ RunDigest RunScenario(uint64_t seed) {
 
   // The migrated cluster must also be *consistent*, not just deterministic.
   AuditReport report;
-  cluster.master(0).objects().AuditInvariants(&report);
-  cluster.master(1).objects().AuditInvariants(&report);
+  cluster.AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.Summary();
 
   RunDigest digest;
