@@ -236,9 +236,8 @@ void MasterServer::HandleWrite(RpcContext context) {
          response->version = *version;
          writes_served_++;
          RecordAccess(req.table, req.hash, /*is_write=*/true, req.value.size());
-         size_t entry_length = 0;
-         const uint8_t* entry_data = nullptr;
-         objects_.log().RawEntry(p->ref, &entry_data, &entry_length);
+         // The entry just appended: header + key + value.
+         const size_t entry_length = sizeof(LogEntryHeader) + req.key.size() + req.value.size();
          // Worker cost covers the append plus posting replication RPCs.
          return costs_->WriteCost(req.value.size()) + costs_->ReplicationSrcCost(entry_length);
        },

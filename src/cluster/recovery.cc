@@ -249,11 +249,7 @@ std::vector<uint8_t> CollectLogTail(MasterServer* master, TableId table, KeyHash
         entry.key_hash() > end_hash) {
       return;
     }
-    const uint8_t* data = nullptr;
-    size_t length = 0;
-    if (log.RawEntry(ref, &data, &length)) {
-      tail.insert(tail.end(), data, data + length);
-    }
+    tail.insert(tail.end(), entry.raw, entry.raw + entry.header.TotalLength());
   });
   return tail;
 }

@@ -131,15 +131,19 @@ void HashTable::ForEach(const std::function<void(KeyHash, LogRef)>& fn) const {
   ScanBuckets(num_buckets_, 0, fn, [] { return true; });
 }
 
-size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred) {
+size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred,
+                           size_t first_bucket, size_t end_bucket) {
   // Collect first: Remove() moves slots around, which would confuse an
   // in-place walk.
   std::vector<KeyHash> doomed;
-  ForEach([&](KeyHash hash, LogRef ref) {
-    if (pred(hash, ref)) {
-      doomed.push_back(hash);
-    }
-  });
+  ScanBuckets(
+      end_bucket, first_bucket,
+      [&](KeyHash hash, LogRef ref) {
+        if (pred(hash, ref)) {
+          doomed.push_back(hash);
+        }
+      },
+      [] { return true; });
   for (KeyHash hash : doomed) {
     Remove(hash);
   }

@@ -76,8 +76,11 @@ class HashTable {
   void ForEach(const std::function<void(KeyHash, LogRef)>& fn) const;
 
   // Removes all entries matching a predicate; returns how many were removed.
-  // Used when aborting a half-replayed migration.
-  size_t RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred);
+  // Used when aborting a half-replayed migration. Only buckets
+  // [first_bucket, end_bucket) are visited: a predicate that can match only
+  // a key-hash range passes that range's buckets.
+  size_t RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred, size_t first_bucket = 0,
+                  size_t end_bucket = SIZE_MAX);
 
   // Longest overflow chain currently in the table (diagnostics/tests).
   size_t MaxChainLength() const;

@@ -10,7 +10,7 @@ namespace rocksteady {
 Segment* Log::Head() {
   if (segments_.empty() || segments_.back()->sealed()) {
     auto segment = std::make_unique<Segment>(next_segment_id_++, segment_size_);
-    registry_[segment->id()] = segment.get();
+    Register(segment.get());
     segments_.push_back(std::move(segment));
   }
   return segments_.back().get();
@@ -70,17 +70,6 @@ bool Log::Read(LogRef ref, LogEntryView* out) const {
   return segment->EntryAt(ref.offset(), out);
 }
 
-bool Log::RawEntry(LogRef ref, const uint8_t** data, size_t* length) const {
-  LogEntryView view;
-  if (!Read(ref, &view)) {
-    return false;
-  }
-  const Segment* segment = FindSegment(ref.segment_id());
-  *data = segment->data() + ref.offset();
-  *length = view.header.TotalLength();
-  return true;
-}
-
 bool Log::EntrySlice(LogRef ref, ByteSlice* out) const {
   LogEntryView view;
   if (!Read(ref, &view)) {
@@ -91,23 +80,31 @@ bool Log::EntrySlice(LogRef ref, ByteSlice* out) const {
 }
 
 void Log::MarkDead(LogRef ref) {
-  if (!ref.valid()) {
-    return;
+  LogEntryView view;
+  if (Read(ref, &view)) {
+    MarkDead(ref, view);
   }
+}
+
+void Log::MarkDead(LogRef ref, const LogEntryView& entry) {
   Segment* segment = FindSegment(ref.segment_id());
   if (segment == nullptr) {
     return;
   }
-  LogEntryView view;
-  if (segment->EntryAt(ref.offset(), &view)) {
-    segment->SubLive(view.header.TotalLength());
-    stats_.dead_bytes += view.header.TotalLength();
+  segment->SubLive(entry.header.TotalLength());
+  stats_.dead_bytes += entry.header.TotalLength();
+}
+
+void Log::Register(Segment* segment) {
+  if (segment->id() >= registry_.size()) {
+    registry_.resize(static_cast<size_t>(segment->id()) + 1, nullptr);
   }
+  registry_[segment->id()] = segment;
 }
 
 std::unique_ptr<Segment> Log::AllocateSideSegment() {
   auto segment = std::make_unique<Segment>(next_segment_id_++, segment_size_);
-  registry_[segment->id()] = segment.get();
+  Register(segment.get());
   return segment;
 }
 
@@ -132,7 +129,7 @@ void Log::AdoptSideSegments(std::vector<std::unique_ptr<Segment>> segments) {
   for (auto& segment : segments) {
     segment->Seal();
     stats_.appended_bytes += segment->used();
-    ROCKSTEADY_DCHECK_EQ(registry_.count(segment->id()), 1u);
+    ROCKSTEADY_DCHECK(FindSegment(segment->id()) == segment.get());
     segments_.push_back(std::move(segment));
   }
   // Keep iteration order deterministic: id order equals append order here
@@ -142,7 +139,7 @@ void Log::AdoptSideSegments(std::vector<std::unique_ptr<Segment>> segments) {
 }
 
 void Log::DropSideSegment(std::unique_ptr<Segment> segment) {
-  registry_.erase(segment->id());
+  registry_[segment->id()] = nullptr;
 }
 
 void Log::ForEachEntry(const std::function<void(LogRef, const LogEntryView&)>& fn) const {
@@ -161,7 +158,7 @@ void Log::FreeSegment(uint32_t segment_id) {
     LOG_WARNING("FreeSegment: unknown segment %u", segment_id);
     return;
   }
-  registry_.erase(segment_id);
+  registry_[segment_id] = nullptr;
   segments_.erase(it);
   stats_.cleaned_segments++;
 }
@@ -191,12 +188,12 @@ uint64_t Log::total_bytes() const {
 }
 
 uint64_t Log::allocated_bytes() const {
-  // Sum over the registry (main + uncommitted side segments). Iteration
-  // order of the unordered map is unspecified, but a sum is
-  // order-independent, so this stays deterministic.
+  // Sum over the registry: main plus uncommitted side segments.
   uint64_t total = 0;
-  for (const auto& [id, segment] : registry_) {
-    total += segment->capacity();
+  for (const Segment* segment : registry_) {
+    if (segment != nullptr) {
+      total += segment->capacity();
+    }
   }
   return total;
 }
@@ -219,28 +216,26 @@ void Log::AuditInvariants(AuditReport* report) const {
     if (i + 1 < segments_.size() && !segment->sealed()) {
       report->Fail("log: non-head segment %u is not sealed", segment->id());
     }
-    auto it = registry_.find(segment->id());
-    if (it == registry_.end()) {
+    const Segment* registered = FindSegment(segment->id());
+    if (registered == nullptr) {
       report->Fail("log: owned segment %u missing from registry", segment->id());
-    } else if (it->second != segment) {
+    } else if (registered != segment) {
       report->Fail("log: registry entry for segment %u points elsewhere", segment->id());
     }
     segment->AuditInvariants(report);
   }
   // The registry may only exceed the owned list by uncommitted side
   // segments, which must not be sealed (sealing happens at commit) and must
-  // also be below the allocation cursor. Audit failure messages append to
-  // the report in iteration order, so walk the registry in sorted-id order
-  // rather than unordered_map order — a failing audit must print (and hash)
-  // identically across runs.
-  std::vector<uint32_t> registered_ids;
-  registered_ids.reserve(registry_.size());
-  for (const auto& [id, segment] : registry_) {  // lint:allow-iter-order: ids are sorted before use
-    registered_ids.push_back(id);
-  }
-  std::sort(registered_ids.begin(), registered_ids.end());
-  for (const uint32_t id : registered_ids) {
-    const Segment* segment = registry_.find(id)->second;
+  // also be below the allocation cursor. The walk is in id order, so a
+  // failing audit prints (and hashes) identically across runs.
+  for (uint32_t id = 0; id < registry_.size(); id++) {
+    const Segment* segment = registry_[id];
+    if (segment == nullptr) {
+      continue;
+    }
+    if (segment->id() != id) {
+      report->Fail("log: registry slot %u holds segment %u", id, segment->id());
+    }
     if (id >= next_segment_id_) {
       report->Fail("log: registered segment %u at or beyond allocation cursor %u", id,
                    next_segment_id_);

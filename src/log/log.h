@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/audit.h"
@@ -67,10 +66,6 @@ class Log {
   // (segment freed) or the entry fails its checksum.
   bool Read(LogRef ref, LogEntryView* out) const;
 
-  // Raw serialized bytes of the entry at `ref` (header + key + value), for
-  // replication and migration transfer. False on a stale/corrupt reference.
-  bool RawEntry(LogRef ref, const uint8_t** data, size_t* length) const;
-
   // The same bytes as a slice sharing the segment's buffer: what
   // replication sends, so backups hold them without a copy.
   bool EntrySlice(LogRef ref, ByteSlice* out) const;
@@ -78,6 +73,8 @@ class Log {
   // Marks the entry at `ref` dead (overwritten or deleted); updates segment
   // live-byte accounting for the cleaner.
   void MarkDead(LogRef ref);
+  // The same, for an entry the caller already read at `ref`: no re-parse.
+  void MarkDead(LogRef ref, const LogEntryView& entry);
 
   // Allocates a segment in this log's id space without appending it to the
   // main list; used by SideLog. The segment is registered for Read() lookups
@@ -105,8 +102,7 @@ class Log {
   void FreeSegment(uint32_t segment_id);
 
   Segment* FindSegment(uint32_t segment_id) const {
-    auto it = registry_.find(segment_id);
-    return it == registry_.end() ? nullptr : it->second;
+    return segment_id < registry_.size() ? registry_[segment_id] : nullptr;
   }
 
   // Head position, as (segment id, offset): everything appended later than
@@ -139,12 +135,17 @@ class Log {
   Result<LogRef> Append(LogEntryType type, TableId table, KeyHash hash, std::string_view key,
                         std::string_view value, Version version);
   Segment* Head();
+  // Records `segment` in registry_ under its id.
+  void Register(Segment* segment);
 
   size_t segment_size_;
   uint32_t next_segment_id_ = 1;
   std::vector<std::unique_ptr<Segment>> segments_;
-  // Every live segment (main + uncommitted side) by id, for Read().
-  std::unordered_map<uint32_t, Segment*> registry_;
+  // Every live segment (main + uncommitted side), indexed by id, for
+  // Read(): ids are dense (next_segment_id_++), a freed id holds null.
+  // Grows by one pointer per segment ever allocated (8 bytes per
+  // segment_size_ bytes of log written).
+  std::vector<Segment*> registry_;
   LogStats stats_;
   AppendObserver append_observer_;
 };

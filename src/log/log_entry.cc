@@ -49,6 +49,7 @@ bool ReadEntry(const uint8_t* src, size_t available, LogEntryView* out) {
   out->header = header;
   out->key = key;
   out->value = value;
+  out->raw = src;
   return true;
 }
 

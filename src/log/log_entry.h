@@ -53,6 +53,10 @@ struct LogEntryView {
   LogEntryHeader header;
   std::string_view key;
   std::string_view value;
+  // The whole serialized entry (header + key + value, header.TotalLength()
+  // bytes): what migration, recovery and the baseline copy verbatim, with
+  // no second parse.
+  const uint8_t* raw = nullptr;
 
   LogEntryType type() const { return header.type; }
   TableId table_id() const { return header.table_id; }

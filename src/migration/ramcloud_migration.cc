@@ -165,10 +165,7 @@ void BaselineMigration::ScheduleScanChunk() {
            *matched_bytes += length;
            if (!options_.skip_copy) {
              // Copy into the staging buffer (the cost Figure 5 isolates).
-             const uint8_t* raw = nullptr;
-             size_t raw_length = 0;
-             log.RawEntry(ref, &raw, &raw_length);
-             batch->Append(raw, raw_length);
+             batch->Append(entry.raw, length);
            }
            *batch_records += 1;
          }

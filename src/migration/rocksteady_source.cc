@@ -89,10 +89,7 @@ void HandlePull(MasterServer* master, RpcContext context) {
                if (entry.version() <= req.min_version) {
                  return;  // Delta round: unchanged since the last pass.
                }
-               const uint8_t* raw = nullptr;
-               size_t length = 0;
-               log.RawEntry(ref, &raw, &length);
-               out.Append(raw, length);
+               out.Append(entry.raw, entry.header.TotalLength());
                records++;
              },
              [&] { return out.size() < req.budget_bytes; });
@@ -138,10 +135,7 @@ void HandlePriorityPull(MasterServer* master, RpcContext context) {
              response->not_found.push_back(hash);
              continue;
            }
-           const uint8_t* raw = nullptr;
-           size_t length = 0;
-           log.RawEntry(ref, &raw, &length);
-           out.Append(raw, length);
+           out.Append(entry.raw, entry.header.TotalLength());
            response->record_count++;
          }
          const size_t bytes = out.size();

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -34,6 +35,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   pending.cb = std::move(cb);
   pending.deadline = deadline;
   pending.wire = pending.request->WireSize();
+  Endpoint(from)->AttachAcks(to, pending.request.get());
   PendingFor(call_id)[call_id] = std::move(pending);
 
   if (timeout > 0) {
@@ -101,16 +103,56 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   csim->At(at, from, [this, call_id] { SendAttempt(call_id); });
 }
 
+std::unique_ptr<RpcResponse> RpcEndpoint::DedupEntry::Replay() const {
+  if (response != nullptr) {
+    return response->Clone();
+  }
+  auto size_only = std::make_unique<SizeOnlyResponse>();
+  size_only->wire = acked_wire;
+  return size_only;
+}
+
+void RpcEndpoint::ApplyAcks(const RpcRequest& request) {
+  for (size_t i = 0; i < request.ack_count; i++) {
+    DedupEntry* entry = dedup_.Find(request.acks[i]);
+    if (entry != nullptr && entry->done && entry->response != nullptr) {
+      entry->acked_wire = static_cast<uint32_t>(entry->response->WireSize());
+      entry->response.reset();
+    }
+  }
+}
+
+void RpcEndpoint::RecordAck(NodeId server, uint64_t call_id) {
+  if (server >= unacked_.size()) {
+    unacked_.resize(static_cast<size_t>(server) + 1);
+  }
+  unacked_[server].push_back(call_id);
+}
+
+void RpcEndpoint::AttachAcks(NodeId server, RpcRequest* request) {
+  if (server >= unacked_.size()) {
+    return;
+  }
+  std::vector<uint64_t>& acks = unacked_[server];
+  const size_t count = std::min(acks.size(), kMaxAcksPerRequest);
+  for (size_t i = 0; i < count; i++) {
+    request->acks[i] = acks.back();
+    acks.pop_back();
+  }
+  request->ack_count = static_cast<uint8_t>(count);
+}
+
 void RpcEndpoint::Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id,
                           bool retransmittable) {
   PruneDedup();
+  ApplyAcks(*request);
   if (DedupEntry* entry = dedup_.Find(call_id); entry != nullptr) {
     if (entry->done) {
       // Retransmission of a completed call: replay the cached response
       // through the normal dispatch-tx path. The original execution already
       // happened exactly once; only the answer is resent.
       responses_replayed_++;
-      std::unique_ptr<RpcResponse> replay = entry->response->Clone();
+      std::unique_ptr<RpcResponse> replay = entry->Replay();
       RpcSystem* system = system_;
       const NodeId server_node = node_;
       auto transmit = [system, server_node, call_id, resp = std::move(replay)]() mutable {
@@ -162,7 +204,7 @@ void RpcEndpoint::Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_
   if (DedupEntry* entry = dedup_.Find(call_id); entry != nullptr) {
     if (entry->done) {
       responses_replayed_++;
-      system_->TransmitResponse(call_id, node_, entry->response->Clone());
+      system_->TransmitResponse(call_id, node_, entry->Replay());
       return;
     }
     if (entry->epoch == CurrentEpoch()) {
@@ -289,8 +331,18 @@ void RpcSystem::TransmitResponse(uint64_t call_id, NodeId server_node,
                  if (resp == nullptr) {
                    return;  // This network-duplicated copy lost the move race.
                  }
+                 // An acked call's replay never gets here: the caller
+                 // erased the pending entry before it acked the call, so
+                 // the NIC check above dropped it.
+                 ROCKSTEADY_DCHECK(dynamic_cast<const SizeOnlyResponse*>(resp.get()) == nullptr);
                  ResponseCallback cb = std::move(pending->cb);
+                 const NodeId server = pending->server;
+                 // Ack only what the server cached (see Execute's dedupe).
+                 const bool cached = pending->deadline != 0 || net_->faults_ever_installed();
                  table.Erase(call_id);
+                 if (cached) {
+                   Endpoint(CallerOf(call_id))->RecordAck(server, call_id);
+                 }
                  cb(Status::kOk, std::move(resp));
                };
                if (endpoint != nullptr && endpoint->cores() != nullptr) {

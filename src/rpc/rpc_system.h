@@ -18,9 +18,18 @@
 // handler is dropped. A call with timeout zero is sent exactly once and
 // waits forever — the pre-fault-injection behavior.
 //
+// Receipt acks (RIFL's rule): once a caller has consumed a response, its
+// next call to the same server piggybacks that call_id in the request
+// header, and the server releases the cached clone. The dedup entry itself
+// stays until retention, so a late duplicate is still suppressed; replaying
+// an acked call sends a SizeOnlyResponse of the original wire size, which
+// the caller's NIC drops (its pending entry went before it acked). No
+// event, wire byte or random draw depends on acks, so they move no trace.
+//
 // Hot path: requests are intrusively refcounted (no shared_ptr control
 // block), delivery/response closures are inline (no make_shared boxing),
-// and the pending-call and dedup tables are flat open-addressed maps — one
+// the pending-call and dedup tables are flat open-addressed maps, and acks
+// sit in inline request slots and capacity-keeping per-node lists — one
 // request/response round trip allocates only the message objects themselves.
 #ifndef ROCKSTEADY_SRC_RPC_RPC_SYSTEM_H_
 #define ROCKSTEADY_SRC_RPC_RPC_SYSTEM_H_
@@ -112,8 +121,13 @@ class RpcEndpoint {
   struct DedupEntry {
     uint64_t epoch = 0;
     bool done = false;
-    std::unique_ptr<RpcResponse> response;  // Cached clone once done.
+    // Wire size of the released clone, once the caller acked it.
+    uint32_t acked_wire = 0;
+    std::unique_ptr<RpcResponse> response;  // Cached clone once done, until acked.
     Tick completed_at = 0;
+
+    // What a retransmission of this completed call is answered with.
+    std::unique_ptr<RpcResponse> Replay() const;
   };
 
   // `retransmittable` = the caller armed a timeout, so more copies of this
@@ -126,6 +140,14 @@ class RpcEndpoint {
                bool retransmittable);
   void PruneDedup();
   uint64_t CurrentEpoch() const;
+
+  // Server side: releases the cached responses `request` acks.
+  void ApplyAcks(const RpcRequest& request);
+  // Caller side: this node consumed `call_id`'s response from `server`.
+  void RecordAck(NodeId server, uint64_t call_id);
+  // Caller side: moves up to kMaxAcksPerRequest unsent acks for `server`
+  // into `request`; the rest wait for the next call.
+  void AttachAcks(NodeId server, RpcRequest* request);
 
   RpcSystem* system_;
   NodeId node_;
@@ -145,6 +167,13 @@ class RpcEndpoint {
   // entry from creation so executions orphaned by a crash (never completed,
   // stale epoch, hence never in dedup_fifo_) still expire.
   std::deque<std::pair<Tick, uint64_t>> dedup_created_;  // (created_at, call_id).
+  // Caller side, indexed by server node: call_ids whose responses this node
+  // consumed and has not yet acked to that server. Touched only on this
+  // node's lane; the lists keep their capacity, so acking allocates nothing
+  // per call. Bounded by the most calls to one server outstanding at once:
+  // each call adds at most one ack and drains up to kMaxAcksPerRequest; the
+  // outer vector holds at most one list per node.
+  std::vector<std::vector<uint64_t>> unacked_;
   uint64_t duplicates_suppressed_ = 0;
   uint64_t responses_replayed_ = 0;
 };

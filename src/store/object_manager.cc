@@ -200,17 +200,21 @@ size_t ObjectManager::DropSideLogEntries(const SideLog& side_log) {
 }
 
 size_t ObjectManager::DropTabletEntries(TableId table, KeyHash start_hash, KeyHash end_hash) {
-  return hash_table_.RemoveIf([&](KeyHash hash, LogRef ref) {
-    if (hash < start_hash || hash > end_hash) {
-      return false;
-    }
-    LogEntryView entry;
-    if (!log_.Read(ref, &entry) || entry.table_id() != table) {
-      return false;
-    }
-    log_.MarkDead(ref);
-    return true;
-  });
+  // Bucket index is the hash's top bits, so only the range's buckets can
+  // hold its entries; they are visited (and removed) in table order.
+  return hash_table_.RemoveIf(
+      [&](KeyHash hash, LogRef ref) {
+        if (hash < start_hash || hash > end_hash) {
+          return false;
+        }
+        LogEntryView entry;
+        if (!log_.Read(ref, &entry) || entry.table_id() != table) {
+          return false;
+        }
+        log_.MarkDead(ref, entry);
+        return true;
+      },
+      hash_table_.BucketOf(start_hash), hash_table_.BucketOf(end_hash) + 1);
 }
 
 uint64_t ObjectManager::EstimateRangeBytes(TableId table, KeyHash start_hash,

@@ -2,6 +2,7 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -415,6 +416,167 @@ TEST(RpcTest, DedupCacheExpiresCrashOrphanedEntries) {
   f.lanes.Run();
   EXPECT_LE(server->dedup_size(), 1u);  // Orphan expired; only the fresh call remains.
 }
+
+// --- Receipt acks: a caller's next call to a server acks the responses it
+// consumed, and the server drops their cached clones. ---
+
+// A response that counts its live and ever-built instances (the handler's
+// original and every clone), so a test sees when the dedup cache lets go.
+struct CountedResponse : RpcResponse {
+  static constexpr size_t kWire = 8 * 1024;
+  static inline std::atomic<int> live{0};
+  static inline std::atomic<int> built{0};
+
+  CountedResponse() { Count(); }
+  CountedResponse(const CountedResponse& other) : RpcResponse(other) { Count(); }
+  ~CountedResponse() override { live--; }
+
+  static void Reset() {
+    live = 0;
+    built = 0;
+  }
+  size_t WireSize() const override { return kWire; }
+  ROCKSTEADY_CLONEABLE_RESPONSE(CountedResponse)
+
+ private:
+  static void Count() {
+    live++;
+    built++;
+  }
+};
+
+// The caller sits on lane 0 and the servers on the last lane: at two lanes,
+// with worker threads, each server reads its requests' acks on another
+// thread than the one that wrote them.
+class RpcAckTest : public ::testing::TestWithParam<int> {
+ protected:
+  CostModel costs;
+  LaneSet lanes{LaneSet::Config{.lanes = GetParam(),
+                                .threads = GetParam() > 1,
+                                .lookahead = costs.net_per_message_ns + costs.net_propagation_ns,
+                                .seed = 7}};
+  int server_lane = lanes.lanes() - 1;
+  Simulator& server_sim = lanes.lane_sim(server_lane);
+};
+
+// An injector seed whose draws delay the duplicated request past call 1's
+// round trip and call 2's request (found by search; per-sender fault
+// streams make it lane-invariant).
+constexpr uint64_t kLateDuplicateSeed = 39;
+
+// Server-side handler replying with a CountedResponse.
+void ReplyCounted(RpcContext context) { context.reply(std::make_unique<CountedResponse>()); }
+
+// Issues one call whose callback checks it got a full CountedResponse.
+void CallCounted(RpcSystem& rpc, NodeId from, NodeId to, int* callbacks) {
+  rpc.Call(from, to, std::make_unique<WriteRequest>(),
+           [callbacks](Status status, std::unique_ptr<RpcResponse> response) {
+             EXPECT_EQ(status, Status::kOk);
+             EXPECT_NE(dynamic_cast<CountedResponse*>(response.get()), nullptr);
+             (*callbacks)++;
+           },
+           /*timeout=*/10 * kMillisecond);
+}
+
+TEST_P(RpcAckTest, CachedCloneIsReleasedOnlyOnceItsCallerAcks) {
+  CountedResponse::Reset();
+  Network net(&lanes, &costs);
+  RpcSystem rpc(&lanes, &net, &costs);
+  RpcEndpoint* client = rpc.CreateEndpoint(nullptr, 0);
+  CoreSet a_cores(&server_sim, 1);
+  CoreSet b_cores(&server_sim, 1);
+  RpcEndpoint* a = rpc.CreateEndpoint(&a_cores, server_lane);
+  RpcEndpoint* b = rpc.CreateEndpoint(&b_cores, server_lane);
+  a->Register(Opcode::kWrite, ReplyCounted);
+  b->Register(Opcode::kWrite, ReplyCounted);
+  int callbacks = 0;
+
+  CallCounted(rpc, client->node(), a->node(), &callbacks);
+  lanes.Run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(CountedResponse::live, 1);  // A's cached clone; no ack yet.
+
+  // A call to another server carries no ack for A.
+  CallCounted(rpc, client->node(), b->node(), &callbacks);
+  lanes.Run();
+  EXPECT_EQ(callbacks, 2);
+  EXPECT_EQ(CountedResponse::live, 2);  // Both clones held.
+
+  // The next call to A acks the first: its clone goes, its entry stays.
+  CallCounted(rpc, client->node(), a->node(), &callbacks);
+  lanes.Run();
+  EXPECT_EQ(callbacks, 3);
+  EXPECT_EQ(CountedResponse::live, 2);  // B's clone and A's second.
+  EXPECT_EQ(a->dedup_size(), 2u);
+  EXPECT_EQ(CountedResponse::built, 6);  // Three replies, three clones.
+}
+
+// A network duplicate of call 1's request lands after call 2 acked call 1:
+// the handler still runs once, the replay costs the original wire bytes,
+// and the caller's NIC drops it before any callback.
+TEST_P(RpcAckTest, DuplicateArrivingAfterTheAckReplaysOnlyTheSize) {
+  CountedResponse::Reset();
+  // The checks below fail if the seed stops delaying the duplicate enough.
+  FaultInjector injector({.seed = kLateDuplicateSeed, .max_extra_delay_ns = 40'000});
+  Network net(&lanes, &costs);
+  net.SetFaultInjector(&injector);
+  RpcSystem rpc(&lanes, &net, &costs);
+  RpcEndpoint* client = rpc.CreateEndpoint(nullptr, 0);
+  CoreSet server_cores(&server_sim, 1);
+  RpcEndpoint* server = rpc.CreateEndpoint(&server_cores, server_lane);
+  int executions = 0;
+  server->Register(Opcode::kWrite, [&](RpcContext context) {
+    executions++;
+    ReplyCounted(std::move(context));
+  });
+  server->Register(Opcode::kRead, [](RpcContext context) {
+    context.reply(std::make_unique<ReadResponse>());
+  });
+  injector.DuplicateNext(client->node(), server->node(), 1);
+
+  int callbacks = 0;
+  int acking_callbacks = 0;
+  const size_t write_wire = WriteRequest().WireSize();
+  const size_t read_wire = ReadRequest().WireSize();
+  const size_t read_reply_wire = ReadResponse().WireSize();
+  rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
+           [&](Status status, std::unique_ptr<RpcResponse> response) {
+             EXPECT_EQ(status, Status::kOk);
+             EXPECT_NE(dynamic_cast<CountedResponse*>(response.get()), nullptr);
+             callbacks++;
+             // Call 2 carries the ack for call 1.
+             rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
+                      [&](Status status2, std::unique_ptr<RpcResponse> response2) {
+                        EXPECT_EQ(status2, Status::kOk);
+                        EXPECT_NE(dynamic_cast<ReadResponse*>(response2.get()), nullptr);
+                        acking_callbacks++;
+                      },
+                      /*timeout=*/10 * kMillisecond);
+           },
+           /*timeout=*/10 * kMillisecond);
+  lanes.Run();
+
+  EXPECT_EQ(net.injected_duplicates(), 1u);
+  EXPECT_EQ(rpc.retransmissions(), 0u);
+  EXPECT_EQ(executions, 1);
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(acking_callbacks, 1);
+  EXPECT_EQ(server->responses_replayed(), 1u);
+  // The replay was built after the ack: no third CountedResponse (the
+  // reply and its cache clone), and the clone is gone.
+  EXPECT_EQ(CountedResponse::built, 2);
+  EXPECT_EQ(CountedResponse::live, 0);
+  // Every byte charged: two requests, two replies and the replay at the
+  // original reply's full wire size.
+  EXPECT_EQ(net.total_bytes_sent(),
+            write_wire + read_wire + CountedResponse::kWire + read_reply_wire +
+                CountedResponse::kWire);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, RpcAckTest, ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "lanes";
+                         });
 
 }  // namespace
 }  // namespace rocksteady

@@ -310,6 +310,43 @@ TEST(ObjectManagerTest, DropTabletEntriesRemovesRange) {
   EXPECT_EQ(om.object_count(), 200 - in_upper_half);
 }
 
+// Two tables share every bucket of the dropped range: only table 1's
+// entries inside the range go, each marked dead with its whole length.
+TEST(ObjectManagerTest, DropTabletEntriesSparesOtherTablesInTheRange) {
+  ObjectManager om(SmallOptions());
+  const KeyHash start = 1ull << 62;
+  const KeyHash end = (3ull << 62) - 1;
+  auto in_range = [&](KeyHash h) { return h >= start && h <= end; };
+  size_t doomed = 0;
+  uint64_t doomed_bytes = 0;
+  size_t other_table_in_range = 0;
+  for (int i = 0; i < 200; i++) {
+    const std::string key = "key" + std::to_string(i);
+    const std::string value = "value" + std::string(static_cast<size_t>(i % 7), 'x');
+    ASSERT_TRUE(om.Write(1, key, HashKey(key), value).ok());
+    if (in_range(HashKey(key))) {
+      doomed++;
+      doomed_bytes += sizeof(LogEntryHeader) + key.size() + value.size();
+    }
+    const std::string other = "other" + std::to_string(i);
+    ASSERT_TRUE(om.Write(2, other, HashKey(other), "v").ok());
+    other_table_in_range += in_range(HashKey(other));
+  }
+  ASSERT_GT(doomed, 0u);
+  ASSERT_GT(other_table_in_range, 0u);
+  const uint64_t dead_before = om.log().stats().dead_bytes;
+
+  EXPECT_EQ(om.DropTabletEntries(1, start, end), doomed);
+  EXPECT_EQ(om.log().stats().dead_bytes - dead_before, doomed_bytes);
+  EXPECT_EQ(om.object_count(), 400 - doomed);
+  for (int i = 0; i < 200; i++) {
+    const std::string key = "key" + std::to_string(i);
+    EXPECT_EQ(om.Read(1, key, HashKey(key)).ok(), !in_range(HashKey(key))) << key;
+    const std::string other = "other" + std::to_string(i);
+    EXPECT_TRUE(om.Read(2, other, HashKey(other)).ok()) << other;
+  }
+}
+
 TEST(ObjectManagerTest, CleanerPreservesLiveData) {
   ObjectManager om(SmallOptions());
   // Three rounds of overwrites -> two thirds of entries dead.
