@@ -10,14 +10,10 @@
 // records (1.8-2.4x apart); for 1 KB records both sides clear line rate
 // (5 GB/s) with a few cores.
 //
-// A second section scales the *simulator itself* at the paper's cluster
-// size: a 24-master YCSB-B cluster sharded across event lanes on worker
-// threads, sweeping the lane count and reporting measured wall-clock time
-// and speedup over one lane. Every lane count must produce the same trace
-// hash — the sharded engine's contract — or the bench exits 1.
-#include <chrono>
+// The simulator's own lane scaling at the paper's 24-server size is
+// bench/engine_throughput's `fig15_24srv_lanes` sweep, recorded in
+// BENCH_engine.json.
 #include <cstdio>
-#include <thread>
 
 #include "bench/experiment_common.h"
 #include "src/common/hash.h"
@@ -180,90 +176,6 @@ double TargetRateGBps(int workers, size_t entry_bytes) {
   return static_cast<double>(total_bytes) / static_cast<double>(sim.now());
 }
 
-// --- Lane-sharded simulator scaling at the paper's 24-server size. ---
-
-struct LaneScalePoint {
-  size_t events = 0;
-  double wall_s = 0;  // Measured wall time of the run, lanes on real threads.
-  uint64_t trace_hash = 0;
-};
-
-// One YCSB-B run sharded across `lanes` event lanes, threaded above one.
-LaneScalePoint RunLaneScale(int lanes, int masters, int clients, double ops_per_client,
-                            Tick stop) {
-  ClusterConfig config = MakeConfig(masters, clients, 1.0);
-  config.master.hash_table_log2_buckets = 15;
-  config.master.segment_size = 256 * 1024;
-  config.lanes = lanes;
-  config.lane_threads = lanes > 1;
-  Cluster cluster(config);
-
-  const TableId table = 1;
-  cluster.CreateTable(table, 0);
-  SpreadTableAcross(cluster, table, config.num_masters);
-  cluster.LoadTable(table, 48'000, 12, 100);
-
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = 48'000;
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = ops_per_client;
-  actor_config.stop_time = stop;
-  std::vector<std::unique_ptr<YcsbWorkload>> workloads;
-  std::vector<std::unique_ptr<ClientActor>> actors;
-  for (int c = 0; c < config.num_clients; c++) {
-    workloads.push_back(std::make_unique<YcsbWorkload>(ycsb));
-    actors.push_back(std::make_unique<ClientActor>(table, &cluster.client(static_cast<size_t>(c)),
-                                                   workloads.back().get(), actor_config));
-    actors.back()->Start();
-  }
-
-  LaneScalePoint point;
-  const size_t before = cluster.events_processed();
-  const auto start = std::chrono::steady_clock::now();
-  cluster.Run();
-  point.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  point.events = cluster.events_processed() - before;
-  point.trace_hash = cluster.trace_hash();
-  return point;
-}
-
-void LaneSweep(const char* title, std::initializer_list<int> lane_counts, int masters,
-               int clients, double ops_per_client, Tick stop) {
-  std::printf("\n%s\n", title);
-  std::printf("-----------------------------------------------------------------------------\n");
-  std::printf("%-6s %12s %12s %16s %10s\n", "lanes", "events", "wall (s)", "events/s",
-              "speedup");
-  LaneScalePoint base;
-  bool first = true;
-  for (int lanes : lane_counts) {
-    const LaneScalePoint point = RunLaneScale(lanes, masters, clients, ops_per_client, stop);
-    if (first) {
-      base = point;
-      first = false;
-    } else if (point.trace_hash != base.trace_hash) {
-      std::printf("TRACE HASH DIVERGED at %d lanes: 0x%016llx vs 0x%016llx\n", lanes,
-                  static_cast<unsigned long long>(point.trace_hash),
-                  static_cast<unsigned long long>(base.trace_hash));
-      std::exit(1);
-    }
-    std::printf("%-6d %12zu %12.3f %16.0f %9.2fx\n", lanes, point.events, point.wall_s,
-                static_cast<double>(point.events) / point.wall_s, base.wall_s / point.wall_s);
-  }
-  std::printf("(trace hash identical at every lane count: 0x%016llx; measured on %u CPUs)\n",
-              static_cast<unsigned long long>(base.trace_hash),
-              std::thread::hardware_concurrency());
-}
-
-void PrintLaneScaling() {
-  LaneSweep("Simulator lane scaling: 24 masters, 8 clients, YCSB-B (3.2M ops/s aggregate)",
-            {1, 2, 4}, 24, 8, 400'000, 30 * kMillisecond);
-  // The north-star shape: 96 servers, four times the paper's cluster. A
-  // shorter window keeps the sweep quick; the per-window density is what
-  // the lanes see.
-  LaneSweep("Simulator lane scaling: 96 masters, 16 clients, YCSB-B (6.4M ops/s aggregate)",
-            {1, 2, 4}, 96, 16, 400'000, 10 * kMillisecond);
-}
-
 }  // namespace
 }  // namespace rocksteady
 
@@ -283,6 +195,5 @@ int main() {
   }
   std::printf("\nsource/target ratio @16 threads (128 B): %.2fx (paper: 1.8-2.4x)\n",
               SourceRateGBps(16, 128) / TargetRateGBps(16, 128));
-  PrintLaneScaling();
   return 0;
 }

@@ -80,10 +80,10 @@ step "scenario matrix smoke: every operational scenario at seed 0 (20-seed suite
 step "overload protection: admission control, load shedding, memory budget"
 "${ROOT}/build-asan/tests/overload_test"
 
-step "rpc dedup cache stays bounded and frees acked replies"
-# The ack tests run at one lane and at two threaded lanes; ASan checks the
-# released clones and the size-only replays of acked calls.
-"${ROOT}/build-asan/tests/rpc_test" --gtest_filter='*Dedup*:*Ack*'
+step "rpc dedup cache holds only unfinished calls and frees their replies"
+# The watermark tests (RpcAckTest) run at one lane and at two threaded
+# lanes; ASan checks the cached clones erased with their entries.
+"${ROOT}/build-asan/tests/rpc_test" --gtest_filter='*Dedup*:*Ack*:*Watermark*:*Duplicate*'
 
 step "backup replicas: shared segment bytes match a private copy and outlive the master's"
 # Replicas, BackupWrites and recovery data hold slices of the masters'

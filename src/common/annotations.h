@@ -4,8 +4,8 @@
 // run on real threads. Before that refactor lands, every piece of mutable
 // state with static storage duration — the state that would silently become
 // cross-thread shared state — must be classified, and every RPC handler must
-// state why a late duplicate execution (the at-least-once loophole: the
-// per-call_id dedup cache expires after the retention horizon) is safe.
+// state why a second execution (the at-least-once loophole: a
+// retransmission re-runs a call whose execution a crash cut short) is safe.
 //
 // The macros expand to a clang annotate attribute under clang (so the
 // libclang frontend of tools/analyze.py sees them in the AST) and to nothing

@@ -2,8 +2,8 @@
 // for node-based maps on the hot path.
 //
 // std::map / std::unordered_map allocate one node per entry and chase a
-// pointer per probe; the RPC pending table, the dedup cache, and the fault
-// injector's per-link tables are touched on every message, so that churn is
+// pointer per probe; the RPC pending table and the fault injector's
+// per-link tables are touched on every message, so that churn is
 // a measurable slice of per-event cost. FlatMap64 keeps keys, values, and a
 // one-byte state array in three flat allocations, probes linearly, and
 // reuses erased slots via tombstones (rehash drops them).

@@ -9,7 +9,6 @@
 #ifndef ROCKSTEADY_SRC_RPC_MESSAGES_H_
 #define ROCKSTEADY_SRC_RPC_MESSAGES_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -71,9 +70,6 @@ enum class Opcode : uint8_t {
 // Fixed per-RPC wire overhead (headers, opcode, ids).
 inline constexpr size_t kRpcHeaderBytes = 32;
 
-// Receipt acks one request can carry (see RpcRequest::acks).
-inline constexpr size_t kMaxAcksPerRequest = 4;
-
 // Requests are intrusively refcounted: the transport shares one request
 // object between the pending-call table and every in-flight (re)transmission
 // without a separately-allocated shared_ptr control block.
@@ -82,14 +78,17 @@ struct RpcRequest : RefCounted {
   virtual Opcode op() const = 0;
   virtual size_t WireSize() const = 0;
 
-  // Receipt acks (RIFL's piggybacked acknowledgement): call_ids of earlier
-  // calls from this caller to this server whose responses the caller has
-  // consumed, so the server may drop their cached replies. Filled by
-  // RpcSystem::Call before the first send and read-only afterwards, so every
-  // retransmission and duplicate carries the same acks. They ride the fixed
-  // header (kRpcHeaderBytes): no request type counts them in WireSize().
-  uint8_t ack_count = 0;
-  std::array<uint64_t, kMaxAcksPerRequest> acks{};
+  // RIFL's first-incomplete watermark: every counted call from this caller
+  // to this server with a lower call_id is finished (completed or timed
+  // out), so the server may forget them. `counted` = the server keeps a
+  // dedup entry for this call (it can retransmit, or the fabric has had
+  // faults), so this call holds the caller's watermark until it finishes.
+  // Stamped by RpcSystem::Call before the first send and read-only
+  // afterwards, so every retransmission and duplicate carries the same
+  // values. They ride the fixed header (kRpcHeaderBytes): no request type
+  // counts them in WireSize().
+  uint64_t first_incomplete = 0;
+  bool counted = false;
 };
 
 struct RpcResponse {
@@ -144,17 +143,6 @@ struct PiggybackBlob {
 // Convenience base: empty response carrying only a status.
 struct StatusResponse : RpcResponse {
   ROCKSTEADY_CLONEABLE_RESPONSE(StatusResponse)
-};
-
-// What a server replays for a call whose caller has acked the response: no
-// payload, only the original wire size, so the fabric charges the replay
-// exactly what the full one cost. The caller consumed the response before
-// acking it, so its NIC drops this copy; no callback ever sees one.
-struct SizeOnlyResponse : RpcResponse {
-  size_t wire = kRpcHeaderBytes;
-
-  size_t WireSize() const override { return wire; }
-  ROCKSTEADY_CLONEABLE_RESPONSE(SizeOnlyResponse)
 };
 
 // ------------------------------------------------------------- Data path.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -35,7 +34,10 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   pending.cb = std::move(cb);
   pending.deadline = deadline;
   pending.wire = pending.request->WireSize();
-  Endpoint(from)->AttachAcks(to, pending.request.get());
+  // Counted = the server keeps a dedup entry for this call (see Execute).
+  pending.request->counted = timeout > 0 || net_->faults_ever_installed();
+  pending.request->first_incomplete =
+      Endpoint(from)->FirstIncomplete(to, call_id, pending.request->counted);
   PendingFor(call_id)[call_id] = std::move(pending);
 
   if (timeout > 0) {
@@ -67,19 +69,18 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   }
   const NodeId from = pending->caller;
   const NodeId to = pending->server;
-  const bool retransmittable = pending->deadline != 0;
   const size_t wire = pending->wire;
   // The delivery closure holds its own reference and *copies* it into
   // Deliver: the fabric may invoke the closure twice (duplication), so it
   // must not consume its captures.
   IntrusivePtr<RpcRequest> request = pending->request;
   net_->Send(from, to, wire,
-             [this, from, to, call_id, retransmittable, request] {
+             [this, from, to, call_id, request] {
                RpcEndpoint* endpoint = Endpoint(to);
                if (endpoint == nullptr) {
                  return;
                }
-               endpoint->Deliver(from, request, call_id, retransmittable);
+               endpoint->Deliver(from, request, call_id);
              });
 
   if (pending->deadline == 0) {
@@ -103,62 +104,76 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   csim->At(at, from, [this, call_id] { SendAttempt(call_id); });
 }
 
-std::unique_ptr<RpcResponse> RpcEndpoint::DedupEntry::Replay() const {
-  if (response != nullptr) {
-    return response->Clone();
+uint64_t RpcEndpoint::FirstIncomplete(NodeId server, uint64_t call_id, bool counted) {
+  if (server >= issued_.size()) {
+    issued_.resize(static_cast<size_t>(server) + 1);
   }
-  auto size_only = std::make_unique<SizeOnlyResponse>();
-  size_only->wire = acked_wire;
-  return size_only;
+  IssuedCalls& issued = issued_[server];
+  FlatMap64<RpcSystem::PendingCall>& pending = system_->PendingFor(call_id);
+  while (issued.head < issued.ids.size() && pending.Find(issued.ids[issued.head]) == nullptr) {
+    issued.head++;  // Completed or timed out.
+  }
+  if (issued.head * 2 >= issued.ids.size()) {  // Amortized O(1) compaction.
+    issued.ids.erase(issued.ids.begin(), issued.ids.begin() + static_cast<ptrdiff_t>(issued.head));
+    issued.head = 0;
+  }
+  if (counted) {
+    issued.ids.push_back(call_id);
+  }
+  return issued.head < issued.ids.size() ? issued.ids[issued.head] : call_id;
 }
 
-void RpcEndpoint::ApplyAcks(const RpcRequest& request) {
-  for (size_t i = 0; i < request.ack_count; i++) {
-    DedupEntry* entry = dedup_.Find(request.acks[i]);
-    if (entry != nullptr && entry->done && entry->response != nullptr) {
-      entry->acked_wire = static_cast<uint32_t>(entry->response->WireSize());
-      entry->response.reset();
-    }
-  }
+std::vector<RpcEndpoint::DedupEntry>::iterator RpcEndpoint::CallerWindow::LowerBound(
+    uint64_t call_id) {
+  return std::lower_bound(entries.begin(), entries.end(), call_id,
+                          [](const DedupEntry& entry, uint64_t id) { return entry.call_id < id; });
 }
 
-void RpcEndpoint::RecordAck(NodeId server, uint64_t call_id) {
-  if (server >= unacked_.size()) {
-    unacked_.resize(static_cast<size_t>(server) + 1);
-  }
-  unacked_[server].push_back(call_id);
+RpcEndpoint::DedupEntry* RpcEndpoint::CallerWindow::Find(uint64_t call_id) {
+  auto it = LowerBound(call_id);
+  return it != entries.end() && it->call_id == call_id ? &*it : nullptr;
 }
 
-void RpcEndpoint::AttachAcks(NodeId server, RpcRequest* request) {
-  if (server >= unacked_.size()) {
+void RpcEndpoint::CallerWindow::Advance(uint64_t first_incomplete) {
+  if (first_incomplete <= finished_below) {
     return;
   }
-  std::vector<uint64_t>& acks = unacked_[server];
-  const size_t count = std::min(acks.size(), kMaxAcksPerRequest);
-  for (size_t i = 0; i < count; i++) {
-    request->acks[i] = acks.back();
-    acks.pop_back();
-  }
-  request->ack_count = static_cast<uint8_t>(count);
+  finished_below = first_incomplete;
+  entries.erase(entries.begin(), LowerBound(first_incomplete));
 }
 
-void RpcEndpoint::Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id,
-                          bool retransmittable) {
-  PruneDedup();
-  ApplyAcks(*request);
-  if (DedupEntry* entry = dedup_.Find(call_id); entry != nullptr) {
+RpcEndpoint::CallerWindow& RpcEndpoint::WindowOf(NodeId caller) {
+  if (caller >= callers_.size()) {
+    callers_.resize(static_cast<size_t>(caller) + 1);
+  }
+  return callers_[caller];
+}
+
+size_t RpcEndpoint::dedup_size() const {
+  size_t total = 0;
+  for (const CallerWindow& window : callers_) {
+    total += window.entries.size();
+  }
+  return total;
+}
+
+void RpcEndpoint::Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id) {
+  CallerWindow& window = WindowOf(from);
+  if (window.Stale(*request, call_id)) {
+    // The caller finished this call: it no longer waits for any answer.
+    duplicates_suppressed_++;
+    return;
+  }
+  if (DedupEntry* entry = window.Find(call_id); entry != nullptr) {
     if (entry->done) {
       // Retransmission of a completed call: replay the cached response
       // through the normal dispatch-tx path. The original execution already
       // happened exactly once; only the answer is resent.
       responses_replayed_++;
-      std::unique_ptr<RpcResponse> replay = entry->Replay();
       RpcSystem* system = system_;
       const NodeId server_node = node_;
-      auto transmit = [system, server_node, call_id, resp = std::move(replay)]() mutable {
-        if (resp != nullptr) {
-          system->TransmitResponse(call_id, server_node, std::move(resp));
-        }
+      auto transmit = [system, server_node, call_id, resp = entry->response->Clone()]() mutable {
+        system->TransmitResponse(call_id, server_node, std::move(resp));
       };
       if (cores_ != nullptr) {
         cores_->EnqueueDispatch(system_->costs()->dispatch_tx_ns, std::move(transmit));
@@ -174,37 +189,45 @@ void RpcEndpoint::Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_
       return;
     }
     // The server crashed mid-execution and restarted: the old execution died
-    // with its epoch, so run the call again.
-    dedup_.Erase(call_id);
+    // with its epoch, so Execute runs the call again.
   }
 
   if (cores_ != nullptr) {
     // The dispatch core polls the request off the NIC before the handler
     // sees it.
-    cores_->EnqueueDispatch(
-        system_->costs()->dispatch_per_rpc_ns,
-        [this, from, call_id, retransmittable, request = std::move(request)]() mutable {
-          Execute(from, std::move(request), call_id, retransmittable);
-        });
+    cores_->EnqueueDispatch(system_->costs()->dispatch_per_rpc_ns,
+                            [this, from, call_id, request = std::move(request)]() mutable {
+                              Execute(from, std::move(request), call_id);
+                            });
   } else {
-    Execute(from, std::move(request), call_id, retransmittable);
+    Execute(from, std::move(request), call_id);
   }
 }
 
-void RpcEndpoint::Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id,
-                          bool retransmittable) {
+void RpcEndpoint::Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id) {
   const size_t op_index = static_cast<size_t>(request->op());
   if (op_index >= kMaxOpcodes || !handlers_[op_index]) {
     LOG_ERROR("node %u: no handler for opcode %d", node_, static_cast<int>(request->op()));
     return;
   }
-  // Re-check dedup at execution time: two copies of one request can both
-  // clear the delivery-time check (neither had an entry yet) and sit in the
-  // dispatch queue together; only the first may run the handler.
-  if (DedupEntry* entry = dedup_.Find(call_id); entry != nullptr) {
+  // The watermark moves here, in dispatch order, not at delivery: copies of
+  // a call its caller since gave up on (timed out) may still be queued
+  // ahead of this request, and they run as if no watermark existed.
+  CallerWindow& window = callers_[from];
+  window.Advance(request->first_incomplete);
+  // Re-check at execution time: two copies of one request can both clear
+  // the delivery-time check (neither had an entry yet) and sit in the
+  // dispatch queue together, where only the first may run the handler; and
+  // a request that overtook this copy may have moved the watermark past it.
+  if (window.Stale(*request, call_id)) {
+    duplicates_suppressed_++;
+    return;
+  }
+  DedupEntry* entry = window.Find(call_id);
+  if (entry != nullptr) {
     if (entry->done) {
       responses_replayed_++;
-      system_->TransmitResponse(call_id, node_, entry->Replay());
+      system_->TransmitResponse(call_id, node_, entry->response->Clone());
       return;
     }
     if (entry->epoch == CurrentEpoch()) {
@@ -212,19 +235,19 @@ void RpcEndpoint::Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_
       return;
     }
   }
-  // Duplicate defense is only needed when a second copy of this call_id can
-  // exist: the caller can retransmit, or the fabric has (ever) had an
-  // injector that can duplicate in flight. Otherwise skip the dedup entry
-  // and the response-clone cache — the bulk of steady-state RPC churn.
-  const bool dedupe = retransmittable || system_->net()->faults_ever_installed();
-  if (dedupe) {
+  // Duplicate defense is only needed for a counted call: the caller can
+  // retransmit, or the fabric has (ever) had an injector that can duplicate
+  // in flight. Otherwise skip the dedup entry and the response-clone cache —
+  // the bulk of steady-state RPC churn.
+  if (request->counted) {
     // The dedup entry is created here — when execution truly starts — not at
     // delivery: queued dispatch work can be wiped by Halt(), and an entry
     // created then would swallow post-restart retransmissions forever.
-    DedupEntry& entry = dedup_[call_id];
-    entry.epoch = CurrentEpoch();
-    entry.done = false;
-    dedup_created_.emplace_back(sim_->now(), call_id);
+    if (entry == nullptr) {
+      entry = &*window.entries.emplace(window.LowerBound(call_id));
+      entry->call_id = call_id;
+    }
+    entry->epoch = CurrentEpoch();
   }
 
   const Handler& handler = handlers_[op_index];
@@ -234,14 +257,13 @@ void RpcEndpoint::Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_
   context.request = std::move(request);
   RpcEndpoint* self = this;
   context.reply = [self, call_id](std::unique_ptr<RpcResponse> response) {
-    // Cache a clone for duplicate-request replay (only when a dedup entry
-    // was created for this execution), then transmit.
+    // Cache a clone for duplicate-request replay (only while this call's
+    // dedup entry is live), then transmit.
     RpcSystem* system = self->system_;
-    if (DedupEntry* entry = self->dedup_.Find(call_id); entry != nullptr) {
+    CallerWindow& caller = self->callers_[RpcSystem::CallerOf(call_id)];
+    if (DedupEntry* entry = caller.Find(call_id); entry != nullptr) {
       entry->done = true;
       entry->response = response->Clone();
-      entry->completed_at = self->sim_->now();
-      self->dedup_fifo_.emplace_back(entry->completed_at, call_id);
     }
     const NodeId server_node = self->node_;
     auto transmit = [system, server_node, call_id, resp = std::move(response)]() mutable {
@@ -258,39 +280,6 @@ void RpcEndpoint::Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_
     }
   };
   handler(std::move(context));
-}
-
-void RpcEndpoint::PruneDedup() {
-  const Tick now = sim_->now();
-  const Tick retention = system_->costs()->rpc_dedup_retention_ns;
-  while (!dedup_fifo_.empty() && dedup_fifo_.front().first + retention < now) {
-    const uint64_t call_id = dedup_fifo_.front().second;
-    dedup_fifo_.pop_front();
-    if (DedupEntry* entry = dedup_.Find(call_id); entry != nullptr && entry->done) {
-      dedup_.Erase(call_id);
-    }
-  }
-  // Entries that never completed — the execution was wiped by a crash, so no
-  // reply (and no dedup_fifo_ record) ever happened — would otherwise sit in
-  // dedup_ forever. Expire them from the creation-time fifo once past the
-  // retention horizon; an entry still executing in the *current* epoch is
-  // genuinely in flight and is re-armed for a later look instead.
-  while (!dedup_created_.empty() && dedup_created_.front().first + retention < now) {
-    const uint64_t call_id = dedup_created_.front().second;
-    dedup_created_.pop_front();
-    DedupEntry* entry = dedup_.Find(call_id);
-    if (entry == nullptr) {
-      continue;  // Already expired via the completion fifo.
-    }
-    if (entry->done) {
-      continue;  // The completion fifo owns its expiry.
-    }
-    if (entry->epoch == CurrentEpoch()) {
-      dedup_created_.emplace_back(now, call_id);  // Still executing; re-check later.
-      continue;
-    }
-    dedup_.Erase(call_id);  // Orphaned by a crash; the caller long since timed out.
-  }
 }
 
 uint64_t RpcEndpoint::CurrentEpoch() const { return cores_ != nullptr ? cores_->epoch() : 0; }
@@ -313,10 +302,11 @@ void RpcSystem::TransmitResponse(uint64_t call_id, NodeId server_node,
              [this, caller, call_id, resp = std::move(response)]() mutable {
                // A response to a call that already completed or gave up is
                // dropped at the caller's NIC, before the dispatch poll. The
-               // server cannot tell it is stale, so every retransmission of
-               // a completed call sends one; charging each a poll makes a
-               // congested caller slower, which makes it retransmit more — a
-               // storm that outlives its cause (a recovery master's
+               // server cannot tell it is stale until the caller's next
+               // request moves its watermark, so a retransmission of a
+               // completed call may still get one; charging each a poll
+               // makes a congested caller slower, which makes it retransmit
+               // more — a storm that outlives its cause (a recovery master's
                // re-replication burst sustained one for seconds).
                if (PendingFor(call_id).Find(call_id) == nullptr) {
                  return;
@@ -331,18 +321,8 @@ void RpcSystem::TransmitResponse(uint64_t call_id, NodeId server_node,
                  if (resp == nullptr) {
                    return;  // This network-duplicated copy lost the move race.
                  }
-                 // An acked call's replay never gets here: the caller
-                 // erased the pending entry before it acked the call, so
-                 // the NIC check above dropped it.
-                 ROCKSTEADY_DCHECK(dynamic_cast<const SizeOnlyResponse*>(resp.get()) == nullptr);
                  ResponseCallback cb = std::move(pending->cb);
-                 const NodeId server = pending->server;
-                 // Ack only what the server cached (see Execute's dedupe).
-                 const bool cached = pending->deadline != 0 || net_->faults_ever_installed();
                  table.Erase(call_id);
-                 if (cached) {
-                   Endpoint(CallerOf(call_id))->RecordAck(server, call_id);
-                 }
                  cb(Status::kOk, std::move(resp));
                };
                if (endpoint != nullptr && endpoint->cores() != nullptr) {

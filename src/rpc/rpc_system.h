@@ -18,27 +18,28 @@
 // handler is dropped. A call with timeout zero is sent exactly once and
 // waits forever — the pre-fault-injection behavior.
 //
-// Receipt acks (RIFL's rule): once a caller has consumed a response, its
-// next call to the same server piggybacks that call_id in the request
-// header, and the server releases the cached clone. The dedup entry itself
-// stays until retention, so a late duplicate is still suppressed; replaying
-// an acked call sends a SizeOnlyResponse of the original wire size, which
-// the caller's NIC drops (its pending entry went before it acked). No
-// event, wire byte or random draw depends on acks, so they move no trace.
+// First-incomplete watermarks (RIFL's rule): each request carries the
+// lowest call_id its caller has not yet finished (completed or timed out)
+// to this server. When the request executes, the server forgets that
+// caller's dedup entries below it, cached clones included; from then on it
+// drops any copy below it unexecuted and unreplayed. A server therefore
+// holds dedup state only for the calls each caller has not finished to it,
+// plus the last window of a caller that never calls it again. Only counted
+// calls (those the server keeps an entry for) hold the watermark or are
+// dropped by it. The watermark rides the fixed header and adds no event or
+// random draw.
 //
 // Hot path: requests are intrusively refcounted (no shared_ptr control
 // block), delivery/response closures are inline (no make_shared boxing),
-// the pending-call and dedup tables are flat open-addressed maps, and acks
-// sit in inline request slots and capacity-keeping per-node lists — one
-// request/response round trip allocates only the message objects themselves.
+// the pending-call table is a flat open-addressed map, and the per-peer
+// call windows are capacity-keeping vectors — one request/response round
+// trip allocates only the message objects and the cached clone.
 #ifndef ROCKSTEADY_SRC_RPC_RPC_SYSTEM_H_
 #define ROCKSTEADY_SRC_RPC_RPC_SYSTEM_H_
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <memory>
-#include <array>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,8 +109,8 @@ class RpcEndpoint {
   uint64_t responses_replayed() const { return responses_replayed_; }
 
   // Current duplicate-suppression cache population (regression tests assert
-  // this stays bounded over long runs).
-  size_t dedup_size() const { return dedup_.size(); }
+  // it stays within the callers' unfinished calls).
+  size_t dedup_size() const;
 
  private:
   friend class RpcSystem;
@@ -119,35 +120,46 @@ class RpcEndpoint {
   // wiped by a crash first) and stamped with the CoreSet epoch so that an
   // execution cut short by Halt() is re-run, not treated as in flight.
   struct DedupEntry {
+    uint64_t call_id = 0;
     uint64_t epoch = 0;
     bool done = false;
-    // Wire size of the released clone, once the caller acked it.
-    uint32_t acked_wire = 0;
-    std::unique_ptr<RpcResponse> response;  // Cached clone once done, until acked.
-    Tick completed_at = 0;
-
-    // What a retransmission of this completed call is answered with.
-    std::unique_ptr<RpcResponse> Replay() const;
+    std::unique_ptr<RpcResponse> response;  // Cached clone once done.
   };
 
-  // `retransmittable` = the caller armed a timeout, so more copies of this
-  // call_id can arrive later. When it is false and the fabric has never had
-  // a fault injector, this delivery is provably the only one — the endpoint
-  // skips dedup bookkeeping and the response-clone cache entirely.
-  void Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id,
-               bool retransmittable);
-  void Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id,
-               bool retransmittable);
-  void PruneDedup();
-  uint64_t CurrentEpoch() const;
+  // Server side: one caller's calls to this endpoint.
+  struct CallerWindow {
+    // Monotone: every counted call below it is finished at the caller.
+    uint64_t finished_below = 0;
+    // Sorted by call_id. Bounded by the caller's unfinished counted calls
+    // here plus those a later request has not yet moved the mark past.
+    std::vector<DedupEntry> entries;
 
-  // Server side: releases the cached responses `request` acks.
-  void ApplyAcks(const RpcRequest& request);
-  // Caller side: this node consumed `call_id`'s response from `server`.
-  void RecordAck(NodeId server, uint64_t call_id);
-  // Caller side: moves up to kMaxAcksPerRequest unsent acks for `server`
-  // into `request`; the rest wait for the next call.
-  void AttachAcks(NodeId server, RpcRequest* request);
+    std::vector<DedupEntry>::iterator LowerBound(uint64_t call_id);
+    DedupEntry* Find(uint64_t call_id);
+    // Raises the mark to `first_incomplete`, erasing the entries below it.
+    void Advance(uint64_t first_incomplete);
+    // A copy of `request` (call `call_id`) the caller already finished.
+    bool Stale(const RpcRequest& request, uint64_t call_id) const {
+      return request.counted && call_id < finished_below;
+    }
+  };
+
+  // Caller side: this node's counted call_ids to one server in issue order;
+  // [head, ids.size()) are the ones not yet seen finished. Keeps its
+  // capacity, so stamping allocates nothing per call.
+  struct IssuedCalls {
+    std::vector<uint64_t> ids;
+    size_t head = 0;
+  };
+
+  void Deliver(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id);
+  void Execute(NodeId from, IntrusivePtr<RpcRequest> request, uint64_t call_id);
+  uint64_t CurrentEpoch() const;
+  CallerWindow& WindowOf(NodeId caller);
+
+  // Caller side: records call `call_id` to `server` and returns the lowest
+  // counted call_id to it still pending (`call_id` itself if none).
+  uint64_t FirstIncomplete(NodeId server, uint64_t call_id, bool counted);
 
   RpcSystem* system_;
   NodeId node_;
@@ -157,23 +169,13 @@ class RpcEndpoint {
   // handler lookup is one load, not a hash probe.
   static constexpr size_t kMaxOpcodes = 64;
   std::array<Handler, kMaxOpcodes> handlers_;
-  // Bounded: every entry is tracked by dedup_created_ from creation and by
-  // dedup_fifo_ from completion; PruneDedup expires both after the
-  // rpc_dedup_retention_ns horizon, so long chaos runs cannot grow this.
-  FlatMap64<DedupEntry> dedup_;
-  // Bounded: drained by PruneDedup past the retention horizon.
-  std::deque<std::pair<Tick, uint64_t>> dedup_fifo_;  // (completed_at, call_id).
-  // Bounded: drained by PruneDedup past the retention horizon. Tracks every
-  // entry from creation so executions orphaned by a crash (never completed,
-  // stale epoch, hence never in dedup_fifo_) still expire.
-  std::deque<std::pair<Tick, uint64_t>> dedup_created_;  // (created_at, call_id).
-  // Caller side, indexed by server node: call_ids whose responses this node
-  // consumed and has not yet acked to that server. Touched only on this
-  // node's lane; the lists keep their capacity, so acking allocates nothing
-  // per call. Bounded by the most calls to one server outstanding at once:
-  // each call adds at most one ack and drains up to kMaxAcksPerRequest; the
-  // outer vector holds at most one list per node.
-  std::vector<std::vector<uint64_t>> unacked_;
+  // Indexed by caller node; grows to at most one window per node. Each
+  // window's entries are bounded as CallerWindow says.
+  std::vector<CallerWindow> callers_;
+  // Indexed by server node; touched only on this node's lane. Each list is
+  // bounded by the calls this node issued to that server while its oldest
+  // unfinished counted call there was pending.
+  std::vector<IssuedCalls> issued_;
   uint64_t duplicates_suppressed_ = 0;
   uint64_t responses_replayed_ = 0;
 };

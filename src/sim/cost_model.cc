@@ -52,7 +52,6 @@ void CostModel::Dilate(double factor) {
   scale_tick(rpc_retransmit_base_ns);
   scale_tick(rpc_retransmit_cap_ns);
   scale_tick(rpc_retransmit_jitter_ns);
-  scale_tick(rpc_dedup_retention_ns);
   scale_tick(migration_heartbeat_interval_ns);
   scale_tick(migration_lease_ns);
   scale_tick(ping_interval_ns);

@@ -154,9 +154,6 @@ struct CostModel {
   Tick rpc_retransmit_cap_ns = 2'000'000;
   // Max jitter added to each retransmission delay (uniform, seeded).
   Tick rpc_retransmit_jitter_ns = 20'000;
-  // How long a server remembers completed call_ids for duplicate
-  // suppression. Must exceed the longest client retransmission interval.
-  Tick rpc_dedup_retention_ns = 100 * kMillisecond;
   // Migration-manager heartbeat to the coordinator, and the lease the
   // coordinator grants: miss a whole lease and the migration is considered
   // stalled (crashed target) and is re-driven through recovery.

@@ -27,6 +27,9 @@ namespace rocksteady {
 namespace {
 
 constexpr TableId kTable = 1;
+// A few unfinished calls per caller; a master remembering 100 ms of calls
+// would hold 300-7,700 entries in the test below.
+constexpr size_t kMaxDedupEntries = 32;
 
 // A self-rescheduling timer chain: the pure-dispatch load with zero
 // application work (same shape as bench/engine_throughput.cc's dispatch
@@ -111,6 +114,15 @@ TEST(AllocRegressionTest, YcsbSteadyWindowHasZeroPoolMissedAllocations) {
   ASSERT_GT(actor_a.completed() + actor_b.completed(), 0u);
   EXPECT_EQ(cluster.lanes()->lane_sim(0).pool_stats().slab_allocations - slabs_before, 0u);
   EXPECT_EQ(InlineFunctionHeapFallbacks() - fallbacks_before, 0u);
+
+  // Each master's duplicate-suppression state covers only the calls its
+  // callers have not finished (first-incomplete watermarks).
+  for (Tick t = 41 * kMillisecond; t <= 50 * kMillisecond; t += kMillisecond) {
+    cluster.RunUntil(t);
+    for (size_t m = 0; m < cluster.num_masters(); m++) {
+      EXPECT_LE(cluster.master(m).endpoint().dedup_size(), kMaxDedupEntries) << "master " << m;
+    }
+  }
 }
 
 TEST(AllocRegressionTest, ThreadedLaneSteadyWindowHasZeroSlabGrowthPerLane) {

@@ -1,7 +1,7 @@
 // Fixture: handler-idempotency rule.
 //
-// The per-call_id dedup cache expires, so at-least-once delivery can
-// re-execute any handler. A registration must either carry
+// A retransmission re-runs a call whose execution a crash cut short, so
+// at-least-once delivery can re-execute any handler. A registration must either carry
 // ROCKSTEADY_IDEMPOTENT("why re-execution is safe") or guard itself with an
 // explicit dedup check.
 #include "src/common/annotations.h"

@@ -2,6 +2,7 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -350,43 +351,54 @@ TEST(RpcTest, ServerToServerCallsChargeBothDispatches) {
 }
 
 // Regression: the dedup cache must stay bounded under sustained traffic.
-// Completed entries expire through the completion fifo once past the
-// retention horizon, so the cache holds at most one retention window's worth
-// of calls regardless of how long the workload runs.
+// Each request carries its caller's first incomplete call_id, so the server
+// holds entries only for calls its caller has not finished (plus the last
+// window, until a later request moves the mark), however long the run.
 TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
   Fixture f;
   CoreSet server_cores(&f.sim, 1);
   RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
-  server->Register(Opcode::kWrite, [](RpcContext context) {
+  int issued = 0;
+  int completed = 0;
+  size_t peak = 0;
+  // Bursts of kBurst writes, each burst's calls overlapping one another.
+  constexpr int kBurst = 4;
+  server->Register(Opcode::kWrite, [&](RpcContext context) {
+    // Every entry is an unfinished call or one of the previous burst's,
+    // which the next burst's first request releases.
+    EXPECT_LE(server->dedup_size(), static_cast<size_t>(issued - completed + kBurst));
+    peak = std::max(peak, server->dedup_size());
     context.reply(std::make_unique<WriteResponse>());
   });
-  // One write per millisecond across ten retention horizons.
   const Tick spacing = kMillisecond;
-  const int calls = static_cast<int>(10 * f.costs.rpc_dedup_retention_ns / spacing);
-  int completed = 0;
-  for (int i = 0; i < calls; i++) {
+  const int bursts = 1000;
+  for (int i = 0; i < bursts; i++) {
     f.sim.At(static_cast<Tick>(i) * spacing, client->node(), [&] {
-      f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
-                 [&](Status status, std::unique_ptr<RpcResponse>) {
-                   EXPECT_EQ(status, Status::kOk);
-                   completed++;
-                 });
+      for (int j = 0; j < kBurst; j++) {
+        issued++;
+        f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
+                   [&](Status status, std::unique_ptr<RpcResponse>) {
+                     EXPECT_EQ(status, Status::kOk);
+                     completed++;
+                   },
+                   /*timeout=*/10 * kMillisecond);
+      }
     });
   }
   f.lanes.Run();
-  EXPECT_EQ(completed, calls);
-  // At most one retention window of entries (plus the handful whose expiry
-  // the final prune had not reached yet), not all `calls` of them.
-  const size_t window = static_cast<size_t>(f.costs.rpc_dedup_retention_ns / spacing);
-  EXPECT_LE(server->dedup_size(), window + 8);
-  EXPECT_LT(server->dedup_size(), static_cast<size_t>(calls) / 2);
+  EXPECT_EQ(completed, bursts * kBurst);
+  // Counted calls made entries, and no more than two bursts ever coexisted.
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, static_cast<size_t>(2 * kBurst));
+  // Only the last burst's window remains: no later request released it.
+  EXPECT_EQ(server->dedup_size(), static_cast<size_t>(kBurst));
 }
 
 // Regression: an execution wiped by a crash leaves a dedup entry that never
-// completes (no reply, so no completion-fifo record). The creation-time
-// fifo must expire it after the retention horizon — without that, every
-// crash leaks entries for the lifetime of the process.
+// completes (no reply). It goes once the caller's timed-out call falls below
+// a later request's watermark — without that, every crash leaks entries for
+// the lifetime of the process.
 TEST(RpcTest, DedupCacheExpiresCrashOrphanedEntries) {
   Fixture f;
   CoreSet server_cores(&f.sim, 1);
@@ -398,27 +410,35 @@ TEST(RpcTest, DedupCacheExpiresCrashOrphanedEntries) {
   server->Register(Opcode::kRead, [](RpcContext context) {
     context.reply(std::make_unique<ReadResponse>());
   });
+  Status got = Status::kOk;
   f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
-             [](Status, std::unique_ptr<RpcResponse>) {}, /*timeout=*/kMillisecond);
+             [&](Status status, std::unique_ptr<RpcResponse>) { got = status; },
+             /*timeout=*/kMillisecond);
   f.lanes.Run();
+  EXPECT_EQ(got, Status::kServerDown);  // The caller finished it by timing out.
   EXPECT_EQ(server->dedup_size(), 1u);  // Undone entry parked in the cache.
   // Crash-restart bumps the core epoch: the entry is now orphaned, not
-  // in flight.
+  // in flight. Time alone never expires it.
   server_cores.Halt();
   server_cores.Restart();
-  // Well past the retention horizon, any delivery triggers the prune.
-  f.sim.After(2 * f.costs.rpc_dedup_retention_ns, client->node(), [&] {
+  f.sim.After(kSecond, client->node(), [] {});
+  f.lanes.Run();
+  EXPECT_EQ(server->dedup_size(), 1u);
+  // The caller's next request carries a watermark past the timed-out call.
+  // It has no deadline on a fault-free fabric, so it makes no entry itself.
+  f.sim.After(kMillisecond, client->node(), [&] {
     f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
                [](Status status, std::unique_ptr<RpcResponse>) {
                  EXPECT_EQ(status, Status::kOk);
                });
   });
   f.lanes.Run();
-  EXPECT_LE(server->dedup_size(), 1u);  // Orphan expired; only the fresh call remains.
+  EXPECT_EQ(server->dedup_size(), 0u);
 }
 
-// --- Receipt acks: a caller's next call to a server acks the responses it
-// consumed, and the server drops their cached clones. ---
+// --- First-incomplete watermarks: a caller's next call to a server tells it
+// which calls the caller finished, and the server drops their dedup entries
+// and cached clones. ---
 
 // A response that counts its live and ever-built instances (the handler's
 // original and every clone), so a test sees when the dedup cache lets go.
@@ -446,8 +466,8 @@ struct CountedResponse : RpcResponse {
 };
 
 // The caller sits on lane 0 and the servers on the last lane: at two lanes,
-// with worker threads, each server reads its requests' acks on another
-// thread than the one that wrote them.
+// with worker threads, each server reads its requests' watermarks on
+// another thread than the one that wrote them.
 class RpcAckTest : public ::testing::TestWithParam<int> {
  protected:
   CostModel costs;
@@ -463,6 +483,10 @@ class RpcAckTest : public ::testing::TestWithParam<int> {
 // round trip and call 2's request (found by search; per-sender fault
 // streams make it lane-invariant).
 constexpr uint64_t kLateDuplicateSeed = 39;
+// An injector seed (max_extra_delay_ns = 400 ms) whose draws complete the
+// call in one attempt and land its duplicate over 100 ms after the reply
+// (found by search, like the one above).
+constexpr uint64_t kVeryLateDuplicateSeed = 3;
 
 // Server-side handler replying with a CountedResponse.
 void ReplyCounted(RpcContext context) { context.reply(std::make_unique<CountedResponse>()); }
@@ -478,7 +502,7 @@ void CallCounted(RpcSystem& rpc, NodeId from, NodeId to, int* callbacks) {
            /*timeout=*/10 * kMillisecond);
 }
 
-TEST_P(RpcAckTest, CachedCloneIsReleasedOnlyOnceItsCallerAcks) {
+TEST_P(RpcAckTest, CachedCloneIsReleasedOnlyOnceItsCallersWatermarkPassesIt) {
   CountedResponse::Reset();
   Network net(&lanes, &costs);
   RpcSystem rpc(&lanes, &net, &costs);
@@ -494,27 +518,30 @@ TEST_P(RpcAckTest, CachedCloneIsReleasedOnlyOnceItsCallerAcks) {
   CallCounted(rpc, client->node(), a->node(), &callbacks);
   lanes.Run();
   EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(CountedResponse::live, 1);  // A's cached clone; no ack yet.
+  EXPECT_EQ(CountedResponse::live, 1);  // A's cached clone; A has no later request.
 
-  // A call to another server carries no ack for A.
+  // A call to another server moves no watermark at A.
   CallCounted(rpc, client->node(), b->node(), &callbacks);
   lanes.Run();
   EXPECT_EQ(callbacks, 2);
   EXPECT_EQ(CountedResponse::live, 2);  // Both clones held.
+  EXPECT_EQ(a->dedup_size(), 1u);
 
-  // The next call to A acks the first: its clone goes, its entry stays.
+  // The next call to A carries a watermark past the first: its entry and
+  // clone go.
   CallCounted(rpc, client->node(), a->node(), &callbacks);
   lanes.Run();
   EXPECT_EQ(callbacks, 3);
   EXPECT_EQ(CountedResponse::live, 2);  // B's clone and A's second.
-  EXPECT_EQ(a->dedup_size(), 2u);
+  EXPECT_EQ(a->dedup_size(), 1u);
+  EXPECT_EQ(b->dedup_size(), 1u);
   EXPECT_EQ(CountedResponse::built, 6);  // Three replies, three clones.
 }
 
-// A network duplicate of call 1's request lands after call 2 acked call 1:
-// the handler still runs once, the replay costs the original wire bytes,
-// and the caller's NIC drops it before any callback.
-TEST_P(RpcAckTest, DuplicateArrivingAfterTheAckReplaysOnlyTheSize) {
+// A network duplicate of call 1's request lands after call 2's request
+// moved the caller's watermark past call 1: the server drops it unexecuted
+// and unreplayed, so the handler runs once and no replay crosses the wire.
+TEST_P(RpcAckTest, DuplicateArrivingAfterTheWatermarkIsDroppedAtTheServer) {
   CountedResponse::Reset();
   // The checks below fail if the seed stops delaying the duplicate enough.
   FaultInjector injector({.seed = kLateDuplicateSeed, .max_extra_delay_ns = 40'000});
@@ -535,7 +562,7 @@ TEST_P(RpcAckTest, DuplicateArrivingAfterTheAckReplaysOnlyTheSize) {
   injector.DuplicateNext(client->node(), server->node(), 1);
 
   int callbacks = 0;
-  int acking_callbacks = 0;
+  int later_callbacks = 0;
   const size_t write_wire = WriteRequest().WireSize();
   const size_t read_wire = ReadRequest().WireSize();
   const size_t read_reply_wire = ReadResponse().WireSize();
@@ -544,12 +571,12 @@ TEST_P(RpcAckTest, DuplicateArrivingAfterTheAckReplaysOnlyTheSize) {
              EXPECT_EQ(status, Status::kOk);
              EXPECT_NE(dynamic_cast<CountedResponse*>(response.get()), nullptr);
              callbacks++;
-             // Call 2 carries the ack for call 1.
+             // Call 2's watermark passes call 1.
              rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
                       [&](Status status2, std::unique_ptr<RpcResponse> response2) {
                         EXPECT_EQ(status2, Status::kOk);
                         EXPECT_NE(dynamic_cast<ReadResponse*>(response2.get()), nullptr);
-                        acking_callbacks++;
+                        later_callbacks++;
                       },
                       /*timeout=*/10 * kMillisecond);
            },
@@ -560,17 +587,64 @@ TEST_P(RpcAckTest, DuplicateArrivingAfterTheAckReplaysOnlyTheSize) {
   EXPECT_EQ(rpc.retransmissions(), 0u);
   EXPECT_EQ(executions, 1);
   EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(acking_callbacks, 1);
-  EXPECT_EQ(server->responses_replayed(), 1u);
-  // The replay was built after the ack: no third CountedResponse (the
-  // reply and its cache clone), and the clone is gone.
+  EXPECT_EQ(later_callbacks, 1);
+  EXPECT_EQ(server->responses_replayed(), 0u);
+  EXPECT_EQ(server->duplicates_suppressed(), 1u);
+  // The reply and its cache clone, and the clone went with call 1's entry.
   EXPECT_EQ(CountedResponse::built, 2);
   EXPECT_EQ(CountedResponse::live, 0);
-  // Every byte charged: two requests, two replies and the replay at the
-  // original reply's full wire size.
+  // Two requests and two replies; the dropped duplicate sent nothing back.
   EXPECT_EQ(net.total_bytes_sent(),
-            write_wire + read_wire + CountedResponse::kWire + read_reply_wire +
-                CountedResponse::kWire);
+            write_wire + read_wire + CountedResponse::kWire + read_reply_wire);
+}
+
+// A network duplicate of a completed write, delayed well past any
+// round trip, with no later request to move the caller's watermark: its
+// entry is still there, so the server replays the reply and the handler
+// does not run again, however late the copy lands.
+TEST_P(RpcAckTest, LateDuplicateOfACompletedWriteNeverRunsTwice) {
+  CountedResponse::Reset();
+  // One long attempt: the call completes without retransmitting, so the
+  // duplicate is the only extra copy.
+  costs.rpc_retransmit_base_ns = kSecond;
+  costs.rpc_retransmit_cap_ns = kSecond;
+  FaultInjector injector(
+      {.seed = kVeryLateDuplicateSeed, .max_extra_delay_ns = 400 * kMillisecond});
+  Network net(&lanes, &costs);
+  net.SetFaultInjector(&injector);
+  RpcSystem rpc(&lanes, &net, &costs);
+  RpcEndpoint* client = rpc.CreateEndpoint(nullptr, 0);
+  CoreSet server_cores(&server_sim, 1);
+  RpcEndpoint* server = rpc.CreateEndpoint(&server_cores, server_lane);
+  int executions = 0;
+  uint64_t extra_copies_at_probe = 1;
+  server->Register(Opcode::kWrite, [&](RpcContext context) {
+    if (executions++ == 0) {
+      // A probe on the server's node, just over 100 ms after the reply.
+      context.sim->After(101 * kMillisecond, server->node(), [&] {
+        extra_copies_at_probe = server->responses_replayed() + server->duplicates_suppressed();
+      });
+    }
+    ReplyCounted(std::move(context));
+  });
+  injector.DuplicateNext(client->node(), server->node(), 1);
+  int callbacks = 0;
+  rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
+           [&](Status status, std::unique_ptr<RpcResponse> response) {
+             EXPECT_EQ(status, Status::kOk);
+             EXPECT_NE(dynamic_cast<CountedResponse*>(response.get()), nullptr);
+             callbacks++;
+           },
+           /*timeout=*/2 * kSecond);
+  lanes.Run();
+
+  EXPECT_EQ(net.injected_duplicates(), 1u);
+  EXPECT_EQ(rpc.retransmissions(), 0u);
+  EXPECT_EQ(callbacks, 1);
+  // The seed lands the duplicate after the probe.
+  EXPECT_EQ(extra_copies_at_probe, 0u);
+  EXPECT_EQ(executions, 1);
+  EXPECT_EQ(server->responses_replayed(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lanes, RpcAckTest, ::testing::Values(1, 2),

@@ -20,9 +20,9 @@ flow), in four rules that gate the move to sharded execution (ROADMAP 1):
                        (suppress per line: lint:allow-unchecked: <reason>)
   handler-idempotency  RPC handlers registered without an idempotency
                        review: annotate ROCKSTEADY_IDEMPOTENT("why") or
-                       guard with an explicit dedup check — the per-call_id
-                       dedup cache expires, so at-least-once delivery can
-                       re-execute any handler
+                       guard with an explicit dedup check — a retransmission
+                       re-runs a call whose execution a crash cut short, so
+                       at-least-once delivery can re-execute any handler
 
 Frontend: a token/scope pass with no dependencies (tools/analyzer/
 frontend_tokens.py). Grandfathered findings live in

@@ -111,7 +111,7 @@ def check_tu(facts, index, raw_lines=None):
             rule=RULE_HANDLER, file=reg.file, line=reg.line,
             message=(f"handler for Opcode::{reg.opcode} is registered "
                      "without an idempotency review: a retransmission after "
-                     "its dedup entry expires re-executes it. Annotate the "
+                     "a crash cut its execution short re-executes it. Annotate the "
                      "registration ROCKSTEADY_IDEMPOTENT(\"why re-execution "
                      "is safe\") or guard the handler with its own dedup "
                      "check")))
