@@ -20,6 +20,10 @@
 #include <cstring>
 #include <optional>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "bench/experiment_common.h"
 #include "src/migration/rocksteady_target.h"
 
@@ -130,11 +134,24 @@ void RunMode(const char* name, MigrationMode mode) {
   PrintNetworkFaultCounters(cluster);
 }
 
+// The three modes run in one process, so without care its peak RSS depends
+// on what the allocator kept from earlier modes, not on the model. glibc
+// raises its mmap threshold each time a large mmapped block is freed; a
+// later mode's segments and hash tables then come from the heap, where
+// freed memory stays mapped. Pin the threshold (glibc's initial 128 KiB) so
+// every mode's large blocks are mmapped and unmapped on free.
+void PinAllocatorBehavior() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
+}
+
 }  // namespace
 }  // namespace rocksteady
 
 int main(int argc, char** argv) {
   using namespace rocksteady;
+  PinAllocatorBehavior();
   std::printf("Figures 9/10/11: YCSB-B during live migration\n");
   (void)kDilation;
   std::printf("Workload: YCSB-B theta=0.99, %d clients, source at ~80%% dispatch load;\n",

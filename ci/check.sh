@@ -80,10 +80,12 @@ step "scenario matrix smoke: every operational scenario at seed 0 (20-seed suite
 step "overload protection: admission control, load shedding, memory budget"
 "${ROOT}/build-asan/tests/overload_test"
 
-step "rpc dedup cache holds only unfinished calls and frees their replies"
+step "rpc dedup cache holds only unfinished calls and frees their replies; completed calls leave no timers"
 # The watermark tests (RpcAckTest) run at one lane and at two threaded
-# lanes; ASan checks the cached clones erased with their entries.
-"${ROOT}/build-asan/tests/rpc_test" --gtest_filter='*Dedup*:*Ack*:*Watermark*:*Duplicate*'
+# lanes; ASan checks the cached clones erased with their entries, and the
+# callbacks of timers a completed call cancels, released in place.
+"${ROOT}/build-asan/tests/rpc_test" \
+  --gtest_filter='*Dedup*:*Ack*:*Watermark*:*Duplicate*:*Timers*:*RoundTripDispatches*'
 
 step "backup replicas: shared segment bytes match a private copy and outlive the master's"
 # Replicas, BackupWrites and recovery data hold slices of the masters'
@@ -142,7 +144,10 @@ cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
 
 step "test: TSan fast subset (determinism core + threaded lane barriers)"
 "${ROOT}/build-tsan/tests/sim_determinism_test"
+# rpc_test includes the timer-withdrawal tests; RpcAckTest cancels timers
+# on a caller lane while a server lane runs on another thread.
 "${ROOT}/build-tsan/tests/rpc_test"
+"${ROOT}/build-tsan/tests/engine_test" --gtest_filter='TimerTest.*:CalendarQueueTest.*'
 "${ROOT}/build-tsan/tests/backup_service_test"
 # The multi-lane suite under TSan is the race gate for sharded execution:
 # every parameterized case (the 24-master scale24 shape, and the recovery and

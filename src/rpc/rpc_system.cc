@@ -38,31 +38,42 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   pending.request->counted = timeout > 0 || net_->faults_ever_installed();
   pending.request->first_incomplete =
       Endpoint(from)->FirstIncomplete(to, call_id, pending.request->counted);
-  PendingFor(call_id)[call_id] = std::move(pending);
-
   if (timeout > 0) {
-    csim->At(deadline, from, [this, csim, call_id, op, from, to] {
+    auto expire = [this, csim, call_id, op, from, to] {
+      // A call that completes first cancels this event, so it is pending.
       FlatMap64<PendingCall>& table = PendingFor(call_id);
       PendingCall* pending = table.Find(call_id);
-      if (pending == nullptr) {
-        return;  // Already completed.
-      }
+      ROCKSTEADY_DCHECK(pending != nullptr);
+      pending->deadline_timer = Simulator::Timer();  // Running: spent.
       LOG_DEBUG("rpc timeout: op=%d %u->%u after %d attempts at t=%.6f s", static_cast<int>(op),
                 from, to, pending->attempts, static_cast<double>(csim->now()) / 1e9);
-      ResponseCallback cb = std::move(pending->cb);
-      table.Erase(call_id);
-      cb(Status::kServerDown, nullptr);
-    });
+      Finish(table, call_id, pending)(Status::kServerDown, nullptr);
+    };
+    pending.deadline_timer = csim->AtCancellable(deadline, from, std::move(expire));
   }
+  PendingFor(call_id)[call_id] = std::move(pending);
   SendAttempt(call_id);
 }
 
-void RpcSystem::SendAttempt(uint64_t call_id) {
-  FlatMap64<PendingCall>& table = PendingFor(call_id);
-  PendingCall* pending = table.Find(call_id);
-  if (pending == nullptr) {
-    return;  // Completed or deadlined while the retransmit timer was armed.
+RpcSystem::ResponseCallback RpcSystem::Finish(FlatMap64<PendingCall>& table, uint64_t call_id,
+                                              PendingCall* pending) {
+  Simulator* csim = SimFor(pending->caller);
+  if (pending->deadline_timer.armed()) {
+    csim->Cancel(&pending->deadline_timer);
   }
+  if (pending->retransmit_timer.armed()) {
+    csim->Cancel(&pending->retransmit_timer);
+  }
+  ResponseCallback cb = std::move(pending->cb);
+  table.Erase(call_id);
+  return cb;
+}
+
+void RpcSystem::SendAttempt(uint64_t call_id) {
+  // A call that finishes cancels its retransmit timer, so it is pending.
+  PendingCall* pending = PendingFor(call_id).Find(call_id);
+  ROCKSTEADY_DCHECK(pending != nullptr);
+  pending->retransmit_timer = Simulator::Timer();  // Spent, if this attempt is its event.
   pending->attempts++;
   if (pending->attempts > 1) {
     lane_retransmissions_[static_cast<size_t>(lanes_->lane_of(pending->caller))].value++;
@@ -101,7 +112,8 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   if (at >= pending->deadline) {
     return;
   }
-  csim->At(at, from, [this, call_id] { SendAttempt(call_id); });
+  pending->retransmit_timer =
+      csim->AtCancellable(at, from, [this, call_id] { SendAttempt(call_id); });
 }
 
 uint64_t RpcEndpoint::FirstIncomplete(NodeId server, uint64_t call_id, bool counted) {
@@ -321,9 +333,7 @@ void RpcSystem::TransmitResponse(uint64_t call_id, NodeId server_node,
                  if (resp == nullptr) {
                    return;  // This network-duplicated copy lost the move race.
                  }
-                 ResponseCallback cb = std::move(pending->cb);
-                 table.Erase(call_id);
-                 cb(Status::kOk, std::move(resp));
+                 Finish(table, call_id, pending)(Status::kOk, std::move(resp));
                };
                if (endpoint != nullptr && endpoint->cores() != nullptr) {
                  // Responses are polled off the NIC by the caller's dispatch core too.

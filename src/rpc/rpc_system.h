@@ -12,7 +12,9 @@
 // A call with a timeout retransmits its request — same call_id — with
 // capped exponential backoff plus seeded jitter until a response arrives or
 // the overall deadline expires (then the callback fires with
-// Status::kServerDown and a null response). The server side suppresses
+// Status::kServerDown and a null response). A call that finishes first
+// withdraws its armed deadline and retransmit timers (Simulator::Cancel),
+// so a completed call leaves no event behind. The server side suppresses
 // duplicate executions per call_id: a retransmission of a completed call
 // replays the cached (cloned) response; one that races a still-executing
 // handler is dropped. A call with timeout zero is sent exactly once and
@@ -253,6 +255,10 @@ class RpcSystem {
     // moving payload out of the request on its own lane while the caller
     // retransmits, so attempts must not re-measure the shared object.
     size_t wire = 0;
+    // The caller's deadline and next-retransmission events, withdrawn when
+    // the call finishes first. Each is cleared when its own event runs.
+    Simulator::Timer deadline_timer;
+    Simulator::Timer retransmit_timer;
   };
 
   // Per-lane and per-node slots sit a cache line apart so lanes never
@@ -279,6 +285,9 @@ class RpcSystem {
   // Transmits one attempt of a pending call and, when a deadline is set,
   // arms the next retransmission.
   void SendAttempt(uint64_t call_id);
+  // Caller side: withdraws `pending`'s armed timers, erases it from `table`
+  // and returns its callback.
+  ResponseCallback Finish(FlatMap64<PendingCall>& table, uint64_t call_id, PendingCall* pending);
   // Server side: routes a response (fresh or replayed) back to the caller.
   // The pending entry is erased only when the response reaches the caller,
   // so a lost response leaves the retransmission path armed.

@@ -46,6 +46,7 @@ Simulator::Event* Simulator::AllocEvent() {
 void Simulator::FreeEvent(Event* e) {
   // The callback must already be destroyed (fn = nullptr) by the caller so
   // captured resources are released before the event idles in the pool.
+  e->prev = e;  // Out of the queue: a Timer on it is spent.
   e->next = free_list_;
   free_list_ = e;
   free_count_++;
@@ -89,12 +90,27 @@ void Simulator::AdvanceWindowTo(uint64_t new_base) {
   win_base_ = new_base;
   scan_ab_ = std::max(scan_ab_, win_base_);
   // Adopt every overflow event that now falls inside the window. They pop
-  // in (time, seq) order, so each lands at its bucket's tail in O(1).
+  // in (time, seq) order, so each lands at its bucket's tail in O(1);
+  // cancelled ones go back to the pool instead.
   while (!overflow_.empty() && BucketOf(overflow_.front()->time) < win_base_ + kNumBuckets) {
     std::pop_heap(overflow_.begin(), overflow_.end(), &EventLater);
     Event* e = overflow_.back();
     overflow_.pop_back();
-    InsertRing(e, BucketOf(e->time));
+    if (e->next == e) {
+      overflow_cancelled_--;
+      FreeEvent(e);
+    } else {
+      InsertRing(e, BucketOf(e->time));
+    }
+  }
+}
+
+void Simulator::DropCancelledOverflowFront() {
+  while (overflow_cancelled_ > 0 && overflow_.front()->next == overflow_.front()) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), &EventLater);
+    FreeEvent(overflow_.back());
+    overflow_.pop_back();
+    overflow_cancelled_--;
   }
 }
 
@@ -121,6 +137,7 @@ uint64_t Simulator::FirstOccupiedBucket() {
 
 Simulator::Event* Simulator::PopMinUpTo(Tick last) {
   if (ring_count_ == 0) {
+    DropCancelledOverflowFront();
     if (overflow_.empty() || overflow_.front()->time > last) {
       return nullptr;
     }
@@ -142,6 +159,12 @@ Simulator::Event* Simulator::PopMinUpTo(Tick last) {
     occupancy_[slot >> 6] &= ~(1ull << (slot & 63));
   }
   ring_count_--;
+  e->prev = e;  // Out of the queue: a Timer on it is spent.
+  // Slide the window with the clock: it starts at the bucket being
+  // dispatched, so it always reaches a full window ahead of now().
+  if (ab > win_base_) {
+    AdvanceWindowTo(ab);
+  }
   return e;
 }
 
@@ -152,6 +175,7 @@ bool Simulator::PeekMinTime(Tick* t) {
     *t = buckets_[ab & kBucketMask].head->time;
     return true;
   }
+  DropCancelledOverflowFront();
   if (!overflow_.empty()) {
     *t = overflow_.front()->time;
     return true;
@@ -179,7 +203,9 @@ void Simulator::At(Tick t, EventFn fn) {
   At(t, running_node_ != kNoNode ? running_node_ : root_node_, std::move(fn));
 }
 
-void Simulator::At(Tick t, NodeId node, EventFn fn) {
+void Simulator::At(Tick t, NodeId node, EventFn fn) { AtCancellable(t, node, std::move(fn)); }
+
+Simulator::Timer Simulator::AtCancellable(Tick t, NodeId node, EventFn fn) {
   // Scheduling in the past would silently reorder the event ahead of
   // already-queued same-tick work; treat it as a bug, and clamp in release
   // so the clock still never rewinds.
@@ -187,7 +213,50 @@ void Simulator::At(Tick t, NodeId node, EventFn fn) {
   if (t < now_) {
     t = now_;
   }
-  Enqueue(t, LaneKey(node), std::move(fn));
+  Timer timer;
+  timer.event_ = Enqueue(t, LaneKey(node), std::move(fn));
+  timer.seq_ = timer.event_->seq;
+  return timer;
+}
+
+void Simulator::Cancel(Timer* timer) {
+  ROCKSTEADY_DCHECK(timer->armed());  // Each timer is cancelled at most once.
+  Event* e = timer->event_;
+  // The pool slot still holds the timer's event (its key is unique), and
+  // that event is still queued: not dispatched and not cancelled before.
+  const bool same_event = e->seq == timer->seq_;
+  const bool still_queued = e->prev != e && e->next != e;
+  ROCKSTEADY_DCHECK(same_event);
+  ROCKSTEADY_DCHECK(still_queued);
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr ||
+                    lane_set_->lane_of(static_cast<NodeId>(e->seq >> kExecShift)) == lane_);
+  *timer = Timer();
+  e->fn = nullptr;  // Release captures now, wherever the event waits.
+  const uint64_t ab = BucketOf(e->time);
+  if (ab >= win_base_ + kNumBuckets) {
+    // Overflow heap: no O(1) removal, so mark it; it is dropped when it
+    // reaches the heap's front or the window adopts it.
+    e->next = e;
+    overflow_cancelled_++;
+    return;
+  }
+  const size_t slot = ab & kBucketMask;
+  BucketList& bucket = buckets_[slot];
+  if (e->prev != nullptr) {
+    e->prev->next = e->next;
+  } else {
+    bucket.head = e->next;
+  }
+  if (e->next != nullptr) {
+    e->next->prev = e->prev;
+  } else {
+    bucket.tail = e->prev;
+  }
+  if (bucket.head == nullptr) {
+    occupancy_[slot >> 6] &= ~(1ull << (slot & 63));
+  }
+  ring_count_--;
+  FreeEvent(e);
 }
 
 // --- Keys and dispatch (a LaneSet drives the window loop; lane_set.cc). ---
@@ -207,7 +276,7 @@ uint64_t Simulator::LaneKey(NodeId exec) {
   return uint64_t{exec} << kExecShift | origin << kCounterBits | counter;
 }
 
-void Simulator::Enqueue(Tick t, uint64_t key, EventFn fn) {
+Simulator::Event* Simulator::Enqueue(Tick t, uint64_t key, EventFn fn) {
   // Every event names the node it runs on, and only that node's lane may
   // queue it: this is what keeps per-node state single-threaded.
   ROCKSTEADY_DCHECK(lane_set_ == nullptr ||
@@ -218,6 +287,7 @@ void Simulator::Enqueue(Tick t, uint64_t key, EventFn fn) {
   e->seq = key;
   e->fn = std::move(fn);
   InsertQueued(e);
+  return e;
 }
 
 size_t Simulator::RunWindow(Tick end) {

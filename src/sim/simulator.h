@@ -10,13 +10,15 @@
 // Engine (see DESIGN.md "Engine performance" and "Sharded execution"):
 // events are 128-byte slab-pooled objects whose callbacks live inline
 // (EventFn), organized in a calendar queue — a ring of fixed-width time
-// buckets covering a sliding window, with a min-heap overflow for events
-// beyond the horizon. The schedule → dispatch → free cycle touches no
-// allocator. Every event runs on a node and carries a key fixed when it is
-// scheduled, (time, origin node, origin-local counter): equal-time events
-// on one node run in (origin, counter) order, so each origin's events stay
-// FIFO. A Simulator is one lane of a LaneSet; a standalone Simulator (unit
-// tests, micro-benches) is the same engine with one lane holding one node.
+// buckets covering a window that slides with the clock, with a min-heap
+// overflow for events beyond the horizon. The schedule → dispatch → free
+// cycle touches no allocator, and an event scheduled with AtCancellable can
+// be withdrawn in O(1) before it runs. Every event runs on a node and
+// carries a key fixed when it is scheduled, (time, origin node, origin-local
+// counter): equal-time events on one node run in (origin, counter) order,
+// so each origin's events stay FIFO. A Simulator is one lane of a LaneSet;
+// a standalone Simulator (unit tests, micro-benches) is the same engine with
+// one lane holding one node.
 #ifndef ROCKSTEADY_SRC_SIM_SIMULATOR_H_
 #define ROCKSTEADY_SRC_SIM_SIMULATOR_H_
 
@@ -43,7 +45,24 @@ using EventFn = InlineFunction<void(), kEventInlineBytes>;
 class LaneSet;
 
 class Simulator {
+ private:
+  struct Event;
+
  public:
+  // A handle on one event scheduled with AtCancellable. It does not own the
+  // event: its holder clears it (`timer = Timer()`) when the event runs, and
+  // Cancel clears it. An event is cancelled at most once and never after it
+  // ran (both DCHECKed).
+  class Timer {
+   public:
+    bool armed() const { return event_ != nullptr; }
+
+   private:
+    friend class Simulator;
+    Event* event_ = nullptr;
+    uint64_t seq_ = 0;  // The event's key; a reused pool slot carries another.
+  };
+
   // A standalone simulator: one lane holding node 0.
   Simulator();
 
@@ -67,6 +86,16 @@ class Simulator {
   void At(Tick t, EventFn fn);
   // Runs `fn` on `node`, which must belong to this simulator's lane.
   void At(Tick t, NodeId node, EventFn fn);
+
+  // At(t, node, fn) that can be withdrawn with Cancel. The event's key is
+  // allocated exactly as At allocates it, so arming a timer never reorders
+  // other events.
+  Timer AtCancellable(Tick t, NodeId node, EventFn fn);
+  // Withdraws `timer`'s event and clears the handle. A cancelled event never
+  // runs and is never counted or mixed into a digest. In the ring it goes
+  // back to the pool at once; in the overflow heap its callback is released
+  // at once and the slot is dropped when the window reaches it.
+  void Cancel(Timer* timer);
 
   void After(Tick delay, EventFn fn) { At(now_ + delay, std::move(fn)); }
   void After(Tick delay, NodeId node, EventFn fn) { At(now_ + delay, node, std::move(fn)); }
@@ -104,12 +133,12 @@ class Simulator {
   // rewinds (checked error in debug builds; no-op in release builds).
   size_t RunUntil(Tick t);
 
-  bool Idle() const { return ring_count_ == 0 && overflow_.empty(); }
+  bool Idle() const { return ring_count_ == 0 && overflow_.size() == overflow_cancelled_; }
   size_t events_processed() const { return events_processed_; }
 
   // Standalone only: order-sensitive digest of every event dispatched so
-  // far, mixed from each event's (time, key). A LaneSet keeps one digest
-  // per node (LaneSet::trace_hash).
+  // far (cancelled events never are), mixed from each event's (time, key).
+  // A LaneSet keeps one digest per node (LaneSet::trace_hash).
   uint64_t trace_hash() const { return solo_clock_.digest; }
 
   // Event-pool telemetry. In steady state the free list satisfies every
@@ -121,16 +150,22 @@ class Simulator {
     uint64_t free_events = 0;       // Pooled, ready for reuse.
   };
   PoolStats pool_stats() const {
-    return PoolStats{slab_allocations_, ring_count_ + overflow_.size(),
+    return PoolStats{slab_allocations_, ring_count_ + overflow_.size() - overflow_cancelled_,
                      free_count_};
   }
+
+  // Events waiting in the overflow heap, cancelled ones included (tests pin
+  // where an event lands).
+  size_t overflow_size() const { return overflow_.size(); }
 
  private:
   friend class LaneSet;
 
   // One pooled event: two cache lines (32 bytes of links + 96-byte EventFn).
   // prev/next double as the intrusive bucket-list links and, for free
-  // events, the free-list thread (next only).
+  // events, the free-list thread (next only). They also mark the states a
+  // Timer may find its event in: prev == self once the event left the queue
+  // (dispatched or free); next == self for a cancelled overflow event.
   struct Event {
     Tick time = 0;
     // Same-time tie-break: the key [executing node | origin node + 1 |
@@ -142,10 +177,12 @@ class Simulator {
   };
   static_assert(sizeof(Event) == 128, "Event should stay two cache lines");
 
-  // Calendar geometry: 8192 buckets of 1024 ns cover an ~8.4 ms window —
-  // wider than the RPC timeout, so nearly all events land in the ring.
-  // Later events (leases, deadlines) wait in the overflow heap and are
-  // adopted when the window slides over them.
+  // Calendar geometry: 8192 buckets of 1024 ns cover an ~8.4 ms window
+  // that starts at the bucket of the last dispatched event, so everything
+  // up to ~8.4 ms ahead of the clock — every RPC deadline included — lands
+  // in the ring, where Cancel is O(1). Later events (leases, long timers)
+  // wait in the overflow heap and are adopted as the window slides over
+  // them.
   static constexpr int kBucketWidthLog2 = 10;
   static constexpr size_t kNumBuckets = 8192;
   static constexpr size_t kBucketMask = kNumBuckets - 1;
@@ -190,7 +227,7 @@ class Simulator {
   // The key of an event this context schedules onto `exec`.
   uint64_t LaneKey(NodeId exec);
   // Allocates and queues an event under `key`.
-  void Enqueue(Tick t, uint64_t key, EventFn fn);
+  Event* Enqueue(Tick t, uint64_t key, EventFn fn);
   // Runs every queued event with time < `end`, mixing each node's digest.
   // Returns events dispatched.
   size_t RunWindow(Tick end);
@@ -199,6 +236,8 @@ class Simulator {
   void FreeEvent(Event* e);
   // Ring-or-overflow insertion of a fully formed event (time, seq, fn set).
   void InsertQueued(Event* e);
+  // Pops cancelled events off the overflow heap's front into the pool.
+  void DropCancelledOverflowFront();
   void InsertRing(Event* e, uint64_t ab);
   // Slides the window so `new_base` is its first bucket and adopts every
   // overflow event that now falls inside it.
@@ -225,6 +264,7 @@ class Simulator {
   uint64_t scan_ab_ = 0;   // Monotone scan cursor (absolute bucket number).
   size_t ring_count_ = 0;
   std::vector<Event*> overflow_;  // Min-heap on (time, seq).
+  size_t overflow_cancelled_ = 0;  // Cancelled events still in overflow_.
 
   // Slab pool.
   std::vector<std::unique_ptr<Event[]>> slabs_;

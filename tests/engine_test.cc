@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -101,6 +102,150 @@ TEST(CalendarQueueTest, TraceHashIsDeterministicAndOrderSensitive) {
   EXPECT_EQ(run(200), run(200));     // Same schedule, same hash.
   EXPECT_NE(run(200), run(300));     // Any timing change perturbs it.
 }
+
+// ---------------------------------------------------- Cancellable timers.
+
+// Three events in one 1024 ns bucket, the `cancel`-th withdrawn before the
+// run: the other two run in order, and the withdrawn one is neither counted
+// nor mixed into the digest.
+void CancelOneOfThreeInABucket(size_t cancel) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<Simulator::Timer> timers;
+  for (int i = 0; i < 3; i++) {
+    timers.push_back(sim.AtCancellable(100 + 100 * i, 0, [&order, i] { order.push_back(i); }));
+  }
+  sim.Cancel(&timers[cancel]);
+  EXPECT_FALSE(timers[cancel].armed());
+  EXPECT_EQ(sim.pool_stats().live_events, 2u);
+  std::vector<int> expected;
+  for (int i = 0; i < 3; i++) {
+    if (static_cast<size_t>(i) != cancel) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(sim.Run(), 2u);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.pool_stats().live_events, 0u);
+}
+
+TEST(TimerTest, CancelHeadMiddleOrTailOfABucket) {
+  for (size_t cancel = 0; cancel < 3; cancel++) {
+    SCOPED_TRACE(cancel);
+    CancelOneOfThreeInABucket(cancel);
+  }
+}
+
+TEST(TimerTest, CancellingABucketsOnlyEventEmptiesIt) {
+  // The occupancy scan must skip the emptied bucket (an occupancy bit left
+  // set would send the scan to a bucket with no head).
+  Simulator sim;
+  int ran = 0;
+  Simulator::Timer only = sim.AtCancellable(5'000, 0, [&] { ran += 100; });
+  sim.At(9'000, [&] { ran++; });
+  const uint64_t digest_before = sim.trace_hash();
+  sim.Cancel(&only);
+  EXPECT_EQ(sim.RunUntil(5'000), 0u);
+  EXPECT_EQ(sim.trace_hash(), digest_before);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(TimerTest, CancelledOverflowEventNeverRunsAndReturnsToThePool) {
+  Simulator sim;
+  int ran = 0;
+  Simulator::Timer far = sim.AtCancellable(kBeyondHorizon, 0, [&] { ran++; });
+  EXPECT_EQ(sim.overflow_size(), 1u);
+  const uint64_t digest_before = sim.trace_hash();
+  sim.Cancel(&far);
+  // Only a cancelled event remains: the simulator is idle, with nothing live.
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_EQ(sim.pool_stats().live_events, 0u);
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(sim.trace_hash(), digest_before);
+  EXPECT_EQ(sim.overflow_size(), 0u);
+  const Simulator::PoolStats stats = sim.pool_stats();
+  EXPECT_EQ(stats.free_events, stats.slab_allocations * 1024);  // Every slot is back.
+}
+
+TEST(TimerTest, CancelledOverflowEventIsDroppedWhenTheWindowAdoptsIt) {
+  // A chain of events walks the clock past the cancelled event's time, so
+  // the window adopts it mid-run rather than finding it at the heap's front.
+  Simulator sim;
+  int far_ran = 0;
+  int steps = 0;
+  Simulator::Timer far = sim.AtCancellable(20 * kMillisecond, 0, [&] { far_ran++; });
+  sim.At(30 * kMillisecond, [] {});  // Keeps one live overflow event behind it.
+  sim.Cancel(&far);
+  std::function<void()> step = [&] {
+    if (++steps < 30) {
+      sim.After(kMillisecond, [&] { step(); });
+    }
+  };
+  sim.At(kMillisecond, [&] { step(); });
+  EXPECT_EQ(sim.Run(), 31u);  // 30 steps and the 30 ms event.
+  EXPECT_EQ(far_ran, 0);
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_EQ(sim.overflow_size(), 0u);
+}
+
+TEST(TimerTest, WindowSlidesWithTheClock) {
+  // From 5 ms into the first window, an event 8 ms ahead is within one
+  // window of the clock, so it lands in the ring, not the overflow heap.
+  Simulator sim;
+  bool ran = false;
+  sim.At(5 * kMillisecond, [&] {
+    sim.After(8 * kMillisecond, [&] { ran = true; });
+    EXPECT_EQ(sim.overflow_size(), 0u);
+  });
+  sim.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 13 * kMillisecond);
+}
+
+TEST(TimerTest, TimerArmedInsideAnEventCancelsFromAnother) {
+  // The RPC pattern: one event arms a timer, a later one withdraws it.
+  Simulator sim;
+  Simulator::Timer deadline;
+  bool fired = false;
+  sim.At(100, [&] {
+    deadline = sim.AtCancellable(sim.now() + 5 * kMillisecond, 0, [&] {
+      deadline = Simulator::Timer();
+      fired = true;
+    });
+  });
+  sim.At(200, [&] { sim.Cancel(&deadline); });
+  EXPECT_EQ(sim.Run(), 2u);
+  EXPECT_FALSE(fired);
+  EXPECT_FALSE(deadline.armed());
+}
+
+#if ROCKSTEADY_DCHECK_ENABLED
+
+TEST(TimerDeathTest, CancellingTwiceIsFatal) {
+  Simulator sim;
+  Simulator::Timer timer = sim.AtCancellable(100, 0, [] {});
+  Simulator::Timer copy = timer;
+  sim.Cancel(&timer);
+  EXPECT_DEATH(sim.Cancel(&timer), "armed");
+  EXPECT_DEATH(sim.Cancel(&copy), "still_queued");
+}
+
+TEST(TimerDeathTest, CancellingAfterTheEventRanIsFatal) {
+  Simulator sim;
+  Simulator::Timer timer = sim.AtCancellable(100, 0, [] {});
+  sim.Run();
+  EXPECT_DEATH(sim.Cancel(&timer), "still_queued");
+  // Its pool slot reused by a later event: the key no longer matches.
+  sim.At(200, [] {});
+  EXPECT_DEATH(sim.Cancel(&timer), "same_event");
+}
+
+#endif  // ROCKSTEADY_DCHECK_ENABLED
 
 // ---------------------------------------------------- Event slab pool.
 

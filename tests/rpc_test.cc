@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/cluster/cluster.h"
 #include "src/rpc/rpc_system.h"
 #include "src/sim/fault_injector.h"
 
@@ -129,6 +131,33 @@ TEST(RpcTest, NoTimeoutAfterResponse) {
              /*timeout=*/kMillisecond);
   f.lanes.Run();
   EXPECT_EQ(callbacks, 1);  // The timeout must not double-fire.
+}
+
+// A completed call withdraws its deadline and its armed retransmission, so
+// nothing of it stays queued and the run ends with its response, not at the
+// deadline.
+TEST(RpcTest, CompletedCallLeavesNoTimersQueued) {
+  Fixture f;
+  CoreSet server_cores(&f.sim, 1);
+  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
+  server->Register(Opcode::kRead, [](RpcContext context) {
+    context.reply(std::make_unique<ReadResponse>());
+  });
+  const uint64_t live_before = f.sim.pool_stats().live_events;
+  uint64_t live_at_completion = ~uint64_t{0};
+  Tick completed_at = 0;
+  f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
+             [&](Status status, std::unique_ptr<RpcResponse>) {
+               EXPECT_EQ(status, Status::kOk);
+               live_at_completion = f.sim.pool_stats().live_events;
+               completed_at = f.sim.now();
+             },
+             /*timeout=*/5 * kMillisecond);
+  f.lanes.Run();
+  EXPECT_EQ(live_at_completion, live_before);
+  EXPECT_EQ(f.lanes.now(), completed_at);
+  EXPECT_LT(completed_at, 20 * kMicrosecond);
 }
 
 // Regression: a response to a call that already gave up is dropped at the
@@ -645,6 +674,33 @@ TEST_P(RpcAckTest, LateDuplicateOfACompletedWriteNeverRunsTwice) {
   EXPECT_EQ(extra_copies_at_probe, 0u);
   EXPECT_EQ(executions, 1);
   EXPECT_EQ(server->responses_replayed(), 1u);
+}
+
+// The event cost of one round trip, pinned: a client read on an idle
+// one-master cluster dispatches the request's delivery, the master's
+// dispatch poll, its worker's completion, the dispatch core's response
+// transmission and the response's delivery at the client (which has no
+// dispatch core to poll it). The read's deadline and first retransmission
+// are withdrawn unrun.
+TEST(RpcTest, OneReadRoundTripDispatchesFiveEvents) {
+  ClusterConfig config;
+  config.num_masters = 1;
+  config.num_clients = 1;
+  config.master.hash_table_log2_buckets = 10;
+  config.master.segment_size = 64 * 1024;
+  Cluster cluster(config);
+  cluster.CreateTable(1, 0);
+  cluster.LoadTable(1, 10, 30, 100);
+  // Warm the client's tablet map, then let every replication leg settle.
+  cluster.client(0).Read(1, Cluster::MakeKey(0, 30), [](Status, const std::string&) {});
+  cluster.Run();
+  const size_t before = cluster.events_processed();
+  Status status = Status::kInvalidState;
+  cluster.client(0).Read(1, Cluster::MakeKey(1, 30),
+                         [&](Status s, const std::string&) { status = s; });
+  cluster.Run();
+  EXPECT_EQ(status, Status::kOk);
+  EXPECT_EQ(cluster.events_processed() - before, 5u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lanes, RpcAckTest, ::testing::Values(1, 2),

@@ -5,13 +5,16 @@ The JSON file is the engine's perf trajectory: each entry is one labeled run
 (a list of per-scenario results straight from the bench's JSON-lines
 output), stamped with the host's CPU count (nproc). Each result is compared
 against its reference — the latest re-baseline entry that has it, else the
-first entry — as a speedup, and its trace hash is checked against it: an
-engine optimization that changes the event schedule is a determinism bug,
-and this runner is the first place it shows up. A deliberate schedule
-change is recorded once with --rebaseline REASON, which makes the new entry
-the reference for every result it carries. Threaded-lane results (lanes > 1)
-are only timed against a reference taken with the same nproc: their wall
-time measures the host's cores as much as the engine.
+first entry — as a speedup, and its trace hash is checked against it. The
+speedup is the events/s ratio, or, when the event counts differ, the
+wall-time ratio with both counts: a change that stops running no-op events
+does the same scenario and seed in fewer events, which events/s would score
+as a slowdown. An engine optimization that changes the event schedule is a
+determinism bug, and this runner is the first place it shows up. A
+deliberate schedule change is recorded once with --rebaseline REASON, which
+makes the new entry the reference for every result it carries. Threaded-lane
+results (lanes > 1) are only timed against a reference taken with the same
+nproc: their wall time measures the host's cores as much as the engine.
 
 Exit status: nonzero if the bench binary is missing or crashes. Perf
 regressions only WARN (perf moves for legitimate reasons). Trace-hash
@@ -134,6 +137,11 @@ def main() -> int:
             print(f"    not timed: threaded lanes measured on nproc "
                   f"{ref_entry.get('nproc', 'unknown')} in '{ref_entry['label']}', "
                   f"{nproc} here")
+        elif base["events"] != r["events"]:
+            if r["wall_s"] > 0:
+                speedup = base["wall_s"] / r["wall_s"]
+                print(f"    {speedup:.2f}x wall time vs '{ref_entry['label']}' "
+                      f"(events {base['events']:,} there, {r['events']:,} here)")
         elif base["events_per_s"] > 0:
             speedup = r["events_per_s"] / base["events_per_s"]
             print(f"    {speedup:.2f}x vs '{ref_entry['label']}'")
