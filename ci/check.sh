@@ -91,7 +91,11 @@ step "backup replicas: shared segment bytes match a private copy and outlive the
 # Replicas, BackupWrites and recovery data hold slices of the masters'
 # refcounted segment buffers; ASan checks the lifetimes (a segment freed by
 # the cleaner, a crash-restarted master) and the reference-model cases.
+# Every replay (recovery, lazy and sync migration, the baseline) replicates
+# slices of the segments it appended to, side-log segments before their
+# commit or drop: recovery_test drives each path into a crash.
 "${ROOT}/build-asan/tests/backup_service_test"
+"${ROOT}/build-asan/tests/recovery_test"
 
 step "threaded lanes: 4-lane worker-thread runs match the single-lane schedule"
 # The full 20-seed x {ycsb, migration, faults, scale24, recovery, operations}

@@ -31,7 +31,7 @@ class BackupService {
  public:
   // Writes `data` at `offset` of (master, segment_id)'s replica, growing it
   // as needed. Writes normally arrive in offset order; duplicates, gaps and
-  // overwrites (a pseudo stream rewritten at offset 0) are applied in
+  // overwrites (a restarted master rewriting a segment id) are applied in
   // arrival order like a private copy would apply them.
   void Write(ServerId master, uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal);
 

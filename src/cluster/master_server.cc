@@ -283,7 +283,41 @@ void MasterServer::ReplicateEntry(LogRef ref, std::function<void(Status)> done) 
     done(Status::kCorruptData);
     return;
   }
-  replicas_->Replicate(ref.segment_id(), ref.offset(), std::move(entry), std::move(done));
+  replicas_->Replicate({ref.segment_id(), ref.offset(), std::move(entry), /*seal=*/false},
+                       /*bulk=*/false, std::move(done));
+}
+
+void MasterServer::ReplicateChunks(std::vector<ReplicaChunk> chunks, Priority priority,
+                                   bool bulk, std::function<void(Status)> done) {
+  if (chunks.empty()) {
+    done(Status::kOk);
+    return;
+  }
+  struct FanIn {
+    std::vector<ReplicaChunk> chunks;
+    size_t remaining;
+    Status worst = Status::kOk;
+    std::function<void(Status)> done;
+  };
+  auto fan = std::make_shared<FanIn>();
+  fan->remaining = chunks.size();
+  fan->chunks = std::move(chunks);
+  fan->done = std::move(done);
+  for (size_t i = 0; i < fan->chunks.size(); i++) {
+    cores_->EnqueueWorker(
+        {priority,
+         [this, fan, i] { return costs_->ReplicationSrcCost(fan->chunks[i].data.size()); },
+         [this, fan, i, bulk] {
+           replicas_->Replicate(std::move(fan->chunks[i]), bulk, [fan](Status status) {
+             if (status != Status::kOk) {
+               fan->worst = status;
+             }
+             if (--fan->remaining == 0) {
+               fan->done(fan->worst);
+             }
+           });
+         }});
+  }
 }
 
 void MasterServer::HandleRemove(RpcContext context) {

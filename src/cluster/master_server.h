@@ -164,9 +164,14 @@ class MasterServer {
   // discarded (recovery re-homes it), backup frames survive like disk.
   void Restart();
 
-  // Replicates the serialized entry at `ref` of the main log and invokes
-  // `done` when durable. Shared by the write path and recovery replay.
-  void ReplicateEntry(LogRef ref, std::function<void(Status)> done);
+  // Re-replicates log bytes a replay appended, cut by
+  // ReplicaManager::SliceRange: the one path shared by recovery, Rocksteady
+  // (lazy and sync) and the baseline migration. Each chunk costs a worker
+  // at `priority` its ReplicationSrcCost, then goes to every backup on the
+  // bulk or the foreground pipeline. `done` gets the worst status once
+  // every chunk is acked, or kOk at once when there are none.
+  void ReplicateChunks(std::vector<ReplicaChunk> chunks, Priority priority, bool bulk,
+                       std::function<void(Status)> done);
 
   // --- Counters (experiment bookkeeping). ---
   uint64_t reads_served() const { return reads_served_; }
@@ -205,6 +210,9 @@ class MasterServer {
   void HandleIndexInsert(RpcContext context);
   void HandleBackupWrite(RpcContext context);
   void HandleGetRecoveryData(RpcContext context);
+  // Replicates the serialized entry at `ref` of the main log and invokes
+  // `done` when durable: the write path.
+  void ReplicateEntry(LogRef ref, std::function<void(Status)> done);
 
   // An event touches only its own node: debug builds abort when another
   // node's event reaches this server's state.

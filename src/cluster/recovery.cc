@@ -13,7 +13,7 @@ namespace rocksteady {
 namespace {
 
 // How many times a recovery master re-issues the re-replication of a
-// replayed entry before giving up. Each retry backs off by the recovering
+// replayed range before giving up. Each retry backs off by the recovering
 // retry hint, so the window comfortably covers a backup's crash-restart gap
 // (the common failure during a rolling restart).
 constexpr int kReplayReplicationAttempts = 10;
@@ -31,30 +31,32 @@ size_t ParseablePrefix(std::span<const uint8_t> bytes) {
   return offset;
 }
 
-// Replicates a replayed entry until the backups ack it (bounded retries):
-// the recovery master's DRAM is the record's only home until this lands, so
-// a silent failure here turns the *next* crash into data loss. `done` fires
-// exactly once, success or not.
-void ReplicateDurably(MasterServer* rm, LogRef ref, int attempts_left,
-                      std::function<void()> done) {
-  rm->ReplicateEntry(ref, [rm, ref, attempts_left, done = std::move(done)](Status status) mutable {
-    if (status == Status::kOk || attempts_left <= 1 || rm->crashed()) {
-      if (status != Status::kOk) {
-        LOG_WARNING("recovery: re-replication of replayed entry gave up (status %d)",
-                    static_cast<int>(status));
-      }
-      done();
-      return;
-    }
-    rm->sim().After(rm->costs().recovering_retry_hint_ns,
-                    [rm, ref, attempts_left, done = std::move(done)]() mutable {
-                      if (rm->crashed()) {
-                        done();
-                        return;
-                      }
-                      ReplicateDurably(rm, ref, attempts_left - 1, std::move(done));
-                    });
-  });
+// Replicates the log range one replay task appended until the backups ack
+// it (bounded retries): the recovery master's DRAM is the records' only home
+// until this lands, so a silent failure here turns the *next* crash into
+// data loss. Detached from the plan's completion: the recovery master's
+// backup set may include the crashed master itself, whose legs cannot
+// succeed until it restarts — which, in a rolling restart, only happens
+// after this recovery reports done.
+void ReplicateDurably(MasterServer* rm, std::vector<ReplicaChunk> range, int attempts_left) {
+  std::vector<ReplicaChunk> attempt = range;
+  rm->ReplicateChunks(
+      std::move(attempt), Priority::kReplication, /*bulk=*/true,
+      [rm, range = std::move(range), attempts_left](Status status) mutable {
+        if (status == Status::kOk || attempts_left <= 1 || rm->crashed()) {
+          if (status != Status::kOk) {
+            LOG_WARNING("recovery: re-replication of replayed range gave up (status %d)",
+                        static_cast<int>(status));
+          }
+          return;
+        }
+        rm->sim().After(rm->costs().recovering_retry_hint_ns,
+                        [rm, range = std::move(range), attempts_left]() mutable {
+                          if (!rm->crashed()) {
+                            ReplicateDurably(rm, std::move(range), attempts_left - 1);
+                          }
+                        });
+      });
 }
 
 // Shared state of one kRecover request on its recovery master.
@@ -65,8 +67,12 @@ struct RecoveryJob {
   RpcContext context;
 
   // Replays the entries of `bytes` that fall in a recovered range, skipping
-  // those below `skip_below`; returns the modeled replay cost.
-  Tick Replay(std::span<const uint8_t> bytes, size_t skip_below) {
+  // those below `skip_below`; returns the modeled replay cost. `appended`
+  // receives the main-log range the replay wrote, for re-replication.
+  Tick Replay(std::span<const uint8_t> bytes, size_t skip_below,
+              std::vector<ReplicaChunk>* appended) {
+    const Log& log = rm->objects().log();
+    const LogPosition begin = log.HeadPosition();
     size_t offset = 0;
     size_t replayed = 0;
     size_t replayed_bytes = 0;
@@ -81,16 +87,7 @@ struct RecoveryJob {
         for (const auto& range : ranges) {
           if (entry.table_id() == range.table && entry.key_hash() >= range.start_hash &&
               entry.key_hash() <= range.end_hash) {
-            LogRef ref;
-            if (rm->objects().Replay(entry, nullptr, &ref)) {
-              // The recovery master's DRAM is now the record's only home;
-              // give it fresh replicas or the *next* crash loses it for
-              // good. Detached from completion: the recovery master's
-              // backup set may include the crashed master itself, whose
-              // legs cannot succeed until it restarts — which, in a rolling
-              // restart, only happens after this recovery reports done.
-              ReplicateDurably(rm, ref, kReplayReplicationAttempts, [] {});
-            }
+            rm->objects().Replay(entry, nullptr);
             replayed++;
             replayed_bytes += length;
             break;
@@ -99,6 +96,8 @@ struct RecoveryJob {
       }
       offset += length;
     }
+    *appended = ReplicaManager::SliceRange(log.segments(), begin, log.HeadPosition(),
+                                           /*seal=*/false);
     return rm->costs().ReplayCost(replayed, replayed_bytes);
   }
 
@@ -124,10 +123,26 @@ struct RecoveryJob {
   }
 };
 
+// Replays `bytes` as one worker task, at replication priority: recovery
+// competes with normal service like other background work. When the task
+// completes, the main-log range it appended gets fresh replicas and `then`
+// runs.
+void EnqueueReplay(const std::shared_ptr<RecoveryJob>& job, ByteSlice bytes, size_t skip_below,
+                   std::function<void()> then) {
+  auto appended = std::make_shared<std::vector<ReplicaChunk>>();
+  job->rm->cores().EnqueueWorker(
+      {Priority::kReplication,
+       [job, bytes = std::move(bytes), skip_below, appended] {
+         return job->Replay(bytes, skip_below, appended.get());
+       },
+       [job, appended, then = std::move(then)] {
+         ReplicateDurably(job->rm, std::move(*appended), kReplayReplicationAttempts);
+         then();
+       }});
+}
+
 // Fetches `source`'s segments from every backup, keeps the copy of each
-// segment that parses furthest, then replays them one worker task each (at
-// replication priority: recovery competes with normal service like other
-// background work).
+// segment that parses furthest, then replays them one worker task each.
 void FetchAndReplay(const std::shared_ptr<RecoveryJob>& job, const RecoverSource& source,
                     const std::vector<NodeId>& backups) {
   struct Fetch {
@@ -145,14 +160,11 @@ void FetchAndReplay(const std::shared_ptr<RecoveryJob>& job, const RecoverSource
     auto remaining = std::make_shared<size_t>(fetch->segments.size());
     for (auto& [segment_id, data] : fetch->segments) {
       const size_t skip_below = segment_id == min_segment ? min_offset : 0;
-      job->rm->cores().EnqueueWorker(
-          {Priority::kReplication,
-           [job, bytes = std::move(data), skip_below] { return job->Replay(bytes, skip_below); },
-           [job, remaining] {
-             if (--*remaining == 0) {
-               job->SourceDone();
-             }
-           }});
+      EnqueueReplay(job, std::move(data), skip_below, [job, remaining] {
+        if (--*remaining == 0) {
+          job->SourceDone();
+        }
+      });
     }
   };
   if (backups.empty()) {
@@ -220,22 +232,19 @@ void RunRecovery(MasterServer* rm, RpcContext context) {
     // A live target's log tail: every entry is already in range and past
     // the dependency offset. Its only other durable home was the
     // (now-dropped) target lineage, so replay re-replicates it too.
-    auto bytes = std::make_shared<std::vector<uint8_t>>(std::move(source.tail));
-    rm->cores().EnqueueWorker({Priority::kReplication,
-                               [job, bytes] { return job->Replay(*bytes, 0); },
-                               [job] { job->SourceDone(); }});
+    EnqueueReplay(job, std::move(source.tail), 0, [job] { job->SourceDone(); });
   }
   job->SourceDone();
 }
 
-std::vector<uint8_t> CollectLogTail(MasterServer* master, TableId table, KeyHash start_hash,
-                                    KeyHash end_hash, uint32_t min_segment, uint32_t min_offset) {
+ByteSlice CollectLogTail(MasterServer* master, TableId table, KeyHash start_hash,
+                         KeyHash end_hash, uint32_t min_segment, uint32_t min_offset) {
   // Every write the target could ever ack is appended to its log before the
   // ack, so the log (not its backups, which may trail an in-flight
   // replication) is the complete set. Entries the cleaner relocated from
   // below the dependency offset may reappear above it; the replaying
   // master's version comparison drops those as already-known.
-  std::vector<uint8_t> tail;
+  ByteSliceBuilder tail;
   const Log& log = master->objects().log();
   log.ForEachEntry([&](LogRef ref, const LogEntryView& entry) {
     if (ref.segment_id() < min_segment ||
@@ -249,9 +258,9 @@ std::vector<uint8_t> CollectLogTail(MasterServer* master, TableId table, KeyHash
         entry.key_hash() > end_hash) {
       return;
     }
-    tail.insert(tail.end(), entry.raw, entry.raw + entry.header.TotalLength());
+    tail.Append(entry.raw, entry.header.TotalLength());
   });
-  return tail;
+  return tail.Finish();
 }
 
 // A recovery master replies once it has replayed everything, so the call's

@@ -82,8 +82,8 @@ void RunRecovery(MasterServer* rm, RpcContext context);
 // Serialized main-log entries of `master` for [start_hash, end_hash] of
 // `table` from (min_segment, min_offset) on: a live migration target's log
 // tail, which holds every write it could ever have acked for the range.
-std::vector<uint8_t> CollectLogTail(MasterServer* master, TableId table, KeyHash start_hash,
-                                    KeyHash end_hash, uint32_t min_segment, uint32_t min_offset);
+ByteSlice CollectLogTail(MasterServer* master, TableId table, KeyHash start_hash,
+                         KeyHash end_hash, uint32_t min_segment, uint32_t min_offset);
 
 }  // namespace rocksteady
 

@@ -5,8 +5,7 @@
 
 namespace rocksteady {
 
-void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal,
-                          bool bulk, std::function<void(Status)> done) {
+void ReplicaManager::Replicate(ReplicaChunk chunk, bool bulk, std::function<void(Status)> done) {
   if (backups_.empty()) {
     // Replication disabled (single-server unit tests).
     if (done) {
@@ -14,11 +13,11 @@ void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, ByteSlice data, 
     }
     return;
   }
-  bytes_replicated_ += data.size() * backups_.size();
+  bytes_replicated_ += chunk.data.size() * backups_.size();
   // Serialize through the per-master replication pipeline (§2.3: ~380 MB/s).
   Simulator* sim = rpc_->SimFor(owner_node_);
   const Tick pipeline_cost = static_cast<Tick>(
-      rpc_->costs()->replication_pipeline_per_byte_ns * static_cast<double>(data.size()));
+      rpc_->costs()->replication_pipeline_per_byte_ns * static_cast<double>(chunk.data.size()));
   Tick& pipeline = bulk ? bulk_pipeline_free_at_ : pipeline_free_at_;
   pipeline = std::max(sim->now(), pipeline) + pipeline_cost;
   const Tick issue_at = pipeline;
@@ -35,8 +34,8 @@ void ReplicaManager::Send(uint32_t segment_id, uint32_t offset, ByteSlice data, 
   auto state = std::make_shared<FanOut>();
   state->remaining = backups_.size();
   state->done = std::move(done);
-  sim->At(issue_at, owner_node_, [this, segment_id, offset, seal, bulk, state,
-                                   data = std::move(data)] {
+  sim->At(issue_at, owner_node_, [this, segment_id = chunk.segment_id, offset = chunk.offset,
+                                   seal = chunk.seal, bulk, state, data = std::move(chunk.data)] {
     for (const NodeId backup : backups_) {
       SendToBackup(backup, segment_id, offset, data, seal, bulk, /*attempt=*/1,
                    [state](Status status) {
@@ -95,48 +94,24 @@ void ReplicaManager::SendToBackup(NodeId backup, uint32_t segment_id, uint32_t o
       rpc_->costs()->rpc_timeout_ns);
 }
 
-void ReplicaManager::Replicate(uint32_t segment_id, uint32_t offset, ByteSlice data,
-                               std::function<void(Status)> done) {
-  Send(segment_id, offset, std::move(data), false, /*bulk=*/false, std::move(done));
-}
-
-void ReplicaManager::ReplicateBulk(uint32_t segment_id, uint32_t offset, ByteSlice data,
-                                   bool seal, std::function<void(Status)> done) {
-  Send(segment_id, offset, std::move(data), seal, /*bulk=*/true, std::move(done));
-}
-
-void ReplicaManager::ReplicateSegment(const Segment& segment, std::function<void(Status)> done) {
-  // Bulk path: split into bounded chunks at background priority so backups
-  // interleave foreground write replication between them.
-  constexpr size_t kChunk = kBulkChunkBytes;
-  const size_t total = segment.used();
-  if (total == 0) {
-    if (done) {
-      done(Status::kOk);
+std::vector<ReplicaChunk> ReplicaManager::SliceRange(
+    const std::vector<std::unique_ptr<Segment>>& segments, LogPosition begin, LogPosition end,
+    bool seal) {
+  std::vector<ReplicaChunk> chunks;
+  for (const auto& segment : segments) {
+    if (segment->id() < begin.first || segment->id() > end.first) {
+      continue;
     }
-    return;
+    const size_t from = segment->id() == begin.first ? begin.second : 0;
+    const size_t to = segment->id() == end.first ? end.second : segment->used();
+    for (size_t offset = from; offset < to; offset += kBulkChunkBytes) {
+      const size_t length = std::min(kBulkChunkBytes, to - offset);
+      chunks.push_back(ReplicaChunk{segment->id(), static_cast<uint32_t>(offset),
+                                    segment->Slice(offset, length),
+                                    seal && offset + length >= to});
+    }
   }
-  struct FanIn {
-    size_t remaining;
-    Status worst = Status::kOk;
-    std::function<void(Status)> done;
-  };
-  auto fan = std::make_shared<FanIn>();
-  fan->remaining = (total + kChunk - 1) / kChunk;
-  fan->done = std::move(done);
-  for (size_t offset = 0; offset < total; offset += kChunk) {
-    const size_t length = std::min(kChunk, total - offset);
-    const bool last = offset + length >= total;
-    Send(segment.id(), static_cast<uint32_t>(offset), segment.Slice(offset, length), last,
-         /*bulk=*/true, [fan](Status status) {
-           if (status != Status::kOk) {
-             fan->worst = status;
-           }
-           if (--fan->remaining == 0 && fan->done) {
-             fan->done(fan->worst);
-           }
-         });
-  }
+  return chunks;
 }
 
 }  // namespace rocksteady

@@ -18,10 +18,19 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/log/segment.h"
+#include "src/log/log.h"
 #include "src/rpc/rpc_system.h"
 
 namespace rocksteady {
+
+// A slice of a segment's buffer at its real (segment id, offset): the unit
+// in which replayed log ranges are re-replicated.
+struct ReplicaChunk {
+  uint32_t segment_id = 0;
+  uint32_t offset = 0;
+  ByteSlice data;
+  bool seal = false;
+};
 
 class ReplicaManager {
  public:
@@ -32,21 +41,20 @@ class ReplicaManager {
   void SetBackups(std::vector<NodeId> backup_nodes) { backups_ = std::move(backup_nodes); }
   const std::vector<NodeId>& backups() const { return backups_; }
 
-  // Replicates one log append (the entry bytes at segment/offset) to every
-  // backup; `done` fires when all have acked. The synchronous path under
-  // every durable write. Every leg and retry shares `data`'s bytes, and so
-  // do the backups' replicas: nothing is copied.
-  void Replicate(uint32_t segment_id, uint32_t offset, ByteSlice data,
-                 std::function<void(Status)> done);
+  // Replicates `chunk` to every backup; `done` fires when all have acked.
+  // Foreground chunks (`bulk` false) are the synchronous path under every
+  // durable write; bulk chunks serialize on their own pipeline and run at
+  // background priority at the backup. Every leg and retry shares the
+  // chunk's bytes, and so do the backups' replicas: nothing is copied.
+  void Replicate(ReplicaChunk chunk, bool bulk, std::function<void(Status)> done);
 
-  // Replicates a whole segment's current contents (bulk path: side-log lazy
-  // replication, baseline migration re-replication). Sent as bounded
-  // background-priority chunks so foreground replication interleaves.
-  void ReplicateSegment(const Segment& segment, std::function<void(Status)> done);
-
-  // One bulk chunk (background priority at the backup).
-  void ReplicateBulk(uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal,
-                     std::function<void(Status)> done);
+  // Cuts the bytes between `begin` and `end` of `segments` (a log's or a
+  // side log's, in id order) into chunks of at most kBulkChunkBytes that
+  // share the segments' buffers. With `seal`, each segment's last chunk is
+  // marked sealed: the caller appends nothing more to it.
+  static std::vector<ReplicaChunk> SliceRange(
+      const std::vector<std::unique_ptr<Segment>>& segments, LogPosition begin, LogPosition end,
+      bool seal);
 
   // Bulk transfers are split into chunks of this size.
   static constexpr size_t kBulkChunkBytes = 64 * 1024;
@@ -61,8 +69,6 @@ class ReplicaManager {
   uint64_t bytes_replicated() const { return bytes_replicated_; }
 
  private:
-  void Send(uint32_t segment_id, uint32_t offset, ByteSlice data, bool seal, bool bulk,
-            std::function<void(Status)> done);
   void SendToBackup(NodeId backup, uint32_t segment_id, uint32_t offset, ByteSlice data,
                     bool seal, bool bulk, int attempt, std::function<void(Status)> done);
 

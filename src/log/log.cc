@@ -38,15 +38,7 @@ Result<LogRef> Log::Append(LogEntryType type, TableId table, KeyHash hash, std::
   }
   stats_.appended_bytes += needed;
   stats_.appended_entries++;
-  const LogRef ref(head->id(), static_cast<uint32_t>(offset));
-  if (append_observer_) {
-    LogEntryView view;
-    const bool ok = head->EntryAt(offset, &view);
-    assert(ok);
-    (void)ok;
-    append_observer_(ref, view);
-  }
-  return ref;
+  return LogRef(head->id(), static_cast<uint32_t>(offset));
 }
 
 Result<LogRef> Log::AppendObject(TableId table, KeyHash hash, std::string_view key,
@@ -163,7 +155,7 @@ void Log::FreeSegment(uint32_t segment_id) {
   stats_.cleaned_segments++;
 }
 
-std::pair<uint32_t, uint32_t> Log::HeadPosition() const {
+LogPosition Log::HeadPosition() const {
   if (segments_.empty()) {
     return {0, 0};
   }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/audit.h"
@@ -39,6 +40,10 @@ struct LogRef {
   static constexpr uint64_t kValidBit = 1ull << 31;
   static constexpr uint32_t kValidBitLow = 1u << 31;
 };
+
+// A position in a log, as (segment id, byte offset): the bytes a replay
+// appended are those between the positions before and after it.
+using LogPosition = std::pair<uint32_t, uint32_t>;
 
 struct LogStats {
   uint64_t appended_bytes = 0;
@@ -107,7 +112,7 @@ class Log {
 
   // Head position, as (segment id, offset): everything appended later than
   // this is "the log tail" — what a lineage dependency covers (§3.4).
-  std::pair<uint32_t, uint32_t> HeadPosition() const;
+  LogPosition HeadPosition() const;
 
   const LogStats& stats() const { return stats_; }
   size_t segment_size() const { return segment_size_; }
@@ -118,11 +123,6 @@ class Log {
   // which cover only the main log). This is what a memory budget is charged
   // against — a migration target's side logs occupy DRAM before commit.
   uint64_t allocated_bytes() const;
-
-  // Observer invoked with (ref, entry) after every append to the main log
-  // (not side logs); the ReplicaManager hooks this to replicate new data.
-  using AppendObserver = std::function<void(LogRef, const LogEntryView&)>;
-  void set_append_observer(AppendObserver observer) { append_observer_ = std::move(observer); }
 
   // Invariants: segment ids strictly increasing and below the allocation
   // cursor, committed (non-head) segments sealed, every owned segment
@@ -147,7 +147,6 @@ class Log {
   // segment_size_ bytes of log written).
   std::vector<Segment*> registry_;
   LogStats stats_;
-  AppendObserver append_observer_;
 };
 
 }  // namespace rocksteady

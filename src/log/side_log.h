@@ -41,6 +41,14 @@ class SideLog {
   // pointing into them must have been removed by the caller.
   void Abort();
 
+  // The end of the last segment ({0, 0} while empty), as Log::HeadPosition.
+  LogPosition HeadPosition() const {
+    if (segments_.empty()) {
+      return {0, 0};
+    }
+    return {segments_.back()->id(), static_cast<uint32_t>(segments_.back()->used())};
+  }
+
   size_t pending_bytes() const { return pending_bytes_; }
   size_t pending_entries() const { return pending_entries_; }
   const std::vector<std::unique_ptr<Segment>>& segments() const { return segments_; }

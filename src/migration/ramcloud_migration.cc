@@ -27,22 +27,27 @@ void ReplayNextBatch(MasterServer* master) {
     return;
   }
   state->baseline_replay_busy = true;
-  auto shared = std::make_shared<RpcContext>(std::move(state->baseline_queue.front()));
+  // The request and the main-log bytes its replay appended.
+  struct Batch {
+    RpcContext context;
+    std::vector<ReplicaChunk> appended;
+  };
+  auto batch = std::make_shared<Batch>(std::move(state->baseline_queue.front()));
   state->baseline_queue.pop_front();
-  auto& request = shared->As<BaselineReplayRequest>();
+  auto& request = batch->context.As<BaselineReplayRequest>();
   const bool skip_replay = request.skip_replay;
   const bool skip_rerepl = request.skip_rereplication;
 
-  auto finish = [master, state, shared] {
-    shared->reply(std::make_unique<StatusResponse>());
+  auto finish = [master, state, batch] {
+    batch->context.reply(std::make_unique<StatusResponse>());
     state->baseline_replay_busy = false;
     ReplayNextBatch(master);
   };
 
   master->cores().EnqueueWorker(
       {Priority::kMigration,
-       [master, shared, skip_replay] {
-         auto& req = shared->As<BaselineReplayRequest>();
+       [master, batch, skip_replay] {
+         auto& req = batch->context.As<BaselineReplayRequest>();
          if (req.install_tablet) {
            master->objects().tablets().Add(
                Tablet{req.table, req.start_hash, req.end_hash, TabletState::kNormal});
@@ -55,6 +60,8 @@ void ReplayNextBatch(MasterServer* master) {
          if (skip_replay) {
            return Tick{500};
          }
+         const Log& log = master->objects().log();
+         const LogPosition begin = log.HeadPosition();
          size_t offset = 0;
          while (offset < req.records.size()) {
            LogEntryView entry;
@@ -64,28 +71,21 @@ void ReplayNextBatch(MasterServer* master) {
            master->objects().Replay(entry, nullptr);  // Main log, like recovery.
            offset += entry.header.TotalLength();
          }
+         batch->appended =
+             ReplicaManager::SliceRange(log.segments(), begin, log.HeadPosition(), /*seal=*/false);
          return static_cast<Tick>(master->costs().baseline_replay_per_byte_ns *
                                   static_cast<double>(req.records.size()));
        },
-       [master, shared, skip_rerepl, finish] {
-         auto& req = shared->As<BaselineReplayRequest>();
-         if (skip_rerepl || req.records.empty()) {
+       [master, batch, skip_rerepl, finish] {
+         if (skip_rerepl) {
            finish();
            return;
          }
          // Synchronous re-replication: the batch is not acked (and the
-         // source's pipeline not advanced) until backups confirm. The
-         // stream's replicas share the batch's bytes.
-         master->cores().EnqueueWorker(
-             {Priority::kReplication,
-              [master, size = req.records.size()] {
-                return master->costs().ReplicationSrcCost(size);
-              },
-              [master, shared, finish] {
-                master->replicas().Replicate(0x60000000, 0,
-                                             shared->As<BaselineReplayRequest>().records,
-                                             [finish](Status) { finish(); });
-              }});
+         // source's pipeline not advanced) until backups confirm the log
+         // bytes its replay appended.
+         master->ReplicateChunks(std::move(batch->appended), Priority::kReplication,
+                                 /*bulk=*/false, [finish](Status) { finish(); });
        }});
 }
 

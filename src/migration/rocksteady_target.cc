@@ -46,10 +46,6 @@ void AbortInbound(MasterServer* master) {
   }
 }
 
-// Pseudo-segment ids for synchronous re-replication streams (distinct from
-// real log segments; only load matters for these replicas).
-constexpr uint32_t kSyncReplStreamBase = 0x40000000;
-
 }  // namespace
 
 RocksteadyMigrationManager::RocksteadyMigrationManager(
@@ -489,66 +485,70 @@ void RocksteadyMigrationManager::OnPullResponse(size_t partition_index,
 
   if (response->record_count > 0) {
     partition.replay_backlog++;
-    auto shared = std::make_shared<PullResponse>(std::move(*response));
+    // The pull reply and, under sync re-replication, the side-log bytes its
+    // replay appended.
+    struct Batch {
+      PullResponse reply;
+      std::vector<ReplicaChunk> appended;
+    };
+    auto batch = std::make_shared<Batch>(std::move(*response));
     // §3.1.2/§3.1.3: replay on any idle worker, lowest priority, into this
     // partition's side log (no contention with other replay workers).
     target_->cores().EnqueueWorker(
         {Priority::kMigration,
-         [this, shared, partition_index] {
+         [this, batch, partition_index, sync_rerepl] {
            const HashTable& table = target_->objects().hash_table();
+           SideLog* side_log = side_logs_[partition_index].get();
+           const LogPosition begin = side_log->HeadPosition();
+           const ByteSlice& records = batch->reply.records;
            size_t offset = 0;
            size_t replayed = 0;
-           while (offset < shared->records.size()) {
+           while (offset < records.size()) {
              LogEntryView entry;
-             if (!ReadEntry(shared->records.data() + offset, shared->records.size() - offset,
-                            &entry)) {
+             if (!ReadEntry(records.data() + offset, records.size() - offset, &entry)) {
                break;
              }
              // Software pipeline: peek the next record's header (cheap fixed
              // prefix, no checksum) and prefetch its hash bucket so the next
              // Replay's random probe overlaps this one's side-log append.
              const size_t next = offset + entry.header.TotalLength();
-             if (next + sizeof(LogEntryHeader) <= shared->records.size()) {
+             if (next + sizeof(LogEntryHeader) <= records.size()) {
                LogEntryHeader peek;
-               std::memcpy(&peek, shared->records.data() + next, sizeof(peek));
+               std::memcpy(&peek, records.data() + next, sizeof(peek));
                table.PrefetchBucket(peek.key_hash);
              }
-             target_->objects().Replay(entry, side_logs_[partition_index].get());
+             target_->objects().Replay(entry, side_log);
              replayed++;
              offset = next;
            }
-           return target_->costs().ReplayCost(replayed, shared->records.size());
-         },
-         [this, shared, partition_index, sync_rerepl] {
-           Partition& partition = partitions_[partition_index];
            if (sync_rerepl) {
-             // Fig. 9c / ablation: replicated before this partition's next
-             // pull proceeds — re-replication is on the migration fast path.
-             const uint32_t stream =
-                 kSyncReplStreamBase + static_cast<uint32_t>(partition_index);
-             stats_.rereplicated_bytes += shared->records.size();
-             target_->cores().EnqueueWorker(
-                 {Priority::kReplication,
-                  [this, shared] {
-                    return target_->costs().ReplicationSrcCost(shared->records.size());
-                  },
-                  [this, shared, stream, partition_index] {
-                    // The stream's replicas share the pull reply's bytes.
-                    target_->replicas().Replicate(
-                        stream, 0, shared->records, [this, partition_index](Status) {
-                          if (aborted_) {
-                            return;
-                          }
-                          partitions_[partition_index].replay_backlog--;
-                          PumpPulls();
-                          OnRoundComplete();
-                        });
-                  }});
+             batch->appended = ReplicaManager::SliceRange(
+                 side_log->segments(), begin, side_log->HeadPosition(), /*seal=*/false);
+           }
+           return target_->costs().ReplayCost(replayed, records.size());
+         },
+         [this, batch, partition_index, sync_rerepl] {
+           auto replayed = [this, partition_index] {
+             partitions_[partition_index].replay_backlog--;
+             PumpPulls();
+             OnRoundComplete();
+           };
+           if (!sync_rerepl) {
+             replayed();
              return;
            }
-           partition.replay_backlog--;
-           PumpPulls();
-           OnRoundComplete();
+           // Fig. 9c / ablation: the side-log bytes this replay appended are
+           // replicated before this partition's next pull proceeds —
+           // re-replication is on the migration fast path.
+           for (const ReplicaChunk& chunk : batch->appended) {
+             stats_.rereplicated_bytes += chunk.data.size();
+           }
+           target_->ReplicateChunks(std::move(batch->appended), Priority::kReplication,
+                                    /*bulk=*/false, [this, replayed](Status) {
+                                      if (!aborted_) {
+                                        replayed();
+                                      }
+                                    });
          }});
   }
   PumpPulls();
@@ -800,11 +800,7 @@ void RocksteadyMigrationManager::OnRoundComplete() {
     return;
   }
 
-  if (options_.lazy_rereplication) {
-    FinishLazyReplication();
-  } else {
-    CommitAndComplete();
-  }
+  FinishLazyReplication();
 }
 
 void RocksteadyMigrationManager::FinishLazyReplication() {
@@ -818,45 +814,21 @@ void RocksteadyMigrationManager::FinishLazyReplication() {
   // log." The replication runs entirely in the background: bounded 64 KB
   // chunks at migration (lowest) priority, so foreground ops — and other
   // masters' foreground replication to this server's backup — never queue
-  // behind it.
-  struct Chunk {
-    const Segment* segment;
-    uint32_t offset;
-    size_t length;
-    bool last;
-  };
-  std::vector<Chunk> chunks;
-  for (const auto& side_log : side_logs_) {
-    for (const auto& segment : side_log->segments()) {
-      stats_.rereplicated_bytes += segment->used();
-      for (size_t offset = 0; offset < segment->used();
-           offset += ReplicaManager::kBulkChunkBytes) {
-        const size_t length =
-            std::min(ReplicaManager::kBulkChunkBytes, segment->used() - offset);
-        chunks.push_back(Chunk{segment.get(), static_cast<uint32_t>(offset), length,
-                               offset + length >= segment->used()});
-      }
+  // behind it. Sync re-replication has already replicated every pull's
+  // replay; the PriorityPull side log (the last one) is left.
+  std::vector<ReplicaChunk> chunks;
+  const size_t first = options_.lazy_rereplication ? 0 : partitions_.size();
+  for (size_t i = first; i < side_logs_.size(); i++) {
+    const SideLog& side_log = *side_logs_[i];
+    std::vector<ReplicaChunk> log_chunks = ReplicaManager::SliceRange(
+        side_log.segments(), {0, 0}, side_log.HeadPosition(), /*seal=*/true);
+    for (ReplicaChunk& chunk : log_chunks) {
+      stats_.rereplicated_bytes += chunk.data.size();
+      chunks.push_back(std::move(chunk));
     }
   }
-  if (chunks.empty()) {
-    CommitAndComplete();
-    return;
-  }
-  auto remaining = std::make_shared<size_t>(chunks.size());
-  for (const Chunk& chunk : chunks) {
-    target_->cores().EnqueueWorker(
-        {Priority::kMigration,
-         [this, chunk] { return target_->costs().ReplicationSrcCost(chunk.length); },
-         [this, chunk, remaining] {
-           target_->replicas().ReplicateBulk(chunk.segment->id(), chunk.offset,
-                                             chunk.segment->Slice(chunk.offset, chunk.length),
-                                             chunk.last, [this, remaining](Status) {
-                                               if (--*remaining == 0) {
-                                                 CommitAndComplete();
-                                               }
-                                             });
-         }});
-  }
+  target_->ReplicateChunks(std::move(chunks), Priority::kMigration, /*bulk=*/true,
+                           [this](Status) { CommitAndComplete(); });
 }
 
 void RocksteadyMigrationManager::CommitAndComplete() {

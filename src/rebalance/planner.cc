@@ -48,7 +48,7 @@ void RebalancePlanner::Start() {
 void RebalancePlanner::Stop() { running_ = false; }
 
 void RebalancePlanner::ScheduleRound() {
-  cluster_->coordinator().sim().After(options_.planner_interval_ns, [this, alive = alive_] {
+  cluster_->coordinator().sim().After(kPlannerIntervalNs, [this, alive = alive_] {
     if (!*alive || !running_) {
       return;
     }
@@ -73,7 +73,7 @@ void RebalancePlanner::OnCommitted(ServerId source, ServerId target, TableId tab
     stats_.migrations_completed++;
     if (state_ == State::kMigrating) {
       state_ = State::kCooldown;
-      cooldown_until_ = cluster_->coordinator().sim().now() + options_.cooldown_ns;
+      cooldown_until_ = cluster_->coordinator().sim().now() + kCooldownNs;
     }
   }
   stats_.drain_migrations_completed += std::erase_if(drain_flights_, matches);
@@ -107,7 +107,7 @@ bool RebalancePlanner::CollectLoads(std::vector<uint64_t>* loads, std::vector<bo
       continue;
     }
     const auto& frame = frames_[i];
-    if (!frame.has_value() || now - frame->sampled_at > options_.telemetry_staleness_ns) {
+    if (!frame.has_value() || now - frame->sampled_at > kTelemetryStalenessNs) {
       continue;
     }
     (*fresh)[i] = true;
@@ -147,8 +147,8 @@ KeyHash RebalancePlanner::ChooseSplitBoundary(const TabletLoadSample& tablet,
 std::optional<TabletLoadSample> RebalancePlanner::PickTablet(
     const LoadTelemetryFrame& source_frame, uint64_t desired_ops, bool* acted) {
   *acted = false;
-  const uint64_t cap = static_cast<uint64_t>(static_cast<double>(desired_ops) *
-                                             options_.split_overshoot_fraction);
+  const uint64_t cap =
+      static_cast<uint64_t>(static_cast<double>(desired_ops) * kSplitOvershootFraction);
   const TabletLoadSample* best = nullptr;      // Best fit within the overshoot cap.
   const TabletLoadSample* smallest = nullptr;  // Least-loaded active tablet.
   for (const auto& tablet : source_frame.tablets) {
@@ -167,7 +167,7 @@ std::optional<TabletLoadSample> RebalancePlanner::PickTablet(
   if (best != nullptr) {
     return *best;
   }
-  if (smallest == nullptr || !options_.allow_splits) {
+  if (smallest == nullptr) {
     return std::nullopt;
   }
   // Every active tablet overshoots the desired move: carve the least
@@ -196,16 +196,14 @@ std::optional<TabletLoadSample> RebalancePlanner::PickTablet(
 
 bool RebalancePlanner::TargetEligible(const LoadTelemetryFrame& frame,
                                       const TabletLoadSample& tablet) const {
-  if (frame.recent_p999_ns > options_.target_p999_ceiling_ns ||
-      frame.client_queue_depth > options_.target_queue_ceiling ||
-      frame.dispatch_backlog_ns > options_.target_backlog_ceiling_ns) {
+  if (frame.recent_p999_ns > kTargetP999CeilingNs ||
+      frame.client_queue_depth > kTargetQueueCeiling ||
+      frame.dispatch_backlog_ns > kTargetBacklogCeilingNs) {
     return false;  // Overloaded right now; never migrate into it.
   }
   if (frame.memory_budget_bytes > 0) {
-    const double limit = options_.target_memory_fraction *
-                         static_cast<double>(frame.memory_budget_bytes);
-    if (static_cast<double>(frame.memory_in_use) +
-            static_cast<double>(tablet.resident_bytes) >
+    const double limit = kTargetMemoryFraction * static_cast<double>(frame.memory_budget_bytes);
+    if (static_cast<double>(frame.memory_in_use) + static_cast<double>(tablet.resident_bytes) >
         limit) {
       return false;  // The move would land past the budget headroom.
     }
@@ -301,12 +299,12 @@ bool RebalancePlanner::PlanDrain(Tick now) {
     if (now >= hot_flight_->deadline) {
       stats_.migrations_timed_out++;
       state_ = State::kCooldown;
-      cooldown_until_ = now + options_.cooldown_ns;
+      cooldown_until_ = now + kCooldownNs;
     }
     return true;
   }
 
-  int capacity = options_.drain_concurrency - static_cast<int>(drain_flights_.size());
+  int capacity = kDrainConcurrency - static_cast<int>(drain_flights_.size());
   if (capacity <= 0 || draining.empty()) {
     return true;
   }
@@ -327,7 +325,7 @@ bool RebalancePlanner::PlanDrain(Tick now) {
       continue;
     }
     const auto& frame = frames_[id - 1];
-    if (frame.has_value() && now - frame->sampled_at <= options_.telemetry_staleness_ns) {
+    if (frame.has_value() && now - frame->sampled_at <= kTelemetryStalenessNs) {
       if (!TargetEligible(*frame, TabletLoadSample{})) {
         continue;  // Overloaded right now; let it breathe this round.
       }
@@ -389,7 +387,7 @@ bool RebalancePlanner::PlanDrain(Tick now) {
       capacity--;
       const Flight flight{source,           target,         entry.table,
                           entry.start_hash, entry.end_hash,
-                          now + options_.drain_flight_deadline_ns};
+                          now + kDrainFlightDeadlineNs};
       drain_flights_.push_back(flight);
       LOG_INFO("planner: drain-evacuate table %llu [%llx, %llx] %u -> %u",
                static_cast<unsigned long long>(entry.table),
@@ -425,7 +423,7 @@ void RebalancePlanner::PlanOnce() {
       // Stand down; the coordinator's lease watchdog owns the repair.
       stats_.migrations_timed_out++;
       state_ = State::kCooldown;
-      cooldown_until_ = now + options_.cooldown_ns;
+      cooldown_until_ = now + kCooldownNs;
     }
     return;
   }
@@ -462,7 +460,7 @@ void RebalancePlanner::PlanOnce() {
   const double mean = static_cast<double>(total) / static_cast<double>(fresh_count);
   const uint64_t max_load = loads[hottest];
   const bool imbalanced = max_load >= options_.min_imbalance_ops_per_sec &&
-                          static_cast<double>(max_load) > options_.imbalance_ratio * mean;
+                          static_cast<double>(max_load) > kImbalanceRatio * mean;
   if (!imbalanced) {
     stats_.skipped_balanced++;
     imbalanced_rounds_ = 0;

@@ -9,8 +9,8 @@
 //
 // Policy properties:
 //  * Every threshold is a named constant (the determinism lint enforces
-//    this for src/rebalance policy code) and overridable per run via
-//    RebalancerOptions — no magic numbers in decisions.
+//    this for src/rebalance policy code) — no magic numbers in decisions.
+//    RebalancerOptions overrides the three that tests and benches tune.
 //  * Hysteresis + cooldown: an imbalance must persist for
 //    kHysteresisRounds consecutive planning rounds before acting, and a
 //    completed (or timed-out) migration is followed by a cooldown so the
@@ -39,7 +39,7 @@
 
 namespace rocksteady {
 
-// --- Policy thresholds (all named; RebalancerOptions mirrors them). ---
+// --- Policy thresholds (all named). ---
 // Planning cadence; one decision per round, at most.
 inline constexpr Tick kPlannerIntervalNs = 10 * kMillisecond;
 // Frames older than this are ignored (a silent master is not a candidate).
@@ -78,22 +78,12 @@ inline constexpr int kDrainConcurrency = 2;
 // the drain keeps making progress past a wedged endpoint.
 inline constexpr Tick kDrainFlightDeadlineNs = 2 * kSecond;
 
+// The thresholds a run may override; every other policy constant above is
+// read directly.
 struct RebalancerOptions {
-  Tick planner_interval_ns = kPlannerIntervalNs;
-  Tick telemetry_staleness_ns = kTelemetryStalenessNs;
-  double imbalance_ratio = kImbalanceRatio;
   uint64_t min_imbalance_ops_per_sec = kMinImbalanceOpsPerSec;
   int hysteresis_rounds = kHysteresisRounds;
-  Tick cooldown_ns = kCooldownNs;
   Tick migration_deadline_ns = kMigrationDeadlineNs;
-  Tick target_p999_ceiling_ns = kTargetP999CeilingNs;
-  uint32_t target_queue_ceiling = kTargetQueueCeiling;
-  Tick target_backlog_ceiling_ns = kTargetBacklogCeilingNs;
-  double target_memory_fraction = kTargetMemoryFraction;
-  double split_overshoot_fraction = kSplitOvershootFraction;
-  bool allow_splits = true;
-  int drain_concurrency = kDrainConcurrency;
-  Tick drain_flight_deadline_ns = kDrainFlightDeadlineNs;
 };
 
 struct PlannerStats {

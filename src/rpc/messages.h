@@ -479,7 +479,7 @@ struct RecoverSource {
   uint32_t min_segment = 0;
   uint32_t min_offset = 0;
   bool inline_tail = false;
-  std::vector<uint8_t> tail;  // Serialized entries, when inline_tail.
+  ByteSlice tail;  // Serialized entries, when inline_tail.
 };
 
 struct RecoverRequest : RpcRequest {
@@ -518,7 +518,7 @@ struct AbortInboundMigrationRequest : RpcRequest {
 
 struct AbortInboundMigrationResponse : RpcResponse {
   bool committed = false;
-  std::vector<uint8_t> tail;
+  ByteSlice tail;
 
   size_t WireSize() const override { return kRpcHeaderBytes + 1 + tail.size(); }
   ROCKSTEADY_CLONEABLE_RESPONSE(AbortInboundMigrationResponse)

@@ -132,7 +132,7 @@ Result<Version> ObjectManager::Remove(TableId table, std::string_view key, KeyHa
   return version;
 }
 
-bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log, LogRef* out_ref) {
+bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log) {
   const KeyHash hash = entry.key_hash();
   const LogRef old_ref = hash_table_.Lookup(hash);
   if (old_ref.valid()) {
@@ -158,9 +158,6 @@ bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log, LogRef*
       log_.MarkDead(old_ref);
     }
     version_horizon_ = std::max(version_horizon_, entry.version());
-    if (out_ref != nullptr) {
-      *out_ref = *ref;
-    }
     return true;
   }
   assert(entry.type() == LogEntryType::kObject);
@@ -177,9 +174,6 @@ bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log, LogRef*
     log_.MarkDead(old_ref);
   }
   version_horizon_ = std::max(version_horizon_, entry.version());
-  if (out_ref != nullptr) {
-    *out_ref = *ref;
-  }
   return true;
 }
 

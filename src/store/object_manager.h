@@ -66,9 +66,7 @@ class ObjectManager {
   // is non-null the record lands there (Rocksteady parallel replay);
   // otherwise it goes to the main log (recovery, baseline migration).
   // Returns true if the entry was incorporated, false if stale/duplicate.
-  // `out_ref` (optional) receives where the copy landed, so callers that
-  // must re-replicate incorporated entries (recovery masters) can.
-  bool Replay(const LogEntryView& entry, SideLog* side_log, LogRef* out_ref = nullptr);
+  bool Replay(const LogEntryView& entry, SideLog* side_log);
 
   // Drops every hash-table entry that points into uncommitted side-log
   // segments of `side_log` (aborting a half-done migration).

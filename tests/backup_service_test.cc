@@ -145,9 +145,9 @@ TEST(BackupServiceTest, OutOfOrderWriteLeavesAZeroGapUntilTheMissingWriteArrives
 }
 
 TEST(BackupServiceTest, OffsetZeroRewritesOfAPseudoStreamMatchAPrivateCopy) {
-  // A pseudo stream (sync re-replication) rewrites offset 0 with each new
-  // batch, each from its own buffer; a shorter batch leaves the tail of a
-  // longer one. Twenty batches also push past the extent cap.
+  // A stream that rewrites offset 0 with each new batch, each from its own
+  // buffer: a shorter batch leaves the tail of a longer one. Twenty batches
+  // also push past the extent cap.
   Harness h;
   const size_t lengths[] = {300, 100, 200, 50, 400, 10, 390, 20, 30, 40,
                             50,  60,  70,  80, 90,  99, 398, 5,  1,  250};

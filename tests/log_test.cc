@@ -169,15 +169,6 @@ TEST(LogTest, ForEachEntrySeesEverything) {
   EXPECT_EQ(seen.size(), 50u);
 }
 
-TEST(LogTest, AppendObserverFires) {
-  Log log;
-  int observed = 0;
-  log.set_append_observer([&](LogRef, const LogEntryView&) { observed++; });
-  log.AppendObject(1, 1, "k", "v", 1);
-  log.AppendTombstone(1, 1, "k", 2);
-  EXPECT_EQ(observed, 2);
-}
-
 TEST(LogTest, HeadPositionAdvances) {
   Log log;
   const auto before = log.HeadPosition();
