@@ -90,7 +90,7 @@ double SourceRateGBps(int workers, size_t entry_bytes) {
                    records++;
                  }
                },
-               [&] { return bytes < 20 * 1024; });
+               [&] { return bytes < 20 * 1024; }, &om->log());
            total_bytes += bytes;
            return costs.PullCost(records, bytes);
          },

@@ -1,12 +1,16 @@
 // Micro-benchmarks for the wall-clock-performance-critical primitives: key
 // hashing, CRC32C, Zipfian generation, hash-table ops, log append, replay,
-// and the event queue. These measure *real* time (google-benchmark), unlike
-// the figure drivers, which measure simulated time.
+// the migration source's pull scan and tablet drop, and the event queue.
+// These measure *real* time (google-benchmark), unlike the figure drivers,
+// which measure simulated time.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/cluster/cluster.h"
+#include "src/common/byte_slice.h"
 #include "src/common/crc32c.h"
 #include "src/common/hash.h"
 #include "src/common/random.h"
@@ -91,6 +95,95 @@ void BM_ObjectManagerWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectManagerWrite);
+
+// A source master's store for the pull-path benchmarks: 600k YCSB records
+// (30 B keys, 100 B values) in 2^18 buckets (~2.3 entries per bucket), so
+// the ~100 MB log and the 38 MB bucket array are far larger than L2.
+constexpr uint64_t kPullRecords = 600'000;
+constexpr int kPullLog2Buckets = 18;
+constexpr TableId kPullTable = 1;
+// The half of the key-hash space a migration moves.
+constexpr KeyHash kPullEndHash = ~0ull >> 1;
+
+std::unique_ptr<ObjectManager> LoadPullSource() {
+  ObjectManagerOptions options;
+  options.hash_table_log2_buckets = kPullLog2Buckets;
+  auto objects = std::make_unique<ObjectManager>(options);
+  const std::string value(100, 'v');
+  std::string key;
+  for (uint64_t i = 0; i < kPullRecords; i++) {
+    Cluster::MakeKeyInto(i, 30, &key);
+    const KeyHash hash = HashKey(kPullTable, key);
+    objects->Write(kPullTable, key, hash, value);
+  }
+  return objects;
+}
+
+// Reports the wall time per record the pass visited, in seconds (the
+// console prints it as a time, e.g. "per_record=190ns").
+void SetPerRecord(benchmark::State& state, uint64_t records) {
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(records), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_PullScan(benchmark::State& state) {
+  // The source side of a Rocksteady pull (HandlePull): 20 KB pulls walk
+  // the migrating half's buckets, read and checksum each entry, and copy
+  // it into the reply, until the range is done. range(0) = 1 passes the log
+  // so the scan prefetches entries ahead (HashTable::kEntryLookahead); 0
+  // scans without the entry prefetch, for the layer's before/after.
+  static const std::unique_ptr<ObjectManager> objects = LoadPullSource();
+  const HashTable& table = objects->hash_table();
+  const Log& log = objects->log();
+  const Log* lookahead = state.range(0) != 0 ? &log : nullptr;
+  const size_t end_bucket = table.BucketOf(kPullEndHash) + 1;
+  constexpr size_t kBudgetBytes = 20 * 1024;
+  uint64_t records = 0;
+  for (auto _ : state) {
+    size_t cursor = 0;
+    while (cursor < end_bucket) {
+      ByteSliceBuilder out(kBudgetBytes);
+      cursor = table.ScanBuckets(
+          end_bucket, cursor,
+          [&](KeyHash hash, LogRef ref) {
+            if (hash > kPullEndHash) {
+              return;
+            }
+            LogEntryView entry;
+            if (!log.Read(ref, &entry) || entry.table_id() != kPullTable ||
+                entry.type() != LogEntryType::kObject) {
+              return;
+            }
+            out.Append(entry.raw, entry.header.TotalLength());
+            records++;
+          },
+          [&] { return out.size() < kBudgetBytes; }, lookahead);
+      benchmark::DoNotOptimize(out.Finish());
+    }
+  }
+  SetPerRecord(state, records);
+}
+BENCHMARK(BM_PullScan)->Arg(0)->Arg(1);
+
+void BM_TabletDrop(benchmark::State& state) {
+  // The source's post-commit drop of the migrated half
+  // (ObjectManager::DropTabletEntries): read each entry, mark it dead,
+  // unlink it. Destructive, so every iteration drops from a freshly loaded
+  // store, loaded outside the timed region.
+  uint64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<ObjectManager> objects = LoadPullSource();
+    state.ResumeTiming();
+    records += objects->DropTabletEntries(kPullTable, 0, kPullEndHash);
+    state.PauseTiming();
+    objects.reset();
+    state.ResumeTiming();
+  }
+  SetPerRecord(state, records);
+}
+// Each load takes longer than the timed drop; a fixed count bounds the run.
+BENCHMARK(BM_TabletDrop)->Iterations(5);
 
 void BM_EventQueue(benchmark::State& state) {
   // Event throughput bounds how fast experiments run in wall-clock time.

@@ -112,6 +112,13 @@ step "perfbench selftest (hard gate): every workload's simulated metrics, counts
 # metrics, counts and trace hashes — identical across the repetitions.
 python3 "${ROOT}/perfbench/run.py" --selftest
 
+step "pull-path micro benchmarks: the source's pull scan and tablet drop build and run"
+# One short run of each, so the wall-clock numbers for the migration
+# source's store passes (ns per record, with and without the scan's
+# lookahead) keep compiling and running. No timing is gated here.
+"${ROOT}/build-asan/bench/micro_primitives" \
+  --benchmark_filter='BM_PullScan|BM_TabletDrop' --benchmark_min_time=0.01
+
 step "engine bench smoke (~2s; trace-hash divergence is a hard failure)"
 # Compare against the recorded trajectory without mutating it: the smoke
 # entry lands in a scratch copy, so CI stays read-only on BENCH_engine.json.

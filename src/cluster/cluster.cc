@@ -1,6 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -90,13 +91,36 @@ void Cluster::MakeKeyInto(uint64_t id, size_t key_length, std::string* out) {
 
 void Cluster::LoadTable(TableId table, uint64_t num_records, size_t key_length,
                         size_t value_length) {
-  const std::string value(value_length, 'v');
-  for (uint64_t i = 0; i < num_records; i++) {
-    const std::string key = MakeKey(i, key_length);
-    const KeyHash hash = HashKey(table, key);
-    const ServerId owner = coordinator_->OwnerOf(table, hash);
+  // Each write probes a random bucket of a hash table that may be larger
+  // than the cache. Hashing kAhead records ahead and prefetching that
+  // bucket overlaps the misses: 8 covers DRAM latency at one write's cost
+  // (key hash, log append, two probes of a now-cached bucket).
+  constexpr uint64_t kAhead = 8;
+  struct Staged {
+    std::string key;
+    KeyHash hash = 0;
+    ObjectManager* objects = nullptr;
+  };
+  std::array<Staged, kAhead> staged;
+  const auto stage = [&](uint64_t i) {
+    Staged& next = staged[i % kAhead];
+    MakeKeyInto(i, key_length, &next.key);
+    next.hash = HashKey(table, next.key);
+    const ServerId owner = coordinator_->OwnerOf(table, next.hash);
     assert(owner != kInvalidServerId);
-    coordinator_->master(owner)->objects().Write(table, key, hash, value);
+    next.objects = &coordinator_->master(owner)->objects();
+    next.objects->hash_table().PrefetchBucket(next.hash);
+  };
+  const std::string value(value_length, 'v');
+  for (uint64_t i = 0; i < std::min(kAhead, num_records); i++) {
+    stage(i);
+  }
+  for (uint64_t i = 0; i < num_records; i++) {
+    Staged& record = staged[i % kAhead];
+    record.objects->Write(table, record.key, record.hash, value);
+    if (i + kAhead < num_records) {
+      stage(i + kAhead);
+    }
   }
   for (size_t i = 0; i < masters_.size(); i++) {
     SeedReplicas(i);

@@ -53,6 +53,18 @@ void Histogram::Merge(const Histogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
+void Histogram::Remove(uint64_t value) {
+  const size_t index = BucketIndex(value);
+  assert(index < buckets_.size() && buckets_[index] > 0);
+  buckets_[index]--;
+  count_--;
+  sum_ -= value;
+  if (count_ == 0) {
+    min_ = ~0ull;
+    max_ = 0;
+  }
+}
+
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;

@@ -19,6 +19,10 @@ class Histogram {
 
   void Record(uint64_t value);
   void Merge(const Histogram& other);
+  // Removes one sample of `value`, which must have been recorded. Buckets,
+  // count and sum stay exact; min() and max() cannot be recomputed from the
+  // buckets, so they stay bounds of what remains (reset once it is empty).
+  void Remove(uint64_t value);
   void Reset();
 
   uint64_t count() const { return count_; }

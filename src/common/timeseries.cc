@@ -54,7 +54,7 @@ SlidingLatencyTracker::SlidingLatencyTracker(Tick bucket_span, size_t num_bucket
     : bucket_span_(bucket_span) {
   assert(bucket_span > 0);
   assert(num_buckets > 0);
-  buckets_.resize(num_buckets);
+  slots_.resize(num_buckets);
 }
 
 void SlidingLatencyTracker::Advance(Tick now) {
@@ -62,14 +62,21 @@ void SlidingLatencyTracker::Advance(Tick now) {
   if (target <= current_) {
     return;
   }
-  if (target - current_ >= buckets_.size()) {
+  if (target - current_ >= slots_.size()) {
     // Quiet period longer than the whole ring: everything is stale.
-    for (auto& bucket : buckets_) {
-      bucket.Reset();
+    for (auto& slot : slots_) {
+      slot.latencies.clear();
+      slot.max = 0;
     }
+    window_.Reset();
   } else {
     for (uint64_t i = current_ + 1; i <= target; ++i) {
-      buckets_[i % buckets_.size()].Reset();
+      Slot& expired = slots_[i % slots_.size()];
+      for (const Tick latency : expired.latencies) {
+        window_.Remove(latency);
+      }
+      expired.latencies.clear();
+      expired.max = 0;
     }
   }
   current_ = target;
@@ -77,28 +84,30 @@ void SlidingLatencyTracker::Advance(Tick now) {
 
 void SlidingLatencyTracker::Record(Tick now, Tick latency) {
   Advance(now);
-  buckets_[current_ % buckets_.size()].Record(latency);
+  Slot& slot = slots_[current_ % slots_.size()];
+  slot.latencies.push_back(latency);
+  slot.max = std::max(slot.max, latency);
+  window_.Record(latency);
 }
 
 uint64_t SlidingLatencyTracker::RecentPercentile(Tick now, double q) {
   Advance(now);
-  Histogram merged;
-  for (const auto& bucket : buckets_) {
-    merged.Merge(bucket);
-  }
-  if (merged.count() == 0) {
+  if (window_.count() == 0) {
     return 0;
   }
-  return merged.Percentile(q);
+  // window_ holds exactly the slots' samples, so it finds the bucket a
+  // merge of them would; its max() is a bound at or above their true max,
+  // so clamping to the true max returns exactly what the merge returns.
+  Tick max = 0;
+  for (const auto& slot : slots_) {
+    max = std::max(max, slot.max);
+  }
+  return std::min(window_.Percentile(q), max);
 }
 
 uint64_t SlidingLatencyTracker::RecentCount(Tick now) {
   Advance(now);
-  uint64_t total = 0;
-  for (const auto& bucket : buckets_) {
-    total += bucket.count();
-  }
-  return total;
+  return window_.count();
 }
 
 CounterTimeline::CounterTimeline(Tick window, size_t max_windows) : window_(window) {

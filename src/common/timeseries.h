@@ -66,9 +66,10 @@ class UtilizationTimeline {
 // LatencyTimeline (which keeps every window of a run for plotting), this
 // keeps only the last `num_buckets` sub-windows of `bucket_span` simulated
 // time each, recycled in place, and answers "recent p99.9" over them —
-// constant memory regardless of run length. The source piggybacks this
-// signal on pull replies so the migration target can pace itself (§4.2's
-// "adaptively... based on load").
+// memory bounded by one window's samples regardless of run length. A query
+// reads a running window histogram rather than merging the sub-windows:
+// the source piggybacks this signal on every pull reply so the migration
+// target can pace itself (§4.2's "adaptively... based on load").
 class SlidingLatencyTracker {
  public:
   SlidingLatencyTracker(Tick bucket_span, size_t num_buckets);
@@ -80,15 +81,27 @@ class SlidingLatencyTracker {
   uint64_t RecentPercentile(Tick now, double q);
   uint64_t RecentCount(Tick now);
 
-  Tick span() const { return bucket_span_ * static_cast<Tick>(buckets_.size()); }
+  Tick span() const { return bucket_span_ * static_cast<Tick>(slots_.size()); }
 
  private:
   // Rotates the ring forward so every slot holds a window overlapping
   // [now - span, now]; skipped-over slots are reset.
   void Advance(Tick now);
 
+  // One sub-window's samples, kept so they can leave window_ when it
+  // expires.
+  struct Slot {
+    std::vector<Tick> latencies;
+    Tick max = 0;
+  };
+
   Tick bucket_span_;
-  std::vector<Histogram> buckets_;
+  std::vector<Slot> slots_;
+  // Every in-window sample, kept as samples arrive and slots expire, so a
+  // query merges nothing. Its max() is only a bound (see
+  // Histogram::Remove); RecentPercentile takes the exact one from the
+  // slots.
+  Histogram window_;
   uint64_t current_ = 0;  // Absolute index (now / bucket_span_) of the newest slot.
 };
 

@@ -102,15 +102,23 @@ bool HashTable::Replace(KeyHash hash, LogRef expected, LogRef desired) {
   return true;
 }
 
+void HashTable::PrefetchEntries(size_t index, const Log& log) const {
+  const Bucket& bucket = buckets_[index];
+  for (size_t i = 0; i < bucket.count; i++) {
+    log.PrefetchEntry(bucket.refs[i]);
+  }
+}
+
 size_t HashTable::ScanBuckets(size_t end_bucket, size_t cursor,
                               const std::function<void(KeyHash, LogRef)>& visit,
-                              const std::function<bool()>& bucket_done) const {
+                              const std::function<bool()>& bucket_done, const Log* log) const {
   end_bucket = std::min(end_bucket, num_buckets_);
   while (cursor < end_bucket) {
-    if (cursor + 1 < end_bucket) {
-      // Pull scans walk long contiguous bucket runs; fetching the next
-      // bucket while visiting this one keeps the walk off the miss path.
-      __builtin_prefetch(&buckets_[cursor + 1], 0, 1);
+    if (log != nullptr && cursor + kEntryLookahead < end_bucket) {
+      PrefetchEntries(cursor + kEntryLookahead, *log);
+    }
+    if (cursor + kBucketLookahead < end_bucket) {
+      PrefetchLines(&buckets_[cursor + kBucketLookahead], kBucketLines);
     }
     const Bucket* bucket = &buckets_[cursor];
     while (bucket != nullptr) {
@@ -132,7 +140,7 @@ void HashTable::ForEach(const std::function<void(KeyHash, LogRef)>& fn) const {
 }
 
 size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred,
-                           size_t first_bucket, size_t end_bucket) {
+                           size_t first_bucket, size_t end_bucket, const Log* log) {
   // Collect first: Remove() moves slots around, which would confuse an
   // in-place walk.
   std::vector<KeyHash> doomed;
@@ -143,7 +151,7 @@ size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred,
           doomed.push_back(hash);
         }
       },
-      [] { return true; });
+      [] { return true; }, log);
   for (KeyHash hash : doomed) {
     Remove(hash);
   }

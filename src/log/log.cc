@@ -16,29 +16,39 @@ Segment* Log::Head() {
   return segments_.back().get();
 }
 
-Result<LogRef> Log::Append(LogEntryType type, TableId table, KeyHash hash, std::string_view key,
-                           std::string_view value, Version version) {
-  const size_t needed = sizeof(LogEntryHeader) + key.size() + value.size();
+template <typename AppendTo>
+Result<LogRef> Log::AppendAtHead(size_t needed, const AppendTo& append_to) {
   if (needed > segment_size_) {
     return Status::kNoSpace;
   }
-  LogEntryHeader header;
-  header.type = type;
-  header.table_id = table;
-  header.key_hash = hash;
-  header.version = version;
-
   Segment* head = Head();
-  size_t offset = head->AppendEntry(header, key, value);
+  size_t offset = append_to(head);
   if (offset == SIZE_MAX) {
     head->Seal();
     head = Head();
-    offset = head->AppendEntry(header, key, value);
+    offset = append_to(head);
     assert(offset != SIZE_MAX);
   }
   stats_.appended_bytes += needed;
   stats_.appended_entries++;
   return LogRef(head->id(), static_cast<uint32_t>(offset));
+}
+
+Result<LogRef> Log::Append(LogEntryType type, TableId table, KeyHash hash, std::string_view key,
+                           std::string_view value, Version version) {
+  LogEntryHeader header;
+  header.type = type;
+  header.table_id = table;
+  header.key_hash = hash;
+  header.version = version;
+  return AppendAtHead(sizeof(LogEntryHeader) + key.size() + value.size(),
+                      [&](Segment* head) { return head->AppendEntry(header, key, value); });
+}
+
+Result<LogRef> Log::AppendSerialized(const LogEntryView& entry) {
+  const size_t length = entry.header.TotalLength();
+  return AppendAtHead(length,
+                      [&](Segment* head) { return head->AppendSerialized(entry.raw, length); });
 }
 
 Result<LogRef> Log::AppendObject(TableId table, KeyHash hash, std::string_view key,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/audit.h"
+#include "src/common/prefetch.h"
 #include "src/common/status.h"
 #include "src/log/segment.h"
 
@@ -67,9 +68,30 @@ class Log {
   Result<LogRef> AppendTombstone(TableId table, KeyHash hash, std::string_view key,
                                  Version version);
 
+  // Appends an entry another log wrote (replayed migration or recovery
+  // data, or a live entry the cleaner relocates) byte for byte: its
+  // header, key, value, version and checksum are kept, so nothing is
+  // re-serialized or re-checksummed. `entry` must come from ReadEntry.
+  Result<LogRef> AppendSerialized(const LogEntryView& entry);
+
   // Reads the (validated) entry at `ref`; false if the reference is stale
   // (segment freed) or the entry fails its checksum.
   bool Read(LogRef ref, LogEntryView* out) const;
+
+  // Hints that the entry at `ref` is about to be read: prefetches the first
+  // kPrefetchEntryLines cache lines at its offset. A stale ref (segment
+  // freed), an unknown segment id, an offset past the segment or an
+  // invalid ref is a no-op: a missing segment is never dereferenced.
+  void PrefetchEntry(LogRef ref) const {
+    if (!ref.valid()) {
+      return;
+    }
+    const Segment* segment = FindSegment(ref.segment_id());
+    if (segment == nullptr || ref.offset() >= segment->capacity()) {
+      return;
+    }
+    PrefetchLines(segment->data() + ref.offset(), kPrefetchEntryLines);
+  }
 
   // The same bytes as a slice sharing the segment's buffer: what
   // replication sends, so backups hold them without a copy.
@@ -132,8 +154,18 @@ class Log {
   void AuditInvariants(AuditReport* report) const;
 
  private:
+  // A YCSB record (40 B header + 30 B key + 100 B value) spans three cache
+  // lines; a reader's first touch is the header, then the checksum walks
+  // the rest.
+  static constexpr size_t kPrefetchEntryLines = 3;
+
   Result<LogRef> Append(LogEntryType type, TableId table, KeyHash hash, std::string_view key,
                         std::string_view value, Version version);
+  // Appends a `needed`-byte entry with `append_to(segment)` (which returns
+  // the offset, or SIZE_MAX when the segment is full) at the head, rolling
+  // to a new head segment once.
+  template <typename AppendTo>
+  Result<LogRef> AppendAtHead(size_t needed, const AppendTo& append_to);
   Segment* Head();
   // Records `segment` in registry_ under its id.
   void Register(Segment* segment);

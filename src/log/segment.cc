@@ -1,6 +1,7 @@
 #include "src/log/segment.h"
 
 #include <cassert>
+#include <cstring>
 #include <functional>
 
 namespace rocksteady {
@@ -16,6 +17,18 @@ size_t Segment::AppendEntry(const LogEntryHeader& header, std::string_view key,
   WriteEntry(buffer_->data() + offset, header, key, value);
   used_ += needed;
   live_bytes_ += needed;
+  return offset;
+}
+
+size_t Segment::AppendSerialized(const uint8_t* entry, size_t length) {
+  assert(!sealed_);
+  if (Free() < length) {
+    return SIZE_MAX;
+  }
+  const size_t offset = used_;
+  std::memcpy(buffer_->data() + offset, entry, length);
+  used_ += length;
+  live_bytes_ += length;
   return offset;
 }
 

@@ -41,6 +41,11 @@ class Segment {
   // Appends a serialized entry; returns its offset, or SIZE_MAX if full.
   size_t AppendEntry(const LogEntryHeader& header, std::string_view key, std::string_view value);
 
+  // Appends an entry that is already serialized (a LogEntryView's `raw`
+  // bytes, `length` = its TotalLength()) verbatim; returns its offset, or
+  // SIZE_MAX if full.
+  size_t AppendSerialized(const uint8_t* entry, size_t length);
+
   // Parses the entry at `offset`. Returns false on bad offset or checksum.
   bool EntryAt(size_t offset, LogEntryView* out) const;
 

@@ -9,37 +9,20 @@ SideLog::~SideLog() {
   Abort();
 }
 
-Result<LogRef> SideLog::Append(LogEntryType type, TableId table, KeyHash hash,
-                               std::string_view key, std::string_view value, Version version) {
-  const size_t needed = sizeof(LogEntryHeader) + key.size() + value.size();
-  if (needed > parent_->segment_size()) {
+Result<LogRef> SideLog::AppendSerialized(const LogEntryView& entry) {
+  const size_t length = entry.header.TotalLength();
+  if (length > parent_->segment_size()) {
     return Status::kNoSpace;
   }
-  LogEntryHeader header;
-  header.type = type;
-  header.table_id = table;
-  header.key_hash = hash;
-  header.version = version;
-
-  if (segments_.empty() || segments_.back()->Free() < needed) {
+  if (segments_.empty() || segments_.back()->Free() < length) {
     segments_.push_back(parent_->AllocateSideSegment());
   }
   Segment* segment = segments_.back().get();
-  const size_t offset = segment->AppendEntry(header, key, value);
+  const size_t offset = segment->AppendSerialized(entry.raw, length);
   assert(offset != SIZE_MAX);
-  pending_bytes_ += needed;
+  pending_bytes_ += length;
   pending_entries_++;
   return LogRef(segment->id(), static_cast<uint32_t>(offset));
-}
-
-Result<LogRef> SideLog::AppendObject(TableId table, KeyHash hash, std::string_view key,
-                                     std::string_view value, Version version) {
-  return Append(LogEntryType::kObject, table, hash, key, value, version);
-}
-
-Result<LogRef> SideLog::AppendTombstone(TableId table, KeyHash hash, std::string_view key,
-                                        Version version) {
-  return Append(LogEntryType::kTombstone, table, hash, key, {}, version);
 }
 
 void SideLog::Commit() {

@@ -26,12 +26,10 @@ class SideLog {
 
   ~SideLog();
 
-  // Appends a replayed object. References are immediately readable through
-  // the parent log (migrated records serve reads before commit).
-  Result<LogRef> AppendObject(TableId table, KeyHash hash, std::string_view key,
-                              std::string_view value, Version version);
-  Result<LogRef> AppendTombstone(TableId table, KeyHash hash, std::string_view key,
-                                 Version version);
+  // Appends a replayed entry byte for byte (Log::AppendSerialized).
+  // References are immediately readable through the parent log (migrated
+  // records serve reads before commit).
+  Result<LogRef> AppendSerialized(const LogEntryView& entry);
 
   // Commits all segments into the parent log (appends the commit metadata
   // record). After this the side log is empty and reusable.
@@ -60,9 +58,6 @@ class SideLog {
   void AuditInvariants(AuditReport* report) const;
 
  private:
-  Result<LogRef> Append(LogEntryType type, TableId table, KeyHash hash, std::string_view key,
-                        std::string_view value, Version version);
-
   Log* parent_;
   std::vector<std::unique_ptr<Segment>> segments_;
   size_t pending_bytes_ = 0;

@@ -92,7 +92,7 @@ void HandlePull(MasterServer* master, RpcContext context) {
                out.Append(entry.raw, entry.header.TotalLength());
                records++;
              },
-             [&] { return out.size() < req.budget_bytes; });
+             [&] { return out.size() < req.budget_bytes; }, &log);
          const size_t bytes = out.size();
          // Frozen from here on: the dedup cache's clone shares these bytes.
          response->records = out.Finish();

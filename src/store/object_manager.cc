@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
@@ -17,12 +18,7 @@ ObjectManager::ObjectManager(const ObjectManagerOptions& options)
         if (!(hash_table_.Lookup(entry.key_hash()) == old_ref)) {
           return false;  // Dead: overwritten or removed since.
         }
-        Result<LogRef> moved =
-            entry.type() == LogEntryType::kObject
-                ? log_.AppendObject(entry.table_id(), entry.key_hash(), entry.key, entry.value,
-                                    entry.version())
-                : log_.AppendTombstone(entry.table_id(), entry.key_hash(), entry.key,
-                                       entry.version());
+        Result<LogRef> moved = log_.AppendSerialized(entry);
         assert(moved.ok());
         const bool swapped = hash_table_.Replace(entry.key_hash(), old_ref, *moved);
         assert(swapped);
@@ -133,6 +129,7 @@ Result<Version> ObjectManager::Remove(TableId table, std::string_view key, KeyHa
 }
 
 bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log) {
+  assert(entry.type() == LogEntryType::kObject || entry.type() == LogEntryType::kTombstone);
   const KeyHash hash = entry.key_hash();
   const LogRef old_ref = hash_table_.Lookup(hash);
   if (old_ref.valid()) {
@@ -141,31 +138,16 @@ bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log) {
       return false;  // Local copy is as new or newer; drop the stale record.
     }
   }
-  if (entry.type() == LogEntryType::kTombstone) {
-    // Keep the tombstone referenced: replay is order-free, so an older copy
-    // of the object may arrive *after* its tombstone and must lose the
-    // version comparison.
-    Result<LogRef> ref = side_log != nullptr
-                             ? side_log->AppendTombstone(entry.table_id(), hash, entry.key,
-                                                         entry.version())
-                             : log_.AppendTombstone(entry.table_id(), hash, entry.key,
-                                                    entry.version());
-    if (!ref.ok()) {
-      return false;
-    }
-    hash_table_.Insert(hash, *ref);
-    if (old_ref.valid()) {
-      log_.MarkDead(old_ref);
-    }
-    version_horizon_ = std::max(version_horizon_, entry.version());
-    return true;
-  }
-  assert(entry.type() == LogEntryType::kObject);
-  Result<LogRef> ref = side_log != nullptr
-                           ? side_log->AppendObject(entry.table_id(), hash, entry.key,
-                                                    entry.value, entry.version())
-                           : log_.AppendObject(entry.table_id(), hash, entry.key, entry.value,
-                                               entry.version());
+  // The entry was validated where it was parsed (ReadEntry), so its bytes
+  // go in verbatim: the same header, key, value, version and checksum a
+  // re-serialization would write, without a second checksum pass.
+  ROCKSTEADY_DCHECK(ComputeEntryChecksum(entry.header, entry.key, entry.value) ==
+                    entry.header.checksum);
+  // A tombstone stays referenced too: replay is order-free, so an older
+  // copy of the object may arrive *after* its tombstone and must lose the
+  // version comparison.
+  Result<LogRef> ref =
+      side_log != nullptr ? side_log->AppendSerialized(entry) : log_.AppendSerialized(entry);
   if (!ref.ok()) {
     return false;
   }
@@ -208,7 +190,7 @@ size_t ObjectManager::DropTabletEntries(TableId table, KeyHash start_hash, KeyHa
         log_.MarkDead(ref, entry);
         return true;
       },
-      hash_table_.BucketOf(start_hash), hash_table_.BucketOf(end_hash) + 1);
+      hash_table_.BucketOf(start_hash), hash_table_.BucketOf(end_hash) + 1, &log_);
 }
 
 uint64_t ObjectManager::EstimateRangeBytes(TableId table, KeyHash start_hash,

@@ -79,7 +79,10 @@ TEST(AuditTest, PopulatedObjectManagerAuditsClean) {
 TEST(AuditTest, SideLogAuditsCleanBeforeAndAfterCommit) {
   Log log(4 * 1024);
   SideLog side(&log);
-  ASSERT_TRUE(side.AppendObject(1, 0x42, "k", "v", 7).ok());
+  Log source;
+  LogEntryView entry;
+  ASSERT_TRUE(source.Read(*source.AppendObject(1, 0x42, "k", "v", 7), &entry));
+  ASSERT_TRUE(side.AppendSerialized(entry).ok());
   AuditReport before;
   side.AuditInvariants(&before);
   EXPECT_TRUE(before.ok()) << before.Summary();

@@ -384,6 +384,55 @@ TEST(SlidingLatencyTrackerTest, RotatesThroughAdjacentBuckets) {
   EXPECT_LE(tracker.RecentCount(310), 2u);
 }
 
+TEST(SlidingLatencyTrackerTest, RunningWindowMatchesMergingTheSlots) {
+  // The tracker keeps a running window total instead of merging its slots
+  // per query. Against a reference that merges every in-window sample
+  // afresh, over random record/query sequences whose clock steps range
+  // from within a slot to quiet gaps longer than the whole ring, it must
+  // answer every percentile and count exactly.
+  constexpr Tick kSpan = 100;
+  constexpr size_t kSlots = 8;
+  const double quantiles[] = {0.0, 0.5, 0.9, 0.99, 0.999, 1.0};
+  for (uint64_t seed = 1; seed <= 20; seed++) {
+    Random rng(seed);
+    SlidingLatencyTracker tracker(kSpan, kSlots);
+    std::vector<std::pair<uint64_t, Tick>> samples;  // (slot, latency)
+    uint64_t newest = 0;
+    Tick now = 0;
+    for (int step = 0; step < 2'000; step++) {
+      const uint64_t jump = rng.Uniform(100);
+      if (jump < 80) {
+        now += rng.Uniform(kSpan / 4);
+      } else if (jump < 97) {
+        now += rng.Uniform(3 * kSpan);
+      } else {
+        now += kSpan * kSlots + rng.Uniform(10 * kSpan * kSlots);  // Quiet gap.
+      }
+      newest = std::max<uint64_t>(newest, now / kSpan);
+      if (rng.Uniform(4) != 0) {
+        const Tick latency = rng.Uniform(uint64_t{1} << rng.Uniform(40));
+        tracker.Record(now, latency);
+        samples.emplace_back(now / kSpan, latency);
+        continue;
+      }
+      Histogram merged;
+      for (const auto& [slot, latency] : samples) {
+        if (slot + kSlots > newest) {
+          merged.Record(latency);
+        }
+      }
+      ASSERT_EQ(tracker.RecentCount(now), merged.count()) << "seed " << seed << " step " << step;
+      for (double q : quantiles) {
+        ASSERT_EQ(tracker.RecentPercentile(now, q), merged.Percentile(q))
+            << "seed " << seed << " step " << step << " q " << q;
+      }
+      const double q = rng.NextDouble();
+      ASSERT_EQ(tracker.RecentPercentile(now, q), merged.Percentile(q))
+          << "seed " << seed << " step " << step << " q " << q;
+    }
+  }
+}
+
 TEST(CounterTimelineTest, RatesAndTotals) {
   CounterTimeline counter(kSecond, 3);
   counter.Add(0, 100);

@@ -2,7 +2,11 @@
 // Rocksteady's partitioned Pulls rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -165,6 +169,118 @@ TEST(HashTableTest, LargeScaleInsertLookup) {
     ASSERT_TRUE(ref.valid());
     EXPECT_EQ(ref.offset(), i & 0xFFFF);
   }
+}
+
+// ------------------------------------------------- Store-pass lookahead.
+
+struct ScanTrace {
+  std::vector<std::pair<KeyHash, LogRef>> visits;
+  std::vector<size_t> cursors;  // Returned by each (resumed) ScanBuckets.
+};
+
+// Scans [begin, end) in pauses of `budget` entries (checked at bucket
+// boundaries, like a pull's byte budget), resuming at each returned cursor.
+ScanTrace ScanInPauses(const HashTable& table, size_t begin, size_t end, size_t budget,
+                       const Log* log) {
+  ScanTrace trace;
+  size_t cursor = begin;
+  do {
+    size_t batch = 0;
+    cursor = table.ScanBuckets(
+        end, cursor,
+        [&](KeyHash hash, LogRef ref) {
+          trace.visits.emplace_back(hash, ref);
+          batch++;
+        },
+        [&] { return batch < budget; }, log);
+    trace.cursors.push_back(cursor);
+  } while (cursor < std::min(end, table.num_buckets()));
+  return trace;
+}
+
+// A 128-bucket table (longer than HashTable::kBucketLookahead) over a log
+// with a freed segment. ~12 entries per bucket overflow the 8 slots, so
+// chains are common; refs resolve to live entries, to the freed segment, to
+// a segment id past the log's registry, or are invalid.
+class LookaheadScanTest : public ::testing::Test {
+ protected:
+  LookaheadScanTest() : log_(1024), table_(7) {
+    std::vector<LogRef> live;
+    for (uint64_t i = 0; i < 300; i++) {
+      auto ref = log_.AppendObject(1, Mix64(i), "key" + std::to_string(i), std::string(40, 'v'), 1);
+      live.push_back(*ref);
+    }
+    freed_ = live.front().segment_id();
+    log_.FreeSegment(freed_);
+    for (uint64_t i = 0; i < 1'500; i++) {
+      LogRef ref = live[i % live.size()];
+      switch (i % 10) {
+        case 7:
+          ref = LogRef(999'999, 0);
+          break;
+        case 8:
+          ref = LogRef();
+          break;
+        default:
+          break;
+      }
+      table_.Insert(Mix64(i + 1'000'000), ref);
+    }
+  }
+
+  Log log_;
+  HashTable table_;
+  uint32_t freed_ = 0;
+};
+
+TEST_F(LookaheadScanTest, FixtureHasChainsAndStaleRefs) {
+  EXPECT_GT(table_.MaxChainLength(), 1u);
+  EXPECT_GT(table_.num_buckets(), HashTable::kBucketLookahead);
+  EXPECT_EQ(log_.FindSegment(freed_), nullptr);
+}
+
+TEST_F(LookaheadScanTest, FullScanVisitsTheSameSequence) {
+  const ScanTrace plain = ScanInPauses(table_, 0, table_.num_buckets(), SIZE_MAX, nullptr);
+  const ScanTrace ahead = ScanInPauses(table_, 0, table_.num_buckets(), SIZE_MAX, &log_);
+  EXPECT_EQ(plain.visits.size(), table_.size());
+  EXPECT_EQ(ahead.visits, plain.visits);
+  EXPECT_EQ(ahead.cursors, plain.cursors);
+}
+
+TEST_F(LookaheadScanTest, PausedScanStopsAndResumesAtTheSameBuckets) {
+  for (size_t budget : {1, 5, 30, 200}) {
+    const ScanTrace plain = ScanInPauses(table_, 3, 120, budget, nullptr);
+    const ScanTrace ahead = ScanInPauses(table_, 3, 120, budget, &log_);
+    EXPECT_GT(plain.cursors.size(), 1u) << "budget " << budget;
+    EXPECT_EQ(ahead.visits, plain.visits) << "budget " << budget;
+    EXPECT_EQ(ahead.cursors, plain.cursors) << "budget " << budget;
+  }
+}
+
+TEST_F(LookaheadScanTest, RangesShorterThanTheLookahead) {
+  // Every range shorter than kBucketLookahead, at every start: the
+  // lookahead must stop at the range's end, including ranges whose end runs
+  // past the table.
+  const size_t buckets = table_.num_buckets();
+  for (size_t length = 0; length < HashTable::kBucketLookahead; length++) {
+    for (size_t begin = 0; begin <= buckets; begin++) {
+      const ScanTrace plain = ScanInPauses(table_, begin, begin + length, 10, nullptr);
+      const ScanTrace ahead = ScanInPauses(table_, begin, begin + length, 10, &log_);
+      ASSERT_EQ(ahead.visits, plain.visits) << "begin " << begin << " length " << length;
+      ASSERT_EQ(ahead.cursors, plain.cursors) << "begin " << begin << " length " << length;
+    }
+  }
+}
+
+TEST_F(LookaheadScanTest, RemoveIfRemovesTheSameEntries) {
+  HashTable copy(7);
+  table_.ForEach([&](KeyHash hash, LogRef ref) { copy.Insert(hash, ref); });
+  const auto doomed = [](KeyHash hash, LogRef ref) { return ref.valid() && (hash & 1) != 0; };
+  const size_t removed = table_.RemoveIf(doomed, 10, 100, &log_);
+  EXPECT_EQ(removed, copy.RemoveIf(doomed, 10, 100));
+  EXPECT_GT(removed, 0u);
+  EXPECT_EQ(ScanInPauses(table_, 0, 128, SIZE_MAX, nullptr).visits,
+            ScanInPauses(copy, 0, 128, SIZE_MAX, nullptr).visits);
 }
 
 // Property-style sweep: across table sizes, scans partitioned into P pieces

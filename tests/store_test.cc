@@ -2,6 +2,7 @@
 // semantics, version horizons, cleaner integration).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -278,6 +279,35 @@ TEST(ObjectManagerReplayTest, ReplayIntoSideLog) {
   EXPECT_EQ(om.Read(1, "k", h)->value, "via-side");
   side.Commit();
   EXPECT_EQ(om.Read(1, "k", h)->value, "via-side");
+}
+
+TEST(ObjectManagerReplayTest, SideLogEntryIsTheSourceEntryByteForByte) {
+  // A migrated record is pulled as the source's serialized entry and
+  // replayed verbatim: the side-log copy is byte-equal to the source's
+  // entry (header, key, value, version, checksum) and reads back valid.
+  ObjectManager source(SmallOptions());
+  ObjectManager target(SmallOptions());
+  SideLog side(&target.log());
+  const KeyHash object_hash = HashKey("object");
+  const KeyHash deleted_hash = HashKey("deleted");
+  ASSERT_TRUE(source.Write(1, "object", object_hash, std::string(100, 'v')).ok());
+  LogRef tombstone;
+  ASSERT_TRUE(source.Remove(1, "deleted", deleted_hash, &tombstone, true).ok());
+  for (const LogRef source_ref : {source.hash_table().Lookup(object_hash), tombstone}) {
+    LogEntryView entry;
+    ASSERT_TRUE(source.log().Read(source_ref, &entry));
+    ASSERT_TRUE(target.Replay(entry, &side));
+    const LogRef replayed = target.hash_table().Lookup(entry.key_hash());
+    LogEntryView copy;
+    ASSERT_TRUE(target.log().Read(replayed, &copy));
+    ASSERT_EQ(copy.header.TotalLength(), entry.header.TotalLength());
+    EXPECT_EQ(std::memcmp(copy.raw, entry.raw, entry.header.TotalLength()), 0);
+    LogEntryView reparsed;
+    EXPECT_TRUE(ReadEntry(copy.raw, copy.header.TotalLength(), &reparsed));
+    EXPECT_EQ(reparsed.type(), entry.type());
+  }
+  EXPECT_EQ(side.pending_entries(), 2u);
+  EXPECT_EQ(target.Read(1, "object", object_hash)->value, std::string(100, 'v'));
 }
 
 TEST(ObjectManagerReplayTest, DropSideLogEntriesOnAbort) {
