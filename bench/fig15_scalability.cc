@@ -1,10 +1,11 @@
 // Figure 15: "Source and target parallel migration scalability."
 //
-// Runs the pull (source) and replay (target) logic in isolation on large
-// batches of records, sweeping worker counts 1..16 and record sizes 128 B
-// and 1024 B, and reports achieved GB/s per side. "Record size" means the
-// whole log entry (header + key + value), as the migration path moves
-// entries.
+// Runs the migration path's own pull scan (ObjectManager::PullRange, what
+// the source's Pull handler runs) and replay (ObjectManager::ReplayRecords,
+// what the target's replay workers run) in isolation on large batches of
+// records, sweeping worker counts 1..16 and record sizes 128 B and 1024 B,
+// and reports achieved GB/s per side. "Record size" means the whole log
+// entry (header + key + value), as the migration path moves entries.
 //
 // Paper result: source ~5.7 GB/s and target ~3 GB/s at 16 threads for 128 B
 // records (1.8-2.4x apart); for 1 KB records both sides clear line rate
@@ -45,9 +46,8 @@ std::unique_ptr<ObjectManager> BuildStore(size_t count, size_t entry_bytes) {
   return om;
 }
 
-// Source side: saturate `workers` cores with Pull processing over 2x that
-// many hash-space partitions; measure entry bytes scanned per simulated
-// second.
+// Source side: saturate `workers` cores with 20 KB Pulls over 2x that many
+// hash-space partitions; measure entry bytes pulled per simulated second.
 double SourceRateGBps(int workers, size_t entry_bytes) {
   const size_t count = 64 * 1024;
   auto om = BuildStore(count, entry_bytes);
@@ -56,7 +56,6 @@ double SourceRateGBps(int workers, size_t entry_bytes) {
   CoreSet cores(&sim, workers);
 
   struct Partition {
-    size_t begin = 0;
     size_t end = 0;
     size_t cursor = 0;
   };
@@ -64,7 +63,7 @@ double SourceRateGBps(int workers, size_t entry_bytes) {
   std::vector<Partition> partitions(parts);
   const size_t buckets = om->hash_table().num_buckets();
   for (size_t p = 0; p < parts; p++) {
-    partitions[p] = {buckets * p / parts, buckets * (p + 1) / parts, buckets * p / parts};
+    partitions[p] = {buckets * (p + 1) / parts, buckets * p / parts};
   }
 
   uint64_t total_bytes = 0;
@@ -79,20 +78,11 @@ double SourceRateGBps(int workers, size_t entry_bytes) {
         {Priority::kMigration,
          [&, p] {
            Partition& part = partitions[p];
-           size_t bytes = 0;
-           size_t records = 0;
-           part.cursor = om->hash_table().ScanBuckets(
-               part.end, part.cursor,
-               [&](KeyHash, LogRef ref) {
-                 LogEntryView entry;
-                 if (om->log().Read(ref, &entry)) {
-                   bytes += entry.header.TotalLength();
-                   records++;
-                 }
-               },
-               [&] { return bytes < 20 * 1024; }, &om->log());
-           total_bytes += bytes;
-           return costs.PullCost(records, bytes);
+           ObjectManager::PullBatch pulled = om->PullRange(
+               kTable, 0, ~KeyHash{0}, /*min_version=*/0, part.cursor, part.end, 20 * 1024);
+           part.cursor = pulled.next_cursor;
+           total_bytes += pulled.records.size();
+           return costs.PullCost(pulled.record_count, pulled.records.size());
          },
          [&, p] { pump(p); }});
   };
@@ -153,17 +143,7 @@ double TargetRateGBps(int workers, size_t entry_bytes) {
     cores.EnqueueWorker(
         {Priority::kMigration,
          [&, batch, slot] {
-           size_t offset = 0;
-           size_t records = 0;
-           while (offset < batch->size()) {
-             LogEntryView entry;
-             if (!ReadEntry(batch->data() + offset, batch->size() - offset, &entry)) {
-               break;
-             }
-             om.Replay(entry, side_logs[slot].get());
-             records++;
-             offset += entry.header.TotalLength();
-           }
+           const size_t records = om.ReplayRecords(*batch, side_logs[slot].get()).records;
            total_bytes += batch->size();
            return costs.ReplayCost(records, batch->size());
          },

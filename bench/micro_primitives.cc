@@ -127,43 +127,27 @@ void SetPerRecord(benchmark::State& state, uint64_t records) {
 }
 
 void BM_PullScan(benchmark::State& state) {
-  // The source side of a Rocksteady pull (HandlePull): 20 KB pulls walk
-  // the migrating half's buckets, read and checksum each entry, and copy
-  // it into the reply, until the range is done. range(0) = 1 passes the log
-  // so the scan prefetches entries ahead (HashTable::kEntryLookahead); 0
-  // scans without the entry prefetch, for the layer's before/after.
+  // The source side of a Rocksteady pull (ObjectManager::PullRange, what
+  // HandlePull runs): 20 KB pulls walk the migrating half's buckets, read
+  // and checksum each entry, and copy it into the reply, until the range is
+  // done.
   static const std::unique_ptr<ObjectManager> objects = LoadPullSource();
-  const HashTable& table = objects->hash_table();
-  const Log& log = objects->log();
-  const Log* lookahead = state.range(0) != 0 ? &log : nullptr;
-  const size_t end_bucket = table.BucketOf(kPullEndHash) + 1;
+  const size_t end_bucket = objects->hash_table().BucketOf(kPullEndHash) + 1;
   constexpr size_t kBudgetBytes = 20 * 1024;
   uint64_t records = 0;
   for (auto _ : state) {
     size_t cursor = 0;
     while (cursor < end_bucket) {
-      ByteSliceBuilder out(kBudgetBytes);
-      cursor = table.ScanBuckets(
-          end_bucket, cursor,
-          [&](KeyHash hash, LogRef ref) {
-            if (hash > kPullEndHash) {
-              return;
-            }
-            LogEntryView entry;
-            if (!log.Read(ref, &entry) || entry.table_id() != kPullTable ||
-                entry.type() != LogEntryType::kObject) {
-              return;
-            }
-            out.Append(entry.raw, entry.header.TotalLength());
-            records++;
-          },
-          [&] { return out.size() < kBudgetBytes; }, lookahead);
-      benchmark::DoNotOptimize(out.Finish());
+      ObjectManager::PullBatch pulled = objects->PullRange(
+          kPullTable, 0, kPullEndHash, /*min_version=*/0, cursor, end_bucket, kBudgetBytes);
+      records += pulled.record_count;
+      cursor = pulled.next_cursor;
+      benchmark::DoNotOptimize(pulled.records);
     }
   }
   SetPerRecord(state, records);
 }
-BENCHMARK(BM_PullScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_PullScan);
 
 void BM_TabletDrop(benchmark::State& state) {
   // The source's post-commit drop of the migrated half

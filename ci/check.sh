@@ -114,10 +114,16 @@ python3 "${ROOT}/perfbench/run.py" --selftest
 
 step "pull-path micro benchmarks: the source's pull scan and tablet drop build and run"
 # One short run of each, so the wall-clock numbers for the migration
-# source's store passes (ns per record, with and without the scan's
-# lookahead) keep compiling and running. No timing is gated here.
+# source's store passes (ns per record) keep compiling and running. No
+# timing is gated here.
 "${ROOT}/build-asan/bench/micro_primitives" \
   --benchmark_filter='BM_PullScan|BM_TabletDrop' --benchmark_min_time=0.01
+
+step "figure 15: the production pull scan and replay at 1-16 workers"
+# fig15 drives ObjectManager::PullRange and ReplayRecords, the code the pull
+# handler and every replay path run, over 64k-record stores and 2,000
+# replay batches per point; ASan checks the copies and the side-log appends.
+"${ROOT}/build-asan/bench/fig15_scalability"
 
 step "engine bench smoke (~2s; trace-hash divergence is a hard failure)"
 # Compare against the recorded trajectory without mutating it: the smoke

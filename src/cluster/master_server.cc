@@ -43,10 +43,10 @@ void MasterServer::RegisterHandlers() {
                       [this](RpcContext c) { HandleRemove(std::move(c)); });
   endpoint_->Register(Opcode::kMultiGet,
                       ROCKSTEADY_IDEMPOTENT("pure read")
-                      [this](RpcContext c) { HandleMultiGet(std::move(c)); });
+                      [this](RpcContext c) { HandleMultiGet<MultiGetRequest>(std::move(c)); });
   endpoint_->Register(Opcode::kMultiGetHash,
                       ROCKSTEADY_IDEMPOTENT("pure read")
-                      [this](RpcContext c) { HandleMultiGetHash(std::move(c)); });
+                      [this](RpcContext c) { HandleMultiGet<MultiGetHashRequest>(std::move(c)); });
   endpoint_->Register(Opcode::kIndexLookup,
                       ROCKSTEADY_IDEMPOTENT("pure read")
                       [this](RpcContext c) { HandleIndexLookup(std::move(c)); });
@@ -386,6 +386,22 @@ void MasterServer::HandleRemove(RpcContext context) {
        }});
 }
 
+namespace {
+
+// The one read that differs between the two multi-gets: by full key
+// (Figure 3) or by primary-key hash alone (index-driven, Figure 4).
+Result<ObjectView> MultiGetRead(const ObjectManager& objects, const MultiGetRequest& req,
+                                size_t i) {
+  return objects.Read(req.table, req.keys[i], req.hashes[i]);
+}
+Result<ObjectView> MultiGetRead(const ObjectManager& objects, const MultiGetHashRequest& req,
+                                size_t i) {
+  return objects.ReadByHash(req.table, req.hashes[i]);
+}
+
+}  // namespace
+
+template <typename Request>
 void MasterServer::HandleMultiGet(RpcContext context) {
   if (ShedIfOverloaded<MultiGetResponse>(&context)) {
     return;
@@ -398,67 +414,19 @@ void MasterServer::HandleMultiGet(RpcContext context) {
       {Priority::kClient,
        [this, request_ref, resp] {
          MultiGetResponse* response = resp;
-         auto& req = static_cast<MultiGetRequest&>(*request_ref);
+         auto& req = static_cast<Request&>(*request_ref);
          size_t bytes = 0;
-         for (size_t i = 0; i < req.keys.size(); i++) {
+         for (size_t i = 0; i < req.hashes.size(); i++) {
            Tick retry_after = 0;
            Status status = CheckReadable(req.table, req.hashes[i], &retry_after);
            std::string value;
            if (status == Status::kOk) {
-             auto read = objects_.Read(req.table, req.keys[i], req.hashes[i]);
+             auto read = MultiGetRead(objects_, req, i);
              if (read.ok()) {
                value.assign(read->value);
                bytes += value.size();
                reads_served_++;
                RecordAccess(req.table, req.hashes[i], /*is_write=*/false, value.size());
-             } else {
-               status = read.status();
-             }
-           } else if (status == Status::kRetryLater) {
-             response->retry_after = std::max(response->retry_after, retry_after);
-           }
-           response->statuses.push_back(status);
-           response->values.push_back(std::move(value));
-           if (status != Status::kOk && response->status == Status::kOk) {
-             response->status = status;
-           }
-         }
-         const size_t n = req.keys.size();
-         return costs_->ReadCost(bytes) +
-                costs_->multiget_per_key_ns * static_cast<Tick>(n > 0 ? n - 1 : 0);
-       },
-       [this, reply = std::move(context.reply), response = std::move(response),
-        arrival]() mutable {
-         RecordClientLatency(arrival);
-         reply(std::move(response));
-       }});
-}
-
-void MasterServer::HandleMultiGetHash(RpcContext context) {
-  if (ShedIfOverloaded<MultiGetHashResponse>(&context)) {
-    return;
-  }
-  const Tick arrival = sim().now();
-  auto response = std::make_unique<MultiGetHashResponse>();
-  MultiGetHashResponse* resp = response.get();
-  IntrusivePtr<RpcRequest> request_ref = std::move(context.request);
-  cores_->EnqueueWorker(
-      {Priority::kClient,
-       [this, request_ref, resp] {
-         MultiGetHashResponse* response = resp;
-         auto& req = static_cast<MultiGetHashRequest&>(*request_ref);
-         size_t bytes = 0;
-         for (const KeyHash hash : req.hashes) {
-           Tick retry_after = 0;
-           Status status = CheckReadable(req.table, hash, &retry_after);
-           std::string value;
-           if (status == Status::kOk) {
-             auto read = objects_.ReadByHash(req.table, hash);
-             if (read.ok()) {
-               value.assign(read->value);
-               bytes += value.size();
-               reads_served_++;
-               RecordAccess(req.table, hash, /*is_write=*/false, value.size());
              } else {
                status = read.status();
              }

@@ -204,8 +204,9 @@ class MasterServer {
   void HandleRead(RpcContext context);
   void HandleWrite(RpcContext context);
   void HandleRemove(RpcContext context);
+  // MultiGetRequest (by key) or MultiGetHashRequest (by hash).
+  template <typename Request>
   void HandleMultiGet(RpcContext context);
-  void HandleMultiGetHash(RpcContext context);
   void HandleIndexLookup(RpcContext context);
   void HandleIndexInsert(RpcContext context);
   void HandleBackupWrite(RpcContext context);

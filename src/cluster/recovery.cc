@@ -23,12 +23,7 @@ constexpr int kReplayReplicationAttempts = 10;
 // failed mid-stream leaves a zero hole the backup padded around), so
 // recovery ranks copies by how far they parse.
 size_t ParseablePrefix(std::span<const uint8_t> bytes) {
-  size_t offset = 0;
-  LogEntryView entry;
-  while (offset < bytes.size() && ReadEntry(bytes.data() + offset, bytes.size() - offset, &entry)) {
-    offset += entry.header.TotalLength();
-  }
-  return offset;
+  return WalkEntries(bytes, [](size_t, const LogEntryView&) { return true; });
 }
 
 // Replicates the log range one replay task appended until the backups ack
@@ -73,32 +68,23 @@ struct RecoveryJob {
               std::vector<ReplicaChunk>* appended) {
     const Log& log = rm->objects().log();
     const LogPosition begin = log.HeadPosition();
-    size_t offset = 0;
-    size_t replayed = 0;
-    size_t replayed_bytes = 0;
-    while (offset < bytes.size()) {
-      LogEntryView entry;
-      if (!ReadEntry(bytes.data() + offset, bytes.size() - offset, &entry)) {
-        break;  // Torn tail of an in-progress replica write.
-      }
-      const size_t length = entry.header.TotalLength();
-      if (offset >= skip_below && (entry.type() == LogEntryType::kObject ||
-                                   entry.type() == LogEntryType::kTombstone)) {
-        for (const auto& range : ranges) {
-          if (entry.table_id() == range.table && entry.key_hash() >= range.start_hash &&
-              entry.key_hash() <= range.end_hash) {
-            rm->objects().Replay(entry, nullptr);
-            replayed++;
-            replayed_bytes += length;
-            break;
+    const ObjectManager::ReplayTally replayed = rm->objects().ReplayRecords(
+        bytes, nullptr, [&](size_t offset, const LogEntryView& entry) {
+          if (offset < skip_below || (entry.type() != LogEntryType::kObject &&
+                                      entry.type() != LogEntryType::kTombstone)) {
+            return false;
           }
-        }
-      }
-      offset += length;
-    }
+          for (const auto& range : ranges) {
+            if (entry.table_id() == range.table && entry.key_hash() >= range.start_hash &&
+                entry.key_hash() <= range.end_hash) {
+              return true;
+            }
+          }
+          return false;
+        });
     *appended = ReplicaManager::SliceRange(log.segments(), begin, log.HeadPosition(),
                                            /*seal=*/false);
-    return rm->costs().ReplayCost(replayed, replayed_bytes);
+    return rm->costs().ReplayCost(replayed.records, replayed.bytes);
   }
 
   void SourceDone() {

@@ -141,9 +141,13 @@ void HashTable::ForEach(const std::function<void(KeyHash, LogRef)>& fn) const {
 
 size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred,
                            size_t first_bucket, size_t end_bucket, const Log* log) {
-  // Collect first: Remove() moves slots around, which would confuse an
-  // in-place walk.
+  // A bucket's doomed hashes are removed once the scan has visited its whole
+  // chain (Remove() moves slots, which would confuse the walk), while the
+  // bucket is still in cache. Remove() touches only its own bucket's chain,
+  // so removing bucket by bucket in visit order leaves every slot where
+  // removing all of them after the scan would.
   std::vector<KeyHash> doomed;
+  size_t removed = 0;
   ScanBuckets(
       end_bucket, first_bucket,
       [&](KeyHash hash, LogRef ref) {
@@ -151,11 +155,16 @@ size_t HashTable::RemoveIf(const std::function<bool(KeyHash, LogRef)>& pred,
           doomed.push_back(hash);
         }
       },
-      [] { return true; }, log);
-  for (KeyHash hash : doomed) {
-    Remove(hash);
-  }
-  return doomed.size();
+      [&] {
+        for (KeyHash hash : doomed) {
+          Remove(hash);
+        }
+        removed += doomed.size();
+        doomed.clear();
+        return true;
+      },
+      log);
+  return removed;
 }
 
 void HashTable::AuditInvariants(AuditReport* report, const Log* log) const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string_view>
 
 #include "src/common/types.h"
@@ -76,6 +77,26 @@ void WriteEntry(uint8_t* dst, LogEntryHeader header, std::string_view key,
 // Parses the entry at `src`; returns false if `available` is too small or the
 // checksum does not match.
 bool ReadEntry(const uint8_t* src, size_t available, LogEntryView* out);
+
+// Walks the entries packed back to back in `bytes` (a segment's used region,
+// a pull reply, a replica copy), calling `visit(offset, entry)` on each in
+// order. Stops at the first entry that does not parse (a torn tail, a zero
+// hole, a checksum mismatch) or when `visit` returns false. Returns the
+// offset it stopped at: bytes.size() when every entry parsed and was
+// visited, otherwise the offset of the entry it stopped on.
+template <typename Visit>
+size_t WalkEntries(std::span<const uint8_t> bytes, Visit&& visit) {
+  size_t offset = 0;
+  LogEntryView entry;
+  while (offset < bytes.size() &&
+         ReadEntry(bytes.data() + offset, bytes.size() - offset, &entry)) {
+    if (!visit(offset, entry)) {
+      break;
+    }
+    offset += entry.header.TotalLength();
+  }
+  return offset;
+}
 
 }  // namespace rocksteady
 

@@ -40,18 +40,13 @@ bool Segment::EntryAt(size_t offset, LogEntryView* out) const {
 }
 
 bool Segment::ForEach(const std::function<bool(size_t, const LogEntryView&)>& fn) const {
-  size_t offset = 0;
-  while (offset < used_) {
-    LogEntryView view;
-    if (!ReadEntry(buffer_->data() + offset, used_ - offset, &view)) {
-      return false;
-    }
-    if (!fn(offset, view)) {
-      return true;
-    }
-    offset += view.header.TotalLength();
-  }
-  return true;
+  bool stopped = false;
+  const size_t end = WalkEntries(std::span(buffer_->data(), used_),
+                                 [&](size_t offset, const LogEntryView& view) {
+                                   stopped = !fn(offset, view);
+                                   return !stopped;
+                                 });
+  return stopped || end == used_;
 }
 
 void Segment::AuditInvariants(AuditReport* report) const {
@@ -62,21 +57,12 @@ void Segment::AuditInvariants(AuditReport* report) const {
   if (live_bytes_ > used_) {
     report->Fail("segment %u: live bytes %zu exceed used bytes %zu", id_, live_bytes_, used_);
   }
-  size_t offset = 0;
-  while (offset < used_) {
-    LogEntryView view;
-    if (!ReadEntry(buffer_->data() + offset, used_ - offset, &view)) {
-      report->Fail("segment %u: corrupt entry at offset %zu (bad checksum or truncated)", id_,
-                   offset);
-      return;  // Entry length is untrustworthy; cannot continue the walk.
-    }
-    if (view.type() == LogEntryType::kInvalid) {
-      report->Fail("segment %u: entry at offset %zu has invalid type", id_, offset);
-    }
-    offset += view.header.TotalLength();
-  }
-  if (offset != used_) {
-    report->Fail("segment %u: entries tile %zu bytes but used is %zu", id_, offset, used_);
+  // ReadEntry rejects invalid types and lengths past the end, so the walk
+  // tiles the used region exactly unless an entry fails to parse.
+  const size_t end = WalkEntries(std::span(buffer_->data(), used_),
+                                 [](size_t, const LogEntryView&) { return true; });
+  if (end != used_) {
+    report->Fail("segment %u: corrupt entry at offset %zu (bad checksum or truncated)", id_, end);
   }
 }
 

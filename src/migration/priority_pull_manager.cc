@@ -73,20 +73,17 @@ void PriorityPullManager::IssueBatch() {
         target_->cores().EnqueueWorker(
             {Priority::kPriorityPull,
              [this, shared, requested] {
-               size_t offset = 0;
-               size_t replayed = 0;
-               while (offset < shared->records.size()) {
-                 LogEntryView entry;
-                 if (!ReadEntry(shared->records.data() + offset,
-                                shared->records.size() - offset, &entry)) {
-                   break;
-                 }
-                 target_->objects().Replay(entry, side_log_);
-                 scheduled_.erase(entry.key_hash());
-                 replayed++;
-                 records_pulled_++;
-                 offset += entry.header.TotalLength();
-               }
+               // Every record replays; the filter retires its hash from
+               // the scheduled set on the way.
+               const size_t replayed =
+                   target_->objects()
+                       .ReplayRecords(shared->records, side_log_,
+                                      [this](size_t, const LogEntryView& entry) {
+                                        scheduled_.erase(entry.key_hash());
+                                        return true;
+                                      })
+                       .records;
+               records_pulled_ += replayed;
                return target_->costs().ReplayCost(replayed, shared->records.size());
              },
              [this] { IssueBatch(); }});

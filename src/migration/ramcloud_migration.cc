@@ -62,15 +62,7 @@ void ReplayNextBatch(MasterServer* master) {
          }
          const Log& log = master->objects().log();
          const LogPosition begin = log.HeadPosition();
-         size_t offset = 0;
-         while (offset < req.records.size()) {
-           LogEntryView entry;
-           if (!ReadEntry(req.records.data() + offset, req.records.size() - offset, &entry)) {
-             break;
-           }
-           master->objects().Replay(entry, nullptr);  // Main log, like recovery.
-           offset += entry.header.TotalLength();
-         }
+         master->objects().ReplayRecords(req.records, nullptr);  // Main log, like recovery.
          batch->appended =
              ReplicaManager::SliceRange(log.segments(), begin, log.HeadPosition(), /*seal=*/false);
          return static_cast<Tick>(master->costs().baseline_replay_per_byte_ns *

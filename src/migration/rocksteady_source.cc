@@ -69,37 +69,16 @@ void HandlePull(MasterServer* master, RpcContext context) {
        [master, request_ref, resp] {
          PullResponse* response = resp;
          auto& req = static_cast<PullRequest&>(*request_ref);
-         const HashTable& table = master->objects().hash_table();
-         const Log& log = master->objects().log();
-         // Sized for the budget up front; one bucket's overshoot grows it
-         // once, and Finish() trims it to the bytes used.
-         ByteSliceBuilder out(req.budget_bytes);
-         size_t records = 0;
-         const size_t cursor = table.ScanBuckets(
-             static_cast<size_t>(req.bucket_end), static_cast<size_t>(req.cursor),
-             [&](KeyHash hash, LogRef ref) {
-               if (hash < req.start_hash || hash > req.end_hash) {
-                 return;  // Boundary bucket: hash outside the tablet.
-               }
-               LogEntryView entry;
-               if (!log.Read(ref, &entry) || entry.table_id() != req.table ||
-                   entry.type() != LogEntryType::kObject) {
-                 return;
-               }
-               if (entry.version() <= req.min_version) {
-                 return;  // Delta round: unchanged since the last pass.
-               }
-               out.Append(entry.raw, entry.header.TotalLength());
-               records++;
-             },
-             [&] { return out.size() < req.budget_bytes; }, &log);
-         const size_t bytes = out.size();
+         ObjectManager::PullBatch pulled = master->objects().PullRange(
+             req.table, req.start_hash, req.end_hash, req.min_version,
+             static_cast<size_t>(req.cursor), static_cast<size_t>(req.bucket_end),
+             req.budget_bytes);
          // Frozen from here on: the dedup cache's clone shares these bytes.
-         response->records = out.Finish();
-         response->record_count = static_cast<uint32_t>(records);
-         response->next_cursor = cursor;
-         response->done = cursor >= req.bucket_end;
-         return master->costs().PullCost(records, bytes);
+         response->records = std::move(pulled.records);
+         response->record_count = static_cast<uint32_t>(pulled.record_count);
+         response->next_cursor = pulled.next_cursor;
+         response->done = pulled.done;
+         return master->costs().PullCost(pulled.record_count, response->records.size());
        },
        [master, reply = std::move(context.reply), response = std::move(response)]() mutable {
          // Piggyback the source-load signals the pacing controller reads —

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include <bit>
 
@@ -497,30 +496,10 @@ void RocksteadyMigrationManager::OnPullResponse(size_t partition_index,
     target_->cores().EnqueueWorker(
         {Priority::kMigration,
          [this, batch, partition_index, sync_rerepl] {
-           const HashTable& table = target_->objects().hash_table();
            SideLog* side_log = side_logs_[partition_index].get();
            const LogPosition begin = side_log->HeadPosition();
            const ByteSlice& records = batch->reply.records;
-           size_t offset = 0;
-           size_t replayed = 0;
-           while (offset < records.size()) {
-             LogEntryView entry;
-             if (!ReadEntry(records.data() + offset, records.size() - offset, &entry)) {
-               break;
-             }
-             // Software pipeline: peek the next record's header (cheap fixed
-             // prefix, no checksum) and prefetch its hash bucket so the next
-             // Replay's random probe overlaps this one's side-log append.
-             const size_t next = offset + entry.header.TotalLength();
-             if (next + sizeof(LogEntryHeader) <= records.size()) {
-               LogEntryHeader peek;
-               std::memcpy(&peek, records.data() + next, sizeof(peek));
-               table.PrefetchBucket(peek.key_hash);
-             }
-             target_->objects().Replay(entry, side_log);
-             replayed++;
-             offset = next;
-           }
+           const size_t replayed = target_->objects().ReplayRecords(records, side_log).records;
            if (sync_rerepl) {
              batch->appended = ReplicaManager::SliceRange(
                  side_log->segments(), begin, side_log->HeadPosition(), /*seal=*/false);
@@ -583,7 +562,7 @@ void RocksteadyMigrationManager::EnterMemoryPause() {
   ScheduleEmergencyClean();
 }
 
-void RocksteadyMigrationManager::ScheduleEmergencyClean() {
+void RocksteadyMigrationManager::EnqueueEmergencyClean(std::function<void(size_t)> then) {
   // Emergency cleaning runs as migration-priority worker work charged its
   // modeled cost, so it competes with replay for idle workers rather than
   // happening for free.
@@ -596,11 +575,14 @@ void RocksteadyMigrationManager::ScheduleEmergencyClean() {
          const uint64_t relocated = target_->objects().cleaner().bytes_relocated() - before;
          return target_->costs().CleanSegmentCost(static_cast<size_t>(relocated));
        },
-       [this, cleaned] {
-         cleaned_last_ = *cleaned;
-         stats_.emergency_clean_segments += *cleaned;
-         OnEmergencyCleanDone();
-       }});
+       [cleaned, then = std::move(then)] { then(*cleaned); }});
+}
+
+void RocksteadyMigrationManager::ScheduleEmergencyClean() {
+  EnqueueEmergencyClean([this](size_t cleaned) {
+    stats_.emergency_clean_segments += cleaned;
+    OnEmergencyCleanDone();
+  });
 }
 
 void RocksteadyMigrationManager::OnEmergencyCleanDone() {
@@ -638,24 +620,15 @@ void RocksteadyMigrationManager::DrainToBudget() {
     return;
   }
   const uint64_t before_in_use = target_->memory_in_use();
-  auto cleaned = std::make_shared<size_t>(0);
-  target_->cores().EnqueueWorker(
-      {Priority::kMigration,
-       [this, cleaned] {
-         const uint64_t before = target_->objects().cleaner().bytes_relocated();
-         *cleaned = target_->objects().RunEmergencyCleaner(1);
-         const uint64_t relocated = target_->objects().cleaner().bytes_relocated() - before;
-         return target_->costs().CleanSegmentCost(static_cast<size_t>(relocated));
-       },
-       [this, cleaned, before_in_use] {
-         stats_.emergency_clean_segments += *cleaned;
-         // Recurse only while memory actually shrinks: a fully-packed log
-         // relocates as many bytes as it frees, and looping on that would
-         // never terminate.
-         if (*cleaned > 0 && target_->memory_in_use() < before_in_use) {
-           DrainToBudget();
-         }
-       }});
+  EnqueueEmergencyClean([this, before_in_use](size_t cleaned) {
+    stats_.emergency_clean_segments += cleaned;
+    // Recurse only while memory actually shrinks: a fully-packed log
+    // relocates as many bytes as it frees, and looping on that would never
+    // terminate.
+    if (cleaned > 0 && target_->memory_in_use() < before_in_use) {
+      DrainToBudget();
+    }
+  });
 }
 
 void RocksteadyMigrationManager::AbortOverBudget() {

@@ -193,6 +193,9 @@ class RocksteadyMigrationManager : public MasterServer::MigrationHooks {
   // manager entered the pause/emergency-clean loop.
   bool CheckMemoryBudget();
   void EnterMemoryPause();
+  // One emergency-cleaner pass as a migration-priority worker task; `then`
+  // receives the number of segments it cleaned.
+  void EnqueueEmergencyClean(std::function<void(size_t cleaned)> then);
   void ScheduleEmergencyClean();
   void OnEmergencyCleanDone();
   // The tablet cannot fit even after cleaning: graceful abort along the
@@ -237,7 +240,6 @@ class RocksteadyMigrationManager : public MasterServer::MigrationHooks {
   bool abort_requested_ = false;
   int futile_cleans_ = 0;
   uint64_t pause_min_in_use_ = 0;  // Lowest in-use seen this pause (progress test).
-  size_t cleaned_last_ = 0;        // Segments reclaimed by the last clean pass.
 };
 
 // Installs kMigrateTablet, kAbortInboundMigration and all source-side

@@ -1,11 +1,38 @@
 #include "src/store/object_manager.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "src/common/dcheck.h"
 #include "src/common/logging.h"
 
 namespace rocksteady {
+
+namespace {
+
+// Visits every entry of `table` whose key hash lies in [start_hash,
+// end_hash], bucket by bucket over [cursor, end_bucket) in table order, with
+// the scan's bucket and entry prefetch. `bucket_done` runs after each whole
+// bucket and returns false to pause. Returns the next cursor.
+template <typename Visit>
+size_t ScanRange(const HashTable& hash_table, const Log& log, TableId table, KeyHash start_hash,
+                 KeyHash end_hash, size_t cursor, size_t end_bucket, Visit&& visit,
+                 const std::function<bool()>& bucket_done) {
+  return hash_table.ScanBuckets(
+      end_bucket, cursor,
+      [&](KeyHash hash, LogRef ref) {
+        if (hash < start_hash || hash > end_hash) {
+          return;  // Boundary bucket: hash outside the range.
+        }
+        LogEntryView entry;
+        if (log.Read(ref, &entry) && entry.table_id() == table) {
+          visit(entry);
+        }
+      },
+      bucket_done, &log);
+}
+
+}  // namespace
 
 ObjectManager::ObjectManager(const ObjectManagerOptions& options)
     : log_(options.segment_size),
@@ -159,6 +186,31 @@ bool ObjectManager::Replay(const LogEntryView& entry, SideLog* side_log) {
   return true;
 }
 
+ObjectManager::ReplayTally ObjectManager::ReplayRecords(std::span<const uint8_t> records,
+                                                       SideLog* side_log,
+                                                       const ReplayFilter& accept) {
+  ReplayTally tally;
+  WalkEntries(records, [&](size_t offset, const LogEntryView& entry) {
+    const size_t length = entry.header.TotalLength();
+    // Software pipeline: peek the next record's header (cheap fixed prefix,
+    // no checksum) and prefetch its hash bucket so the next Replay's random
+    // probe overlaps this one's append.
+    const size_t next = offset + length;
+    if (next + sizeof(LogEntryHeader) <= records.size()) {
+      LogEntryHeader peek;
+      std::memcpy(&peek, records.data() + next, sizeof(peek));
+      hash_table_.PrefetchBucket(peek.key_hash);
+    }
+    if (!accept || accept(offset, entry)) {
+      Replay(entry, side_log);
+      tally.records++;
+      tally.bytes += length;
+    }
+    return true;
+  });
+  return tally;
+}
+
 size_t ObjectManager::DropSideLogEntries(const SideLog& side_log) {
   std::vector<uint32_t> segment_ids;
   segment_ids.reserve(side_log.segments().size());
@@ -173,6 +225,30 @@ size_t ObjectManager::DropSideLogEntries(const SideLog& side_log) {
     }
     return false;
   });
+}
+
+ObjectManager::PullBatch ObjectManager::PullRange(TableId table, KeyHash start_hash,
+                                                  KeyHash end_hash, Version min_version,
+                                                  size_t cursor, size_t end_bucket,
+                                                  size_t budget_bytes) const {
+  PullBatch batch;
+  // Sized for the budget up front; one bucket's overshoot grows it once, and
+  // Finish() trims it to the bytes used.
+  ByteSliceBuilder out(budget_bytes);
+  batch.next_cursor = ScanRange(
+      hash_table_, log_, table, start_hash, end_hash, cursor, end_bucket,
+      [&](const LogEntryView& entry) {
+        // Versions at or below min_version are unchanged since the last
+        // delta round.
+        if (entry.type() == LogEntryType::kObject && entry.version() > min_version) {
+          out.Append(entry.raw, entry.header.TotalLength());
+          batch.record_count++;
+        }
+      },
+      [&] { return out.size() < budget_bytes; });
+  batch.records = out.Finish();
+  batch.done = batch.next_cursor >= end_bucket;
+  return batch;
 }
 
 size_t ObjectManager::DropTabletEntries(TableId table, KeyHash start_hash, KeyHash end_hash) {
@@ -196,17 +272,15 @@ size_t ObjectManager::DropTabletEntries(TableId table, KeyHash start_hash, KeyHa
 uint64_t ObjectManager::EstimateRangeBytes(TableId table, KeyHash start_hash,
                                            KeyHash end_hash) const {
   uint64_t bytes = 0;
-  hash_table_.ForEach([&](KeyHash hash, LogRef ref) {
-    if (hash < start_hash || hash > end_hash) {
-      return;
-    }
-    LogEntryView entry;
-    if (!log_.Read(ref, &entry) || entry.table_id() != table ||
-        entry.type() != LogEntryType::kObject) {
-      return;
-    }
-    bytes += sizeof(LogEntryHeader) + entry.key.size() + entry.value.size();
-  });
+  ScanRange(
+      hash_table_, log_, table, start_hash, end_hash, hash_table_.BucketOf(start_hash),
+      hash_table_.BucketOf(end_hash) + 1,
+      [&](const LogEntryView& entry) {
+        if (entry.type() == LogEntryType::kObject) {
+          bytes += entry.header.TotalLength();
+        }
+      },
+      [] { return true; });
   return bytes;
 }
 

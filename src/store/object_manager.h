@@ -11,10 +11,13 @@
 #ifndef ROCKSTEADY_SRC_STORE_OBJECT_MANAGER_H_
 #define ROCKSTEADY_SRC_STORE_OBJECT_MANAGER_H_
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "src/common/byte_slice.h"
 #include "src/common/status.h"
 #include "src/hashtable/hash_table.h"
 #include "src/log/log.h"
@@ -68,9 +71,42 @@ class ObjectManager {
   // Returns true if the entry was incorporated, false if stale/duplicate.
   bool Replay(const LogEntryView& entry, SideLog* side_log);
 
+  // Replays the entries packed back to back in `records` (a pull reply, a
+  // priority-pull batch, a baseline batch, a recovered segment) in order
+  // into `side_log`, or the main log when it is null, and stops at the
+  // first entry that does not parse (a torn tail). `accept`, if given,
+  // picks the entries to replay by offset and content. While one entry
+  // replays, the next one's bucket is prefetched. Returns the entries passed
+  // to Replay and their bytes, stale ones included.
+  struct ReplayTally {
+    size_t records = 0;
+    size_t bytes = 0;
+  };
+  using ReplayFilter = std::function<bool(size_t offset, const LogEntryView& entry)>;
+  ReplayTally ReplayRecords(std::span<const uint8_t> records, SideLog* side_log,
+                            const ReplayFilter& accept = nullptr);
+
   // Drops every hash-table entry that points into uncommitted side-log
   // segments of `side_log` (aborting a half-done migration).
   size_t DropSideLogEntries(const SideLog& side_log);
+
+  // --- Migration source. ---
+  // One Pull's worth of a tablet (§3.1.1).
+  struct PullBatch {
+    ByteSlice records;  // Copied log entries, back to back.
+    size_t record_count = 0;
+    size_t next_cursor = 0;  // First bucket not scanned yet.
+    bool done = false;       // next_cursor reached the end bucket.
+  };
+  // Scans buckets [cursor, end_bucket) in table order and copies every
+  // object of `table` whose key hash lies in [start_hash, end_hash] (the
+  // range's boundary buckets hold other hashes too) and whose version is
+  // above `min_version` (0 takes all; pre-copy delta rounds pass the last
+  // round's horizon). Pauses after the first whole bucket that brings the
+  // copy to `budget_bytes`, so a pull never splits a bucket. Prefetches
+  // buckets and entries ahead of the scan (HashTable::kEntryLookahead).
+  PullBatch PullRange(TableId table, KeyHash start_hash, KeyHash end_hash, Version min_version,
+                      size_t cursor, size_t end_bucket, size_t budget_bytes) const;
 
   // Removes all entries belonging to the tablet range (after a completed
   // outbound migration the source frees the records; the cleaner reclaims
@@ -80,8 +116,8 @@ class ObjectManager {
   // Resident bytes of live records in [start_hash, end_hash] of `table`
   // (log-entry footprint: header + key + value). The rebalancer sizes a
   // candidate tablet with this before migrating it into a budget-limited
-  // target. Walks the hash table; callers sample it at telemetry cadence,
-  // not per request.
+  // target. Walks the range's buckets, as a pull does; callers sample it at
+  // telemetry cadence, not per request.
   uint64_t EstimateRangeBytes(TableId table, KeyHash start_hash, KeyHash end_hash) const;
 
   // --- Cleaner. ---

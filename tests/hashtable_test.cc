@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -281,6 +282,85 @@ TEST_F(LookaheadScanTest, RemoveIfRemovesTheSameEntries) {
   EXPECT_GT(removed, 0u);
   EXPECT_EQ(ScanInPauses(table_, 0, 128, SIZE_MAX, nullptr).visits,
             ScanInPauses(copy, 0, 128, SIZE_MAX, nullptr).visits);
+}
+
+// The hash table's slots, in the order a scan (and so a pull) visits them.
+std::vector<std::pair<KeyHash, LogRef>> Slots(const HashTable& table) {
+  return ScanInPauses(table, 0, table.num_buckets(), SIZE_MAX, nullptr).visits;
+}
+
+// What RemoveIf did before it removed bucket by bucket: collect every doomed
+// hash of the range, then Remove() each.
+size_t CollectThenRemove(HashTable* table, const std::function<bool(KeyHash, LogRef)>& pred,
+                         size_t first_bucket, size_t end_bucket) {
+  std::vector<KeyHash> doomed;
+  table->ScanBuckets(
+      end_bucket, first_bucket,
+      [&](KeyHash hash, LogRef ref) {
+        if (pred(hash, ref)) {
+          doomed.push_back(hash);
+        }
+      },
+      [] { return true; });
+  for (const KeyHash hash : doomed) {
+    table->Remove(hash);
+  }
+  return doomed.size();
+}
+
+TEST(HashTableTest, RemoveIfFillsHolesFromTheTailInVisitOrder) {
+  // Five entries of one bucket, a, b and e doomed. Removing in visit order
+  // with tail fill leaves [c, d]; an in-place sweep would leave [d, c].
+  HashTable table(1);
+  for (KeyHash hash = 1; hash <= 5; hash++) {
+    table.Insert(hash, Ref(1, static_cast<uint32_t>(hash)));
+  }
+  const size_t removed =
+      table.RemoveIf([](KeyHash hash, LogRef) { return hash == 1 || hash == 2 || hash == 5; });
+  EXPECT_EQ(removed, 3u);
+  const std::vector<std::pair<KeyHash, LogRef>> expected = {{3, Ref(1, 3)}, {4, Ref(1, 4)}};
+  EXPECT_EQ(Slots(table), expected);
+}
+
+TEST(HashTableTest, RemoveIfLeavesTheSlotsCollectThenRemoveLeaves) {
+  // Random tables with overflow chains, random predicates and bucket ranges:
+  // the slot order after RemoveIf must equal the collect-then-Remove
+  // reference's, or later pulls would copy records in another order.
+  uint64_t seed = 0x5eed;
+  auto next = [&] { return seed = Mix64(seed + 1); };
+  for (int round = 0; round < 200; round++) {
+    const int log2_buckets = 1 + static_cast<int>(next() % 6);
+    HashTable table(log2_buckets);
+    HashTable reference(log2_buckets);
+    const size_t entries = next() % 600;
+    for (size_t i = 0; i < entries; i++) {
+      const KeyHash hash = next();
+      const LogRef ref = Ref(1 + static_cast<uint32_t>(next() % 4), static_cast<uint32_t>(i));
+      table.Insert(hash, ref);
+      reference.Insert(hash, ref);
+    }
+    // Some holes before the drop, so chains are not all freshly packed.
+    const std::vector<std::pair<KeyHash, LogRef>> before = Slots(table);
+    for (size_t i = 0; i < before.size(); i += 5) {
+      table.Remove(before[i].first);
+      reference.Remove(before[i].first);
+    }
+    const uint64_t salt = next();
+    const uint64_t keep_one_in = 1 + next() % 4;
+    const auto pred = [&](KeyHash hash, LogRef ref) {
+      return Mix64(hash ^ salt) % keep_one_in != 0 || ref.segment_id() == 3;
+    };
+    const size_t buckets = table.num_buckets();
+    const size_t first = next() % (buckets + 1);
+    const size_t end = first + next() % (buckets + 2 - first);
+    const size_t removed = table.RemoveIf(pred, first, end);
+    EXPECT_EQ(removed, CollectThenRemove(&reference, pred, first, end)) << "round " << round;
+    ASSERT_EQ(Slots(table), Slots(reference)) << "round " << round;
+    EXPECT_EQ(table.size(), reference.size());
+    AuditReport report;
+    table.AuditInvariants(&report);
+    EXPECT_TRUE(report.ok()) << report.Summary();
+  }
 }
 
 // Property-style sweep: across table sizes, scans partitioned into P pieces

@@ -2,8 +2,12 @@
 // semantics, version horizons, cleaner integration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -487,6 +491,397 @@ TEST(ObjectManagerReplayTest, TombstoneThenOlderObjectAnyOrder) {
     EXPECT_EQ(om.Read(1, "k", h).status(), Status::kObjectNotFound)
         << "tombstone_first=" << tombstone_first;
   }
+}
+
+// ------------------------------------------------- Pull scan and replay.
+
+// 16 buckets holding ~40 entries each (chains of five or six buckets) over
+// small segments.
+ObjectManagerOptions ChainedOptions() {
+  ObjectManagerOptions options;
+  options.hash_table_log2_buckets = 4;
+  options.segment_size = 8192;
+  return options;
+}
+
+// A budget no pull of these stores reaches (the copy is sized for it up
+// front, so not SIZE_MAX).
+constexpr size_t kWholeRange = 1 << 20;
+
+std::string ValueOf(int i) { return "value" + std::string(static_cast<size_t>(i % 13), 'x'); }
+
+// Table 1 objects (keys "key<i>", some overwritten), table 2 objects in the
+// same buckets, and referenced tombstones of table 1 keys that were never
+// written. Returns the version horizon before the overwrites.
+Version FillChainedStore(ObjectManager* om) {
+  for (int i = 0; i < 400; i++) {
+    const std::string key = "key" + std::to_string(i);
+    EXPECT_TRUE(om->Write(1, key, HashKey(key), ValueOf(i)).ok());
+    const std::string other = "other" + std::to_string(i);
+    EXPECT_TRUE(om->Write(2, other, HashKey(other), "v").ok());
+  }
+  for (int i = 0; i < 40; i++) {
+    const std::string ghost = "ghost" + std::to_string(i);
+    EXPECT_TRUE(om->Remove(1, ghost, HashKey(ghost), nullptr, true).ok());
+  }
+  const Version horizon = om->version_horizon();
+  for (int i = 0; i < 400; i += 7) {
+    const std::string key = "key" + std::to_string(i);
+    EXPECT_TRUE(om->Write(1, key, HashKey(key), "rewritten").ok());
+  }
+  return horizon;
+}
+
+// The Pull handler's scan as it was written before it moved into the store:
+// a reference for PullRange.
+ObjectManager::PullBatch ReferencePull(const ObjectManager& om, TableId table, KeyHash start,
+                                       KeyHash end, Version min_version, size_t cursor,
+                                       size_t end_bucket, size_t budget) {
+  std::vector<uint8_t> out;
+  ObjectManager::PullBatch batch;
+  batch.next_cursor = om.hash_table().ScanBuckets(
+      end_bucket, cursor,
+      [&](KeyHash hash, LogRef ref) {
+        if (hash < start || hash > end) {
+          return;
+        }
+        LogEntryView entry;
+        if (!om.log().Read(ref, &entry) || entry.table_id() != table ||
+            entry.type() != LogEntryType::kObject) {
+          return;
+        }
+        if (entry.version() <= min_version) {
+          return;
+        }
+        out.insert(out.end(), entry.raw, entry.raw + entry.header.TotalLength());
+        batch.record_count++;
+      },
+      [&] { return out.size() < budget; });
+  ByteSliceBuilder builder;
+  if (!out.empty()) {
+    builder.Append(out.data(), out.size());
+  }
+  batch.records = builder.Finish();
+  batch.done = batch.next_cursor >= end_bucket;
+  return batch;
+}
+
+std::vector<uint8_t> Bytes(const ByteSlice& slice) {
+  return std::vector<uint8_t>(slice.begin(), slice.begin() + slice.size());
+}
+
+// Key hashes of the entries in `bytes`, in order.
+std::vector<KeyHash> HashesIn(std::span<const uint8_t> bytes) {
+  std::vector<KeyHash> hashes;
+  EXPECT_EQ(WalkEntries(bytes,
+                        [&](size_t, const LogEntryView& entry) {
+                          hashes.push_back(entry.key_hash());
+                          return true;
+                        }),
+            bytes.size());
+  return hashes;
+}
+
+// The version of the first table 1 object from "key200" on whose hash lies in
+// [start, end]: a delta round at that version skips it and everything older.
+Version VersionInRange(const ObjectManager& om, KeyHash start, KeyHash end) {
+  for (int i = 200; i < 400; i++) {
+    const std::string key = "key" + std::to_string(i);
+    if (HashKey(key) >= start && HashKey(key) <= end) {
+      return om.Read(1, key, HashKey(key))->version;
+    }
+  }
+  ADD_FAILURE() << "no object in range";
+  return 0;
+}
+
+TEST(PullRangeTest, CopiesOnlyNewerObjectsOfTheTableInTheRange) {
+  ObjectManager om(ChainedOptions());
+  const Version horizon = FillChainedStore(&om);
+  ASSERT_GT(om.hash_table().MaxChainLength(), 1u);
+  // Neither bound falls on a bucket boundary, so both boundary buckets hold
+  // hashes outside the range.
+  const KeyHash start = (3ull << 60) + 12345;
+  const KeyHash end = (11ull << 60) + 777;
+  const size_t first = om.hash_table().BucketOf(start);
+  const size_t end_bucket = om.hash_table().BucketOf(end) + 1;
+  const Version middle = VersionInRange(om, start, end);
+  for (const Version min_version : {Version{0}, middle, horizon}) {
+    std::set<KeyHash> expected;
+    for (int i = 0; i < 400; i++) {
+      const std::string key = "key" + std::to_string(i);
+      const KeyHash hash = HashKey(key);
+      if (hash >= start && hash <= end && om.Read(1, key, hash)->version > min_version) {
+        expected.insert(hash);
+      }
+    }
+    ASSERT_GT(expected.size(), 0u);
+    const ObjectManager::PullBatch pulled =
+        om.PullRange(1, start, end, min_version, first, end_bucket, kWholeRange);
+    EXPECT_TRUE(pulled.done);
+    EXPECT_EQ(pulled.next_cursor, end_bucket);
+    const std::vector<KeyHash> hashes = HashesIn(pulled.records);
+    EXPECT_EQ(pulled.record_count, hashes.size());
+    EXPECT_EQ(std::set<KeyHash>(hashes.begin(), hashes.end()), expected)
+        << "min_version " << min_version;
+  }
+}
+
+TEST(PullRangeTest, PausesAtBucketBoundariesOnceTheBudgetIsReached) {
+  ObjectManager om(ChainedOptions());
+  FillChainedStore(&om);
+  const size_t buckets = om.hash_table().num_buckets();
+  for (const size_t budget : {size_t{1}, size_t{500}, size_t{3000}}) {
+    size_t cursor = 0;
+    size_t pulls = 0;
+    size_t records = 0;
+    bool done = false;
+    while (!done) {
+      const ObjectManager::PullBatch pulled =
+          om.PullRange(1, 0, ~KeyHash{0}, 0, cursor, buckets, budget);
+      ASSERT_GT(pulled.next_cursor, cursor);
+      // Every bucket before the last one scanned left the copy under budget;
+      // the last one reached it, unless the range ran out.
+      const ObjectManager::PullBatch shorter =
+          om.PullRange(1, 0, ~KeyHash{0}, 0, cursor, pulled.next_cursor - 1, kWholeRange);
+      EXPECT_LT(shorter.records.size(), budget);
+      EXPECT_TRUE(pulled.records.size() >= budget || pulled.done);
+      done = pulled.done;
+      EXPECT_EQ(done, pulled.next_cursor == buckets);
+      cursor = pulled.next_cursor;
+      records += pulled.record_count;
+      pulls++;
+    }
+    EXPECT_EQ(records, 400u) << "budget " << budget;
+    if (budget == 1) {
+      EXPECT_EQ(pulls, buckets);  // Every bucket holds a table 1 object.
+    }
+  }
+}
+
+TEST(PullRangeTest, MatchesTheHandlersScanByteForByte) {
+  ObjectManager om(ChainedOptions());
+  const Version horizon = FillChainedStore(&om);
+  const size_t buckets = om.hash_table().num_buckets();
+  const KeyHash start = (5ull << 59) + 99;
+  const KeyHash end = (27ull << 59) + 5;
+  const Version middle = VersionInRange(om, start, end);
+  for (const Version min_version : {Version{0}, middle, horizon}) {
+    for (const size_t budget : {size_t{1}, size_t{700}, size_t{20 * 1024}}) {
+      size_t cursor = om.hash_table().BucketOf(start);
+      const size_t end_bucket = std::min(buckets, om.hash_table().BucketOf(end) + 1);
+      bool done = false;
+      while (!done) {
+        const ObjectManager::PullBatch pulled =
+            om.PullRange(1, start, end, min_version, cursor, end_bucket, budget);
+        const ObjectManager::PullBatch reference =
+            ReferencePull(om, 1, start, end, min_version, cursor, end_bucket, budget);
+        ASSERT_EQ(Bytes(pulled.records), Bytes(reference.records));
+        ASSERT_EQ(pulled.record_count, reference.record_count);
+        ASSERT_EQ(pulled.next_cursor, reference.next_cursor);
+        ASSERT_EQ(pulled.done, reference.done);
+        cursor = pulled.next_cursor;
+        done = pulled.done;
+      }
+    }
+  }
+}
+
+TEST(EstimateRangeBytesTest, MatchesAFullTableSumPerTablet) {
+  ObjectManager om(ChainedOptions());
+  FillChainedStore(&om);
+  auto full_table_sum = [&](TableId table, KeyHash start, KeyHash end) {
+    uint64_t bytes = 0;
+    om.hash_table().ForEach([&](KeyHash hash, LogRef ref) {
+      LogEntryView entry;
+      if (hash >= start && hash <= end && om.log().Read(ref, &entry) &&
+          entry.table_id() == table && entry.type() == LogEntryType::kObject) {
+        bytes += entry.header.TotalLength();
+      }
+    });
+    return bytes;
+  };
+  // Five tablets per table, split mid-bucket, plus single-bucket and empty
+  // ranges.
+  const std::vector<KeyHash> splits = {0, (1ull << 61) + 3, (5ull << 60) + 17, 1ull << 63,
+                                       (13ull << 60) - 1};
+  for (const TableId table : {TableId{1}, TableId{2}, TableId{3}}) {
+    uint64_t total = 0;
+    for (size_t t = 0; t < splits.size(); t++) {
+      const KeyHash start = splits[t];
+      const KeyHash end = t + 1 < splits.size() ? splits[t + 1] - 1 : ~KeyHash{0};
+      const uint64_t bytes = om.EstimateRangeBytes(table, start, end);
+      EXPECT_EQ(bytes, full_table_sum(table, start, end)) << "table " << table << " tablet " << t;
+      total += bytes;
+    }
+    EXPECT_EQ(total, full_table_sum(table, 0, ~KeyHash{0}));
+    EXPECT_EQ(total > 0, table != 3);
+    EXPECT_EQ(om.EstimateRangeBytes(table, 1ull << 62, (1ull << 62) + 1000),
+              full_table_sum(table, 1ull << 62, (1ull << 62) + 1000));
+  }
+  EXPECT_EQ(om.EstimateRangeBytes(1, 1ull << 63, 1ull << 62), 0u);  // start > end.
+}
+
+// Serializes `entries` back to back, as a pull reply carries them.
+struct EntrySpec {
+  LogEntryType type;
+  TableId table;
+  std::string key;
+  Version version;
+};
+std::vector<uint8_t> Serialize(const std::vector<EntrySpec>& specs) {
+  std::vector<uint8_t> bytes;
+  for (const EntrySpec& spec : specs) {
+    LogEntryHeader header;
+    header.type = spec.type;
+    header.table_id = spec.table;
+    header.key_hash = HashKey(spec.key);
+    header.version = spec.version;
+    const std::string value = spec.type == LogEntryType::kObject ? "v" + spec.key : "";
+    const size_t offset = bytes.size();
+    bytes.resize(offset + sizeof(LogEntryHeader) + spec.key.size() + value.size());
+    WriteEntry(bytes.data() + offset, header, spec.key, value);
+  }
+  return bytes;
+}
+
+std::vector<EntrySpec> MixedSpecs() {
+  std::vector<EntrySpec> specs;
+  for (int i = 0; i < 60; i++) {
+    const std::string key = "r" + std::to_string(i % 45);  // Repeats: stale replays.
+    specs.push_back({i % 9 == 4 ? LogEntryType::kTombstone : LogEntryType::kObject,
+                     TableId{1} + static_cast<TableId>(i % 4 == 3), key,
+                     static_cast<Version>(100 - i)});
+  }
+  return specs;
+}
+
+// The replay loop each caller ran before ReplayRecords: parse, replay,
+// count, until an entry does not parse.
+ObjectManager::ReplayTally ReferenceReplay(ObjectManager* om, std::span<const uint8_t> bytes,
+                                           const ObjectManager::ReplayFilter& accept) {
+  ObjectManager::ReplayTally tally;
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    LogEntryView entry;
+    if (!ReadEntry(bytes.data() + offset, bytes.size() - offset, &entry)) {
+      break;
+    }
+    const size_t length = entry.header.TotalLength();
+    if (!accept || accept(offset, entry)) {
+      om->Replay(entry, nullptr);
+      tally.records++;
+      tally.bytes += length;
+    }
+    offset += length;
+  }
+  return tally;
+}
+
+std::vector<std::pair<KeyHash, Version>> Contents(const ObjectManager& om) {
+  std::vector<std::pair<KeyHash, Version>> contents;
+  om.hash_table().ForEach([&](KeyHash hash, LogRef ref) {
+    LogEntryView entry;
+    EXPECT_TRUE(om.log().Read(ref, &entry));
+    contents.emplace_back(hash, entry.version());
+  });
+  return contents;
+}
+
+TEST(ReplayRecordsTest, TalliesWhatTheReplacedLoopTallied) {
+  const std::vector<uint8_t> bytes = Serialize(MixedSpecs());
+  // The recovery filter's shape: a skip offset, objects and tombstones of
+  // one table.
+  const size_t skip_below = bytes.size() / 3;
+  const ObjectManager::ReplayFilter recovery = [&](size_t offset, const LogEntryView& entry) {
+    return offset >= skip_below && entry.table_id() == 1;
+  };
+  for (const bool filtered : {false, true}) {
+    const ObjectManager::ReplayFilter accept = filtered ? recovery : nullptr;
+    ObjectManager om(SmallOptions());
+    ObjectManager reference(SmallOptions());
+    const ObjectManager::ReplayTally tally = om.ReplayRecords(bytes, nullptr, accept);
+    const ObjectManager::ReplayTally expected = ReferenceReplay(&reference, bytes, accept);
+    EXPECT_EQ(tally.records, expected.records) << "filtered " << filtered;
+    EXPECT_EQ(tally.bytes, expected.bytes) << "filtered " << filtered;
+    EXPECT_EQ(Contents(om), Contents(reference)) << "filtered " << filtered;
+    EXPECT_EQ(om.version_horizon(), reference.version_horizon());
+  }
+  ObjectManager om(SmallOptions());
+  EXPECT_EQ(om.ReplayRecords(bytes, nullptr).records, 60u);
+}
+
+TEST(ReplayRecordsTest, HonoursTheFilterAndItsSkipOffset) {
+  const std::vector<EntrySpec> specs = {{LogEntryType::kObject, 1, "a", 5},
+                                        {LogEntryType::kObject, 1, "b", 5},
+                                        {LogEntryType::kObject, 2, "c", 5},
+                                        {LogEntryType::kTombstone, 1, "d", 5},
+                                        {LogEntryType::kObject, 1, "e", 5}};
+  const std::vector<uint8_t> bytes = Serialize(specs);
+  const size_t second = Serialize({specs[0]}).size();
+  ObjectManager om(SmallOptions());
+  std::vector<size_t> offsets;
+  const ObjectManager::ReplayTally tally =
+      om.ReplayRecords(bytes, nullptr, [&](size_t offset, const LogEntryView& entry) {
+        offsets.push_back(offset);
+        return offset >= second && entry.table_id() == 1;
+      });
+  // Every entry is offered, at its offset; "a" is below the skip offset and
+  // "c" belongs to another table.
+  ASSERT_EQ(offsets.size(), 5u);
+  EXPECT_EQ(offsets[0], 0u);
+  EXPECT_EQ(offsets[1], second);
+  EXPECT_EQ(tally.records, 3u);
+  EXPECT_EQ(tally.bytes, bytes.size() - second - Serialize({specs[2]}).size());
+  EXPECT_EQ(om.Read(1, "a", HashKey("a")).status(), Status::kObjectNotFound);
+  EXPECT_TRUE(om.Read(1, "b", HashKey("b")).ok());
+  EXPECT_FALSE(om.hash_table().Lookup(HashKey("c")).valid());
+  EXPECT_TRUE(om.hash_table().Lookup(HashKey("d")).valid());  // Referenced tombstone.
+  EXPECT_TRUE(om.Read(1, "e", HashKey("e")).ok());
+}
+
+TEST(ReplayRecordsTest, StopsAtATornTail) {
+  const std::vector<EntrySpec> specs = {{LogEntryType::kObject, 1, "a", 5},
+                                        {LogEntryType::kObject, 1, "b", 5},
+                                        {LogEntryType::kObject, 1, "c", 5}};
+  const std::vector<uint8_t> whole = Serialize(specs);
+  const size_t two = Serialize({specs[0], specs[1]}).size();
+  // Truncated inside the third entry, a zero hole in its place, and a
+  // flipped byte in its value.
+  std::vector<uint8_t> truncated(whole.begin(), whole.end() - 3);
+  std::vector<uint8_t> hole = whole;
+  std::fill(hole.begin() + static_cast<ptrdiff_t>(two), hole.end(), uint8_t{0});
+  std::vector<uint8_t> corrupt = whole;
+  corrupt.back() ^= 0xff;
+  for (const std::vector<uint8_t>* bytes : {&truncated, &hole, &corrupt}) {
+    ObjectManager om(SmallOptions());
+    const ObjectManager::ReplayTally tally = om.ReplayRecords(*bytes, nullptr);
+    EXPECT_EQ(tally.records, 2u);
+    EXPECT_EQ(tally.bytes, two);
+    EXPECT_TRUE(om.Read(1, "b", HashKey("b")).ok());
+    EXPECT_FALSE(om.hash_table().Lookup(HashKey("c")).valid());
+  }
+  ObjectManager om(SmallOptions());
+  EXPECT_EQ(om.ReplayRecords(std::span<const uint8_t>(), nullptr).records, 0u);
+}
+
+TEST(ReplayRecordsTest, AppendsToTheSideLogOrTheMainLog) {
+  const std::vector<uint8_t> bytes = Serialize(MixedSpecs());
+  ObjectManager side_target(SmallOptions());
+  SideLog side(&side_target.log());
+  const LogPosition main_head = side_target.log().HeadPosition();
+  const size_t replayed = side_target.ReplayRecords(bytes, &side).records;
+  EXPECT_EQ(replayed, 60u);
+  // Stale repeats are dropped; the side log holds the incorporated rest and
+  // the main log did not move.
+  EXPECT_EQ(side.pending_entries(), side_target.object_count());
+  EXPECT_TRUE(side_target.log().HeadPosition() == main_head);
+
+  ObjectManager main_target(SmallOptions());
+  const uint64_t appended_before = main_target.log().stats().appended_bytes;
+  main_target.ReplayRecords(bytes, nullptr);
+  EXPECT_GT(main_target.log().stats().appended_bytes, appended_before);
+  EXPECT_EQ(Contents(main_target), Contents(side_target));
 }
 
 }  // namespace
