@@ -29,18 +29,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 
-#include "bench/experiment_common.h"
+#include "bench/migration_under_load.h"
 #include "src/common/inline_function.h"
-#include "src/migration/rocksteady_target.h"
 #include "tests/alloc_hook.h"
 
 namespace rocksteady {
 namespace {
-
-constexpr TableId kTable = 1;
-constexpr KeyHash kMid = 1ull << 63;
 
 struct ScenarioResult {
   size_t events = 0;
@@ -143,58 +138,28 @@ ScenarioResult RunDispatch(uint64_t seed, bool smoke, int lanes, int nodes) {
 
 // --- ycsb_b / ycsb_migration: the full stack. ---
 
-struct ClusterScenario {
-  uint64_t records = 20'000;
-  double ops_per_second = 75'000;  // Per client, two clients.
-  Tick stop_time = 0;
-  std::optional<Tick> migrate_at;  // Upper half of the table, master 0 -> 1.
-  bool spread = false;             // Spread the table across all masters.
-  int masters = 4;
-  int clients = 2;
-  int lanes = 1;                   // Threaded above 1.
-};
+// The base of the full-stack scenarios: 4 masters with small hash tables
+// and two clients, each at 75k ops/s with at most eight in flight.
+MigrationUnderLoad ClusterScenario() {
+  MigrationUnderLoad spec;
+  spec.config = MakeConfig(4, 2);
+  spec.config.master.hash_table_log2_buckets = 15;
+  spec.records = 20'000;
+  // The loaded keys are 12 bytes, but the clients ask for YCSB's 30-byte
+  // keys, so reads find only what the clients' own updates wrote; the
+  // recorded trace hashes pin this load.
+  spec.key_length = 12;
+  spec.ops_per_second = 75'000;
+  spec.max_outstanding = 8;
+  return spec;
+}
 
-ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
-  ClusterConfig config;
-  config.num_masters = scenario.masters;
-  config.num_clients = scenario.clients;
-  config.seed = seed;
-  config.master.hash_table_log2_buckets = 15;
-  config.master.segment_size = 256 * 1024;
-  config.lanes = scenario.lanes;
-  config.lane_threads = scenario.lanes > 1;
-  Cluster cluster(config);
-  EnableMigration(&cluster);
-  cluster.CreateTable(kTable, 0);
-  if (scenario.spread) {
-    SpreadTableAcross(cluster, kTable, config.num_masters);
-  }
-  // Key length 12 keeps client-side keys inside std::string's SSO buffer so
-  // the bench measures engine churn, not key-copy malloc traffic.
-  cluster.LoadTable(kTable, scenario.records, 12, 100);
-
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = scenario.records;
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = scenario.ops_per_second;
-  actor_config.stop_time = scenario.stop_time;
-  std::vector<std::unique_ptr<YcsbWorkload>> workloads;
-  std::vector<std::unique_ptr<ClientActor>> actors;
-  for (int c = 0; c < scenario.clients; c++) {
-    workloads.push_back(std::make_unique<YcsbWorkload>(ycsb));
-    actors.push_back(std::make_unique<ClientActor>(kTable, &cluster.client(static_cast<size_t>(c)),
-                                                   workloads.back().get(), actor_config));
-    actors.back()->Start();
-  }
-
-  std::optional<MigrationStats> stats;
-  if (scenario.migrate_at.has_value()) {
-    // Cross-cutting control actions go through safe points.
-    cluster.AtSafePoint(*scenario.migrate_at, [&] {
-      StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
-                               [&](const MigrationStats& s) { stats = s; });
-    });
-  }
+ScenarioResult RunCluster(uint64_t seed, int lanes, MigrationUnderLoad spec) {
+  spec.config.seed = seed;
+  spec.config.lanes = lanes;
+  spec.config.lane_threads = lanes > 1;
+  MigrationUnderLoadRun run(spec);
+  Cluster& cluster = run.cluster();
 
   ScenarioResult result;
   const size_t events_before = cluster.events_processed();
@@ -202,18 +167,14 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
   result.events = cluster.events_processed() - events_before;
   result.sim_ns = cluster.now();
   result.trace_hash = cluster.trace_hash();
-  result.lanes = scenario.lanes;
+  result.lanes = lanes;
   result.windows = cluster.lanes()->windows_run();
-  if (scenario.migrate_at.has_value() && !stats.has_value()) {
+  if (spec.migrate_at.has_value() && !run.stats().has_value()) {
     std::fprintf(stderr, "engine_throughput: migration did not complete (seed %" PRIu64 ")\n",
                  seed);
     std::exit(1);
   }
-  uint64_t completed = 0;
-  for (const auto& actor : actors) {
-    completed += actor->completed();
-  }
-  if (completed == 0) {
+  if (run.completed() == 0) {
     std::fprintf(stderr, "engine_throughput: no client ops completed (seed %" PRIu64 ")\n", seed);
     std::exit(1);
   }
@@ -258,44 +219,37 @@ int Main(int argc, char** argv) {
   ReportLaneSweep("dispatch_lanes", 42,
                   [&](int lanes) { return RunDispatch(42, smoke, lanes, /*nodes=*/32); });
 
-  ClusterScenario steady;
+  MigrationUnderLoad steady = ClusterScenario();
   steady.spread = true;
   steady.records = smoke ? 4'000 : 20'000;
   steady.stop_time = smoke ? 20 * kMillisecond : 100 * kMillisecond;
-  Report("ycsb_b", 42, RunCluster(42, steady));
+  Report("ycsb_b", 42, RunCluster(42, 1, steady));
 
-  ClusterScenario migration;
-  migration.spread = false;  // Whole table on master 0; migrate half to 1.
+  MigrationUnderLoad migration = ClusterScenario();  // Whole table on master 0.
   migration.records = smoke ? 4'000 : 20'000;
   migration.stop_time = smoke ? 30 * kMillisecond : 120 * kMillisecond;
   migration.migrate_at = smoke ? 10 * kMillisecond : 20 * kMillisecond;
-  Report("ycsb_migration", 42, RunCluster(42, migration));
+  Report("ycsb_migration", 42, RunCluster(42, 1, migration));
   if (!smoke) {
-    Report("ycsb_migration", 7, RunCluster(7, migration));
+    Report("ycsb_migration", 7, RunCluster(7, 1, migration));
   }
 
-  ReportLaneSweep("ycsb_migration_lanes", 42, [&](int lanes) {
-    ClusterScenario s = migration;
-    s.lanes = lanes;
-    return RunCluster(42, s);
-  });
+  ReportLaneSweep("ycsb_migration_lanes", 42,
+                  [&](int lanes) { return RunCluster(42, lanes, migration); });
 
   if (!smoke) {
     // The paper-shape scaling point: 24 masters (Figure 15's cluster size)
     // under spread YCSB-B load. Its measured wall time at 1 vs 4 lanes is
     // the parallel speedup of lane execution on this host.
-    ClusterScenario fig15;
+    MigrationUnderLoad fig15 = ClusterScenario();
     fig15.spread = true;
-    fig15.masters = 24;
-    fig15.clients = 8;
+    fig15.config.num_masters = 24;
+    fig15.config.num_clients = 8;
     fig15.records = 48'000;
     fig15.ops_per_second = 800'000;  // 6.4M ops/s aggregate keeps lanes busy.
     fig15.stop_time = 60 * kMillisecond;
-    ReportLaneSweep("fig15_24srv_lanes", 42, [&](int lanes) {
-      ClusterScenario s = fig15;
-      s.lanes = lanes;
-      return RunCluster(42, s);
-    });
+    ReportLaneSweep("fig15_24srv_lanes", 42,
+                    [&](int lanes) { return RunCluster(42, lanes, fig15); });
   }
   return 0;
 }

@@ -1,10 +1,4 @@
 // Shared helpers for the figure/table reproduction drivers.
-//
-// Time dilation: several experiments hold a server at 80% dispatch load for
-// tens of (simulated) seconds; simulating that at full fidelity costs ~10^9
-// events. CostModel::Dilate(D) scales every cost by D — pure unit scaling
-// (identical utilizations and queueing shapes) — and drivers report times
-// divided by D and rates multiplied by D. Each driver prints its D.
 #ifndef ROCKSTEADY_BENCH_EXPERIMENT_COMMON_H_
 #define ROCKSTEADY_BENCH_EXPERIMENT_COMMON_H_
 
@@ -23,31 +17,24 @@
 
 namespace rocksteady {
 
-// Unit conversion for a dilated run.
-struct Scale {
-  double dilation = 1.0;
+// Unit conversions for printing simulated times and rates.
+inline double ToUs(Tick t) { return static_cast<double>(t) / 1'000.0; }
+inline double ToSeconds(Tick t) { return static_cast<double>(t) / 1e9; }
+// Rate of `count` events over `span` simulated time, per second.
+inline double PerSecond(double count, Tick span) {
+  return span == 0 ? 0 : count * 1e9 / static_cast<double>(span);
+}
+inline double MBps(uint64_t bytes, Tick span) {
+  return PerSecond(static_cast<double>(bytes), span) / 1e6;
+}
 
-  double Us(Tick t) const { return static_cast<double>(t) / 1'000.0 / dilation; }
-  double Seconds(Tick t) const { return static_cast<double>(t) / 1e9 / dilation; }
-  // Rate of `count` events over `span` simulated time, in real units.
-  double PerSecond(double count, Tick span) const {
-    return span == 0 ? 0 : count * 1e9 * dilation / static_cast<double>(span);
-  }
-  double MBps(uint64_t bytes, Tick span) const {
-    return PerSecond(static_cast<double>(bytes), span) / 1e6;
-  }
-};
-
-inline ClusterConfig MakeConfig(int masters, int clients, double dilation, uint64_t seed = 42) {
+inline ClusterConfig MakeConfig(int masters, int clients, uint64_t seed = 42) {
   ClusterConfig config;
   config.num_masters = masters;
   config.num_clients = clients;
   config.seed = seed;
   config.master.hash_table_log2_buckets = 20;
   config.master.segment_size = 256 * 1024;
-  if (dilation != 1.0) {
-    config.costs.Dilate(dilation);
-  }
   return config;
 }
 

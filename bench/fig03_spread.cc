@@ -30,7 +30,7 @@ struct SpreadResult {
 };
 
 SpreadResult RunSpread(int spread) {
-  Cluster cluster(MakeConfig(kServers, kClients, 1.0));
+  Cluster cluster(MakeConfig(kServers, kClients));
   cluster.CreateTable(kTable, 0);
   SpreadTableAcross(cluster, kTable, kServers);
   cluster.LoadTable(kTable, kRecords, 30, 100);

@@ -32,7 +32,7 @@ struct VariantResult {
 };
 
 VariantResult RunVariant(const std::string& name, const BaselineMigrateOptions& options) {
-  Cluster cluster(MakeConfig(4, 1, /*dilation=*/1.0));
+  Cluster cluster(MakeConfig(4, 1));
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);

@@ -10,61 +10,41 @@
 #include <cstdio>
 #include <cstring>
 
-#include "bench/experiment_common.h"
-#include "src/migration/rocksteady_target.h"
+#include "bench/migration_under_load.h"
 
 namespace rocksteady {
 namespace {
 
-constexpr TableId kTable = 1;
-constexpr KeyHash kMid = 1ull << 63;
 constexpr uint64_t kRecords = 2'000'000;
 constexpr int kClients = 8;
 constexpr double kOfferedOpsPerSecond = 800'000.0 * 0.8;
 constexpr Tick kWindow = kSecond / 10;
 constexpr int kNumWindows = 30;
 constexpr Tick kMigrateAt = kSecond / 2;
+constexpr Tick kEnd = static_cast<Tick>(kNumWindows) * kWindow;
 
 void RunVariant(const char* name, bool sync_priority_pulls) {
-  Cluster cluster(MakeConfig(4, kClients, 1.0));
-  EnableMigration(&cluster);
-  cluster.CreateTable(kTable, 0);
-  cluster.LoadTable(kTable, kRecords, 30, 100);
-
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-
   LatencyTimeline reads(kWindow, kNumWindows);
   UtilizationTimeline src_dispatch(kWindow, kNumWindows);
   UtilizationTimeline src_worker(kWindow, kNumWindows);
   UtilizationTimeline tgt_dispatch(kWindow, kNumWindows);
   UtilizationTimeline tgt_worker(kWindow, kNumWindows);
-  cluster.master(0).cores().set_dispatch_util(&src_dispatch);
-  cluster.master(0).cores().set_worker_util(&src_worker);
-  cluster.master(1).cores().set_dispatch_util(&tgt_dispatch);
-  cluster.master(1).cores().set_worker_util(&tgt_worker);
 
-  const Tick experiment_end = static_cast<Tick>(kNumWindows) * kWindow;
-  std::vector<std::unique_ptr<ClientActor>> actors;
-  for (int c = 0; c < kClients; c++) {
-    ClientActorConfig actor_config;
-    actor_config.ops_per_second = kOfferedOpsPerSecond / kClients;
-    actor_config.max_outstanding = 32;
-    actor_config.stop_time = experiment_end;
-    actors.push_back(
-        std::make_unique<ClientActor>(kTable, &cluster.client(c), &workload, actor_config));
-    actors.back()->set_read_latency(&reads);
-    actors.back()->Start();
-  }
-
-  cluster.AtSafePoint(kMigrateAt, [&] {
-    RocksteadyOptions options;
-    options.background_pulls = false;  // §4.4: no background Pulls.
-    options.sync_priority_pulls = sync_priority_pulls;
-    StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, options, nullptr);
-  });
-  cluster.RunUntil(experiment_end);
+  MigrationUnderLoad spec;
+  spec.config = MakeConfig(4, kClients);
+  spec.records = kRecords;
+  spec.ops_per_second = kOfferedOpsPerSecond / kClients;
+  spec.stop_time = kEnd;
+  spec.migrate_at = kMigrateAt;
+  spec.options.background_pulls = false;  // §4.4: no background Pulls.
+  spec.options.sync_priority_pulls = sync_priority_pulls;
+  spec.read_latency = &reads;
+  spec.source_dispatch = &src_dispatch;
+  spec.source_worker = &src_worker;
+  spec.target_dispatch = &tgt_dispatch;
+  spec.target_worker = &tgt_worker;
+  MigrationUnderLoadRun run(spec);
+  run.cluster().RunUntil(kEnd);
 
   std::printf("\n--- %s ---\n", name);
   std::printf("%6s %10s %10s | %8s %8s %8s %8s\n", "t(s)", "med(us)", "p999(us)", "srcDisp",
@@ -78,7 +58,7 @@ void RunVariant(const char* name, bool sync_priority_pulls) {
                 src_dispatch.ActiveCores(i), tgt_dispatch.ActiveCores(i),
                 src_worker.ActiveCores(i), tgt_worker.ActiveCores(i));
   }
-  PrintNetworkFaultCounters(cluster);
+  PrintNetworkFaultCounters(run.cluster());
 }
 
 }  // namespace

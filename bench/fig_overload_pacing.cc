@@ -106,7 +106,6 @@ RunResult RunMode(bool pacing) {
 }
 
 void PrintRun(const char* name, const RunResult& r) {
-  Scale scale{1.0};
   std::printf("\n--- %s ---\n", name);
   std::printf("%7s %8s %9s %10s %10s\n", "t(ms)", "reads", "med(us)", "p999(us)", "pull kB/s");
   for (int w = 0; w < kNumWindows; w++) {
@@ -114,8 +113,8 @@ void PrintRun(const char* name, const RunResult& r) {
     std::printf("%7.0f %8llu %9.1f %10.1f %10.0f\n",
                 static_cast<double>(r.reads.WindowStart(i)) / 1e6,
                 static_cast<unsigned long long>(r.reads.Count(i)),
-                scale.Us(r.reads.Percentile(i, 0.5)), scale.Us(r.reads.Percentile(i, 0.999)),
-                scale.PerSecond(static_cast<double>(r.pulled.Count(i)), kWindow) / 1e3);
+                ToUs(r.reads.Percentile(i, 0.5)), ToUs(r.reads.Percentile(i, 0.999)),
+                PerSecond(static_cast<double>(r.pulled.Count(i)), kWindow) / 1e3);
   }
   if (r.stats.has_value()) {
     const MigrationStats& s = *r.stats;

@@ -71,7 +71,7 @@ struct RunResult {
 };
 
 RunResult Run(bool planner_on) {
-  Cluster cluster(MakeConfig(kMasters, kClients, 1.0, kSeed));
+  Cluster cluster(MakeConfig(kMasters, kClients, kSeed));
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   SpreadTableAcross(cluster, kTable, kMasters);
@@ -178,18 +178,17 @@ int main() {
   const RunResult off = Run(/*planner_on=*/false);
   const RunResult on = Run(/*planner_on=*/true);
 
-  Scale scale;
   std::printf("%-8s %-10s %12s %12s %14s %18s\n", "phase", "planner", "p50 (us)", "p99.9 (us)",
               "completed", "load spread (max/mean)");
   for (int p = 0; p < kNumPhases; p++) {
     std::printf("%-8d %-10s %12.1f %12.1f %14llu %18.2f\n", p, "off",
-                scale.Us(static_cast<Tick>(off.phase[p].p50_ns)),
-                scale.Us(static_cast<Tick>(off.phase[p].p999_ns)),
+                ToUs(static_cast<Tick>(off.phase[p].p50_ns)),
+                ToUs(static_cast<Tick>(off.phase[p].p999_ns)),
                 static_cast<unsigned long long>(off.phase[p].ops_completed),
                 off.phase[p].Spread());
     std::printf("%-8d %-10s %12.1f %12.1f %14llu %18.2f\n", p, "on",
-                scale.Us(static_cast<Tick>(on.phase[p].p50_ns)),
-                scale.Us(static_cast<Tick>(on.phase[p].p999_ns)),
+                ToUs(static_cast<Tick>(on.phase[p].p50_ns)),
+                ToUs(static_cast<Tick>(on.phase[p].p999_ns)),
                 static_cast<unsigned long long>(on.phase[p].ops_completed),
                 on.phase[p].Spread());
   }

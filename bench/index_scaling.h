@@ -47,7 +47,7 @@ struct Point {
 // again (completions past that window do not count either way).
 inline Point RunPoint(Layout layout, double scans_per_second, Tick measure) {
   // Masters: 0,1 = tablets; 2,3 = indexlets.
-  Cluster cluster(MakeConfig(4, kClients, 1.0));
+  Cluster cluster(MakeConfig(4, kClients));
   cluster.CreateTable(kTable, 0);
   if (layout == Layout::k2i2t) {
     cluster.coordinator().SplitTablet(kTable, 1ull << 63);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: static analysis, the perfbench selftest, then three build+test
+# CI gate: static analysis, the perfbench selftest, the figure digests (a
+# plain RelWithDebInfo build of the figures), then three build+test
 # passes —
 #  1. RelWithDebInfo with -Werror and ASan+UBSan (full suite + chaos runs),
 #  2. Debug with -Werror and ROCKSTEADY_AUDIT=ON (DCHECKs + invariant audits
@@ -8,8 +9,9 @@
 #     threaded-lane suite and seed slices of the chaos and scenario suites,
 #     which drive real worker threads through the lane barriers — the
 #     sharded-execution race gate).
-# Run from anywhere; builds land in build-asan/, build-audit/ and
-# build-tsan/ under the repo root. Any failure aborts with a nonzero exit.
+# Run from anywhere; builds land in build-asan/, build-figures/,
+# build-audit/ and build-tsan/ under the repo root. Any failure aborts with
+# a nonzero exit.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -141,6 +143,18 @@ cp "${ROOT}/BENCH_engine.json" "${ROOT}/build-asan/BENCH_smoke.json"
 python3 "${ROOT}/tools/bench_baseline.py" --build-dir "${ROOT}/build-asan" \
   --smoke --strict-hash --label ci_smoke \
   --output "${ROOT}/build-asan/BENCH_smoke.json"
+
+step "figure digests: every figure's stdout matches bench/figure_digests.txt"
+# The figures are deterministic: each one's stdout is pinned by a recorded
+# SHA-256 (taken from a plain RelWithDebInfo build, so this leg builds one
+# without sanitizers). A mismatch names the figure and keeps its stdout in
+# build-figures/figure_outputs/ for diffing against the parent commit's.
+cmake -B "${ROOT}/build-figures" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "${ROOT}/build-figures" -j "${JOBS}" --target \
+  table1_config fig03_spread fig04_index_scaling fig05_bottlenecks \
+  fig09_migration_impact fig12_skew fig13_priority_pulls fig15_scalability \
+  ablation_migration fig_overload_pacing fig_rebalance fig_scenarios
+python3 "${ROOT}/tools/figure_digests.py" --build-dir "${ROOT}/build-figures" -j "${JOBS}"
 
 step "build: debug audit (Debug, -Werror, ROCKSTEADY_AUDIT=ON)"
 cmake -B "${ROOT}/build-audit" -S "${ROOT}" \

@@ -13,7 +13,7 @@ int main() {
   constexpr int kServers = 4;
   constexpr uint64_t kRecords = 20'000;
 
-  Cluster cluster(MakeConfig(kServers, 2, 1.0));
+  Cluster cluster(MakeConfig(kServers, 2));
   cluster.CreateTable(kTable, 0);
   SpreadTableAcross(cluster, kTable, kServers);
   cluster.LoadTable(kTable, kRecords, 30, 100);

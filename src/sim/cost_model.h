@@ -164,13 +164,6 @@ struct CostModel {
   Tick ping_interval_ns = 10 * kMillisecond;
   Tick ping_timeout_ns = 5 * kMillisecond;
 
-  // Scales every simulated time cost by `factor` (and bandwidth down by
-  // it). Pure unit scaling: utilizations, queueing shapes, and relative
-  // results are unchanged, but experiments need `factor`x fewer simulated
-  // events per simulated second of the undilated system. Experiment
-  // drivers report times divided by the factor and rates multiplied by it.
-  void Dilate(double factor);
-
   // Derived helpers. -----------------------------------------------------
   Tick Serialization(size_t bytes) const {
     return static_cast<Tick>(static_cast<double>(bytes) / net_bandwidth_bps * 1e9);

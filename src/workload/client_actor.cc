@@ -4,14 +4,7 @@
 
 namespace rocksteady {
 
-void ClientActor::Start() {
-  Simulator& sim = client_->sim();
-  if (sim.now() < config_.start_time) {
-    sim.At(config_.start_time, client_->node(), [this] { ScheduleNextArrival(); });
-  } else {
-    ScheduleNextArrival();
-  }
-}
+void ClientActor::Start() { ScheduleNextArrival(); }
 
 void ClientActor::ScheduleNextArrival() {
   Simulator& sim = client_->sim();

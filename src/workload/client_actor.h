@@ -22,7 +22,6 @@ struct ClientActorConfig {
   double ops_per_second = 10'000;
   // Maximum requests in flight per actor; arrivals beyond this backlog.
   size_t max_outstanding = 8;
-  Tick start_time = 0;
   Tick stop_time = 0;  // No arrivals at/after this time.
 };
 

@@ -514,16 +514,5 @@ TEST(NetworkTest, BulkMessagesStillQueueTogether) {
   EXPECT_EQ(deliveries, (std::vector<Tick>{100'000, 200'000, 300'000}));
 }
 
-TEST(CostModelTest, DilationPreservesUtilizationRatios) {
-  CostModel base;
-  CostModel dilated = base;
-  dilated.Dilate(10.0);
-  EXPECT_EQ(dilated.dispatch_per_rpc_ns, base.dispatch_per_rpc_ns * 10);
-  EXPECT_DOUBLE_EQ(dilated.net_bandwidth_bps, base.net_bandwidth_bps / 10.0);
-  // Cost x rate products (utilization) are invariant.
-  EXPECT_EQ(dilated.ReadCost(100), base.ReadCost(100) * 10);
-  EXPECT_EQ(dilated.Serialization(5'000), base.Serialization(5'000) * 10);
-}
-
 }  // namespace
 }  // namespace rocksteady
