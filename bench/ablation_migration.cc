@@ -36,9 +36,9 @@ void Run(const char* label, const RocksteadyOptions& options) {
   spec.stop_time = kEnd;
   spec.migrate_at = kMigrateAt;
   spec.options = options;
-  spec.read_latency = &reads;
   MigrationUnderLoadRun run(spec);
   run.cluster().RunUntil(kEnd);
+  RecordLatencies(run.histories(), &reads);
 
   const auto& stats = run.stats();
   if (!stats.has_value()) {

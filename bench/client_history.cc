@@ -1,6 +1,7 @@
 #include "bench/client_history.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -18,46 +19,59 @@ constexpr int kMaxKeyDraws = 64;
 }  // namespace
 
 ClientHistory::ClientHistory(RamCloudClient* client, TableId table, size_t index,
-                             size_t clients, Tick stop, ChooseOp choose, OpGap gap)
+                             size_t clients, Tick stop, ChooseOp choose, OpGap gap,
+                             size_t max_in_flight)
     : client_(client),
       table_(table),
       index_(index),
       clients_(clients),
       stop_(stop),
       choose_(std::move(choose)),
-      gap_(std::move(gap)) {}
+      gap_(std::move(gap)),
+      max_in_flight_(max_in_flight) {}
 
 void ClientHistory::Start() {
-  const Tick first = gap_(0) * static_cast<Tick>(index_ + 1);
-  client_->sim().At(first, client_->node(), [this] { Step(); });
+  const Tick first = gap_(client_->rng(), 0) * static_cast<Tick>(index_ + 1);
+  client_->sim().At(first, client_->node(), [this] { Arrive(); });
 }
 
 bool ClientHistory::Owns(const std::string& key) const {
   return HashKey(table_, key) % clients_ == index_;
 }
 
-void ClientHistory::Step() {
+void ClientHistory::Arrive() {
   Simulator& sim = client_->sim();
   const Tick now = sim.now();
   if (now >= stop_) {
     return;
   }
-  sim.After(gap_(now) * static_cast<Tick>(clients_), [this] { Step(); });
+  sim.After(gap_(client_->rng(), now) * static_cast<Tick>(clients_), [this] { Arrive(); });
   YcsbWorkload::Op op = choose_(client_->rng(), now);
   // A write goes to a key this client owns: redraw the key from the suite's
   // choice until it is one, so the suite's read/write mix holds at any
-  // client count. A write to a key with a write in flight becomes a read.
+  // client count.
   for (int draws = 1; !op.is_read && !Owns(op.key); draws++) {
     op.is_read = draws == kMaxKeyDraws;
     op.key = choose_(client_->rng(), now).key;
   }
-  if (!op.is_read && in_flight_.contains(op.key)) {
-    op.is_read = true;
-  }
   const size_t index = ops_.size();
   ops_.push_back(OpRecord{.issued = now, .is_read = op.is_read});
+  if (ops_in_flight_ < max_in_flight_) {
+    Issue(index, std::move(op.key));
+  } else {
+    backlog_.emplace_back(index, std::move(op.key));
+  }
+}
+
+void ClientHistory::Issue(size_t index, std::string key) {
+  ops_in_flight_++;
+  OpRecord& op = ops_[index];
+  // A write to a key with a write in flight becomes a read.
+  if (!op.is_read && in_flight_.contains(key)) {
+    op.is_read = true;
+  }
   if (op.is_read) {
-    client_->Read(table_, op.key,
+    client_->Read(table_, key,
                   [this, index](Status status, const std::string&) { Complete(index, status); });
     return;
   }
@@ -66,10 +80,10 @@ void ClientHistory::Step() {
   const int tag_length = std::snprintf(tag, sizeof(tag), "c%zu-%zu", index_, index);
   std::string value(kValueLength, 'w');
   value.replace(0, static_cast<size_t>(tag_length), tag);
-  KeyState* state = &writes_[op.key];
-  in_flight_.insert(op.key);
-  client_->Write(table_, op.key, value,
-                 [this, index, state, key = op.key, value](Status status) {
+  KeyState* state = &writes_[key];
+  in_flight_.insert(key);
+  client_->Write(table_, key, value,
+                 [this, index, state, key, value](Status status) {
                    in_flight_.erase(key);
                    if (status == Status::kOk) {
                      state->acked = true;
@@ -84,24 +98,39 @@ void ClientHistory::Step() {
 void ClientHistory::Complete(size_t op, Status status) {
   ops_[op].completed = client_->sim().now();
   ops_[op].status = status;
+  ops_in_flight_--;
+  while (ops_in_flight_ < max_in_flight_ && !backlog_.empty()) {
+    auto [next, key] = std::move(backlog_.front());
+    backlog_.pop_front();
+    Issue(next, std::move(key));
+  }
 }
 
 ClientHistories StartClientHistories(Cluster& cluster, TableId table, Tick stop,
                                      const std::function<ClientHistory::ChooseOp()>& make_choose,
-                                     const ClientHistory::OpGap& gap) {
+                                     const ClientHistory::OpGap& gap, size_t max_in_flight) {
   ClientHistories histories;
   for (size_t c = 0; c < cluster.num_clients(); c++) {
     histories.push_back(std::make_unique<ClientHistory>(&cluster.client(c), table, c,
                                                         cluster.num_clients(), stop,
-                                                        make_choose(), gap));
+                                                        make_choose(), gap, max_in_flight));
     histories.back()->Start();
   }
   return histories;
 }
 
-ClientHistory::ChooseOp YcsbBChoice(uint64_t records) {
+ClientHistory::OpGap PoissonGap(double aggregate_ops_per_second) {
+  return [aggregate_ops_per_second](Random& rng, Tick) {
+    const double u = std::max(1e-12, rng.NextDouble());
+    const double gap_seconds = -std::log(u) / aggregate_ops_per_second;
+    return std::max<Tick>(1, static_cast<Tick>(gap_seconds * static_cast<double>(kSecond)));
+  };
+}
+
+ClientHistory::ChooseOp YcsbBChoice(uint64_t records, double theta) {
   YcsbConfig config = YcsbConfig::WorkloadB();
   config.num_records = records;
+  config.theta = theta;
   return [workload = YcsbWorkload(config)](Random& rng, Tick) mutable {
     return workload.NextOp(rng);
   };
@@ -110,6 +139,9 @@ ClientHistory::ChooseOp YcsbBChoice(uint64_t records) {
 OpCounts CountOps(const ClientHistories& histories) {
   OpCounts counts;
   ForEachOp(histories, [&counts](const OpRecord& op) {
+    if (op.completed == 0) {
+      return;  // Still backlogged or in flight.
+    }
     if (op.is_read) {
       (op.ok() ? counts.reads_ok : counts.reads_failed)++;
     } else {
@@ -126,6 +158,21 @@ void ForEachOp(const ClientHistories& histories,
       fn(op);
     }
   }
+}
+
+void RecordLatencies(const ClientHistories& histories, LatencyTimeline* reads,
+                     LatencyTimeline* all) {
+  ForEachOp(histories, [reads, all](const OpRecord& op) {
+    if (!op.ok()) {
+      return;
+    }
+    if (op.is_read) {
+      reads->Record(op.completed, op.completed - op.issued);
+    }
+    if (all != nullptr) {
+      all->Record(op.completed, op.completed - op.issued);
+    }
+  });
 }
 
 Tick Quantile(std::vector<Tick> values, double q) {

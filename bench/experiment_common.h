@@ -12,7 +12,6 @@
 
 #include "src/cluster/cluster.h"
 #include "src/common/timeseries.h"
-#include "src/workload/client_actor.h"
 #include "src/workload/ycsb.h"
 
 namespace rocksteady {
@@ -137,9 +136,9 @@ class MultiGetLoop {
 };
 
 // Open-loop secondary-index scan driver (Figure 4).
-// Nearly open load, like ClientActor (§4.1): Poisson arrivals at the offered
-// rate, at most kMaxOutstanding scans in flight per actor, and arrivals
-// beyond that queued in the client. Latency is measured from the intended
+// Nearly open load, like ClientHistory's (§4.1): Poisson arrivals at the
+// offered rate, at most kMaxOutstanding scans in flight per actor, and
+// arrivals beyond that queued in the client. Latency is measured from the intended
 // arrival, so client-side queueing past the knee shows in the tail. The
 // bound matters past the knee: with every arrival in flight, lookups queue
 // at the server until their callers time out and retry, and the retries

@@ -53,8 +53,6 @@ void RunMode(const char* name, MigrationMode mode) {
   spec.stop_time = kEnd;
   spec.migrate_at = kMigrateAt;
   spec.options.mode = mode;
-  spec.read_latency = &reads;
-  spec.throughput = &all_ops;
   spec.migrated_bytes = &migrated;
   spec.source_dispatch = &src_dispatch;
   spec.source_worker = &src_worker;
@@ -63,6 +61,7 @@ void RunMode(const char* name, MigrationMode mode) {
   MigrationUnderLoadRun run(spec);
   Cluster& cluster = run.cluster();
   cluster.RunUntil(kEnd);
+  RecordLatencies(run.histories(), &reads, &all_ops);
 
   std::printf("\n--- %s ---\n", name);
   std::printf("%6s %12s %10s %10s | %8s %8s %8s %8s | %10s\n", "t(s)", "kOps/s", "med(us)",
@@ -99,7 +98,7 @@ void RunMode(const char* name, MigrationMode mode) {
   }
   std::printf("client retry-later retries: %llu, failed (timed-out) ops: %llu\n",
               static_cast<unsigned long long>(retry_later),
-              static_cast<unsigned long long>(run.failed()));
+              static_cast<unsigned long long>(CountOps(run.histories()).failed()));
   PrintNetworkFaultCounters(cluster);
 }
 

@@ -38,13 +38,13 @@ void RunVariant(const char* name, bool sync_priority_pulls) {
   spec.migrate_at = kMigrateAt;
   spec.options.background_pulls = false;  // §4.4: no background Pulls.
   spec.options.sync_priority_pulls = sync_priority_pulls;
-  spec.read_latency = &reads;
   spec.source_dispatch = &src_dispatch;
   spec.source_worker = &src_worker;
   spec.target_dispatch = &tgt_dispatch;
   spec.target_worker = &tgt_worker;
   MigrationUnderLoadRun run(spec);
   run.cluster().RunUntil(kEnd);
+  RecordLatencies(run.histories(), &reads);
 
   std::printf("\n--- %s ---\n", name);
   std::printf("%6s %10s %10s | %8s %8s %8s %8s\n", "t(s)", "med(us)", "p999(us)", "srcDisp",

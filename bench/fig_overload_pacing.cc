@@ -84,9 +84,11 @@ RunResult RunMode(bool pacing) {
   });
 
   const ClientHistories histories = StartClientHistories(
-      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kRecords); }, [](Tick now) {
+      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kRecords); },
+      [](Random&, Tick now) {
         return now % (kBurstPhase + kTroughPhase) < kBurstPhase ? kBurstGap : kTroughGap;
-      });
+      },
+      ClientHistory::kUnbounded);
   cluster.Run();
 
   ForEachOp(histories, [&result](const OpRecord& op) {

@@ -138,7 +138,7 @@ RunResult Run(bool planner_on) {
                                   .key = std::move(key)};
         };
       },
-      [op_gap](Tick) { return op_gap; });
+      [op_gap](Random&, Tick) { return op_gap; }, ClientHistory::kUnbounded);
 
   cluster.RunUntil(experiment_end);
   if (planner) {

@@ -134,13 +134,14 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed, int lanes) {
                                   .key = std::move(key)};
         };
       },
-      [&](Tick now) {
+      [&](Random&, Tick now) {
         Tick gap = spec.op_gap;
         if (InFlashWindow(spec, now) && spec.flash_rate_multiplier > 1) {
           gap /= static_cast<Tick>(spec.flash_rate_multiplier);
         }
         return static_cast<Tick>(static_cast<double>(gap) / OfferedFraction(spec, now));
-      });
+      },
+      ClientHistory::kUnbounded);
 
   cluster.RunUntil(spec.horizon);
   planner.Stop();

@@ -6,10 +6,9 @@
 #include <cstdio>
 #include <optional>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
 #include "src/migration/rocksteady_target.h"
-#include "src/workload/client_actor.h"
-#include "src/workload/ycsb.h"
 
 namespace {
 
@@ -64,18 +63,10 @@ int main() {
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
 
-  // Background load for the entire exercise.
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-  LatencyTimeline reads(kSecond / 4, 40);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 300'000;
-  actor_config.max_outstanding = 64;
-  actor_config.stop_time = 6 * kSecond;
-  ClientActor actor(kTable, &cluster.client(0), &workload, actor_config);
-  actor.set_read_latency(&reads);
-  actor.Start();
+  // Background YCSB-B load for the entire exercise, from both clients.
+  const ClientHistories histories =
+      StartClientHistories(cluster, kTable, 6 * kSecond, [] { return YcsbBChoice(kRecords); },
+                           PoissonGap(300'000), /*max_in_flight=*/64);
 
   cluster.RunUntil(kSecond / 2);
   PrintPhase(cluster, "start: everything on server 1");
@@ -101,6 +92,8 @@ int main() {
 
   cluster.Run();
   std::printf("\nread latency through four live reconfigurations:\n");
+  LatencyTimeline reads(kSecond / 4, 40);
+  RecordLatencies(histories, &reads);
   const Histogram totals = reads.Total();
   std::printf("  ops=%llu median=%.1f us  99.9th=%.1f us  max window p999=%.1f us\n",
               static_cast<unsigned long long>(totals.count()),

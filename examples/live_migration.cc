@@ -7,10 +7,9 @@
 #include <cstdio>
 #include <optional>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
 #include "src/migration/rocksteady_target.h"
-#include "src/workload/client_actor.h"
-#include "src/workload/ycsb.h"
 
 int main() {
   using namespace rocksteady;
@@ -33,18 +32,12 @@ int main() {
               static_cast<unsigned long long>(kRecords),
               static_cast<double>(cluster.master(0).objects().log().total_bytes()) / 1e6);
 
-  // Drive YCSB-B (95/5, Zipfian 0.99) against the table.
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-  LatencyTimeline reads(kSecond / 10, 20);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 200'000;
-  actor_config.max_outstanding = 64;
-  actor_config.stop_time = 2 * kSecond;
-  ClientActor actor(kTable, &cluster.client(0), &workload, actor_config);
-  actor.set_read_latency(&reads);
-  actor.Start();
+  // Drive YCSB-B (95/5, Zipfian 0.99) against the table from both clients:
+  // Poisson arrivals at 200k ops/s in all, at most 64 ops in flight per
+  // client, for 2 s. Each client logs its ops and the values it wrote.
+  const ClientHistories histories =
+      StartClientHistories(cluster, kTable, 2 * kSecond, [] { return YcsbBChoice(kRecords); },
+                           PoissonGap(200'000), /*max_in_flight=*/64);
 
   // At t = 0.5 s, live-migrate the upper half of the hash space to master 1.
   std::optional<MigrationStats> stats;
@@ -64,30 +57,24 @@ int main() {
                 stats->RateMBps(), static_cast<unsigned long long>(stats->pulls_completed),
                 static_cast<unsigned long long>(stats->priority_pull_batches));
   }
+  const OpCounts ops = CountOps(histories);
   std::printf("workload: %llu ops completed, %llu failed\n",
-              static_cast<unsigned long long>(actor.completed()),
-              static_cast<unsigned long long>(actor.failed()));
+              static_cast<unsigned long long>(ops.ok()),
+              static_cast<unsigned long long>(ops.failed()));
+  LatencyTimeline reads(kSecond / 10, 20);
+  RecordLatencies(histories, &reads);
   const Histogram totals = reads.Total();
   std::printf("read latency: median %.1f us, 99.9th %.1f us\n",
               static_cast<double>(totals.Percentile(0.5)) / 1e3,
               static_cast<double>(totals.Percentile(0.999)) / 1e3);
 
-  // Verify every record is still readable with the right contents.
-  int ok = 0;
-  for (uint64_t i = 0; i < kRecords; i += 997) {
-    cluster.client(1).Read(kTable, Cluster::MakeKey(i, 30),
-                           [&](Status status, const std::string& value) {
-                             // Loaded records hold 'v's; the 5% YCSB writes
-                             // overwrote some with 'w's — both are intact.
-                             ok += (status == Status::kOk &&
-                                    (value == std::string(100, 'v') ||
-                                     value == std::string(100, 'w')));
-                           });
-  }
-  cluster.Run();
-  std::printf("spot check after migration: %d/%d records intact\n", ok,
-              static_cast<int>((kRecords + 996) / 997));
+  // Verify every record: each reads back its loaded value or the last value
+  // a client's write of it was acked with.
+  const ReadBackResult check = VerifyReadBack(cluster, kTable, LoadedKeys(kRecords), histories);
+  std::printf("read-back after migration: %llu records, %llu wrong or lost\n",
+              static_cast<unsigned long long>(kRecords),
+              static_cast<unsigned long long>(check.mismatches));
   std::printf("ownership of upper half now at master id %u (master 1 is id %u)\n",
               cluster.coordinator().OwnerOf(kTable, kMid), cluster.master(1).id());
-  return 0;
+  return check.mismatches == 0 ? 0 : 1;
 }

@@ -8,8 +8,4 @@ std::string YcsbWorkload::KeyAt(uint64_t id) const {
   return Cluster::MakeKey(id, config_.key_length);
 }
 
-void YcsbWorkload::KeyAtInto(uint64_t id, std::string* out) const {
-  Cluster::MakeKeyInto(id, config_.key_length, out);
-}
-
 }  // namespace rocksteady

@@ -35,21 +35,11 @@ class YcsbWorkload {
       : config_(config), zipf_(config.num_records, config.theta) {}
 
   Op NextOp(Random& rng) {
-    Op op;
-    NextOpInto(rng, &op);
-    return op;
-  }
-
-  // In-place variant for hot paths: identical draws to NextOp, but formats
-  // the key into op->key's existing buffer — zero allocations once the
-  // buffer has grown to key_length.
-  void NextOpInto(Random& rng, Op* op) {
-    op->is_read = rng.NextDouble() < config_.read_fraction;
-    KeyAtInto(zipf_.Next(rng), &op->key);
+    const bool is_read = rng.NextDouble() < config_.read_fraction;
+    return Op{.is_read = is_read, .key = KeyAt(zipf_.Next(rng))};
   }
 
   std::string KeyAt(uint64_t id) const;
-  void KeyAtInto(uint64_t id, std::string* out) const;
 
   const YcsbConfig& config() const { return config_; }
 

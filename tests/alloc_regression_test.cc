@@ -17,10 +17,9 @@
 #include <memory>
 #include <vector>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
 #include "src/common/inline_function.h"
-#include "src/workload/client_actor.h"
-#include "src/workload/ycsb.h"
 #include "tests/alloc_hook.h"
 
 namespace rocksteady {
@@ -50,6 +49,13 @@ class Chain {
   Simulator* sim_;
   Tick period_;
 };
+
+// YCSB-B over the 4,000 loaded records from both clients, 75k ops/s each,
+// running past the end of every test below.
+ClientHistories StartYcsbLoad(Cluster& cluster) {
+  return StartClientHistories(cluster, kTable, kSecond, [] { return YcsbBChoice(4'000); },
+                              PoissonGap(150'000), ClientHistory::kUnbounded);
+}
 
 TEST(AllocRegressionTest, PureEventLoopIsAllocationFreeInSteadyState) {
   Simulator sim;
@@ -87,18 +93,9 @@ TEST(AllocRegressionTest, YcsbSteadyWindowHasZeroPoolMissedAllocations) {
   config.master.hash_table_log2_buckets = 15;
   Cluster cluster(config);
   cluster.CreateTable(kTable, 0);
-  cluster.LoadTable(kTable, /*num_records=*/4'000, /*key_length=*/12, /*value_length=*/100);
+  cluster.LoadTable(kTable, /*num_records=*/4'000, /*key_length=*/30, /*value_length=*/100);
 
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = 4'000;
-  YcsbWorkload workload_a(ycsb);
-  YcsbWorkload workload_b(ycsb);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 75'000;
-  ClientActor actor_a(kTable, &cluster.client(0), &workload_a, actor_config);
-  ClientActor actor_b(kTable, &cluster.client(1), &workload_b, actor_config);
-  actor_a.Start();
-  actor_b.Start();
+  const ClientHistories histories = StartYcsbLoad(cluster);
 
   // Warm-up: pools (event slabs, client retry states, server scratch) reach
   // their steady-state footprint.
@@ -111,7 +108,7 @@ TEST(AllocRegressionTest, YcsbSteadyWindowHasZeroPoolMissedAllocations) {
   const size_t events = cluster.events_processed() - events_before;
 
   ASSERT_GT(events, 10'000u);  // The steady window covers >=10k events.
-  ASSERT_GT(actor_a.completed() + actor_b.completed(), 0u);
+  ASSERT_GT(CountOps(histories).reads_ok, 0u);
   EXPECT_EQ(cluster.lanes()->lane_sim(0).pool_stats().slab_allocations - slabs_before, 0u);
   EXPECT_EQ(InlineFunctionHeapFallbacks() - fallbacks_before, 0u);
 
@@ -142,18 +139,9 @@ TEST(AllocRegressionTest, ThreadedLaneSteadyWindowHasZeroSlabGrowthPerLane) {
   config.lane_threads = true;
   Cluster cluster(config);
   cluster.CreateTable(kTable, 0);
-  cluster.LoadTable(kTable, /*num_records=*/4'000, /*key_length=*/12, /*value_length=*/100);
+  cluster.LoadTable(kTable, /*num_records=*/4'000, /*key_length=*/30, /*value_length=*/100);
 
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = 4'000;
-  YcsbWorkload workload_a(ycsb);
-  YcsbWorkload workload_b(ycsb);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 75'000;
-  ClientActor actor_a(kTable, &cluster.client(0), &workload_a, actor_config);
-  ClientActor actor_b(kTable, &cluster.client(1), &workload_b, actor_config);
-  actor_a.Start();
-  actor_b.Start();
+  const ClientHistories histories = StartYcsbLoad(cluster);
 
   LaneSet* lanes = cluster.lanes();
   ASSERT_NE(lanes, nullptr);
@@ -174,7 +162,7 @@ TEST(AllocRegressionTest, ThreadedLaneSteadyWindowHasZeroSlabGrowthPerLane) {
   const size_t events = cluster.events_processed() - events_before;
 
   ASSERT_GT(events, 10'000u);
-  ASSERT_GT(actor_a.completed() + actor_b.completed(), 0u);
+  ASSERT_GT(CountOps(histories).reads_ok, 0u);
   for (int l = 0; l < lanes->lanes(); l++) {
     const Simulator::PoolStats stats = lanes->lane_sim(l).pool_stats();
     // Zero slab growth on every lane individually — a lane leaking events to

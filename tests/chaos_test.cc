@@ -126,7 +126,7 @@ ChaosDigest RunChaosEpisode(uint64_t seed, int lanes) {
   // --- YCSB-B from every client, with a durability reference. ---
   const ClientHistories histories = StartClientHistories(
       cluster, kTable, kOpsStop, [] { return YcsbBChoice(kRecords); },
-      [](Tick) { return kOpGap; });
+      [](Random&, Tick) { return kOpGap; }, ClientHistory::kUnbounded);
 
   // --- Run, then drain (the detector sweep is an infinite loop). ---
   cluster.RunUntil(kHorizon);
@@ -191,7 +191,7 @@ TEST(ReadBackTest, CatchesOneLostAckedWrite) {
   cluster.LoadTable(kTable, kRecords, 30, 100);
   const ClientHistories histories = StartClientHistories(
       cluster, kTable, 10 * kMillisecond, [] { return YcsbBChoice(kRecords); },
-      [](Tick) { return kOpGap; });
+      [](Random&, Tick) { return kOpGap; }, ClientHistory::kUnbounded);
   cluster.Run();
   const std::vector<std::string> keys = LoadedKeys(kRecords);
   EXPECT_EQ(VerifyReadBack(cluster, kTable, keys, histories).mismatches, 0u);
@@ -298,9 +298,11 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing, int lanes) {
   });
 
   const ClientHistories histories = StartClientHistories(
-      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kOverloadRecords); }, [](Tick now) {
+      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kOverloadRecords); },
+      [](Random&, Tick now) {
         return now % (kBurstPhase + kTroughPhase) < kBurstPhase ? kBurstGap : kTroughGap;
-      });
+      },
+      ClientHistory::kUnbounded);
 
   cluster.Run();
 

@@ -7,9 +7,8 @@
 #include <set>
 #include <string>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
-#include "src/workload/client_actor.h"
-#include "src/workload/ycsb.h"
 
 namespace rocksteady {
 namespace {
@@ -211,22 +210,19 @@ TEST(ClusterTest, YcsbActorDrivesLoad) {
   Cluster cluster(SmallCluster(4, 2));
   cluster.CreateTable(1, 0);
   cluster.LoadTable(1, 10'000, 30, 100);
-  YcsbConfig ycsb_config;
-  ycsb_config.num_records = 10'000;
-  YcsbWorkload workload(ycsb_config);
-
-  LatencyTimeline reads(kSecond / 10, 20);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 20'000;
-  actor_config.stop_time = kSecond;
-  ClientActor actor(1, &cluster.client(0), &workload, actor_config);
-  actor.set_read_latency(&reads);
-  actor.Start();
+  const ClientHistories histories =
+      StartClientHistories(cluster, 1, kSecond, [] { return YcsbBChoice(10'000); },
+                           PoissonGap(20'000), ClientHistory::kUnbounded);
   cluster.Run();
 
-  EXPECT_GT(actor.issued(), 15'000u);
-  EXPECT_EQ(actor.issued(), actor.completed() + actor.failed());
-  EXPECT_EQ(actor.failed(), 0u);
+  const OpCounts counts = CountOps(histories);
+  uint64_t issued = 0;
+  ForEachOp(histories, [&issued](const OpRecord&) { issued++; });
+  EXPECT_GT(issued, 15'000u);
+  EXPECT_EQ(issued, counts.ok() + counts.failed());
+  EXPECT_EQ(counts.failed(), 0u);
+  LatencyTimeline reads(kSecond / 10, 20);
+  RecordLatencies(histories, &reads);
   const Histogram total = reads.Total();
   EXPECT_GT(total.count(), 10'000u);
   // Median unloaded-ish read latency in single-digit microseconds.
@@ -238,16 +234,11 @@ TEST(ClusterTest, Determinism) {
     Cluster cluster(SmallCluster());
     cluster.CreateTable(1, 0);
     cluster.LoadTable(1, 1'000, 30, 100);
-    YcsbConfig ycsb_config;
-    ycsb_config.num_records = 1'000;
-    YcsbWorkload workload(ycsb_config);
-    ClientActorConfig actor_config;
-    actor_config.ops_per_second = 50'000;
-    actor_config.stop_time = kSecond / 5;
-    ClientActor actor(1, &cluster.client(0), &workload, actor_config);
-    actor.Start();
+    const ClientHistories histories =
+        StartClientHistories(cluster, 1, kSecond / 5, [] { return YcsbBChoice(1'000); },
+                             PoissonGap(50'000), ClientHistory::kUnbounded);
     cluster.Run();
-    return std::make_tuple(actor.issued(), actor.completed(), cluster.now(),
+    return std::make_tuple(histories[0]->ops().size(), CountOps(histories), cluster.now(),
                            cluster.net().total_bytes_sent());
   };
   EXPECT_EQ(run(), run());

@@ -36,7 +36,6 @@
 #include "src/rebalance/planner.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/lane_set.h"
-#include "src/workload/client_actor.h"
 #include "src/workload/ycsb.h"
 
 namespace rocksteady {
@@ -126,18 +125,11 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
   }
   cluster.LoadTable(kTable, kRecords, 30, 100);
 
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = scale24 ? 100'000 : 40'000;
-  actor_config.stop_time = (scale24 ? 3 : 30) * kMillisecond;
-  std::vector<std::unique_ptr<ClientActor>> actors;
-  for (size_t c = 0; c < cluster.num_clients(); c++) {
-    actors.push_back(
-        std::make_unique<ClientActor>(kTable, &cluster.client(c), &workload, actor_config));
-    actors.back()->Start();
-  }
+  const double ops_per_client = scale24 ? 100'000 : 40'000;
+  const ClientHistories histories = StartClientHistories(
+      cluster, kTable, (scale24 ? 3 : 30) * kMillisecond, [] { return YcsbBChoice(kRecords); },
+      PoissonGap(ops_per_client * static_cast<double>(cluster.num_clients())),
+      ClientHistory::kUnbounded);
 
   std::optional<MigrationStats> stats;
   if (migrates) {
@@ -160,10 +152,9 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
   digest.trace_hash = cluster.trace_hash();
   digest.events = cluster.events_processed();
   digest.end_time = cluster.now();
-  for (const auto& actor : actors) {
-    digest.client_completed += actor->completed();
-    digest.client_failed += actor->failed();
-  }
+  const OpCounts ops = CountOps(histories);
+  digest.client_completed = ops.ok();
+  digest.client_failed = ops.failed();
   digest.records_pulled = stats ? stats->records_pulled : 0;
   digest.source_objects = cluster.master(0).objects().object_count();
   digest.target_objects = cluster.master(1).objects().object_count();
@@ -177,7 +168,8 @@ LaneRun RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads) {
 
 constexpr uint64_t kControlRecords = 2'000;
 constexpr KeyHash kQuarter = KeyHash{1} << 62;
-constexpr Tick kWriteGap = 100 * kMicrosecond;
+constexpr Tick kOpGap = 20 * kMicrosecond;  // 50k ops/s over all clients.
+constexpr double kWriteFraction = 0.2;     // One durable write per 100 us.
 
 // Runs `crash` at the first safe point (polled every 5 us for 5 ms from
 // `from`) at which `mid_migration` holds — a lineage dependency names the
@@ -232,35 +224,21 @@ LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads
     }
   }
 
-  // Read-only actors: the client histories own every write, so the
-  // read-back can judge each key against one reference model.
-  YcsbConfig ycsb = YcsbConfig::WorkloadC();
-  ycsb.num_records = kControlRecords;
-  YcsbWorkload workload(ycsb);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 20'000;
-  actor_config.stop_time = ops_stop;
-  std::vector<std::unique_ptr<ClientActor>> actors;
-  for (size_t c = 0; c < cluster.num_clients(); c++) {
-    actors.push_back(
-        std::make_unique<ClientActor>(kTable, &cluster.client(c), &workload, actor_config));
-    actors.back()->Start();
-  }
-  // Durable writes, mostly to the hot keys (when there are any), one per
-  // kWriteGap over all clients, each to a key its client owns.
+  // Reads and durable writes, mostly to the hot keys (when there are any),
+  // one op per kOpGap over all clients, each write to a key its client
+  // owns, so the read-back can judge each key against one reference model.
   const ClientHistories histories = StartClientHistories(
       cluster, kTable, ops_stop,
       [&] {
         return [&](Random& rng, Tick) {
-          if (!hot_keys.empty() && rng.NextDouble() < 0.8) {
-            return YcsbWorkload::Op{.is_read = false,
-                                    .key = hot_keys[rng.Uniform(hot_keys.size())]};
-          }
-          return YcsbWorkload::Op{.is_read = false,
-                                  .key = Cluster::MakeKey(rng.Uniform(kControlRecords), 30)};
+          std::string key = !hot_keys.empty() && rng.NextDouble() < 0.8
+                                ? hot_keys[rng.Uniform(hot_keys.size())]
+                                : Cluster::MakeKey(rng.Uniform(kControlRecords), 30);
+          return YcsbWorkload::Op{.is_read = rng.NextDouble() >= kWriteFraction,
+                                  .key = std::move(key)};
         };
       },
-      [](Tick) { return kWriteGap; });
+      [](Random&, Tick) { return kOpGap; }, ClientHistory::kUnbounded);
 
   LaneRun run;
   LaneDigest& digest = run.digest;
@@ -341,11 +319,9 @@ LaneRun RunControlScenario(Scenario kind, uint64_t seed, int lanes, bool threads
   digest.trace_hash = cluster.trace_hash();
   digest.events = cluster.events_processed();
   digest.end_time = cluster.now();
-  for (const auto& actor : actors) {
-    digest.client_completed += actor->completed();
-    digest.client_failed += actor->failed();
-  }
   const OpCounts ops = CountOps(histories);
+  digest.client_completed = ops.ok();
+  digest.client_failed = ops.failed();
   digest.acked_writes = ops.acked_writes;
   digest.failed_writes = ops.failed_writes;
   digest.injected_drops = cluster.net().injected_drops();

@@ -532,7 +532,7 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed, int lanes) {
           return YcsbWorkload::Op{.is_read = rng.NextDouble() < 0.95, .key = std::move(key)};
         };
       },
-      [](Tick) { return kChaosOpGap; });
+      [](Random&, Tick) { return kChaosOpGap; }, ClientHistory::kUnbounded);
 
   cluster.RunUntil(kChaosHorizon);
   planner.Stop();

@@ -7,11 +7,10 @@
 
 #include <optional>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
 #include "src/common/audit.h"
 #include "src/migration/rocksteady_target.h"
-#include "src/workload/client_actor.h"
-#include "src/workload/ycsb.h"
 
 namespace rocksteady {
 namespace {
@@ -48,14 +47,9 @@ RunDigest RunScenario(uint64_t seed) {
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
 
-  YcsbConfig ycsb = YcsbConfig::WorkloadB();
-  ycsb.num_records = kRecords;
-  YcsbWorkload workload(ycsb);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 50'000;
-  actor_config.stop_time = kSecond / 10;
-  ClientActor actor(kTable, &cluster.client(0), &workload, actor_config);
-  actor.Start();
+  const ClientHistories histories =
+      StartClientHistories(cluster, kTable, kSecond / 10, [] { return YcsbBChoice(kRecords); },
+                           PoissonGap(50'000), ClientHistory::kUnbounded);
 
   std::optional<MigrationStats> stats;
   cluster.AtSafePoint(kSecond / 100, [&] {
@@ -76,8 +70,9 @@ RunDigest RunScenario(uint64_t seed) {
   digest.end_time = cluster.now();
   digest.records_pulled = stats ? stats->records_pulled : 0;
   digest.priority_pull_records = stats ? stats->priority_pull_records : 0;
-  digest.client_completed = actor.completed();
-  digest.client_failed = actor.failed();
+  const OpCounts ops = CountOps(histories);
+  digest.client_completed = ops.ok();
+  digest.client_failed = ops.failed();
   digest.source_objects = cluster.master(0).objects().object_count();
   digest.target_objects = cluster.master(1).objects().object_count();
   return digest;

@@ -1,11 +1,13 @@
-// Tests for the workload module: YCSB op mix and skew, open-loop client
-// actors (arrival process, backlog behaviour, latency accounting).
+// Tests for the workload module: YCSB op mix and skew, and the open-loop
+// client load generator (arrival process, backlog behaviour, latency
+// accounting).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
+#include "bench/client_history.h"
 #include "src/cluster/cluster.h"
-#include "src/workload/client_actor.h"
 #include "src/workload/ycsb.h"
 
 namespace rocksteady {
@@ -63,81 +65,107 @@ TEST(YcsbTest, KeysAreValidAndSkewed) {
   EXPECT_GT(hottest, 50'000 / 1'000 * 10);
 }
 
-TEST(ClientActorTest, OpenLoopOffersConfiguredRate) {
+// A ClientHistory driving each client of `cluster` with YCSB ops of
+// `ycsb`'s mix over the loaded keys of table 1.
+ClientHistories StartHistories(Cluster& cluster, const YcsbConfig& ycsb, Tick stop,
+                               const ClientHistory::OpGap& gap, size_t max_in_flight) {
+  return StartClientHistories(
+      cluster, 1, stop,
+      [&ycsb] {
+        return [workload = YcsbWorkload(ycsb)](Random& rng, Tick) mutable {
+          return workload.NextOp(rng);
+        };
+      },
+      gap, max_in_flight);
+}
+
+ClusterConfig OneClientCluster() {
   ClusterConfig config;
   config.num_masters = 4;
   config.num_clients = 1;
   config.master.hash_table_log2_buckets = 12;
-  Cluster cluster(config);
+  return config;
+}
+
+TEST(ClientHistoryTest, OpenLoopOffersConfiguredRate) {
+  Cluster cluster(OneClientCluster());
   cluster.CreateTable(1, 0);
   cluster.LoadTable(1, 1'000, 30, 100);
   YcsbConfig ycsb = YcsbConfig::WorkloadC();  // Reads only.
   ycsb.num_records = 1'000;
-  YcsbWorkload workload(ycsb);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 50'000;
-  actor_config.stop_time = kSecond;
-  ClientActor actor(1, &cluster.client(0), &workload, actor_config);
-  actor.Start();
+  const ClientHistories histories = StartHistories(cluster, ycsb, kSecond, PoissonGap(50'000), 8);
   cluster.Run();
   // Poisson arrivals at 50K/s for 1 s: within a few percent.
-  EXPECT_NEAR(static_cast<double>(actor.issued()), 50'000.0, 2'500.0);
-  EXPECT_EQ(actor.failed(), 0u);
-  EXPECT_EQ(actor.backlog(), 0u);
+  EXPECT_NEAR(static_cast<double>(histories[0]->ops().size()), 50'000.0, 2'500.0);
+  const OpCounts counts = CountOps(histories);
+  EXPECT_EQ(counts.reads_failed, 0u);
+  EXPECT_EQ(histories[0]->backlog(), 0u);
 }
 
-TEST(ClientActorTest, BacklogFormsWhenServerSlow) {
-  // Offer far more load than one server can take; the actor must backlog
+TEST(ClientHistoryTest, BacklogFormsWhenServerSlow) {
+  // Offer far more load than one server can take; the client must backlog
   // (not drop), and sojourn latency must reflect the queueing.
-  ClusterConfig config;
-  config.num_masters = 4;
-  config.num_clients = 1;
+  ClusterConfig config = OneClientCluster();
   config.master.num_workers = 1;
-  config.master.hash_table_log2_buckets = 12;
   Cluster cluster(config);
   cluster.CreateTable(1, 0);
   cluster.LoadTable(1, 100, 30, 100);
   YcsbConfig ycsb = YcsbConfig::WorkloadC();
   ycsb.num_records = 100;
-  YcsbWorkload workload(ycsb);
-  LatencyTimeline reads(kSecond / 10, 10);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 2'000'000;  // >> capacity.
-  actor_config.max_outstanding = 4;
-  actor_config.stop_time = kSecond / 10;
-  ClientActor actor(1, &cluster.client(0), &workload, actor_config);
-  actor.set_read_latency(&reads);
-  actor.Start();
+  const ClientHistories histories =
+      StartHistories(cluster, ycsb, kSecond / 10, PoissonGap(2'000'000), /*max_in_flight=*/4);
   cluster.RunUntil(kSecond / 10);
-  EXPECT_GT(actor.backlog(), 100u);
+  EXPECT_GT(histories[0]->backlog(), 100u);
   cluster.Run();  // Drain.
-  EXPECT_EQ(actor.backlog(), 0u);
-  EXPECT_EQ(actor.issued(), actor.completed() + actor.failed());
-  // Sojourn latency far exceeds service latency under overload.
+  EXPECT_EQ(histories[0]->backlog(), 0u);
+  const OpCounts counts = CountOps(histories);
+  EXPECT_EQ(histories[0]->ops().size(), counts.ok() + counts.failed());
+  // Sojourn latency, from the intended arrival, far exceeds service latency
+  // under overload.
+  LatencyTimeline reads(kSecond / 10, 10);
+  RecordLatencies(histories, &reads);
   EXPECT_GT(reads.Total().Percentile(0.99), 100'000u);
 }
 
-TEST(ClientActorTest, WritesCountedSeparately) {
-  ClusterConfig config;
-  config.num_masters = 4;
-  config.num_clients = 1;
-  config.master.hash_table_log2_buckets = 12;
-  Cluster cluster(config);
+TEST(ClientHistoryTest, IssuedIsTheArrivalNotTheDequeue) {
+  // One op in flight at a time, arrivals every microsecond: reads take
+  // longer than that, so most ops wait in the backlog. Each op's `issued`
+  // is still its arrival, not the moment it left the backlog.
+  Cluster cluster(OneClientCluster());
+  cluster.CreateTable(1, 0);
+  cluster.LoadTable(1, 100, 30, 100);
+  YcsbConfig ycsb = YcsbConfig::WorkloadC();
+  ycsb.num_records = 100;
+  const ClientHistories histories = StartHistories(
+      cluster, ycsb, kMillisecond, [](Random&, Tick) { return kMicrosecond; },
+      /*max_in_flight=*/1);
+  cluster.Run();
+  const std::vector<OpRecord>& ops = histories[0]->ops();
+  ASSERT_EQ(ops.size(), 999u);
+  size_t waited = 0;
+  for (size_t i = 0; i < ops.size(); i++) {
+    EXPECT_EQ(ops[i].issued, static_cast<Tick>(i + 1) * kMicrosecond) << "op " << i;
+    waited += i > 0 && ops[i].issued < ops[i - 1].completed;
+  }
+  EXPECT_GT(waited, ops.size() / 2);
+}
+
+TEST(ClientHistoryTest, WritesCountedSeparately) {
+  Cluster cluster(OneClientCluster());
   cluster.CreateTable(1, 0);
   cluster.LoadTable(1, 1'000, 30, 100);
   YcsbConfig ycsb = YcsbConfig::WorkloadA();  // 50/50.
   ycsb.num_records = 1'000;
-  YcsbWorkload workload(ycsb);
+  const ClientHistories histories =
+      StartHistories(cluster, ycsb, kSecond / 2, PoissonGap(20'000), 8);
+  cluster.Run();
   LatencyTimeline reads(kSecond, 2);
   LatencyTimeline writes(kSecond, 2);
-  ClientActorConfig actor_config;
-  actor_config.ops_per_second = 20'000;
-  actor_config.stop_time = kSecond / 2;
-  ClientActor actor(1, &cluster.client(0), &workload, actor_config);
-  actor.set_read_latency(&reads);
-  actor.set_write_latency(&writes);
-  actor.Start();
-  cluster.Run();
+  for (const OpRecord& op : histories[0]->ops()) {
+    if (op.ok()) {
+      (op.is_read ? reads : writes).Record(op.completed, op.completed - op.issued);
+    }
+  }
   const uint64_t total_reads = reads.Total().count();
   const uint64_t total_writes = writes.Total().count();
   EXPECT_GT(total_reads, 0u);
