@@ -107,13 +107,13 @@ void ClientHistory::Complete(size_t op, Status status) {
 }
 
 ClientHistories StartClientHistories(Cluster& cluster, TableId table, Tick stop,
-                                     const std::function<ClientHistory::ChooseOp()>& make_choose,
+                                     const ClientHistory::ChooseOp& choose,
                                      const ClientHistory::OpGap& gap, size_t max_in_flight) {
   ClientHistories histories;
   for (size_t c = 0; c < cluster.num_clients(); c++) {
     histories.push_back(std::make_unique<ClientHistory>(&cluster.client(c), table, c,
                                                         cluster.num_clients(), stop,
-                                                        make_choose(), gap, max_in_flight));
+                                                        choose, gap, max_in_flight));
     histories.back()->Start();
   }
   return histories;
@@ -131,8 +131,8 @@ ClientHistory::ChooseOp YcsbBChoice(uint64_t records, double theta) {
   YcsbConfig config = YcsbConfig::WorkloadB();
   config.num_records = records;
   config.theta = theta;
-  return [workload = YcsbWorkload(config)](Random& rng, Tick) mutable {
-    return workload.NextOp(rng);
+  return [workload = std::make_shared<const YcsbWorkload>(config)](Random& rng, Tick) {
+    return workload->NextOp(rng);
   };
 }
 

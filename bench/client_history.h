@@ -126,19 +126,20 @@ class ClientHistory {
 using ClientHistories = std::vector<std::unique_ptr<ClientHistory>>;
 
 // Starts one ClientHistory per client of `cluster`, from root context.
-// `make_choose` runs once per client, so per-client generator state (a
-// YcsbWorkload, say) belongs to that client's node alone. Arrivals stop at
-// `stop`; each client keeps at most `max_in_flight` ops in flight.
+// Each client gets its own copy of `choose`, which draws only from that
+// client's RNG; whatever it captures is shared by every client and must
+// hold no state between draws (a shared read-only generator, say). Arrivals
+// stop at `stop`; each client keeps at most `max_in_flight` ops in flight.
 ClientHistories StartClientHistories(Cluster& cluster, TableId table, Tick stop,
-                                     const std::function<ClientHistory::ChooseOp()>& make_choose,
+                                     const ClientHistory::ChooseOp& choose,
                                      const ClientHistory::OpGap& gap, size_t max_in_flight);
 
 // Poisson arrivals at `aggregate_ops_per_second` over all clients: each
 // gap is an exponential draw from the client's RNG.
 ClientHistory::OpGap PoissonGap(double aggregate_ops_per_second);
 
-// YCSB-B over `records` loaded keys at Zipfian skew `theta`. Each call
-// builds its own YcsbWorkload, so each client gets one.
+// YCSB-B over `records` loaded keys at Zipfian skew `theta`. The
+// YcsbWorkload is built once and shared, read-only, by every copy.
 ClientHistory::ChooseOp YcsbBChoice(uint64_t records, double theta = YcsbConfig{}.theta);
 
 // Op-log totals of the completed ops, split by OpRecord::ok().

@@ -84,7 +84,7 @@ RunResult RunMode(bool pacing) {
   });
 
   const ClientHistories histories = StartClientHistories(
-      cluster, kTable, kOpsStop, [] { return YcsbBChoice(kRecords); },
+      cluster, kTable, kOpsStop, YcsbBChoice(kRecords),
       [](Random&, Tick now) {
         return now % (kBurstPhase + kTroughPhase) < kBurstPhase ? kBurstGap : kTroughGap;
       },

@@ -126,17 +126,15 @@ RunResult Run(bool planner_on) {
   const Tick experiment_end = kNumPhases * kPhaseLength;
   const ClientHistories histories = StartClientHistories(
       cluster, kTable, experiment_end,
-      [&] {
-        return [&, hot_rank = ZipfianGenerator(quarter_pool[0].size(), kZipfTheta)](
-                   Random& rng, Tick now) mutable {
-          const int phase = std::min<int>(static_cast<int>(now / kPhaseLength), kNumPhases - 1);
-          const auto& hot_pool = quarter_pool[kHotQuarterByPhase[phase]];
-          std::string key = rng.NextDouble() < kHotFraction
-                                ? hot_pool[hot_rank.Next(rng) % hot_pool.size()]
-                                : all_keys[rng.Uniform(all_keys.size())];
-          return YcsbWorkload::Op{.is_read = rng.NextDouble() >= kWriteFraction,
-                                  .key = std::move(key)};
-        };
+      [&, hot_rank = std::make_shared<const ZipfianGenerator>(quarter_pool[0].size(), kZipfTheta)](
+          Random& rng, Tick now) {
+        const int phase = std::min<int>(static_cast<int>(now / kPhaseLength), kNumPhases - 1);
+        const auto& hot_pool = quarter_pool[kHotQuarterByPhase[phase]];
+        std::string key = rng.NextDouble() < kHotFraction
+                              ? hot_pool[hot_rank->Next(rng) % hot_pool.size()]
+                              : all_keys[rng.Uniform(all_keys.size())];
+        return YcsbWorkload::Op{.is_read = rng.NextDouble() >= kWriteFraction,
+                                .key = std::move(key)};
       },
       [op_gap](Random&, Tick) { return op_gap; }, ClientHistory::kUnbounded);
 

@@ -30,10 +30,11 @@ void RunAndPrint(const ScenarioSpec& spec) {
               static_cast<unsigned long long>(result.digest.ops.reads_failed));
   std::printf("  migrations=%llu drains=%llu restarts=%llu mismatches=%llu audits=%s "
               "converged=%s trace=%016llx\n",
-              static_cast<unsigned long long>(result.digest.migrations_completed),
+              static_cast<unsigned long long>(result.digest.planner_migrations_completed +
+                                              result.digest.planner_drain_migrations_completed),
               static_cast<unsigned long long>(result.digest.drains_completed),
               static_cast<unsigned long long>(result.digest.restarts_completed),
-              static_cast<unsigned long long>(result.mismatches),
+              static_cast<unsigned long long>(result.digest.lost_writes),
               result.audits_ok ? "ok" : "FAIL",
               result.operations_converged ? "yes" : "NO",
               static_cast<unsigned long long>(result.digest.trace_hash));

@@ -56,7 +56,7 @@ class MigrationUnderLoadRun {
     cluster_.LoadTable(kTable, spec.records, 30, 100);
     histories_ = StartClientHistories(
         cluster_, kTable, spec.stop_time,
-        [&spec] { return YcsbBChoice(spec.records, spec.theta); },
+        YcsbBChoice(spec.records, spec.theta),
         PoissonGap(spec.ops_per_second * spec.config.num_clients), kMaxInFlight);
 
     cluster_.master(0).cores().set_dispatch_util(spec.source_dispatch);

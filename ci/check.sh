@@ -6,9 +6,9 @@
 #  2. Debug with -Werror and ROCKSTEADY_AUDIT=ON (DCHECKs + invariant audits
 #     enabled, death tests active),
 #  3. RelWithDebInfo with TSan (fast subset: the determinism core, the
-#     threaded-lane suite and seed slices of the chaos and scenario suites,
-#     which drive real worker threads through the lane barriers — the
-#     sharded-execution race gate).
+#     threaded-lane suite and seed slices of the chaos, rebalancer and
+#     scenario suites, which drive real worker threads through the lane
+#     barriers — the sharded-execution race gate).
 # Run from anywhere; builds land in build-asan/, build-figures/,
 # build-audit/ and build-tsan/ under the repo root. Any failure aborts with
 # a nonzero exit.
@@ -62,11 +62,13 @@ fi
 step "test: ASan+UBSan"
 ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}"
 
-# The chaos, overload, rebalancer and scenario suites run each seed at one
-# lane and replay it at 4 threaded lanes: every client drives its own load
-# (bench/client_history.h), so every event touches only its own node and one
-# digest comparison checks replay determinism and lane invariance. The lane
-# legs below replay recovery and the operations layer at 2 and 4 lanes too.
+# The chaos, overload, rebalancer and scenario suites are ScenarioSpecs run
+# by the one episode runner (RunScenario, bench/scenario_harness.h): each
+# seed runs at one lane and replays at 4 threaded lanes. Every client drives
+# its own load (bench/client_history.h), so every event touches only its own
+# node and one digest comparison checks replay determinism and lane
+# invariance. The lane legs below run the same runner's recovery and
+# operations specs at 2 and 4 lanes too.
 step "chaos suite: lossy fabric + crash-restarts, 20 seeds, replayed bit-identically at 4 lanes"
 "${ROOT}/build-asan/tests/chaos_test" --gtest_filter='Seeds/ChaosTest.*'
 
@@ -189,10 +191,13 @@ step "test: TSan fast subset (determinism core + threaded lane barriers)"
 # bytes written before they were sent.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
   --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*:LaneWindowTest.*'
-# The chaos suites replay each seed on 4 worker threads: a coordinator crash,
-# a straggler, overload pacing and the full operations stack under the
-# barrier. Two chaos and overload seeds, and every scenario at seed 0.
+# The episode suites all go through the one runner (RunScenario), which
+# replays each seed on 4 worker threads: a coordinator crash, a straggler,
+# overload pacing, the planner with faults and a bystander crash-restart,
+# and the full operations stack under the barrier. Two chaos, overload and
+# rebalancer-chaos seeds, and every scenario at seed 0.
 "${ROOT}/build-tsan/tests/chaos_test" --gtest_filter='Seeds/*/1:Seeds/*/2'
+"${ROOT}/build-tsan/tests/rebalance_test" --gtest_filter='Seeds/*/1:Seeds/*/2'
 "${ROOT}/build-tsan/tests/scenario_test" --gtest_filter='*_s0'
 
 step "all checks passed"

@@ -65,7 +65,7 @@ int main() {
 
   // Background YCSB-B load for the entire exercise, from both clients.
   const ClientHistories histories =
-      StartClientHistories(cluster, kTable, 6 * kSecond, [] { return YcsbBChoice(kRecords); },
+      StartClientHistories(cluster, kTable, 6 * kSecond, YcsbBChoice(kRecords),
                            PoissonGap(300'000), /*max_in_flight=*/64);
 
   cluster.RunUntil(kSecond / 2);

@@ -36,7 +36,7 @@ int main() {
   // Poisson arrivals at 200k ops/s in all, at most 64 ops in flight per
   // client, for 2 s. Each client logs its ops and the values it wrote.
   const ClientHistories histories =
-      StartClientHistories(cluster, kTable, 2 * kSecond, [] { return YcsbBChoice(kRecords); },
+      StartClientHistories(cluster, kTable, 2 * kSecond, YcsbBChoice(kRecords),
                            PoissonGap(200'000), /*max_in_flight=*/64);
 
   // At t = 0.5 s, live-migrate the upper half of the hash space to master 1.

@@ -45,7 +45,7 @@ double ZipfianGenerator::Zeta(uint64_t n, double theta) {
   return sum;
 }
 
-uint64_t ZipfianGenerator::Next(Random& rng) {
+uint64_t ZipfianGenerator::Next(Random& rng) const {
   if (theta_ == 0) {
     return rng.Uniform(n_);
   }

@@ -22,8 +22,9 @@ class ZipfianGenerator {
   // falls back to inverse-CDF sampling over a precomputed table.
   ZipfianGenerator(uint64_t n, double theta);
 
-  // Next rank, most popular item is rank 0.
-  uint64_t Next(Random& rng);
+  // Next rank, most popular item is rank 0. Holds no state between draws,
+  // so one generator may be shared by every client.
+  uint64_t Next(Random& rng) const;
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }
@@ -50,7 +51,7 @@ class ScrambledZipfianGenerator {
  public:
   ScrambledZipfianGenerator(uint64_t n, double theta) : zipf_(n, theta) {}
 
-  uint64_t Next(Random& rng) { return Mix64(zipf_.Next(rng)) % zipf_.n(); }
+  uint64_t Next(Random& rng) const { return Mix64(zipf_.Next(rng)) % zipf_.n(); }
 
   uint64_t n() const { return zipf_.n(); }
 

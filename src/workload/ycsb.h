@@ -34,7 +34,7 @@ class YcsbWorkload {
   explicit YcsbWorkload(const YcsbConfig& config)
       : config_(config), zipf_(config.num_records, config.theta) {}
 
-  Op NextOp(Random& rng) {
+  Op NextOp(Random& rng) const {
     const bool is_read = rng.NextDouble() < config_.read_fraction;
     return Op{.is_read = is_read, .key = KeyAt(zipf_.Next(rng))};
   }

@@ -53,7 +53,7 @@ class Chain {
 // YCSB-B over the 4,000 loaded records from both clients, 75k ops/s each,
 // running past the end of every test below.
 ClientHistories StartYcsbLoad(Cluster& cluster) {
-  return StartClientHistories(cluster, kTable, kSecond, [] { return YcsbBChoice(4'000); },
+  return StartClientHistories(cluster, kTable, kSecond, YcsbBChoice(4'000),
                               PoissonGap(150'000), ClientHistory::kUnbounded);
 }
 

@@ -4,12 +4,13 @@
 // + splits never lose an acked write and replay bit-identically.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/client_history.h"
-#include "bench/experiment_common.h"
+#include "bench/scenario_harness.h"
 #include "src/cluster/cluster.h"
 #include "src/common/audit.h"
 #include "src/common/hash.h"
@@ -17,7 +18,6 @@
 #include "src/rebalance/load_stats.h"
 #include "src/rebalance/planner.h"
 #include "src/rebalance/telemetry.h"
-#include "src/sim/fault_injector.h"
 
 namespace rocksteady {
 namespace {
@@ -462,117 +462,60 @@ TEST(RebalanceAuditTest, CoverageAuditCatchesOwnerWithoutLocalTablet) {
 // bit-identically at 4 threaded lanes.
 constexpr uint64_t kChaosRecords = 4'000;
 constexpr Tick kChaosOpGap = 10 * kMicrosecond;  // ~100k ops/s offered.
-constexpr Tick kChaosOpsStop = 50 * kMillisecond;
-constexpr Tick kChaosHorizon = 80 * kMillisecond;
 
-struct RebalanceChaosDigest {
-  uint64_t trace_hash = 0;
-  size_t events = 0;
-  OpCounts ops;
-  uint64_t splits_performed = 0;
-  uint64_t migrations_started = 0;
-  uint64_t migrations_completed = 0;
-  uint64_t mismatches = 0;
-
-  friend bool operator==(const RebalanceChaosDigest&, const RebalanceChaosDigest&) = default;
-};
-
-// `lanes` > 1 runs the lanes on worker threads.
-RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed, int lanes) {
-  FaultInjector injector({.seed = seed * 1'000 + 7,
-                          .drop_probability = 0.01,
-                          .duplicate_probability = 0.005,
-                          .max_extra_delay_ns = 2 * kMicrosecond});
-  ClusterConfig config = SmallConfig(seed);
-  config.lanes = lanes;
-  config.lane_threads = lanes > 1;
-  Cluster cluster(config);
-  cluster.net().SetFaultInjector(&injector);
-  EnableMigration(&cluster);
-  cluster.CreateTable(kTable, 0);
-  SpreadTableAcross(cluster, kTable, 4);  // One quarter per master.
-  cluster.LoadTable(kTable, kChaosRecords, 30, 100);
+ScenarioSpec RebalanceChaosSpec(uint64_t seed) {
+  // Fault schedule: crash-and-recover a bystander master mid-run.
+  Random schedule(seed ^ 0x9e3779b97f4a7c15ull);
+  const size_t victim = 2 + schedule.Uniform(2);
+  const Tick crash_at = 8 * kMillisecond + schedule.Uniform(10 * kMillisecond);
 
   // The hot spot aims at (about) master 0's quarter.
   const std::vector<std::string> all_keys = LoadedKeys(kChaosRecords);
   std::vector<std::string> hot_pool;
   for (const std::string& key : all_keys) {
-    if (HashKey(kTable, key) < kQuarter) {
+    if (HashKey(kScenarioTable, key) < kQuarter) {
       hot_pool.push_back(key);
     }
   }
 
-  ClusterTelemetry telemetry(&cluster);
-  RebalancerOptions options = TestPlannerOptions();
-  // Keep the loop responsive inside the short chaos horizon: a wedged
-  // migration is abandoned quickly (the lease watchdog owns the repair).
-  options.migration_deadline_ns = 30 * kMillisecond;
-  RebalancePlanner planner(&cluster, options);
-  planner.Start();
-  cluster.coordinator().StartFailureDetector();
-
-  // Fault schedule: crash-and-recover a bystander master mid-run.
-  Random schedule(seed ^ 0x9e3779b97f4a7c15ull);
-  const size_t victim = 2 + schedule.Uniform(2);
-  const Tick crash_at = 8 * kMillisecond + schedule.Uniform(10 * kMillisecond);
-  cluster.coordinator().on_recovery_complete = [&](ServerId id) {
-    Simulator& sim = cluster.coordinator().sim();
-    sim.AtSafePoint(sim.now() + kMillisecond,
-                    [&, id] { cluster.coordinator().master(id)->Restart(); });
-  };
-  cluster.AtSafePoint(crash_at, [&] { cluster.master(victim).Crash(); });
-
+  ScenarioSpec s;
+  s.name = "rebalance_chaos";
+  s.fabric = LossyFabric{};
+  s.records = kChaosRecords;
   // 80%-hot / 20%-uniform, 5% writes, from every client.
-  const ClientHistories histories = StartClientHistories(
-      cluster, kTable, kChaosOpsStop,
-      [&] {
-        return [&](Random& rng, Tick) {
-          const auto& pool = rng.NextDouble() < 0.8 ? hot_pool : all_keys;
-          std::string key = pool[rng.Uniform(pool.size())];
-          return YcsbWorkload::Op{.is_read = rng.NextDouble() < 0.95, .key = std::move(key)};
-        };
-      },
-      [](Random&, Tick) { return kChaosOpGap; }, ClientHistory::kUnbounded);
-
-  cluster.RunUntil(kChaosHorizon);
-  planner.Stop();
-  cluster.coordinator().StopFailureDetector();
-  cluster.Run();
-
-  RebalanceChaosDigest digest;
-  digest.ops = CountOps(histories);
-  EXPECT_GT(digest.ops.acked_writes, 0u) << "seed " << seed;
-
-  AuditReport report;
-  cluster.AuditInvariants(&report);
-  EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.Summary();
-
-  // No committed write lost.
-  const ReadBackResult lost = VerifyReadBack(cluster, kTable, all_keys, histories);
-  digest.mismatches = lost.mismatches;
-  EXPECT_EQ(digest.mismatches, 0u)
-      << "seed " << seed << ": acked writes lost under rebalancing:\n" << lost.detail;
-
-  digest.trace_hash = cluster.trace_hash();
-  digest.events = cluster.events_processed();
-  digest.splits_performed = cluster.coordinator().splits_performed();
-  digest.migrations_started = planner.stats().migrations_started;
-  digest.migrations_completed = planner.stats().migrations_completed;
-  cluster.net().SetFaultInjector(nullptr);
-  return digest;
+  s.choose = [all = std::make_shared<const std::vector<std::string>>(all_keys),
+              hot = std::make_shared<const std::vector<std::string>>(std::move(hot_pool))](
+                 Random& rng, Tick) {
+    const auto& pool = rng.NextDouble() < 0.8 ? *hot : *all;
+    std::string key = pool[rng.Uniform(pool.size())];
+    return YcsbWorkload::Op{.is_read = rng.NextDouble() < 0.95, .key = std::move(key)};
+  };
+  s.gap = [](Random&, Tick) { return kChaosOpGap; };
+  s.ops_stop = 50 * kMillisecond;
+  s.planner = true;
+  s.horizon = 80 * kMillisecond;
+  s.events = {{.kind = ScenarioEvent::Kind::kCrashMaster, .at = crash_at, .master_index = victim}};
+  return s;
 }
 
 class RebalanceChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RebalanceChaosTest, PlannerUnderFaultsPreservesWritesAndReplays) {
   const uint64_t seed = GetParam();
-  const RebalanceChaosDigest first = RunRebalanceChaosEpisode(seed, 1);
-  const RebalanceChaosDigest second = RunRebalanceChaosEpisode(seed, 4);
-  EXPECT_EQ(first.trace_hash, second.trace_hash)
+  const ScenarioSpec spec = RebalanceChaosSpec(seed);
+  const ScenarioResult first = RunScenario(spec, seed, 1);
+  const ScenarioResult second = RunScenario(spec, seed, 4);
+  for (const ScenarioResult* run : {&first, &second}) {
+    EXPECT_GT(run->digest.ops.acked_writes, 0u) << "seed " << seed;
+    EXPECT_TRUE(run->audits_ok) << "seed " << seed << ":\n" << run->audit_summary;
+    EXPECT_EQ(run->digest.lost_writes, 0u)
+        << "seed " << seed << ": acked writes lost under rebalancing:\n" << run->mismatch_detail;
+  }
+  EXPECT_EQ(first.digest.trace_hash, second.digest.trace_hash)
       << "seed " << seed << " diverged at 4 threaded lanes";
-  EXPECT_EQ(first, second);
+  EXPECT_EQ(first.digest, second.digest);
   // The planner genuinely engaged under chaos.
-  EXPECT_GT(first.migrations_started, 0u) << "seed " << seed;
+  EXPECT_GT(first.digest.planner_migrations_started, 0u) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RebalanceChaosTest,

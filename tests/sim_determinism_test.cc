@@ -5,95 +5,57 @@
 // a different seed must diverge.
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "bench/client_history.h"
-#include "src/cluster/cluster.h"
-#include "src/common/audit.h"
-#include "src/migration/rocksteady_target.h"
+#include "bench/scenario_harness.h"
 
 namespace rocksteady {
 namespace {
 
-constexpr TableId kTable = 1;
 constexpr KeyHash kMid = 1ull << 63;
 constexpr uint64_t kRecords = 2'000;
 
-struct RunDigest {
-  uint64_t trace_hash = 0;
-  size_t events = 0;
-  Tick end_time = 0;
-  uint64_t records_pulled = 0;
-  uint64_t priority_pull_records = 0;
-  uint64_t client_completed = 0;
-  uint64_t client_failed = 0;
-  uint64_t source_objects = 0;
-  uint64_t target_objects = 0;
+// One full scenario: load a table, offer YCSB-B load against it from one
+// client, migrate the upper half mid-run, drain everything.
+ScenarioSpec DeterminismSpec() {
+  ScenarioSpec s;
+  s.name = "sim_determinism";
+  s.cluster.num_clients = 1;
+  s.spread = false;
+  s.records = kRecords;
+  s.gap = PoissonGap(50'000);
+  s.ops_stop = kSecond / 10;
+  s.events = {{.kind = ScenarioEvent::Kind::kMigrate,
+               .at = kSecond / 100,
+               .master_index = 0,
+               .target_index = 1,
+               .start_hash = kMid}};
+  return s;
+}
 
-  friend bool operator==(const RunDigest&, const RunDigest&) = default;
-};
-
-// One full scenario: load a table, offer YCSB-B load against it, migrate the
-// upper half mid-run, drain everything.
-RunDigest RunScenario(uint64_t seed) {
-  ClusterConfig config;
-  config.num_masters = 4;
-  config.num_clients = 1;
-  config.master.hash_table_log2_buckets = 14;
-  config.master.segment_size = 64 * 1024;
-  config.seed = seed;
-  Cluster cluster(config);
-  EnableMigration(&cluster);
-  cluster.CreateTable(kTable, 0);
-  cluster.LoadTable(kTable, kRecords, 30, 100);
-
-  const ClientHistories histories =
-      StartClientHistories(cluster, kTable, kSecond / 10, [] { return YcsbBChoice(kRecords); },
-                           PoissonGap(50'000), ClientHistory::kUnbounded);
-
-  std::optional<MigrationStats> stats;
-  cluster.AtSafePoint(kSecond / 100, [&] {
-    StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
-                             [&](const MigrationStats& s) { stats = s; });
-  });
-  cluster.Run();
-  EXPECT_TRUE(stats.has_value()) << "migration did not complete";
-
+ScenarioResult::Digest RunDeterminism(uint64_t seed) {
+  const ScenarioResult result = RunScenario(DeterminismSpec(), seed);
+  EXPECT_EQ(result.digest.migrations_finished, 1u) << "migration did not complete";
   // The migrated cluster must also be *consistent*, not just deterministic.
-  AuditReport report;
-  cluster.AuditInvariants(&report);
-  EXPECT_TRUE(report.ok()) << report.Summary();
-
-  RunDigest digest;
-  digest.trace_hash = cluster.trace_hash();
-  digest.events = cluster.events_processed();
-  digest.end_time = cluster.now();
-  digest.records_pulled = stats ? stats->records_pulled : 0;
-  digest.priority_pull_records = stats ? stats->priority_pull_records : 0;
-  const OpCounts ops = CountOps(histories);
-  digest.client_completed = ops.ok();
-  digest.client_failed = ops.failed();
-  digest.source_objects = cluster.master(0).objects().object_count();
-  digest.target_objects = cluster.master(1).objects().object_count();
-  return digest;
+  EXPECT_TRUE(result.audits_ok) << result.audit_summary;
+  return result.digest;
 }
 
 TEST(SimDeterminismTest, IdenticalSeedsProduceIdenticalTraces) {
-  const RunDigest first = RunScenario(42);
-  const RunDigest second = RunScenario(42);
+  const ScenarioResult::Digest first = RunDeterminism(42);
+  const ScenarioResult::Digest second = RunDeterminism(42);
   EXPECT_EQ(first.trace_hash, second.trace_hash);
   EXPECT_EQ(first, second);
   // The scenario actually exercised the machinery.
-  EXPECT_GT(first.events, 10'000u);
+  EXPECT_GT(first.events_processed, 10'000u);
   EXPECT_GT(first.records_pulled, 0u);
-  EXPECT_GT(first.client_completed, 0u);
-  EXPECT_EQ(first.source_objects + first.target_objects, kRecords);
+  EXPECT_GT(first.ops.ok(), 0u);
+  EXPECT_EQ(first.master_objects[0] + first.master_objects[1], kRecords);
 }
 
 TEST(SimDeterminismTest, DifferentSeedsDiverge) {
   // Guards against a degenerate hash (e.g. constant) passing the test above.
-  const RunDigest first = RunScenario(42);
-  const RunDigest other = RunScenario(43);
+  const ScenarioResult::Digest first = RunDeterminism(42);
+  const ScenarioResult::Digest other = RunDeterminism(43);
   EXPECT_NE(first.trace_hash, other.trace_hash);
 }
 

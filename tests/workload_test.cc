@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "bench/client_history.h"
@@ -71,10 +72,8 @@ ClientHistories StartHistories(Cluster& cluster, const YcsbConfig& ycsb, Tick st
                                const ClientHistory::OpGap& gap, size_t max_in_flight) {
   return StartClientHistories(
       cluster, 1, stop,
-      [&ycsb] {
-        return [workload = YcsbWorkload(ycsb)](Random& rng, Tick) mutable {
-          return workload.NextOp(rng);
-        };
+      [workload = std::make_shared<const YcsbWorkload>(ycsb)](Random& rng, Tick) {
+        return workload->NextOp(rng);
       },
       gap, max_in_flight);
 }
